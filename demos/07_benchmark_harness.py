@@ -4,9 +4,9 @@
 A JSON config fully determines a run: frame source, noise model, algorithms,
 trial count, master seed.  Per-trial seeds are derived from the master seed
 and trial index, aggregates are exactly recomputable from the per-trial
-records, and a single-threaded run is bitwise reproducible (timestamps and
-wall times live in excluded fields).  The same machinery backs the ``framepr``
-command-line tool.
+records, and a run is bitwise reproducible (timestamps and wall times live
+in excluded fields).  The same machinery backs the ``framepr`` command-line
+tool.
 """
 from framepr import compute_aggregates, run_experiment, write_csv
 
@@ -37,7 +37,7 @@ print("\naggregates recomputed from records: exact match")
 
 # determinism: the digest strips timestamps and wall-clock fields
 again = run_experiment(config)
-print("single-thread determinism:",
+print("determinism:",
       report.deterministic_digest() == again.deterministic_digest())
 print("digest:", report.deterministic_digest()[:16], "...")
 

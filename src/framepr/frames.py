@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
@@ -28,9 +29,19 @@ def rng_from_seed(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class Frame:
-    """m vectors spanning C^n (rows of ``vectors``)."""
+    """m vectors spanning C^n (rows of ``vectors``).
+
+    The per-frame operators every solver and certificate runs on are cached
+    properties, built on first use and read-only; the cache is sound because
+    ``make_frame`` stores ``vectors`` read-only.
+    """
 
     vectors: np.ndarray
     field: str  # "real" | "complex"
@@ -46,6 +57,36 @@ class Frame:
     @property
     def is_real(self) -> bool:
         return self.field == "real"
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        """Realified rows phi_k = [Re f_k, Im f_k], shape (m, 2n)."""
+        V = self.vectors
+        return _read_only(np.concatenate([V.real, V.imag], axis=1))
+
+    @cached_property
+    def jphi(self) -> np.ndarray:
+        """Rows J phi_k = [-Im f_k, Re f_k], shape (m, 2n)."""
+        V = self.vectors
+        return _read_only(np.concatenate([-V.imag, V.real], axis=1))
+
+    @cached_property
+    def lifted_gram(self) -> np.ndarray:
+        """Gram matrix |<f_k, f_j>|^2 of the rank-one forms f_k f_k*, shape (m, m)."""
+        V = self.vectors
+        return _read_only(np.abs(V.conj() @ V.T) ** 2)
+
+    @cached_property
+    def lifted_inverse(self) -> tuple[int, np.ndarray]:
+        """(rank, Moore-Penrose inverse) of ``lifted_gram`` from one
+        eigendecomposition; the inverse is the lifted left inverse."""
+        dec = hermitian_eig(self.lifted_gram)
+        return dec.rank(), _read_only(dec.pseudo_inverse())
+
+    @cached_property
+    def dual(self) -> "Frame":
+        """The canonical dual frame (see ``canonical_dual``)."""
+        return canonical_dual(self)
 
 
 @dataclass(frozen=True)
@@ -190,20 +231,34 @@ def random_frame(n: int, m: int, ensemble: str = "gaussian", seed=0) -> Frame:
     raise last_err  # pragma: no cover
 
 
+def encode_complex(a) -> list:
+    """JSON-ready nested lists of [re, im] pairs for a complex array of any rank."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim > 1:
+        return [encode_complex(row) for row in a]
+    return [[float(z.real), float(z.imag)] for z in a]
+
+
+def decode_complex(data) -> np.ndarray:
+    """Inverse of ``encode_complex``."""
+    pairs = np.asarray(data, dtype=float)
+    if pairs.ndim < 1 or pairs.shape[-1] != 2:
+        raise ValueError(f"expected [re, im] pairs, got shape {pairs.shape}")
+    return np.ascontiguousarray(pairs).view(complex)[..., 0]  # each pair as one complex128
+
+
 def frame_to_dict(frame: Frame) -> dict:
     """JSON-ready dict: {"n", "m", "field", "vectors": [[[re, im], ...], ...]}."""
     return {
         "n": frame.n,
         "m": frame.m,
         "field": frame.field,
-        "vectors": [[[float(z.real), float(z.imag)] for z in row] for row in frame.vectors],
+        "vectors": encode_complex(frame.vectors),
     }
 
 
 def frame_from_dict(data: dict) -> Frame:
-    vecs = np.array(
-        [[complex(re, im) for re, im in row] for row in data["vectors"]], dtype=complex
-    )
+    vecs = decode_complex(data["vectors"])
     if vecs.shape != (data["m"], data["n"]):
         raise DimensionMismatch(
             f"vector table shape {vecs.shape} disagrees with header "

@@ -5,7 +5,7 @@ task, noise model, algorithm list, trial count, and explicit seeds.  Reports
 echo the normalized config, carry one record per trial, and store aggregates
 that are exactly recomputable from the records.  Wall-clock fields live in
 dedicated keys and are excluded from the determinism contract; everything
-else is bitwise reproducible in single-thread mode.
+else is bitwise reproducible.  Trials run serially in one process.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,8 +69,9 @@ def load_config(source) -> dict:
         "success_threshold": raw.get("success_threshold", 1e-5),
         "sweep": raw.get("sweep"),
         "options": raw.get("options", {}),
-        "threads": raw.get("threads", 1),
     }
+    if raw.get("threads", 1) != 1:
+        raise ConfigError("threads must be 1: trials run serially in one process")
     if cfg["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {cfg['schema_version']}")
     if cfg["task"] not in _TASKS:
@@ -84,11 +84,18 @@ def load_config(source) -> dict:
     for alg in cfg["algorithms"]:
         if alg.get("name") not in _ALGORITHMS:
             raise ConfigError(f"unknown algorithm {alg.get('name')!r}")
+        try:
+            _solver_options(alg["name"], alg.get("options"), 0)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad options for {alg['name']}: {exc}") from exc
     noise_kind = cfg["noise"].get("kind", "none")
     if noise_kind not in ("none", "awgn", "coefficient"):
         raise ConfigError(f"unknown noise kind {noise_kind!r}")
-    if cfg["task"] in ("crlb", "sweep") and not cfg.get("sweep"):
-        raise ConfigError(f"task {cfg['task']!r} requires a 'sweep' section")
+    if cfg["task"] in ("crlb", "sweep"):
+        if not cfg.get("sweep"):
+            raise ConfigError(f"task {cfg['task']!r} requires a 'sweep' section")
+        if cfg["sweep"].get("parameter") not in ("sigma", "rho"):
+            raise ConfigError("sweep.parameter must be 'sigma' or 'rho'")
     return cfg
 
 
@@ -220,7 +227,9 @@ def _solver_options(name: str, options: dict, seed):
     if name == "irls":
         options.setdefault("seed", seed)
         return recon.IRLSOptions(**options)
-    return options
+    if options:
+        raise TypeError(f"{name} takes no options, got {sorted(options)}")
+    return None
 
 
 def run_reconstruction(frame: Frame, y, name: str, options, x_true=None, x0=None):
@@ -279,20 +288,18 @@ def compute_aggregates(records: list, threshold: float) -> dict:
     report's aggregates must reproduce this output bit for bit."""
     groups: dict = {}
     for rec in records:
-        if "error" in rec:
-            key = rec["algorithm"]
-            groups.setdefault(key, {"errors": 0, "records": []})
-            groups[key]["errors"] = groups[key].get("errors", 0) + 1
-            continue
         key = rec["algorithm"]
         if rec.get("sweep_value") is not None:
             key = f"{rec['algorithm']}@{rec['sweep_value']}"
-        groups.setdefault(key, {"errors": 0, "records": []})
-        groups[key]["records"].append(rec)
+        group = groups.setdefault(key, {"errors": 0, "records": []})
+        if "error" in rec:
+            group["errors"] += 1
+        else:
+            group["records"].append(rec)
     out = {}
     for key, group in sorted(groups.items()):
         recs = group["records"]
-        entry = {"count": len(recs), "errors": group.get("errors", 0)}
+        entry = {"count": len(recs), "errors": group["errors"]}
         if recs:
             d2 = np.array([r["d2_rel"] for r in recs], dtype=float)
             res = np.array([r["residual"] for r in recs], dtype=float)
@@ -311,29 +318,13 @@ def compute_aggregates(records: list, threshold: float) -> dict:
 
 
 def _run_trials(cfg: dict, frame: Frame, noise_override=None, sweep_value=None) -> list:
-    trials = cfg["trials"]
-    workers = int(cfg.get("threads", 1))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(
-                pool.map(
-                    _trial_star,
-                    [(cfg, frame, t, noise_override) for t in range(trials)],
-                )
-            )
-    else:
-        chunks = [_reconstruct_trial(cfg, frame, t, noise_override) for t in range(trials)]
     records = []
-    for chunk in chunks:
-        for rec in chunk:
+    for t in range(cfg["trials"]):
+        for rec in _reconstruct_trial(cfg, frame, t, noise_override):
             if sweep_value is not None:
                 rec["sweep_value"] = sweep_value
             records.append(rec)
     return records
-
-
-def _trial_star(args):
-    return _reconstruct_trial(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +334,9 @@ def _trial_star(args):
 def run_experiment(config) -> Report:
     """Execute one config end to end and return the report.
 
-    Deterministic given the config in single-thread mode (the timestamp and
-    wall-time fields are excluded from that contract); per-trial seeds are
-    derived from the master seed and the trial index.
+    Deterministic given the config (the timestamp and wall-time fields are
+    excluded from that contract); per-trial seeds are derived from the master
+    seed and the trial index.
     """
     cfg = load_config(config)
     frame = build_frame(cfg["frame"])
@@ -397,11 +388,8 @@ def run_experiment(config) -> Report:
         return report
 
     if cfg["task"] == "sweep":
-        sweep = cfg["sweep"]
-        param = sweep.get("parameter")
-        if param not in ("sigma", "rho"):
-            raise ConfigError("sweep.parameter must be 'sigma' or 'rho'")
-        for value in sweep["values"]:
+        param = cfg["sweep"]["parameter"]
+        for value in cfg["sweep"]["values"]:
             noise = dict(cfg["noise"])
             noise[param] = value
             if noise.get("kind", "none") == "none":
@@ -419,18 +407,21 @@ def run_experiment(config) -> Report:
 
 
 def _sweep_table(aggregates: dict) -> list:
+    """One row per algorithm and noise level; a level whose trials all failed
+    keeps its row (no error statistics) so its error count shows."""
     rows = []
     for key, entry in sorted(aggregates.items()):
-        if "@" not in key or not entry.get("count"):
+        if "@" not in key:
             continue
         alg, value = key.rsplit("@", 1)
         rows.append(
             {
                 "algorithm": alg,
                 "noise_level": float(value),
-                "d2_rel_mean": entry["d2_rel_mean"],
-                "success_rate": entry["success_rate"],
+                "d2_rel_mean": entry.get("d2_rel_mean"),
+                "success_rate": entry.get("success_rate"),
                 "count": entry["count"],
+                "errors": entry["errors"],
             }
         )
     return rows
@@ -440,19 +431,18 @@ def crlb_reference_curve(cfg: dict, frame: Frame | None = None) -> list:
     """Table of trace-CRLB against Monte-Carlo estimator MSE over a noise grid.
 
     The phase is anchored at the true signal (the estimate is phase-aligned to
-    x before the squared error is taken), matching the anchored bound.
+    x before the squared error is taken), matching the anchored bound.  Each
+    row counts the trials an algorithm failed in ``failed_<name>``; its MSE
+    averages the remaining trials (None when all failed).
     """
     cfg = load_config(cfg)  # idempotent on already-normalized configs
     if frame is None:
         frame = build_frame(cfg["frame"])
-    sweep = cfg["sweep"]
-    param = sweep.get("parameter")
-    if param not in ("sigma", "rho"):
-        raise ConfigError("crlb sweep.parameter must be 'sigma' or 'rho'")
+    param = cfg["sweep"]["parameter"]
     master = cfg["seed"]
     x = _draw_signal(frame, cfg["signal"], [master, 917, 0])
     rows = []
-    for iv, value in enumerate(sweep["values"]):
+    for iv, value in enumerate(cfg["sweep"]["values"]):
         if param == "sigma":
             fisher = fisher_awgn(frame, x, float(value))
             noise = {"kind": "awgn", "sigma": float(value)}
@@ -467,6 +457,7 @@ def crlb_reference_curve(cfg: dict, frame: Frame | None = None) -> list:
         }
         for j, alg in enumerate(cfg["algorithms"]):
             sq_errors = []
+            failed = 0
             for t in range(cfg["trials"]):
                 y = _measure(frame, x, noise, [master, iv, t, 1])
                 options = _solver_options(alg["name"], alg.get("options"), [master, iv, t, 2 + j])
@@ -474,8 +465,9 @@ def crlb_reference_curve(cfg: dict, frame: Frame | None = None) -> list:
                     result = run_reconstruction(frame, y, alg["name"], options, x_true=x)
                     sq_errors.append(result.d2_error**2)
                 except FramePRError:
-                    continue
+                    failed += 1
             row[f"mse_{alg['name']}"] = float(np.mean(sq_errors)) if sq_errors else None
+            row[f"failed_{alg['name']}"] = failed
         rows.append(row)
     return rows
 
@@ -485,7 +477,8 @@ def crlb_reference_curve(cfg: dict, frame: Frame | None = None) -> list:
 # ---------------------------------------------------------------------------
 
 def write_csv(rows: list, path) -> None:
-    """RFC-4180 CSV for a list of flat dicts (union of keys, sorted header)."""
+    """RFC-4180 CSV for a list of flat dicts; the header is the union of their
+    keys in first-seen order."""
     import csv
 
     keys: list[str] = []

@@ -15,7 +15,7 @@ measured in the quotient metric sqrt(2 - 2 |<u, v>|).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from math import ceil, log2
 
 import numpy as np
@@ -23,7 +23,7 @@ from scipy.stats import qmc
 from scipy.special import ndtri
 
 from .errors import BudgetExceeded, InvalidPartition, NotPhaseRetrievable
-from .frames import Frame, frame_bounds, magnitude_map, rng_from_seed
+from .frames import Frame, encode_complex, frame_bounds, magnitude_map, rng_from_seed
 from .lifting import (
     apply_complex_structure,
     complexify,
@@ -61,20 +61,8 @@ class PRCertificate:
     notes: str = ""
 
     def to_dict(self) -> dict:
-        def vec(v):
-            return [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex)]
-
-        return {
-            "verdict": self.verdict,
-            "a0_lower": self.a0_lower,
-            "witness": None if self.witness is None else [vec(self.witness[0]), vec(self.witness[1])],
-            "epsilon_final": self.epsilon_final,
-            "nets_tested": self.nets_tested,
-            "b0_bound": self.b0_bound,
-            "net_points": self.net_points,
-            "seed": self.seed,
-            "notes": self.notes,
-        }
+        witness = None if self.witness is None else encode_complex(self.witness)
+        return {**{f.name: getattr(self, f.name) for f in fields(self)}, "witness": witness}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=1, sort_keys=True)
@@ -457,17 +445,17 @@ def certify_retrievable_complex(
             notes=f"ambient dimension {n} above cap {n_cap}; raise n_cap to force",
         )
     d = 2 * n
-    V = frame.vectors
-    phi = np.concatenate([V.real, V.imag], axis=1)
-    jphi = np.concatenate([-V.imag, V.real], axis=1)
     _, B = frame_bounds(frame)
-    b0 = B * float(np.max(np.linalg.norm(V, axis=1) ** 2))
+    b0 = B * float(np.max(np.linalg.norm(frame.vectors, axis=1) ** 2))
     quotient_dim = max(2 * n - 2, 1)
 
     def make_net(count, rnd):
         if n == 2:
             return bloch_fibonacci_net(count, seed=[seed, rnd])
         return sphere_net(d, count, seed=[seed, rnd])
+
+    def stop(verdict, **fields):
+        return PRCertificate(verdict=verdict, nets_tested=nets, b0_bound=b0, seed=seed, **fields)
 
     eps_target = eps0
     n_points = 1024
@@ -477,7 +465,7 @@ def certify_retrievable_complex(
     for rnd in range(max_rounds):
         net = make_net(n_points, rnd)
         n_built = net.shape[0]
-        lam3_min, lam1_max, xi_min = _scan_net(phi, jphi, net)
+        lam3_min, lam1_max, xi_min = _scan_net(frame.phi, frame.jphi, net)
         nets += 1
         if n_built <= (1 << 18) or coef is None:
             eps_hat = quotient_covering_radius(net, n_probes=n_probes, seed=seed + rnd)
@@ -491,27 +479,13 @@ def certify_retrievable_complex(
                 b0 = min(b0, lam1_max + 2.0 * b0 * eps_hat)
         a0 = 0.5 * lam3_min
         if a0 > 0.0 and 2.0 * b0 * eps_hat <= a0:
-            return PRCertificate(
-                verdict="retrievable",
-                a0_lower=a0,
-                epsilon_final=eps_hat,
-                nets_tested=nets,
-                b0_bound=b0,
-                seed=seed,
-                net_points=n_built,
-            )
+            return stop("retrievable", a0_lower=a0, epsilon_final=eps_hat, net_points=n_built)
         salvage = lam3_min - 2.0 * b0 * eps_hat
         if at_cap and salvage > 0.0:
             # budget-capped fallback: a thinner but still positive certified
             # margin (Weyl slack subtracted directly from the net minimum)
-            return PRCertificate(
-                verdict="retrievable",
-                a0_lower=salvage,
-                epsilon_final=eps_hat,
-                nets_tested=nets,
-                b0_bound=b0,
-                seed=seed,
-                net_points=n_built,
+            return stop(
+                "retrievable", a0_lower=salvage, epsilon_final=eps_hat, net_points=n_built,
                 notes="margin from budget-capped net (below the half-minimum rule)",
             )
         # not certifiable at this radius: before paying for a larger net, try
@@ -521,25 +495,12 @@ def certify_retrievable_complex(
         w = complexify(v)
         x, y = u + w, u - w
         if _verify_witness(frame, x, y):
-            return PRCertificate(
-                verdict="not_retrievable",
-                witness=(x, y),
-                epsilon_final=eps_hat,
-                nets_tested=nets,
-                b0_bound=b0,
-                seed=seed,
-                net_points=n_built,
+            return stop(
+                "not_retrievable", witness=(x, y), epsilon_final=eps_hat, net_points=n_built,
                 notes=f"kernel pair energy {energy:.3e}",
             )
         if at_cap:
-            return PRCertificate(
-                verdict="undecided",
-                nets_tested=nets,
-                b0_bound=b0,
-                seed=seed,
-                net_points=n_built,
-                notes="net budget exhausted",
-            )
+            return stop("undecided", net_points=n_built, notes="net budget exhausted")
         eps_target = min(eps_target, eps_hat) * 0.5
         needed = a0 / (2.0 * b0) if a0 > 0 else eps_target
         goal = max(min(eps_target, needed), 1e-12)
@@ -547,13 +508,7 @@ def certify_retrievable_complex(
         if n_points > budget:
             n_points = budget
             at_cap = True
-    return PRCertificate(
-        verdict="undecided",
-        nets_tested=nets,
-        b0_bound=b0,
-        seed=seed,
-        notes="round budget exhausted",
-    )
+    return stop("undecided", notes="round budget exhausted")
 
 
 # ---------------------------------------------------------------------------
@@ -622,9 +577,7 @@ def fourth_moment_max(frame: Frame, n_starts: int = 64, seed: int = 0) -> float:
         val, _ = _multistart_extremum(value_grad, frame.n, n_starts, seed, maximize=True)
         return val
 
-    V = frame.vectors
-    phi = np.concatenate([V.real, V.imag], axis=1)
-    jphi = np.concatenate([-V.imag, V.real], axis=1)
+    phi, jphi = frame.phi, frame.jphi
 
     def value_grad(xi):
         p = phi @ xi

@@ -60,9 +60,7 @@ def measurement_form(f) -> np.ndarray:
 
 def measurement_forms(frame: Frame) -> np.ndarray:
     """Stacked forms, shape (m, 2n, 2n)."""
-    V = frame.vectors
-    phi = np.concatenate([V.real, V.imag], axis=1)
-    jphi = np.concatenate([-V.imag, V.real], axis=1)
+    phi, jphi = frame.phi, frame.jphi
     return np.einsum("ki,kj->kij", phi, phi) + np.einsum("ki,kj->kij", jphi, jphi)
 
 
@@ -158,9 +156,7 @@ def lifted_map_real(frame: Frame, T) -> np.ndarray:
     d = 2 * frame.n
     if T.shape != (d, d):
         raise DimensionMismatch(f"expected ({d},{d}) matrix, got {T.shape}")
-    V = frame.vectors
-    phi = np.concatenate([V.real, V.imag], axis=1)
-    jphi = np.concatenate([-V.imag, V.real], axis=1)
+    phi, jphi = frame.phi, frame.jphi
     return np.einsum("ki,ij,kj->k", phi, T, phi) + np.einsum("ki,ij,kj->k", jphi, T, jphi)
 
 
@@ -181,9 +177,7 @@ def gradient_columns(frame: Frame, xi) -> np.ndarray:
     d = 2 * frame.n
     if xi.shape != (d,):
         raise DimensionMismatch(f"expected length-{d} vector, got {xi.shape}")
-    V = frame.vectors
-    phi = np.concatenate([V.real, V.imag], axis=1)
-    jphi = np.concatenate([-V.imag, V.real], axis=1)
+    phi, jphi = frame.phi, frame.jphi
     return (phi.T * (phi @ xi)) + (jphi.T * (jphi @ xi))
 
 

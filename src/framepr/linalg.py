@@ -33,6 +33,22 @@ class EigDecomposition:
         e, v = self.eigenvalues, self.eigenvectors
         return (v * e) @ v.conj().T
 
+    def _kept(self, rank_tol: float) -> np.ndarray:
+        lam = self.eigenvalues
+        cutoff = rank_tol * np.max(np.abs(lam)) if lam.size else 0.0
+        return np.abs(lam) > cutoff
+
+    def rank(self) -> int:
+        """Number of eigenvalues with |lam| > DEFAULT_RANK_TOL * max|lam|."""
+        return int(np.sum(self._kept(DEFAULT_RANK_TOL)))
+
+    def pseudo_inverse(self, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+        """Moore-Penrose inverse; eigenvalues with |lam| <= rank_tol * max|lam| count as zero."""
+        lam = self.eigenvalues
+        inv = np.where(self._kept(rank_tol), 1.0 / np.where(lam == 0, 1.0, lam), 0.0)
+        out = (self.eigenvectors * inv) @ self.eigenvectors.conj().T
+        return hermitian_part(out)
+
 
 def hermitian_part(M: np.ndarray) -> np.ndarray:
     """(M + M*)/2, absorbing roundoff asymmetry."""
@@ -71,12 +87,7 @@ def pseudo_inverse(M: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndar
 
     Eigenvalues with |lam| <= rank_tol * max|lam| are treated as zero.
     """
-    dec = hermitian_eig(M)
-    lam = dec.eigenvalues
-    cutoff = rank_tol * np.max(np.abs(lam)) if lam.size else 0.0
-    inv = np.where(np.abs(lam) > cutoff, 1.0 / np.where(lam == 0, 1.0, lam), 0.0)
-    out = (dec.eigenvectors * inv) @ dec.eigenvectors.conj().T
-    return hermitian_part(out)
+    return hermitian_eig(M).pseudo_inverse(rank_tol)
 
 
 def cg_solve(

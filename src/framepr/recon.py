@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InsufficientRedundancy
-from .frames import Frame, MeasurementVector, analysis, canonical_dual, synthesis
+from .frames import Frame, MeasurementVector, analysis, encode_complex, intensity_map, synthesis
 from .lifting import (
     gradient_columns,
     lifted_map,
@@ -25,7 +25,7 @@ from .lifting import (
     realify,
     complexify,
 )
-from .linalg import cg_solve, hermitian_eig, hermitian_part, power_method, pseudo_inverse
+from .linalg import cg_solve, hermitian_eig, power_method
 from .metrics import outer_distance, quotient_distance
 
 _TIE_TOL = 1e-12
@@ -58,9 +58,8 @@ class ReconResult:
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        x = np.asarray(self.x_hat, dtype=complex)
         return {
-            "x_hat": [[float(z.real), float(z.imag)] for z in x],
+            "x_hat": encode_complex(self.x_hat),
             "iterations": int(self.iterations),
             "residual": float(self.residual),
             "converged": bool(self.converged),
@@ -69,11 +68,6 @@ class ReconResult:
             "d1_error": self.d1_error,
             "flags": list(self.flags),
         }
-
-
-def _vector_residual(frame: Frame, x, y) -> float:
-    c = frame.vectors.conj() @ np.asarray(x, dtype=complex)
-    return float(np.linalg.norm((c * c.conj()).real - y))
 
 
 def _attach_errors(result: ReconResult, x_true) -> ReconResult:
@@ -87,7 +81,7 @@ def _attach_errors(result: ReconResult, x_true) -> ReconResult:
 # lifted linear inversion
 # ---------------------------------------------------------------------------
 
-def lifted_linear(frame: Frame, y, rank_tol: float = 1e-10, x_true=None) -> ReconResult:
+def lifted_linear(frame: Frame, y, x_true=None) -> ReconResult:
     """Invert the measurements linearly on the space of self-adjoint matrices.
 
     Requires the rank-one forms f_k f_k* to span that space (m >= n^2 and full
@@ -98,15 +92,12 @@ def lifted_linear(frame: Frame, y, rank_tol: float = 1e-10, x_true=None) -> Reco
     continuously with y and is returned as ``x_hat``.
     """
     y = _values(y)
-    V = frame.vectors
-    G = np.abs(V.conj() @ V.T) ** 2  # Gram of the rank-one forms
-    lam_G = np.linalg.eigvalsh(G)
-    rank = int(np.sum(lam_G > rank_tol * max(lam_G[-1], np.finfo(float).tiny)))
+    rank, gram_pinv = frame.lifted_inverse
     if rank < frame.n**2:
         raise InsufficientRedundancy(
             f"rank-one forms span {rank} < n^2 = {frame.n ** 2} dimensions"
         )
-    weights = pseudo_inverse(G, rank_tol) @ y
+    weights = gram_pinv @ y
     X = lifted_map_adjoint(frame, weights)
     dec = hermitian_eig(X)
     lam = dec.eigenvalues
@@ -179,8 +170,7 @@ def phaselift(frame: Frame, y, opts: PhaseLiftOptions | None = None, x_true=None
     opts = opts or PhaseLiftOptions()
     y = _values(y)
     n, m = frame.n, frame.m
-    V = frame.vectors
-    G = np.abs(V.conj() @ V.T) ** 2
+    G = frame.lifted_gram
     lam0 = opts.lambda0 if opts.lambda0 is not None else 0.1 * float(np.linalg.norm(y))
     w = np.ones(m)
     X = np.zeros((n, n), dtype=complex)
@@ -260,7 +250,7 @@ def gerchberg_saxton(frame: Frame, y, x0, opts: GSOptions | None = None, x_true=
     opts = opts or GSOptions()
     y = np.maximum(_values(y), 0.0)
     r = np.sqrt(y)
-    duals = canonical_dual(frame)
+    duals = frame.dual
     x = np.asarray(x0, dtype=complex).copy()
     best_res = np.inf
     best_x = x
@@ -288,7 +278,7 @@ def gerchberg_saxton(frame: Frame, y, x0, opts: GSOptions | None = None, x_true=
     result = ReconResult(
         x_hat=best_x,
         iterations=it,
-        residual=_vector_residual(frame, best_x, y),
+        residual=float(np.linalg.norm(intensity_map(frame, best_x).values - y)),
         converged=converged,
         trace=trace_log,
         diagnostics={"best_iteration": best_it, "magnitude_residual": best_res},
@@ -320,7 +310,7 @@ def spectral_init(frame: Frame, y, mode: str = "wf", rho: float = 0.5, seed: int
     """
     y = _values(y)
     V = frame.vectors
-    Ry = hermitian_part(np.einsum("k,ki,kj->ij", y, V, V.conj()))
+    Ry = lifted_map_adjoint(frame, y)
     # negative measurement weights can make the operator indefinite; shift by
     # a bound on the negative part only, so the iteration gap stays healthy
     shift = float(np.sum(np.maximum(-y, 0.0) * np.linalg.norm(V, axis=1) ** 2))
@@ -382,7 +372,8 @@ def wirtinger_flow(frame: Frame, y, opts: WirtingerOptions | None = None, x_true
     norm0_sq = float(np.vdot(x, x).real)
     if norm0_sq == 0.0:
         result = ReconResult(
-            x_hat=x, iterations=0, residual=_vector_residual(frame, x, y),
+            x_hat=x, iterations=0,
+            residual=float(np.linalg.norm(intensity_map(frame, x).values - y)),
             converged=True, trace=[], diagnostics={"note": "zero initialization"},
         )
         return _attach_errors(result, x_true)
@@ -404,7 +395,7 @@ def wirtinger_flow(frame: Frame, y, opts: WirtingerOptions | None = None, x_true
     result = ReconResult(
         x_hat=x,
         iterations=it,
-        residual=_vector_residual(frame, x, y),
+        residual=float(np.linalg.norm(intensity_map(frame, x).values - y)),
         converged=converged,
         trace=trace_log,
     )

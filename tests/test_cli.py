@@ -117,6 +117,27 @@ def test_exit_code_config_error(tmp_path):
     assert run_cli("recon", "--config", str(bad)) == 2
 
 
+@pytest.mark.parametrize(
+    "alg",
+    [
+        {"name": "wirtinger_flow", "options": {"max_iter": 0}},
+        {"name": "phaselift", "options": {"bogus": 1}},
+    ],
+)
+def test_exit_code_bad_solver_options(tmp_path, alg):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(
+        json.dumps(
+            {
+                "task": "reconstruct",
+                "frame": {"ensemble": "gaussian", "n": 2, "m": 6, "seed": 3},
+                "algorithms": [alg],
+            }
+        )
+    )
+    assert run_cli("recon", "--config", str(cfg_path)) == 2
+
+
 def test_exit_code_budget(tmp_path):
     # real frame above the partition cap: budget exceeded -> 4
     from framepr import random_frame, save_frame

@@ -21,6 +21,7 @@ from framepr import (
     save_frame,
     synthesis,
 )
+from framepr.frames import decode_complex, encode_complex
 from conftest import random_complex
 
 TRIPLE = make_frame([[1, 0], [0, 1], [1, 1]])  # real mercedes-ish test frame
@@ -201,3 +202,49 @@ def test_frame_json_roundtrip(tmp_path):
     d = frame_to_dict(frame)
     assert d["n"] == 3 and d["m"] == 7 and d["field"] == "complex"
     np.testing.assert_array_equal(frame_from_dict(d).vectors, frame.vectors)
+
+
+def test_cached_frame_operators(monkeypatch):
+    import framepr.frames as frames_mod
+
+    frame = random_frame(3, 10, "gaussian", seed=15)
+    V = frame.vectors
+    calls = []
+    fresh_dual = frames_mod.canonical_dual
+
+    def counting_dual(f):
+        calls.append(f)
+        return fresh_dual(f)
+
+    monkeypatch.setattr(frames_mod, "canonical_dual", counting_dual)
+    assert frame.dual is frame.dual
+    assert len(calls) == 1
+    np.testing.assert_array_equal(frame.dual.vectors, fresh_dual(frame).vectors)
+
+    G = np.abs(V.conj() @ V.T) ** 2
+    np.testing.assert_array_equal(frame.lifted_gram, G)
+    np.testing.assert_array_equal(frame.phi, np.concatenate([V.real, V.imag], axis=1))
+    np.testing.assert_array_equal(frame.jphi, np.concatenate([-V.imag, V.real], axis=1))
+    rank, pinv = frame.lifted_inverse
+    assert rank == np.linalg.matrix_rank(G) == 9
+    np.testing.assert_allclose(pinv, np.linalg.pinv(G), atol=1e-10)
+    assert frame.lifted_inverse[1] is pinv
+    for name in ("phi", "jphi", "lifted_gram"):
+        assert getattr(frame, name) is getattr(frame, name)
+    for value in (frame.phi, frame.jphi, frame.lifted_gram, pinv):
+        assert not value.flags.writeable
+        with pytest.raises(ValueError):
+            value[0, 0] = 0.0
+
+
+def test_complex_codec_roundtrip(rng):
+    z = random_complex(rng, 6).reshape(2, 3)
+    z[0, 0] = complex(-0.0, 0.0)
+    data = encode_complex(z)
+    assert data[1][2] == [z[1, 2].real, z[1, 2].imag]
+    back = decode_complex(data)
+    np.testing.assert_array_equal(back, z)
+    assert np.signbit(back[0, 0].real)
+    assert encode_complex(z[0]) == data[0]
+    with pytest.raises(ValueError):
+        decode_complex([[1.0, 2.0, 3.0]])

@@ -39,6 +39,10 @@ def test_load_config_defaults():
         {"algorithms": [{"name": "magic"}]},
         {"noise": {"kind": "laplace"}},
         {"task": "sweep"},  # sweep without a sweep section
+        {"task": "sweep", "sweep": {"parameter": "mu", "values": [0.1]}},
+        {"algorithms": [{"name": "wirtinger_flow", "options": {"max_iter": 0}}]},
+        {"algorithms": [{"name": "phaselift", "options": {"bogus": 1}}]},
+        {"algorithms": [{"name": "lifted_linear", "options": {"rank_tol": 1e-8}}]},
     ],
 )
 def test_load_config_rejects(patch):
@@ -192,15 +196,44 @@ def test_write_csv_quoting(tmp_path):
     assert text.splitlines()[0] == "a,b"
 
 
-def test_multithread_matches_single_thread_aggregates():
+def test_threads_other_than_one_rejected():
+    assert "threads" not in load_config(dict(BASE, threads=1))
+    for workers in (0, 2):
+        with pytest.raises(ConfigError, match="threads"):
+            load_config(dict(BASE, threads=workers))
+
+
+def test_sweep_errors_keep_noise_level():
     cfg = dict(BASE)
-    cfg["threads"] = 2
-    multi = run_experiment(cfg)
-    single = run_experiment(BASE)
-    for key, entry in single.aggregates.items():
-        for field, value in entry.items():
-            got = multi.aggregates[key][field]
-            if isinstance(value, float):
-                assert got == pytest.approx(value, abs=1e-9)
-            else:
-                assert got == value
+    cfg.update(
+        task="sweep",
+        frame={"ensemble": "gaussian", "n": 2, "m": 3, "seed": 1},  # m < n^2
+        noise={"kind": "awgn"},
+        sweep={"parameter": "sigma", "values": [0.01, 0.1]},
+        trials=2,
+    )
+    report = run_experiment(cfg)
+    assert report.aggregates == {
+        "lifted_linear@0.01": {"count": 0, "errors": 2},
+        "lifted_linear@0.1": {"count": 0, "errors": 2},
+    }
+    assert [(row["noise_level"], row["count"], row["errors"]) for row in report.tables] == [
+        (0.01, 0, 2),
+        (0.1, 0, 2),
+    ]
+    assert all(row["d2_rel_mean"] is None for row in report.tables)
+
+
+def test_crlb_rows_count_failures():
+    cfg = dict(BASE)
+    cfg.update(
+        task="crlb",
+        frame={"ensemble": "gaussian", "n": 2, "m": 3, "seed": 1},  # m < n^2
+        sweep={"parameter": "sigma", "values": [0.05]},
+        trials=3,
+    )
+    (row,) = run_experiment(cfg).tables
+    assert row["mse_lifted_linear"] is None
+    assert row["failed_lifted_linear"] == 3
+    (row,) = run_experiment(dict(cfg, frame=BASE["frame"])).tables
+    assert row["failed_lifted_linear"] == 0
