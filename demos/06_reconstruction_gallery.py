@@ -18,7 +18,6 @@ from framepr import (
     phaselift,
     quotient_distance,
     random_frame,
-    spectral_init,
     wirtinger_flow,
 )
 
@@ -35,9 +34,7 @@ print(f"{'algorithm':<20} {'D2 error':<12} {'residual':<12} iterations")
 results = {
     "lifted_linear": lifted_linear(frame, y, x_true=x),
     "phaselift": phaselift(frame, y, x_true=x),
-    "gerchberg_saxton": gerchberg_saxton(
-        frame, y, spectral_init(frame, y).x0, GSOptions(max_iter=2000), x_true=x
-    ),
+    "gerchberg_saxton": gerchberg_saxton(frame, y, GSOptions(max_iter=2000), x_true=x),
     "wirtinger_flow": wirtinger_flow(frame, y, x_true=x),
     "irls": irls(frame, y, x_true=x),
 }

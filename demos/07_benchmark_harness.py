@@ -41,7 +41,7 @@ print("determinism:",
       report.deterministic_digest() == again.deterministic_digest())
 print("digest:", report.deterministic_digest()[:16], "...")
 
-report.save("/tmp/demo_report.json")
-write_csv(report.tables, "/tmp/demo_sweep.csv")
-print("\nwrote /tmp/demo_report.json and /tmp/demo_sweep.csv")
+report.save("demo_report.json")
+write_csv(report.tables, "demo_sweep.csv")
+print("\nwrote demo_report.json and demo_sweep.csv in the working directory")
 print("equivalent CLI:  framepr sweep --config cfg.json --out report.json --csv sweep.csv")

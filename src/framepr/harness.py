@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -41,7 +42,17 @@ SCHEMA_VERSION = 1
 NONDETERMINISTIC_KEYS = ("timestamp", "wall_time_s")
 
 _TASKS = ("certify", "bounds", "crlb", "reconstruct", "sweep")
-_ALGORITHMS = ("lifted_linear", "phaselift", "gerchberg_saxton", "wirtinger_flow", "irls")
+_NOISE_PARAMETER = {"awgn": "sigma", "coefficient": "rho"}  # noise kind -> parameter of its level
+# integer options of the certify and bounds tasks, with their defaults
+_INT_OPTIONS = {"budget": 4_000_000, "n_cap": 3, "partition_cap": 24, "n_starts": 64, "samples": 2000}
+
+
+def _positive(value) -> bool:
+    return isinstance(value, (int, float)) and 0 < value < math.inf
+
+
+def _int_options(cfg: dict) -> dict:
+    return {key: int(cfg["options"].get(key, default)) for key, default in _INT_OPTIONS.items()}
 
 
 def load_config(source) -> dict:
@@ -78,41 +89,55 @@ def load_config(source) -> dict:
         raise ConfigError(f"task must be one of {_TASKS}, got {cfg['task']!r}")
     if not isinstance(cfg["frame"], dict):
         raise ConfigError("config requires a 'frame' section")
-    if int(cfg["trials"]) < 1:
+    if not isinstance(cfg["noise"], dict) or not isinstance(cfg["options"], dict):
+        raise ConfigError("config sections 'noise' and 'options' must be objects")
+    try:
+        cfg["trials"] = int(cfg["trials"])
+        _int_options(cfg)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"trials and options.{'/'.join(_INT_OPTIONS)} must be integers: {exc}") from exc
+    if cfg["trials"] < 1:
         raise ConfigError("trials must be >= 1")
-    cfg["trials"] = int(cfg["trials"])
     for alg in cfg["algorithms"]:
-        if alg.get("name") not in _ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {alg.get('name')!r}")
+        name = alg.get("name")
+        if not isinstance(name, str) or name not in recon.SOLVERS:
+            raise ConfigError(f"unknown algorithm {name!r}")
         try:
-            _solver_options(alg["name"], alg.get("options"), 0)
+            _solver_options(name, alg.get("options"), 0)
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad options for {alg['name']}: {exc}") from exc
-    noise_kind = cfg["noise"].get("kind", "none")
-    if noise_kind not in ("none", "awgn", "coefficient"):
-        raise ConfigError(f"unknown noise kind {noise_kind!r}")
+            raise ConfigError(f"bad options for {name}: {exc}") from exc
+    kind = cfg["noise"].get("kind", "none")
+    if kind not in ("none", *_NOISE_PARAMETER):
+        raise ConfigError(f"unknown noise kind {kind!r}")
+    level = _NOISE_PARAMETER.get(kind)
     if cfg["task"] in ("crlb", "sweep"):
-        if not cfg.get("sweep"):
+        sweep = cfg["sweep"]
+        if not isinstance(sweep, dict) or not sweep:
             raise ConfigError(f"task {cfg['task']!r} requires a 'sweep' section")
-        if cfg["sweep"].get("parameter") not in ("sigma", "rho"):
+        if sweep.get("parameter") not in ("sigma", "rho"):
             raise ConfigError("sweep.parameter must be 'sigma' or 'rho'")
+        if level not in (None, sweep["parameter"]):
+            raise ConfigError(f"{kind} noise is swept over {level!r}, not {sweep['parameter']!r}")
+        values = sweep.get("values")
+        if not isinstance(values, list) or not values or not all(map(_positive, values)):
+            raise ConfigError(f"sweep.values must be a non-empty list of positive numbers, got {values!r}")
+    elif cfg["task"] == "reconstruct" and level and not _positive(cfg["noise"].get(level)):
+        raise ConfigError(f"{kind} noise requires a positive {level!r}")
     return cfg
 
 
 def build_frame(spec: dict) -> Frame:
-    """Materialize the frame named by a config 'frame' section."""
-    if "inline" in spec:
-        return frame_from_dict(spec["inline"])
-    if "file" in spec:
-        try:
+    """Materialize the frame named by a config 'frame' section; an unreadable
+    file or a malformed frame description is a ConfigError."""
+    try:
+        if "inline" in spec:
+            return frame_from_dict(spec["inline"])
+        if "file" in spec:
             return load_frame(spec["file"])
-        except OSError as exc:
-            raise ConfigError(f"cannot read frame file: {exc}") from exc
-    if "ensemble" in spec:
-        try:
+        if "ensemble" in spec:
             return random_frame(int(spec["n"]), int(spec["m"]), spec["ensemble"], spec.get("seed", 0))
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"bad ensemble frame spec: {exc}") from exc
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad frame section: {type(exc).__name__}: {exc}") from exc
     raise ConfigError("frame section needs one of 'inline', 'file', 'ensemble'")
 
 
@@ -215,44 +240,40 @@ def _measure(frame: Frame, x, noise: dict, seed):
     return simulate_measurements(frame, x, model)
 
 
+def _sweep_noise(cfg: dict, value) -> dict:
+    """The config's noise with a sweep value overlaid; kind none follows the parameter."""
+    param = cfg["sweep"]["parameter"]
+    noise = dict(cfg["noise"], **{param: value})
+    if noise.get("kind", "none") == "none":
+        noise["kind"] = "awgn" if param == "sigma" else "coefficient"
+    return noise
+
+
 def _solver_options(name: str, options: dict, seed):
+    """Options for solver ``name``, with ``seed`` as its default seed if it has one."""
     options = dict(options or {})
-    if name == "phaselift":
-        return recon.PhaseLiftOptions(**options)
-    if name == "gerchberg_saxton":
-        return recon.GSOptions(**options)
-    if name == "wirtinger_flow":
+    cls = recon.SOLVERS[name]
+    if cls is None:
+        if options:
+            raise TypeError(f"{name} takes no options, got {sorted(options)}")
+        return None
+    if "seed" in cls.__dataclass_fields__:
         options.setdefault("seed", seed)
-        return recon.WirtingerOptions(**options)
-    if name == "irls":
-        options.setdefault("seed", seed)
-        return recon.IRLSOptions(**options)
-    if options:
-        raise TypeError(f"{name} takes no options, got {sorted(options)}")
-    return None
+    return cls(**options)
 
 
-def run_reconstruction(frame: Frame, y, name: str, options, x_true=None, x0=None):
-    """Dispatch one reconstruction by algorithm name."""
-    if name == "lifted_linear":
-        return recon.lifted_linear(frame, y, x_true=x_true)
-    if name == "phaselift":
-        return recon.phaselift(frame, y, options, x_true=x_true)
-    if name == "gerchberg_saxton":
-        start = x0 if x0 is not None else recon.spectral_init(frame, y, mode="wf").x0
-        return recon.gerchberg_saxton(frame, y, start, options, x_true=x_true)
-    if name == "wirtinger_flow":
-        return recon.wirtinger_flow(frame, y, options, x_true=x_true)
-    if name == "irls":
-        return recon.irls(frame, y, options, x_true=x_true)
-    raise ConfigError(f"unknown algorithm {name!r}")
+def run_reconstruction(frame: Frame, y, name: str, options, x_true=None):
+    """Run the recon solver called ``name`` once; solver errors propagate."""
+    solver = getattr(recon, name)
+    if options is None:
+        return solver(frame, y, x_true=x_true)
+    return solver(frame, y, options, x_true=x_true)
 
 
-def _reconstruct_trial(cfg: dict, frame: Frame, trial: int, noise_override=None) -> list:
-    master = cfg["seed"]
-    noise = dict(noise_override if noise_override is not None else cfg["noise"])
-    x = _draw_signal(frame, cfg["signal"], [master, trial, 0])
-    y = _measure(frame, x, noise, [master, trial, 1])
+def _reconstruct_trial(cfg: dict, frame: Frame, x, noise: dict, stem: list, trial: int) -> list:
+    """Measure x once and run every configured algorithm on it, one record
+    each.  Seeds extend ``stem``: 1 for the noise, 2 + j for algorithm j."""
+    y = _measure(frame, x, noise, [*stem, 1])
     records = []
     for j, alg in enumerate(cfg["algorithms"]):
         name = alg["name"]
@@ -260,11 +281,11 @@ def _reconstruct_trial(cfg: dict, frame: Frame, trial: int, noise_override=None)
         rec = {
             "trial": trial,
             "algorithm": name,
-            "seed": [master, trial, 2 + j],
+            "seed": [*stem, 2 + j],
             "noise": noise,
         }
         try:
-            options = _solver_options(name, alg.get("options"), [master, trial, 2 + j])
+            options = _solver_options(name, alg.get("options"), [*stem, 2 + j])
             result = run_reconstruction(frame, y, name, options, x_true=x)
             xnorm = float(np.linalg.norm(x))
             rec.update(
@@ -317,10 +338,12 @@ def compute_aggregates(records: list, threshold: float) -> dict:
     return out
 
 
-def _run_trials(cfg: dict, frame: Frame, noise_override=None, sweep_value=None) -> list:
+def _run_trials(cfg: dict, frame: Frame, noise: dict, sweep_value=None) -> list:
+    master = cfg["seed"]
     records = []
     for t in range(cfg["trials"]):
-        for rec in _reconstruct_trial(cfg, frame, t, noise_override):
+        x = _draw_signal(frame, cfg["signal"], [master, t, 0])
+        for rec in _reconstruct_trial(cfg, frame, x, noise, [master, t], t):
             if sweep_value is not None:
                 rec["sweep_value"] = sweep_value
             records.append(rec)
@@ -343,58 +366,48 @@ def run_experiment(config) -> Report:
     report = Report(config=cfg, task=cfg["task"])
     report.timestamp = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
 
+    opts = _int_options(cfg)
     if cfg["task"] == "certify":
-        opts = cfg.get("options", {})
         if frame.is_real:
-            cert = check_retrievable_real(frame, partition_cap=opts.get("partition_cap", 24))
+            cert = check_retrievable_real(frame, partition_cap=opts["partition_cap"])
         else:
             cert = certify_retrievable_complex(
                 frame,
-                eps0=opts.get("eps0", 0.5),
-                budget=int(opts.get("budget", 4_000_000)),
+                eps0=cfg["options"].get("eps0", 0.5),
+                budget=opts["budget"],
                 seed=cfg["seed"],
-                n_cap=int(opts.get("n_cap", 3)),
+                n_cap=opts["n_cap"],
             )
         report.result = cert.to_dict()
         return report
 
     if cfg["task"] == "bounds":
-        opts = cfg.get("options", {})
         A, B = frame_bounds(frame)
         out = {"frame_lower_bound": A, "frame_upper_bound": B}
         if frame.is_real:
             certified = stability_bounds_real(
                 frame,
-                n_starts=int(opts.get("n_starts", 64)),
+                n_starts=opts["n_starts"],
                 seed=cfg["seed"],
-                partition_cap=int(opts.get("partition_cap", 24)),
+                partition_cap=opts["partition_cap"],
             )
             out["certified"] = certified.to_dict()
         else:
             out["B0"] = B
-            out["b0_multistart"] = fourth_moment_max(
-                frame, n_starts=int(opts.get("n_starts", 64)), seed=cfg["seed"]
-            )
-        sampled = sampled_stability_bounds(
-            frame, samples=int(opts.get("samples", 2000)), seed=cfg["seed"]
-        )
+            out["b0_multistart"] = fourth_moment_max(frame, n_starts=opts["n_starts"], seed=cfg["seed"])
+        sampled = sampled_stability_bounds(frame, samples=opts["samples"], seed=cfg["seed"])
         out["empirical"] = sampled.to_dict()
         report.result = out
         return report
 
     if cfg["task"] == "reconstruct":
-        report.records = _run_trials(cfg, frame)
+        report.records = _run_trials(cfg, frame, cfg["noise"])
         report.aggregates = compute_aggregates(report.records, cfg["success_threshold"])
         return report
 
     if cfg["task"] == "sweep":
-        param = cfg["sweep"]["parameter"]
         for value in cfg["sweep"]["values"]:
-            noise = dict(cfg["noise"])
-            noise[param] = value
-            if noise.get("kind", "none") == "none":
-                noise["kind"] = "awgn" if param == "sigma" else "coefficient"
-            report.records.extend(_run_trials(cfg, frame, noise_override=noise, sweep_value=value))
+            report.records.extend(_run_trials(cfg, frame, _sweep_noise(cfg, value), sweep_value=value))
         report.aggregates = compute_aggregates(report.records, cfg["success_threshold"])
         report.tables = _sweep_table(report.aggregates)
         return report
@@ -438,36 +451,24 @@ def crlb_reference_curve(cfg: dict, frame: Frame | None = None) -> list:
     cfg = load_config(cfg)  # idempotent on already-normalized configs
     if frame is None:
         frame = build_frame(cfg["frame"])
-    param = cfg["sweep"]["parameter"]
+    fisher = fisher_awgn if cfg["sweep"]["parameter"] == "sigma" else fisher_coefficient_noise
     master = cfg["seed"]
     x = _draw_signal(frame, cfg["signal"], [master, 917, 0])
     rows = []
     for iv, value in enumerate(cfg["sweep"]["values"]):
-        if param == "sigma":
-            fisher = fisher_awgn(frame, x, float(value))
-            noise = {"kind": "awgn", "sigma": float(value)}
-        else:
-            fisher = fisher_coefficient_noise(frame, x, float(value))
-            noise = {"kind": "coefficient", "rho": float(value)}
-        bound = crlb(fisher, x)
+        bound = crlb(fisher(frame, x, float(value)), x)
         row = {
             "noise_level": float(value),
             "trace_crlb": float(np.trace(bound).real),
             "trials": cfg["trials"],
         }
-        for j, alg in enumerate(cfg["algorithms"]):
-            sq_errors = []
-            failed = 0
-            for t in range(cfg["trials"]):
-                y = _measure(frame, x, noise, [master, iv, t, 1])
-                options = _solver_options(alg["name"], alg.get("options"), [master, iv, t, 2 + j])
-                try:
-                    result = run_reconstruction(frame, y, alg["name"], options, x_true=x)
-                    sq_errors.append(result.d2_error**2)
-                except FramePRError:
-                    failed += 1
+        noise = _sweep_noise(cfg, value)
+        trials = [_reconstruct_trial(cfg, frame, x, noise, [master, iv, t], t)
+                  for t in range(cfg["trials"])]
+        for alg, recs in zip(cfg["algorithms"], zip(*trials)):
+            sq_errors = [rec["d2_error"] ** 2 for rec in recs if "error" not in rec]
             row[f"mse_{alg['name']}"] = float(np.mean(sq_errors)) if sq_errors else None
-            row[f"failed_{alg['name']}"] = failed
+            row[f"failed_{alg['name']}"] = len(recs) - len(sq_errors)
         rows.append(row)
     return rows
 

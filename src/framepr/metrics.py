@@ -49,7 +49,7 @@ def quotient_distance(x, y, p: float = 2) -> float:
         return float(np.linalg.norm(x - np.exp(1j * phi) * y, ord=p))
 
     grid = np.linspace(0.0, 2.0 * np.pi, _PHASE_GRID, endpoint=False)
-    values = [objective(phi) for phi in grid]
+    values = np.linalg.norm(x - np.exp(1j * grid)[:, None] * y, ord=p, axis=1)
     k = int(np.argmin(values))
     step = 2.0 * np.pi / _PHASE_GRID
     lo, hi = grid[k] - step, grid[k] + step

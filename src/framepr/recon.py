@@ -189,7 +189,7 @@ def phaselift(frame: Frame, y, opts: PhaseLiftOptions | None = None, x_true=None
         Y = X
         t_m = 1.0
         X_prev = X
-        for inner in range(opts.inner_max):
+        for _ in range(opts.inner_max):
             r = lifted_map(frame, Y) - y
             grad = 2.0 * lifted_map_adjoint(frame, w * r)
             X_new = _psd_trace_prox(Y - grad / L, lam_reg / L)
@@ -198,11 +198,12 @@ def phaselift(frame: Frame, y, opts: PhaseLiftOptions | None = None, x_true=None
             step = float(np.linalg.norm(X_new - X_prev))
             X_prev, X, t_m = X_new, X_new, t_new
             iterations += 1
-            if step <= opts.tol * max(1.0, float(np.linalg.norm(X_new))):
+            met_tol = step <= opts.tol * max(1.0, float(np.linalg.norm(X_new)))
+            if met_tol:
                 break
         trace_log.append(float(np.linalg.norm(lifted_map(frame, X) - y)))
         if lam_reg <= opts.lambda_min:
-            converged = inner < opts.inner_max - 1
+            converged = met_tol
             break
         lam_reg = max(lam_reg * opts.lambda_decay, opts.lambda_min)
         if lam_reg < 1e-13 * max(lam0, 1.0):
@@ -232,26 +233,32 @@ def phaselift(frame: Frame, y, opts: PhaseLiftOptions | None = None, x_true=None
 class GSOptions:
     max_iter: int = 500
     tol: float = 1e-12
+    x0: Optional[np.ndarray] = None  # overrides the spectral start
 
     def __post_init__(self):
         if self.max_iter < 1 or self.tol <= 0:
             raise ValueError("max_iter and tol must be positive")
 
 
-def gerchberg_saxton(frame: Frame, y, x0, opts: GSOptions | None = None, x_true=None) -> ReconResult:
+def gerchberg_saxton(frame: Frame, y, opts: GSOptions | None = None, x_true=None) -> ReconResult:
     """Alternate between the measured magnitudes and the coefficient range.
 
-    Each sweep: analyze the iterate, replace coefficient magnitudes by
-    sqrt(y) while keeping phases (zero coefficients get phase 1), synthesize
-    with the canonical dual.  Convergence is not guaranteed; the best iterate
-    by magnitude residual is returned and the stopping rule is a relative
-    change test on that residual.  Negative measurements are clamped to zero.
+    Starts from ``opts.x0``, or else from the energy-matched spectral start
+    of the unclamped measurements.  Each sweep: analyze the iterate, replace
+    coefficient magnitudes by sqrt(y) while keeping phases (zero coefficients
+    get phase 1), synthesize with the canonical dual.  Convergence is not
+    guaranteed; the best iterate by magnitude residual is returned and the
+    stopping rule is a relative change test on that residual.  Negative
+    measurements are clamped to zero.
     """
     opts = opts or GSOptions()
+    if opts.x0 is not None:
+        x = np.asarray(opts.x0, dtype=complex).copy()
+    else:
+        x = spectral_init(frame, y, mode="wf").x0
     y = np.maximum(_values(y), 0.0)
     r = np.sqrt(y)
     duals = frame.dual
-    x = np.asarray(x0, dtype=complex).copy()
     best_res = np.inf
     best_x = x
     best_it = 0
@@ -539,3 +546,15 @@ def irls(frame: Frame, y, opts: IRLSOptions | None = None, x_true=None) -> Recon
         },
     )
     return _attach_errors(result, x_true)
+
+
+# solver name -> options class, None when the solver takes no options.  The
+# solver is looked up by name on this module at call time, so a wrapper bound
+# to the attribute (a tracer, a profiler) sees every call.
+SOLVERS = {
+    "lifted_linear": None,
+    "phaselift": PhaseLiftOptions,
+    "gerchberg_saxton": GSOptions,
+    "wirtinger_flow": WirtingerOptions,
+    "irls": IRLSOptions,
+}

@@ -484,14 +484,14 @@ def test_10_irls_lambda_noise_trend():
 def test_11_gerchberg_saxton():
     frame = random_frame(4, 16, "gaussian", seed=111)
     x = unit_signal(4, 11)
-    result = gerchberg_saxton(frame, intensity_map(frame, x), x, x_true=x)
+    result = gerchberg_saxton(frame, intensity_map(frame, x), GSOptions(x0=x), x_true=x)
     fixed_point = result.d2_error <= 1e-12
     # the best-so-far residual envelope is non-increasing by construction
     frame2 = random_frame(8, 48, "gaussian", seed=112)
     x2 = unit_signal(8, 12)
     y2 = intensity_map(frame2, x2)
     run = gerchberg_saxton(
-        frame2, y2, spectral_init(frame2, y2, mode="wf").x0, GSOptions(max_iter=200)
+        frame2, y2, GSOptions(x0=spectral_init(frame2, y2, mode="wf").x0, max_iter=200)
     )
     envelope = np.minimum.accumulate(np.array(run.trace))
     non_increasing = bool(np.all(np.diff(envelope) <= 0))

@@ -138,6 +138,30 @@ def test_exit_code_bad_solver_options(tmp_path, alg):
     assert run_cli("recon", "--config", str(cfg_path)) == 2
 
 
+@pytest.mark.parametrize(
+    "verb, patch",
+    [
+        ("recon", {"frame": {"inline": {"n": 1, "m": 2, "vectors": [[[1, 0, 5]], [[0, 1, 5]]]}}}),
+        ("recon", {"frame": {"inline": {"n": 1, "vectors": [[[1, 0]], [[0, 1]]]}}}),
+        ("recon", {"trials": "three"}),
+        ("recon", {"noise": {"kind": "awgn"}}),
+        ("recon", {"options": {"budget": "lots"}}),
+        ("sweep", {"noise": {"kind": "awgn"}, "sweep": {"parameter": "rho", "values": [0.1]}}),
+        ("crlb", {"noise": {"kind": "awgn"}, "sweep": {"parameter": "rho", "values": [0.1]}}),
+        ("sweep", {"sweep": {"parameter": "sigma", "values": [0]}}),
+    ],
+)
+def test_exit_code_bad_config_values(tmp_path, verb, patch):
+    cfg = {
+        "frame": {"ensemble": "gaussian", "n": 2, "m": 6, "seed": 3},
+        "algorithms": [{"name": "lifted_linear"}],
+        **patch,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli(verb, "--config", str(cfg_path)) == 2
+
+
 def test_exit_code_budget(tmp_path):
     # real frame above the partition cap: budget exceeded -> 4
     from framepr import random_frame, save_frame

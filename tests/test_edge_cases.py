@@ -102,7 +102,7 @@ def test_wirtinger_zero_start():
 def test_gs_zero_start():
     frame = random_frame(2, 8, "gaussian", seed=33)
     x = np.array([1.0, 1j]) / np.sqrt(2)
-    result = gerchberg_saxton(frame, intensity_map(frame, x), np.zeros(2))
+    result = gerchberg_saxton(frame, intensity_map(frame, x), GSOptions(x0=np.zeros(2)))
     assert np.isfinite(result.residual)
     assert np.linalg.norm(result.x_hat) > 0  # first sweep leaves the origin
 

@@ -43,6 +43,16 @@ def test_load_config_defaults():
         {"algorithms": [{"name": "wirtinger_flow", "options": {"max_iter": 0}}]},
         {"algorithms": [{"name": "phaselift", "options": {"bogus": 1}}]},
         {"algorithms": [{"name": "lifted_linear", "options": {"rank_tol": 1e-8}}]},
+        {"trials": "three"},
+        {"options": {"budget": "lots"}},
+        {"options": {"n_starts": None}},
+        {"noise": {"kind": "awgn"}},  # reconstruct without sigma
+        {"noise": {"kind": "coefficient", "rho": 0}},
+        {"task": "sweep", "noise": {"kind": "awgn"}, "sweep": {"parameter": "rho", "values": [0.1]}},
+        {"task": "crlb", "noise": {"kind": "coefficient"}, "sweep": {"parameter": "sigma", "values": [0.1]}},
+        {"task": "sweep", "sweep": {"parameter": "sigma", "values": [0]}},
+        {"task": "crlb", "sweep": {"parameter": "sigma", "values": []}},
+        {"task": "sweep", "sweep": {"parameter": "rho", "values": ["0.1"]}},
     ],
 )
 def test_load_config_rejects(patch):
@@ -62,6 +72,25 @@ def test_build_frame_sources(tmp_path):
     np.testing.assert_array_equal(from_ens.vectors, frame.vectors)
     with pytest.raises(ConfigError):
         build_frame({})
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"inline": {"n": 1, "m": 2, "vectors": [[[1, 0, 5]], [[0, 1, 5]]]}},  # [re, im, extra]
+        {"inline": {"n": 1, "vectors": [[[1, 0]], [[0, 1]]]}},  # no "m"
+        {"inline": {"n": 1, "m": 2, "vectors": None}},
+        {"ensemble": "gaussian", "n": None, "m": 5},
+    ],
+)
+def test_build_frame_malformed_is_config_error(spec, tmp_path):
+    with pytest.raises(ConfigError):
+        build_frame(spec)
+    if "inline" in spec:  # the same description read from a frame file
+        path = tmp_path / "frame.json"
+        path.write_text(json.dumps(spec["inline"]))
+        with pytest.raises(ConfigError):
+            build_frame({"file": str(path)})
 
 
 def test_reconstruct_report_structure():

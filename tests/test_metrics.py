@@ -40,6 +40,31 @@ def test_quotient_distance_other_p(rng, p):
         assert quotient_distance(x, y, p) <= grid_min(x, y, p) + 1e-9
 
 
+def loop_quotient_distance(x, y, p, grid=256):
+    """The per-phase loop that quotient_distance vectorises, kept as its reference."""
+    from scipy.optimize import minimize_scalar
+
+    def objective(phi):
+        return float(np.linalg.norm(x - np.exp(1j * phi) * y, ord=p))
+
+    phis = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
+    values = [objective(phi) for phi in phis]
+    k = int(np.argmin(values))
+    step = 2.0 * np.pi / grid
+    res = minimize_scalar(objective, bounds=(phis[k] - step, phis[k] + step),
+                          method="bounded", options={"xatol": 1e-9})
+    return min(res.fun, values[k])
+
+
+@pytest.mark.parametrize("p", [1, 3, np.inf])
+def test_quotient_distance_matches_loop_reference(rng, p):
+    # the vectorised grid sums in another order: agreement to 1e-12 relative
+    for _ in range(20):
+        x, y = random_complex(rng, 4), random_complex(rng, 4)
+        ref = loop_quotient_distance(x, y, p)
+        assert quotient_distance(x, y, p) == pytest.approx(ref, rel=1e-12, abs=0)
+
+
 def test_outer_distance_examples():
     e = np.eye(2, dtype=complex)
     assert outer_distance(e[0], e[1], 1) == pytest.approx(2.0)

@@ -98,6 +98,17 @@ def test_phaselift_zero_measurements():
     np.testing.assert_allclose(result.x_hat, np.zeros(3), atol=1e-5)
 
 
+@pytest.mark.parametrize("inner_max", [1, 2])
+def test_phaselift_converged_on_last_allowed_step(inner_max):
+    # y = 0: every step is 0, so each stage meets the step tolerance on its
+    # first step, which with inner_max=1 is also its last allowed one
+    frame = random_frame(3, 12, "gaussian", seed=6)
+    opts = PhaseLiftOptions(lambda0=1.0, lambda_min=0.5, lambda_decay=0.5, inner_max=inner_max)
+    result = phaselift(frame, np.zeros(12), opts)
+    assert result.iterations == 2
+    assert result.converged
+
+
 def test_phaselift_l1_mode_runs_and_fits():
     frame = random_frame(3, 18, "gaussian", seed=7)
     x = unit_signal(3, 7)
@@ -119,14 +130,14 @@ def test_phaselift_l1_mode_runs_and_fits():
 def test_gs_fixed_point():
     frame = random_frame(4, 16, "gaussian", seed=9)
     x = unit_signal(4, 9)
-    result = gerchberg_saxton(frame, intensity_map(frame, x), x, x_true=x)
+    result = gerchberg_saxton(frame, intensity_map(frame, x), GSOptions(x0=x), x_true=x)
     assert result.d2_error <= 1e-12
     assert result.converged
 
 
 def test_gs_zero_measurements():
     frame = random_frame(3, 9, "gaussian", seed=10)
-    result = gerchberg_saxton(frame, np.zeros(9), unit_signal(3, 10))
+    result = gerchberg_saxton(frame, np.zeros(9), GSOptions(x0=unit_signal(3, 10)))
     np.testing.assert_allclose(result.x_hat, np.zeros(3), atol=1e-14)
 
 
@@ -134,7 +145,7 @@ def test_gs_negative_entries_rectified():
     frame = random_frame(2, 6, "gaussian", seed=11)
     y = intensity_map(frame, unit_signal(2, 11)).values.copy()
     y[0] = -0.5  # noisy entry below zero
-    result = gerchberg_saxton(frame, y, unit_signal(2, 12))
+    result = gerchberg_saxton(frame, y, GSOptions(x0=unit_signal(2, 12)))
     assert np.isfinite(result.residual)
 
 
@@ -143,7 +154,7 @@ def test_gs_best_iterate_tracking():
     x = unit_signal(8, 12)
     y = intensity_map(frame, x)
     x0 = spectral_init(frame, y, mode="wf").x0
-    result = gerchberg_saxton(frame, y, x0, GSOptions(max_iter=300))
+    result = gerchberg_saxton(frame, y, GSOptions(x0=x0, max_iter=300))
     trace = np.array(result.trace)
     best = result.diagnostics["magnitude_residual"]
     assert best == trace.min()
@@ -319,8 +330,8 @@ def test_phase_covariance(rotate):
     y = intensity_map(frame, x)
     x0 = spectral_init(frame, y, mode="wf").x0
 
-    r_gs = gerchberg_saxton(frame, y, x0)
-    r_gs_rot = gerchberg_saxton(frame, y, rotate * x0)
+    r_gs = gerchberg_saxton(frame, y, GSOptions(x0=x0))
+    r_gs_rot = gerchberg_saxton(frame, y, GSOptions(x0=rotate * x0))
     assert quotient_distance(r_gs.x_hat, r_gs_rot.x_hat, 2) <= 1e-8
 
     r_wf = wirtinger_flow(frame, y, WirtingerOptions(x0=x0))
