@@ -123,6 +123,8 @@ def _cmd_bounds(args) -> int:
 def _cmd_task(args, task: str) -> int:
     with open(args.config) as fh:
         config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(config).__name__}")
     config["task"] = task
     if args.trials is not None:
         config["trials"] = args.trials

@@ -67,6 +67,8 @@ def load_config(source) -> dict:
         raw = json.loads(json.dumps(source))  # deep copy, JSON-normalized
     else:
         raise ConfigError(f"config must be a dict or a path, got {type(source)!r}")
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
 
     cfg = {
         "schema_version": raw.get("schema_version", SCHEMA_VERSION),
@@ -89,8 +91,8 @@ def load_config(source) -> dict:
         raise ConfigError(f"task must be one of {_TASKS}, got {cfg['task']!r}")
     if not isinstance(cfg["frame"], dict):
         raise ConfigError("config requires a 'frame' section")
-    if not isinstance(cfg["noise"], dict) or not isinstance(cfg["options"], dict):
-        raise ConfigError("config sections 'noise' and 'options' must be objects")
+    if not all(isinstance(cfg[key], dict) for key in ("noise", "signal", "options")):
+        raise ConfigError("config sections 'noise', 'signal' and 'options' must be objects")
     try:
         cfg["trials"] = int(cfg["trials"])
         _int_options(cfg)
@@ -98,12 +100,22 @@ def load_config(source) -> dict:
         raise ConfigError(f"trials and options.{'/'.join(_INT_OPTIONS)} must be integers: {exc}") from exc
     if cfg["trials"] < 1:
         raise ConfigError("trials must be >= 1")
+    seed = cfg["seed"]
+    if not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    if not _positive(cfg["success_threshold"]):
+        raise ConfigError(f"success_threshold must be a positive number, got {cfg['success_threshold']!r}")
+    norm = cfg["signal"].get("norm")
+    if norm is not None and not _positive(norm):
+        raise ConfigError(f"signal.norm must be a positive number, got {norm!r}")
+    if not isinstance(cfg["algorithms"], list) or not all(isinstance(a, dict) for a in cfg["algorithms"]):
+        raise ConfigError("algorithms must be a list of objects with a 'name'")
     for alg in cfg["algorithms"]:
         name = alg.get("name")
         if not isinstance(name, str) or name not in recon.SOLVERS:
             raise ConfigError(f"unknown algorithm {name!r}")
         try:
-            _solver_options(name, alg.get("options"), 0)
+            _solver_options(name, alg.get("options"))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad options for {name}: {exc}") from exc
     kind = cfg["noise"].get("kind", "none")
@@ -249,16 +261,14 @@ def _sweep_noise(cfg: dict, value) -> dict:
     return noise
 
 
-def _solver_options(name: str, options: dict, seed):
-    """Options for solver ``name``, with ``seed`` as its default seed if it has one."""
-    options = dict(options or {})
+def _solver_options(name: str, options: dict):
+    """Options object for solver ``name`` (None when it takes no options)."""
+    options = options or {}
     cls = recon.SOLVERS[name]
     if cls is None:
         if options:
             raise TypeError(f"{name} takes no options, got {sorted(options)}")
         return None
-    if "seed" in cls.__dataclass_fields__:
-        options.setdefault("seed", seed)
     return cls(**options)
 
 
@@ -272,20 +282,19 @@ def run_reconstruction(frame: Frame, y, name: str, options, x_true=None):
 
 def _reconstruct_trial(cfg: dict, frame: Frame, x, noise: dict, stem: list, trial: int) -> list:
     """Measure x once and run every configured algorithm on it, one record
-    each.  Seeds extend ``stem``: 1 for the noise, 2 + j for algorithm j."""
+    each.  The noise seed is ``stem`` extended by 1."""
     y = _measure(frame, x, noise, [*stem, 1])
     records = []
-    for j, alg in enumerate(cfg["algorithms"]):
+    for alg in cfg["algorithms"]:
         name = alg["name"]
         t0 = time.perf_counter()
         rec = {
             "trial": trial,
             "algorithm": name,
-            "seed": [*stem, 2 + j],
             "noise": noise,
         }
         try:
-            options = _solver_options(name, alg.get("options"), [*stem, 2 + j])
+            options = _solver_options(name, alg.get("options"))
             result = run_reconstruction(frame, y, name, options, x_true=x)
             xnorm = float(np.linalg.norm(x))
             rec.update(

@@ -300,56 +300,10 @@ def quotient_covering_radius(
     return 1.12 * eps
 
 
-def _sym3_eig_extremes(A: np.ndarray):
-    """Smallest and largest eigenvalue of a batch of symmetric 3x3 matrices
-    by the trigonometric closed form (no LAPACK round trip)."""
-    a00, a11, a22 = A[:, 0, 0], A[:, 1, 1], A[:, 2, 2]
-    a01, a02, a12 = A[:, 0, 1], A[:, 0, 2], A[:, 1, 2]
-    q = (a00 + a11 + a22) / 3.0
-    p1 = a01**2 + a02**2 + a12**2
-    p2 = (a00 - q) ** 2 + (a11 - q) ** 2 + (a22 - q) ** 2 + 2.0 * p1
-    p = np.sqrt(np.maximum(p2 / 6.0, 0.0))
-    safe = np.where(p > 0.0, p, 1.0)
-    b00, b11, b22 = (a00 - q) / safe, (a11 - q) / safe, (a22 - q) / safe
-    b01, b02, b12 = a01 / safe, a02 / safe, a12 / safe
-    detb = (
-        b00 * (b11 * b22 - b12 * b12)
-        - b01 * (b01 * b22 - b12 * b02)
-        + b02 * (b01 * b12 - b11 * b02)
-    )
-    r = np.clip(detb / 2.0, -1.0, 1.0)
-    phi = np.arccos(r) / 3.0
-    lam_max = q + 2.0 * p * np.cos(phi)
-    lam_min = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
-    return lam_min, lam_max
-
-
-def _restricted_gram_3x3(R: np.ndarray, Xi: np.ndarray) -> np.ndarray:
-    """Compress each 4x4 gradient Gram onto the complement of its exact
-    kernel direction J xi (Householder reflection), giving 3x3 blocks."""
-    n2 = Xi.shape[1] // 2
-    q = np.concatenate([-Xi[:, n2:], Xi[:, :n2]], axis=1)  # J xi, unit
-    sign = np.where(q[:, 0] >= 0.0, 1.0, -1.0)
-    v = q.copy()
-    v[:, 0] += sign
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    Rv = np.einsum("nij,nj->ni", R, v)
-    vRv = np.einsum("ni,ni->n", v, Rv)
-    M = (
-        R
-        - 2.0 * v[:, :, None] * Rv[:, None, :]
-        - 2.0 * Rv[:, :, None] * v[:, None, :]
-        + 4.0 * vRv[:, None, None] * (v[:, :, None] * v[:, None, :])
-    )
-    return M[:, 1:, 1:]
-
-
 def _scan_net(phi: np.ndarray, jphi: np.ndarray, net: np.ndarray):
     """Batched eigenvalues of the gradient Gram over net points.
 
-    Returns (min second-smallest, max largest, argmin point).  For ambient
-    dimension 4 the exact kernel direction is reflected away and the
-    remaining 3x3 spectrum is evaluated in closed form.
+    Returns (min second-smallest, max largest, argmin point).
     """
     d = net.shape[1]
     m = phi.shape[0]
@@ -363,11 +317,8 @@ def _scan_net(phi: np.ndarray, jphi: np.ndarray, net: np.ndarray):
         Q = Xi @ jphi.T
         W = P[:, :, None] * phi[None] + Q[:, :, None] * jphi[None]
         R = W.transpose(0, 2, 1) @ W
-        if d == 4:
-            lam3, lam1 = _sym3_eig_extremes(_restricted_gram_3x3(R, Xi))
-        else:
-            ev = np.linalg.eigvalsh(R)
-            lam3, lam1 = ev[:, 1], ev[:, -1]
+        ev = np.linalg.eigvalsh(R)
+        lam3, lam1 = ev[:, 1], ev[:, -1]
         k = int(np.argmin(lam3))
         if lam3[k] < lam3_min:
             lam3_min = float(lam3[k])
@@ -675,15 +626,14 @@ def local_stability_bounds(frame: Frame, z, zero_tol: float = 1e-12) -> dict:
         (c * c.conj()).real <= zero_tol * np.maximum(scale, np.finfo(float).tiny)
     )
     correction = forms[zero_set].sum(axis=0) if zero_set.size else np.zeros((d, d))
-    S_corr = normalized_gradient_gram(frame, xi, zero_tol) + correction
-    ev_corr = np.linalg.eigvalsh(S_corr)
+    S_plain = normalized_gradient_gram(frame, xi, zero_tol)
+    ev_corr = np.linalg.eigvalsh(S_plain + correction)
     record = {
         "A_tilde": float(ev_corr[1]),
         "B": float(ev_corr[-1]),
         "zero_set": [int(k) for k in zero_set],
     }
     if nz2 > 0.0:
-        S_plain = normalized_gradient_gram(frame, xi, zero_tol)
         ev_plain = np.linalg.eigvalsh(S_plain)
         ev_R = np.linalg.eigvalsh(gradient_gram(frame, xi))
         record.update(

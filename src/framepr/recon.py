@@ -4,9 +4,9 @@ Five solvers: exact linear inversion on the lifted matrix space, a
 trace-regularized PSD least-squares relaxation (PhaseLift-style, solved by
 proximal gradient with continuation), Gerchberg-Saxton alternating
 projections, Wirtinger-flow gradient descent, and iterated regularized least
-squares on a bilinear criterion.  All are deterministic given their options
-and seeds; estimates are defined up to a global phase, so errors are reported
-with the phase-quotient metrics.
+squares on a bilinear criterion.  All are deterministic given their options;
+estimates are defined up to a global phase, so errors are reported with the
+phase-quotient metrics.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .lifting import (
     realify,
     complexify,
 )
-from .linalg import cg_solve, hermitian_eig, power_method
+from .linalg import cg_solve, hermitian_eig
 from .metrics import outer_distance, quotient_distance
 
 _TIE_TOL = 1e-12
@@ -303,41 +303,41 @@ class SpectralInit:
     e1: np.ndarray
     x0: np.ndarray
     mode: str
-    converged: bool
 
 
-def spectral_init(frame: Frame, y, mode: str = "wf", rho: float = 0.5, seed: int = 0) -> SpectralInit:
+def spectral_init(frame: Frame, y, mode: str = "wf", rho: float = 0.5) -> SpectralInit:
     """Scaled principal eigenvector of the measurement-weighted frame operator.
 
-    The weighted operator sum_k y_k f_k f_k* may be indefinite for noisy y, so
-    the power iteration runs on a diagonally shifted PSD copy; the reported
-    a1 is the top algebraic eigenvalue.  mode "wf" scales the start point so
-    its energy matches the measurements; mode "irls" uses the regularized
-    scale and returns the zero sentinel when a1 <= 0.
+    a1 and e1 are the top algebraic eigenpair of sum_k y_k f_k f_k*, which
+    may be indefinite for noisy y.  x0 is e1 scaled (plus a 1e-12 component
+    along any f_k orthogonal to e1): mode "wf" scales it so its energy
+    matches the measurements; mode "irls" uses the regularized scale and
+    returns the zero sentinel when a1 <= 0.
     """
     y = _values(y)
     V = frame.vectors
-    Ry = lifted_map_adjoint(frame, y)
-    # negative measurement weights can make the operator indefinite; shift by
-    # a bound on the negative part only, so the iteration gap stays healthy
-    shift = float(np.sum(np.maximum(-y, 0.0) * np.linalg.norm(V, axis=1) ** 2))
-    if shift > 0.0:
-        shift += 1e-3 * float(np.sum(np.abs(y)))
-    lam_sh, e1, ok = power_method(Ry + shift * np.eye(frame.n), seed=seed)
-    a1 = lam_sh - shift
+    dec = hermitian_eig(lifted_map_adjoint(frame, y))
+    a1 = float(dec.eigenvalues[0])
+    e1 = dec.eigenvectors[:, 0]
+    c = V.conj() @ e1
+    # an exact eigenvector can be orthogonal to some f_k (a repeated
+    # orthonormal basis makes it so), and neither the WF gradient nor the IRLS
+    # update then moves the iterate off the set where those <x, f_k> stay 0;
+    # the start gets a tiny component along those f_k
+    push = V[np.abs(c) <= _TIE_TOL * np.linalg.norm(V, axis=1)].sum(axis=0)
+    start = e1 + _TIE_TOL / np.linalg.norm(push) * push if np.linalg.norm(push) > 0.0 else e1
     if mode == "wf":
         total = float(np.sum(np.linalg.norm(V, axis=1) ** 2))
         scale = np.sqrt(max(frame.n * float(np.sum(y)) / total, 0.0))
-        x0 = scale * e1
+        x0 = scale * start
     elif mode == "irls":
         if a1 <= 0.0:
-            return SpectralInit(a1=a1, e1=e1, x0=np.zeros(frame.n, dtype=complex), mode=mode, converged=ok)
-        c = V.conj() @ e1
+            return SpectralInit(a1=a1, e1=e1, x0=np.zeros(frame.n, dtype=complex), mode=mode)
         fourth = float(np.sum(np.abs(c) ** 4))
-        x0 = np.sqrt((1.0 - rho) * a1 / max(fourth, np.finfo(float).tiny)) * e1
+        x0 = np.sqrt((1.0 - rho) * a1 / max(fourth, np.finfo(float).tiny)) * start
     else:
         raise ValueError(f"unknown spectral_init mode {mode!r}")
-    return SpectralInit(a1=a1, e1=e1, x0=x0, mode=mode, converged=ok)
+    return SpectralInit(a1=a1, e1=e1, x0=x0, mode=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +350,6 @@ class WirtingerOptions:
     tau0: float = 330.0
     max_iter: int = 2500
     tol: float = 1e-9
-    seed: int = 0
     x0: Optional[np.ndarray] = None  # overrides the spectral start
 
     def __post_init__(self):
@@ -375,7 +374,7 @@ def wirtinger_flow(frame: Frame, y, opts: WirtingerOptions | None = None, x_true
     if opts.x0 is not None:
         x = np.asarray(opts.x0, dtype=complex).copy()
     else:
-        x = spectral_init(frame, y, mode="wf", seed=opts.seed).x0
+        x = spectral_init(frame, y, mode="wf").x0
     norm0_sq = float(np.vdot(x, x).real)
     if norm0_sq == 0.0:
         result = ReconResult(
@@ -423,7 +422,6 @@ class IRLSOptions:
     snr_target: Optional[float] = None
     max_outer: int = 400
     cg_tol: float = 1e-12
-    seed: int = 0
     x0: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -471,7 +469,7 @@ def irls(frame: Frame, y, opts: IRLSOptions | None = None, x_true=None) -> Recon
     y = _values(y)
     ysq = float(y @ y)
     eps = opts.eps if opts.eps is not None else 1e-10 * ysq
-    init = spectral_init(frame, y, mode="irls", rho=opts.rho, seed=opts.seed)
+    init = spectral_init(frame, y, mode="irls", rho=opts.rho)
     if opts.x0 is not None:
         x = np.asarray(opts.x0, dtype=complex).copy()
     else:

@@ -149,14 +149,23 @@ def test_exit_code_bad_solver_options(tmp_path, alg):
         ("sweep", {"noise": {"kind": "awgn"}, "sweep": {"parameter": "rho", "values": [0.1]}}),
         ("crlb", {"noise": {"kind": "awgn"}, "sweep": {"parameter": "rho", "values": [0.1]}}),
         ("sweep", {"sweep": {"parameter": "sigma", "values": [0]}}),
+        ("recon", {"signal": {"kind": "gaussian", "norm": "big"}}),
+        ("recon", {"signal": {"kind": "gaussian", "norm": 0}}),
+        ("recon", {"success_threshold": "tight"}),
+        ("recon", {"algorithms": ["lifted_linear"]}),
+        ("recon", {"seed": "x"}),
+        ("recon", {"algorithms": [{"name": "wirtinger_flow", "options": {"seed": 3}}]}),
+        ("recon", None),  # the whole file is a JSON list
     ],
 )
 def test_exit_code_bad_config_values(tmp_path, verb, patch):
     cfg = {
         "frame": {"ensemble": "gaussian", "n": 2, "m": 6, "seed": 3},
         "algorithms": [{"name": "lifted_linear"}],
-        **patch,
+        **(patch or {}),
     }
+    if patch is None:
+        cfg = [cfg]
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     assert run_cli(verb, "--config", str(cfg_path)) == 2

@@ -53,6 +53,12 @@ def test_load_config_defaults():
         {"task": "sweep", "sweep": {"parameter": "sigma", "values": [0]}},
         {"task": "crlb", "sweep": {"parameter": "sigma", "values": []}},
         {"task": "sweep", "sweep": {"parameter": "rho", "values": ["0.1"]}},
+        {"signal": {"kind": "gaussian", "norm": "big"}},
+        {"signal": {"kind": "gaussian", "norm": 0}},
+        {"success_threshold": "tight"},
+        {"algorithms": ["lifted_linear"]},
+        {"seed": "x"},
+        {"algorithms": [{"name": "wirtinger_flow", "options": {"seed": 3}}]},
     ],
 )
 def test_load_config_rejects(patch):
@@ -60,6 +66,13 @@ def test_load_config_rejects(patch):
     cfg.update(patch)
     with pytest.raises(ConfigError):
         load_config(cfg)
+
+
+def test_load_config_rejects_non_object_file(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps([BASE]))
+    with pytest.raises(ConfigError):
+        load_config(str(path))
 
 
 def test_build_frame_sources(tmp_path):

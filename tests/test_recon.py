@@ -5,6 +5,7 @@ from framepr import (
     GSOptions,
     IRLSOptions,
     InsufficientRedundancy,
+    NoiseModel,
     PhaseLiftOptions,
     WirtingerOptions,
     gerchberg_saxton,
@@ -14,12 +15,14 @@ from framepr import (
     lift_outer,
     lifted_linear,
     lifted_map,
+    lifted_map_adjoint,
     make_frame,
     phaselift,
     quotient_distance,
     random_frame,
     realify,
     rng_from_seed,
+    simulate_measurements,
     spectral_init,
     wirtinger_flow,
 )
@@ -194,10 +197,24 @@ def test_spectral_init_nonpositive_sentinel():
 def test_spectral_init_deterministic():
     frame = random_frame(3, 9, "gaussian", seed=13)
     y = intensity_map(frame, unit_signal(3, 13))
-    i1 = spectral_init(frame, y, seed=5)
-    i2 = spectral_init(frame, y, seed=5)
+    i1 = spectral_init(frame, y)
+    i2 = spectral_init(frame, y)
     np.testing.assert_array_equal(i1.x0, i2.x0)
     assert i1.a1 == i2.a1
+
+
+def test_spectral_init_matches_dense_eigh():
+    # noisy y with negative entries: R_y is indefinite, and the start is its
+    # top algebraic eigenpair
+    frame = random_frame(4, 24, "gaussian", seed=23)
+    y = simulate_measurements(frame, unit_signal(4, 23), NoiseModel(kind="awgn", sigma=4.0, seed=24))
+    w, vecs = np.linalg.eigh(lifted_map_adjoint(frame, y.values))
+    assert w[0] < 0.0 < w[-1]
+    init = spectral_init(frame, y, mode="wf")
+    assert init.a1 == pytest.approx(w[-1], rel=1e-12)
+    phase = np.vdot(init.e1, vecs[:, -1])
+    assert abs(phase) == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(init.e1 * phase, vecs[:, -1], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
