@@ -77,6 +77,13 @@ class Frame:
         return _read_only(np.abs(V.conj() @ V.T) ** 2)
 
     @cached_property
+    def lifted_rows(self) -> np.ndarray:
+        """Rows vec(conj(f_k) f_k^T), shape (m, n^2): the lifted map as one
+        matrix, trace(f_k f_k* X) = (lifted_rows @ X.ravel())[k]."""
+        V = self.vectors
+        return _read_only((V.conj()[:, :, None] * V[:, None, :]).reshape(self.m, -1))
+
+    @cached_property
     def lifted_inverse(self) -> tuple[int, np.ndarray]:
         """(rank, Moore-Penrose inverse) of ``lifted_gram`` from one
         eigendecomposition; the inverse is the lifted left inverse."""

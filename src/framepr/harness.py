@@ -48,11 +48,19 @@ _INT_OPTIONS = {"budget": 4_000_000, "n_cap": 3, "partition_cap": 24, "n_starts"
 
 
 def _positive(value) -> bool:
-    return isinstance(value, (int, float)) and 0 < value < math.inf
+    # bool is an int subclass, so JSON true would pass as 1
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 < value < math.inf
+
+
+def _integer(value) -> int:
+    """int(value), with booleans refused as int() would read true as 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
 def _int_options(cfg: dict) -> dict:
-    return {key: int(cfg["options"].get(key, default)) for key, default in _INT_OPTIONS.items()}
+    return {key: _integer(cfg["options"].get(key, default)) for key, default in _INT_OPTIONS.items()}
 
 
 def load_config(source) -> dict:
@@ -94,14 +102,14 @@ def load_config(source) -> dict:
     if not all(isinstance(cfg[key], dict) for key in ("noise", "signal", "options")):
         raise ConfigError("config sections 'noise', 'signal' and 'options' must be objects")
     try:
-        cfg["trials"] = int(cfg["trials"])
+        cfg["trials"] = _integer(cfg["trials"])
         _int_options(cfg)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"trials and options.{'/'.join(_INT_OPTIONS)} must be integers: {exc}") from exc
     if cfg["trials"] < 1:
         raise ConfigError("trials must be >= 1")
     seed = cfg["seed"]
-    if not isinstance(seed, int) or seed < 0:
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     if not _positive(cfg["success_threshold"]):
         raise ConfigError(f"success_threshold must be a positive number, got {cfg['success_threshold']!r}")

@@ -137,8 +137,7 @@ def lifted_map(frame: Frame, X) -> np.ndarray:
     X = np.asarray(X, dtype=complex)
     if X.shape != (frame.n, frame.n):
         raise DimensionMismatch(f"expected ({frame.n},{frame.n}) matrix, got {X.shape}")
-    V = frame.vectors
-    return np.einsum("ki,ij,kj->k", V.conj(), X, V).real
+    return (frame.lifted_rows @ X.ravel()).real
 
 
 def lifted_map_adjoint(frame: Frame, w) -> np.ndarray:
@@ -146,8 +145,7 @@ def lifted_map_adjoint(frame: Frame, w) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if w.shape != (frame.m,):
         raise DimensionMismatch(f"expected length-{frame.m} weights, got {w.shape}")
-    V = frame.vectors
-    return hermitian_part(np.einsum("k,ki,kj->ij", w, V, V.conj()))
+    return hermitian_part((w @ frame.lifted_rows).conj().reshape(frame.n, frame.n))
 
 
 def lifted_map_real(frame: Frame, T) -> np.ndarray:

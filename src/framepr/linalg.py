@@ -56,30 +56,39 @@ def hermitian_part(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.conj().T)
 
 
-def check_hermitian(M: np.ndarray, tol: float = DEFAULT_TOL) -> None:
-    """Raise NotHermitian when ||M - M*|| exceeds tol * ||M|| (Frobenius)."""
-    M = np.asarray(M)
+def _hermitian_defect(M: np.ndarray, tol: float) -> np.ndarray:
+    """D = M - M*, after raising NotHermitian when M is not square or when
+    ||D|| > tol * max(||M||, 1) (Frobenius; the squares are compared)."""
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NotHermitian(f"expected a square matrix, got shape {M.shape}")
-    scale = np.linalg.norm(M)
-    if np.linalg.norm(M - M.conj().T) > tol * max(scale, 1.0):
+    D = M - M.conj().T
+    defect = np.vdot(D, D).real
+    # ||M|| is only needed when the defect exceeds the floor tol * 1
+    if defect > tol * tol and defect > tol * tol * np.vdot(M, M).real:
         raise NotHermitian("matrix is not self-adjoint within tolerance")
+    return D
+
+
+def check_hermitian(M: np.ndarray, tol: float = DEFAULT_TOL) -> None:
+    """Raise NotHermitian when ||M - M*|| exceeds tol * max(||M||, 1) (Frobenius)."""
+    _hermitian_defect(np.asarray(M), tol)
 
 
 def hermitian_eig(M: np.ndarray, tol: float = DEFAULT_TOL) -> EigDecomposition:
     """Full eigendecomposition of a self-adjoint matrix, sorted descending.
 
-    The input is symmetrized before factorization so that roundoff-level
+    The input is symmetrized to M - (M - M*)/2 before factorization, reusing
+    the difference the self-adjointness check forms, so that roundoff-level
     asymmetry never leaks into the spectrum.
     """
     M = np.asarray(M)
-    check_hermitian(M, tol)
+    D = _hermitian_defect(M, tol)
     try:
-        w, v = np.linalg.eigh(hermitian_part(M))
+        w, v = np.linalg.eigh(M - 0.5 * D)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergence(str(exc)) from exc
-    order = np.argsort(w)[::-1]
-    return EigDecomposition(np.ascontiguousarray(w[order]), np.ascontiguousarray(v[:, order]))
+    # eigh returns the spectrum ascending
+    return EigDecomposition(w[::-1], v[:, ::-1])
 
 
 def pseudo_inverse(M: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:

@@ -155,6 +155,11 @@ def test_exit_code_bad_solver_options(tmp_path, alg):
         ("recon", {"algorithms": ["lifted_linear"]}),
         ("recon", {"seed": "x"}),
         ("recon", {"algorithms": [{"name": "wirtinger_flow", "options": {"seed": 3}}]}),
+        ("recon", {"trials": True}),
+        ("recon", {"seed": True}),
+        ("recon", {"success_threshold": True}),
+        ("recon", {"options": {"n_starts": True}}),
+        ("sweep", {"sweep": {"parameter": "sigma", "values": [True]}}),
         ("recon", None),  # the whole file is a JSON list
     ],
 )

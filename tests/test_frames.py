@@ -229,9 +229,12 @@ def test_cached_frame_operators(monkeypatch):
     assert rank == np.linalg.matrix_rank(G) == 9
     np.testing.assert_allclose(pinv, np.linalg.pinv(G), atol=1e-10)
     assert frame.lifted_inverse[1] is pinv
-    for name in ("phi", "jphi", "lifted_gram"):
+    rows = np.array([np.outer(f.conj(), f).ravel() for f in V])
+    np.testing.assert_array_equal(frame.lifted_rows, rows)
+    assert frame.lifted_rows.shape == (10, 9)
+    for name in ("phi", "jphi", "lifted_gram", "lifted_rows"):
         assert getattr(frame, name) is getattr(frame, name)
-    for value in (frame.phi, frame.jphi, frame.lifted_gram, pinv):
+    for value in (frame.phi, frame.jphi, frame.lifted_gram, frame.lifted_rows, pinv):
         assert not value.flags.writeable
         with pytest.raises(ValueError):
             value[0, 0] = 0.0

@@ -59,6 +59,13 @@ def test_load_config_defaults():
         {"algorithms": ["lifted_linear"]},
         {"seed": "x"},
         {"algorithms": [{"name": "wirtinger_flow", "options": {"seed": 3}}]},
+        # JSON true is a Python bool, which is an int subclass
+        {"trials": True},
+        {"seed": True},
+        {"success_threshold": True},
+        {"signal": {"kind": "gaussian", "norm": True}},
+        {"options": {"budget": True}},
+        {"task": "sweep", "sweep": {"parameter": "sigma", "values": [True]}},
     ],
 )
 def test_load_config_rejects(patch):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from framepr import (
+    DimensionMismatch,
     OddDimension,
     analysis,
     apply_complex_structure,
@@ -14,6 +15,7 @@ from framepr import (
     lift_outer,
     lift_outer_normalized,
     lifted_map,
+    lifted_map_adjoint,
     lifted_map_real,
     make_frame,
     measurement_form,
@@ -201,6 +203,28 @@ def test_lifted_map_linearity(rng):
     lhs = lifted_map(frame, 2.0 * X - 0.7 * Y)
     rhs = 2.0 * lifted_map(frame, X) - 0.7 * lifted_map(frame, Y)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12 * max(1, np.abs(rhs).max()))
+
+
+@pytest.mark.parametrize("n, m", [(1, 3), (3, 7), (4, 24), (5, 30)])
+def test_lifted_map_matches_einsum_forms(rng, n, m):
+    frame = random_frame(n, m, "gaussian", seed=[26, n])
+    V = frame.vectors
+    for _ in range(3):
+        X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        X = 0.5 * (X + X.conj().T)
+        w = rng.normal(size=m)
+        forward = np.einsum("ki,ij,kj->k", V.conj(), X, V).real
+        adjoint = np.einsum("k,ki,kj->ij", w, V, V.conj())
+        np.testing.assert_allclose(
+            lifted_map(frame, X), forward, rtol=0, atol=1e-13 * np.abs(forward).max()
+        )
+        out = lifted_map_adjoint(frame, w)
+        np.testing.assert_allclose(out, adjoint, rtol=0, atol=1e-13 * np.abs(adjoint).max())
+        np.testing.assert_array_equal(out, out.conj().T)
+    with pytest.raises(DimensionMismatch):
+        lifted_map(frame, np.eye(n + 1))
+    with pytest.raises(DimensionMismatch):
+        lifted_map_adjoint(frame, np.ones(m + 1))
 
 
 def test_lifted_map_real_mirror(rng):

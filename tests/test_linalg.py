@@ -9,6 +9,7 @@ from framepr import (
     power_method,
     pseudo_inverse,
 )
+from framepr.linalg import DEFAULT_TOL
 from conftest import random_complex, random_hermitian, random_unitary
 
 
@@ -38,6 +39,43 @@ def test_eig_rank_one(rng):
 def test_eig_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("scale, raises", [(1.01, True), (0.99, False)])
+def test_eig_tolerance_edge(scale, raises):
+    # ||M - M*|| = sqrt(2) eps against tol * ||M|| = tol * sqrt(2 + eps^2)
+    eps = scale * DEFAULT_TOL
+    M = np.array([[1.0, eps], [0.0, 1.0]])
+    if raises:
+        with pytest.raises(NotHermitian):
+            hermitian_eig(M)
+    else:
+        np.testing.assert_allclose(hermitian_eig(M).eigenvalues, [1.0 + eps / 2, 1.0 - eps / 2])
+
+
+def _argsort_eig(M):
+    """Reference ordering: symmetrize, eigh, argsort descending."""
+    w, v = np.linalg.eigh(0.5 * (M + M.conj().T))
+    order = np.argsort(w)[::-1]
+    return w[order], v[:, order]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_eig_matches_argsort_reference(rng, n):
+    U = random_unitary(rng, n)
+    repeated = np.repeat(rng.normal(size=(n + 1) // 2), 2)[:n]
+    inputs = [
+        random_hermitian(rng, n),
+        random_hermitian(rng, n).real,
+        np.eye(n),
+        # exactly self-adjoint, with each eigenvalue (up to roundoff) doubled
+        0.5 * ((U * repeated) @ U.conj().T + ((U * repeated) @ U.conj().T).conj().T),
+    ]
+    for M in inputs:
+        dec = hermitian_eig(M)
+        w, v = _argsort_eig(M)
+        np.testing.assert_array_equal(dec.eigenvalues, w)
+        np.testing.assert_array_equal(dec.eigenvectors, v)
 
 
 def test_eig_residual_and_orthonormality(rng):

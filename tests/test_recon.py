@@ -112,6 +112,97 @@ def test_phaselift_converged_on_last_allowed_step(inner_max):
     assert result.converged
 
 
+def _phaselift_reference(frame, y, opts):
+    """PhaseLift with the lifted map and its adjoint applied on every step;
+    returns (X_hat, iterations, converged, trace length)."""
+    n, m = frame.n, frame.m
+    lam0 = opts.lambda0 if opts.lambda0 is not None else 0.1 * float(np.linalg.norm(y))
+    w = np.ones(m)
+    X = np.zeros((n, n), dtype=complex)
+    lam_reg, trace_len, iterations, converged = lam0, 0, 0, False
+    for outer in range(opts.max_outer):
+        if opts.fit == "l1_reweighted" and outer > 0:
+            w = 1.0 / np.maximum(np.abs(lifted_map(frame, X) - y), opts.l1_delta)
+        L = 2.0 * float(np.linalg.eigvalsh(frame.lifted_gram * np.sqrt(np.outer(w, w)))[-1])
+        Y, t_m, X_prev = X, 1.0, X
+        for _ in range(opts.inner_max):
+            grad = 2.0 * lifted_map_adjoint(frame, w * (lifted_map(frame, Y) - y))
+            Z = Y - grad / L
+            ev, vecs = np.linalg.eigh(0.5 * (Z + Z.conj().T))
+            X_new = (vecs * np.maximum(ev - lam_reg / L, 0.0)) @ vecs.conj().T
+            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_m * t_m))
+            Y = X_new + ((t_m - 1.0) / t_new) * (X_new - X_prev)
+            step = np.linalg.norm(X_new - X_prev)
+            X_prev, X, t_m = X_new, X_new, t_new
+            iterations += 1
+            met_tol = step <= opts.tol * max(1.0, np.linalg.norm(X_new))
+            if met_tol:
+                break
+        trace_len += 1
+        if lam_reg <= opts.lambda_min:
+            converged = met_tol
+            break
+        lam_reg = max(lam_reg * opts.lambda_decay, opts.lambda_min)
+        if lam_reg < 1e-13 * max(lam0, 1.0):
+            lam_reg = opts.lambda_min
+    return X, iterations, converged, trace_len
+
+
+@pytest.mark.parametrize("fit", ["l2", "l1_reweighted"])
+@pytest.mark.parametrize("n, m, seed", [(3, 14, 0), (3, 18, 1), (4, 24, 2), (5, 30, 3)])
+def test_phaselift_matches_per_step_reference(fit, n, m, seed):
+    frame = random_frame(n, m, "gaussian", seed=[130, seed])
+    x = unit_signal(n, seed)
+    y = intensity_map(frame, x).values
+    if fit == "l1_reweighted":
+        y = y + 0.01 * rng_from_seed([131, seed]).normal(size=m)
+    opts = PhaseLiftOptions(fit=fit)
+    result = phaselift(frame, y, opts)
+    X_ref, iterations, converged, trace_len = _phaselift_reference(frame, y, opts)
+    # the reweighting divides by the residuals, so a one-ulp change of y
+    # already moves the l1_reweighted reference by up to 4e-12 relative
+    rtol = 1e-12 if fit == "l2" else 1e-10
+    assert np.linalg.norm(result.X_hat - X_ref) <= rtol * np.linalg.norm(X_ref)
+    assert result.iterations == iterations
+    assert result.converged == converged
+    assert len(result.trace) == trace_len
+
+
+def test_phaselift_default_noiseless_solves_converge():
+    # the default schedule reaches its lambda_min stage, which meets the tolerance
+    opts = PhaseLiftOptions()
+    for seed in range(4):
+        frame = random_frame(4, 24, "gaussian", seed=[132, seed])
+        x = unit_signal(4, seed)
+        result = phaselift(frame, intensity_map(frame, x), x_true=x)
+        assert result.converged
+        assert result.d2_error <= 1e-7
+        assert len(result.trace) == opts.max_outer
+        assert result.diagnostics["lambda_final"] == opts.lambda_min
+
+
+def test_phaselift_lambda_final_is_last_stage():
+    frame = random_frame(3, 12, "gaussian", seed=6)
+    y = intensity_map(frame, unit_signal(3, 6))
+    result = phaselift(frame, y, PhaseLiftOptions(lambda0=1.0, lambda_decay=0.5, max_outer=3))
+    assert len(result.trace) == 3
+    assert result.diagnostics["lambda_final"] == 0.25
+
+
+def test_phaselift_lifted_map_calls_per_stage(monkeypatch):
+    # the inner steps run on the per-stage affine map, never the lifted map
+    import framepr.recon as recon_mod
+
+    calls = []
+    for name in ("lifted_map", "lifted_map_adjoint"):
+        fn = getattr(recon_mod, name)
+        monkeypatch.setattr(recon_mod, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    frame = random_frame(4, 24, "gaussian", seed=5)
+    result = phaselift(frame, intensity_map(frame, unit_signal(4, 5)))
+    assert result.iterations > 1000
+    assert len(calls) <= PhaseLiftOptions().max_outer + 2
+
+
 def test_phaselift_l1_mode_runs_and_fits():
     frame = random_frame(3, 18, "gaussian", seed=7)
     x = unit_signal(3, 7)
