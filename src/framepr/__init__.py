@@ -6,7 +6,7 @@ Library layout:
   measurement maps, frame bounds, duals, JSON frame files.
 - ``lifting``: realification, rank-one lifting, closed-form spectra of the
   low-rank matrices the theory runs on.
-- ``metrics``: distances on the phase quotient and phase alignment.
+- ``metrics``: distances on the phase quotient.
 - ``injectivity``: retrievability certificates and stability bounds.
 - ``estimation``: noise models, Fisher information, Cramer-Rao bounds.
 - ``recon``: five reconstruction algorithms.
@@ -53,20 +53,16 @@ from .frames import (
 from .lifting import (
     S11Spectrum,
     apply_complex_structure,
-    complex_structure,
     complexify,
     gradient_columns,
     gradient_gram,
     lift_outer,
-    lift_outer_normalized,
     lifted_map,
     lifted_map_adjoint,
-    lifted_map_real,
     measurement_form,
     measurement_forms,
     normalized_gradient_gram,
     rank_one_diff_spectrum,
-    rank_one_reduction,
     realify,
     sym_outer,
     sym_outer_spectrum,
@@ -80,7 +76,7 @@ from .linalg import (
     power_method,
     pseudo_inverse,
 )
-from .metrics import align_phase, outer_distance, quotient_distance
+from .metrics import outer_distance, quotient_distance
 from .injectivity import (
     BoundsReport,
     PRCertificate,
@@ -97,13 +93,8 @@ from .injectivity import (
 from .estimation import (
     FisherMatrix,
     NoiseModel,
-    bessel_i0,
-    bessel_i0_scaled,
-    bessel_i1,
-    bessel_i1_scaled,
     bessel_ratio_excess,
     bessel_ratio_weight,
-    bessel_ratio_weight_alt,
     crlb,
     crlb_upper_bound,
     fisher_awgn,

@@ -18,7 +18,7 @@ from scipy.integrate import quad
 
 from .errors import OrthogonalAnchor, QuadratureError, ZeroVector
 from .frames import Frame, MeasurementVector, intensity_map, rng_from_seed
-from .lifting import apply_complex_structure, gradient_columns, gradient_gram, realify
+from .lifting import _gradient_terms, apply_complex_structure, gradient_gram, realify
 from .linalg import hermitian_part, pseudo_inverse
 
 _SMALL_A = 1e-4  # below this, the Bessel weight uses its continuous extension
@@ -78,46 +78,8 @@ def simulate_measurements(frame: Frame, x, model: NoiseModel) -> MeasurementVect
 
 
 # ---------------------------------------------------------------------------
-# modified Bessel functions and the scalar SNR weights
+# the scalar SNR weights
 # ---------------------------------------------------------------------------
-
-def _check_nonneg(t):
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("argument must be nonnegative")
-    return t
-
-
-def bessel_i0(t):
-    """Modified Bessel function I0 on t >= 0.  Raises OverflowError when the
-    unscaled value exceeds the double range; use bessel_i0_scaled instead."""
-    t = _check_nonneg(t)
-    out = special.i0(t)
-    if np.any(np.isinf(out)):
-        raise OverflowError("I0 overflow; use bessel_i0_scaled")
-    return out if out.ndim else float(out)
-
-
-def bessel_i1(t):
-    """Modified Bessel function I1 on t >= 0 (same overflow contract as I0)."""
-    t = _check_nonneg(t)
-    out = special.i1(t)
-    if np.any(np.isinf(out)):
-        raise OverflowError("I1 overflow; use bessel_i1_scaled")
-    return out if out.ndim else float(out)
-
-
-def bessel_i0_scaled(t):
-    """exp(-t) I0(t), overflow-safe."""
-    out = special.i0e(_check_nonneg(t))
-    return out if out.ndim else float(out)
-
-
-def bessel_i1_scaled(t):
-    """exp(-t) I1(t), overflow-safe."""
-    out = special.i1e(_check_nonneg(t))
-    return out if out.ndim else float(out)
-
 
 def _weight_integrand_window(t, a):
     # I1(t)^2/I0(t) * t^3 * exp(-t^2/(4a)) * e^{-a} / (8 a^3), with the
@@ -147,27 +109,6 @@ def bessel_ratio_weight(a: float) -> float:
     return float(val / (8.0 * a**3))
 
 
-def bessel_ratio_weight_alt(a: float) -> float:
-    """Same weight from the other printed integral form (exponential weight in
-    the original variable); used as an independent cross-check."""
-    if a < 0:
-        raise ValueError("argument must be nonnegative")
-    if a == 0.0:
-        return 2.0
-
-    def integrand(t):
-        z = 2.0 * np.sqrt(a * t)
-        ratio = special.i1e(z) ** 2 / special.i0e(z)
-        return ratio * t * np.exp(-((np.sqrt(t) - np.sqrt(a)) ** 2))
-
-    hi = (np.sqrt(a) + 13.0) ** 2
-    val, err = quad(integrand, 0.0, hi, args=(), epsabs=1e-12, epsrel=1e-12,
-                    limit=200, points=[a])
-    if err > 1e-8 * max(1.0, abs(val)):
-        raise QuadratureError(f"quadrature error {err:.2e} at a={a}")
-    return float(val / a)
-
-
 def bessel_ratio_excess(a: float) -> float:
     """a * (weight(a) - 1); vanishes linearly at 0 with unit slope."""
     if a < 0:
@@ -188,9 +129,7 @@ def fisher_awgn(frame: Frame, x, sigma: float) -> FisherMatrix:
     return FisherMatrix(matrix=mat, kind="awgn", x_ref=x, field=frame.field)
 
 
-def fisher_coefficient_noise(
-    frame: Frame, x, rho: float, form: str = "excess", zero_tol: float = 1e-12
-) -> FisherMatrix:
+def fisher_coefficient_noise(frame: Frame, x, rho: float, form: str = "excess") -> FisherMatrix:
     """Fisher matrix for noise added to the coefficients before the magnitude.
 
     Both printed assemblies are available: form "excess" weights each gradient
@@ -202,14 +141,10 @@ def fisher_coefficient_noise(
     if rho <= 0:
         raise ValueError("rho must be positive")
     x = np.asarray(x, dtype=complex)
-    xi = realify(x)
-    Z = gradient_columns(frame, xi)
-    s = Z.T @ xi
-    scale = np.linalg.norm(frame.vectors, axis=1) ** 2 * float(xi @ xi)
-    tiny = s <= zero_tol * np.maximum(scale, np.finfo(float).tiny)
+    Z, s, zero = _gradient_terms(frame, realify(x))
     w = np.empty(frame.m)
     for k in range(frame.m):
-        if tiny[k]:
+        if zero[k]:
             w[k] = 4.0 / rho**4  # lim excess(s)/s
         elif form == "excess":
             w[k] = (4.0 / rho**2) * bessel_ratio_excess(s[k] / rho**2) / s[k]

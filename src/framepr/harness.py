@@ -43,7 +43,7 @@ NONDETERMINISTIC_KEYS = ("timestamp", "wall_time_s")
 
 _TASKS = ("certify", "bounds", "crlb", "reconstruct", "sweep")
 _NOISE_PARAMETER = {"awgn": "sigma", "coefficient": "rho"}  # noise kind -> parameter of its level
-# integer options of the certify and bounds tasks, with their defaults
+# the options of the certify and bounds tasks, all integers, with their defaults
 _INT_OPTIONS = {"budget": 4_000_000, "n_cap": 3, "partition_cap": 24, "n_starts": 64, "samples": 2000}
 
 
@@ -101,6 +101,9 @@ def load_config(source) -> dict:
         raise ConfigError("config requires a 'frame' section")
     if not all(isinstance(cfg[key], dict) for key in ("noise", "signal", "options")):
         raise ConfigError("config sections 'noise', 'signal' and 'options' must be objects")
+    unknown = sorted(set(cfg["options"]) - set(_INT_OPTIONS))
+    if unknown:
+        raise ConfigError(f"unknown options {unknown}; allowed: {'/'.join(_INT_OPTIONS)}")
     try:
         cfg["trials"] = _integer(cfg["trials"])
         _int_options(cfg)
@@ -272,11 +275,17 @@ def _sweep_noise(cfg: dict, value) -> dict:
 def _solver_options(name: str, options: dict):
     """Options object for solver ``name`` (None when it takes no options)."""
     options = options or {}
+    if not isinstance(options, dict):
+        raise TypeError(f"options of {name} must be an object, got {type(options).__name__}")
     cls = recon.SOLVERS[name]
     if cls is None:
         if options:
             raise TypeError(f"{name} takes no options, got {sorted(options)}")
         return None
+    flags = sorted(key for key, value in options.items() if isinstance(value, bool))
+    if flags:
+        # no solver option is boolean, and the dataclasses would read true as 1
+        raise TypeError(f"options {flags} of {name} must be numbers or strings, not booleans")
     return cls(**options)
 
 
@@ -390,7 +399,6 @@ def run_experiment(config) -> Report:
         else:
             cert = certify_retrievable_complex(
                 frame,
-                eps0=cfg["options"].get("eps0", 0.5),
                 budget=opts["budget"],
                 seed=cfg["seed"],
                 n_cap=opts["n_cap"],

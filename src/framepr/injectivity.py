@@ -25,6 +25,7 @@ from scipy.special import ndtri
 from .errors import BudgetExceeded, InvalidPartition, NotPhaseRetrievable
 from .frames import Frame, encode_complex, frame_bounds, magnitude_map, rng_from_seed
 from .lifting import (
+    _gradient_terms,
     apply_complex_structure,
     complexify,
     gradient_gram,
@@ -70,7 +71,7 @@ class PRCertificate:
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """Global stability constants and optional per-point records.
+    """Global stability constants.
 
     A0/B0 bound the magnitude map against the phase-quotient 2-distance,
     a0/b0 bound the intensity map against the lifted 1-distance.  When
@@ -81,7 +82,6 @@ class BoundsReport:
     B0: float | None = None
     a0: float | None = None
     b0: float | None = None
-    local: list = field(default_factory=list)
     empirical: bool = False
     details: dict = field(default_factory=dict)
 
@@ -91,7 +91,6 @@ class BoundsReport:
             "B0": self.B0,
             "a0": self.a0,
             "b0": self.b0,
-            "local": self.local,
             "empirical": self.empirical,
             "details": self.details,
         }
@@ -368,7 +367,6 @@ def _verify_witness(frame: Frame, x, y) -> bool:
 
 def certify_retrievable_complex(
     frame: Frame,
-    eps0: float = 0.5,
     budget: int = 4_000_000,
     seed: int = 0,
     max_rounds: int = 16,
@@ -408,7 +406,7 @@ def certify_retrievable_complex(
     def stop(verdict, **fields):
         return PRCertificate(verdict=verdict, nets_tested=nets, b0_bound=b0, seed=seed, **fields)
 
-    eps_target = eps0
+    eps_target = np.inf  # the first failing round sets it to half the net's radius
     n_points = 1024
     nets = 0
     coef = None  # covering-law coefficient eps ~ coef / N^(1/quotient_dim)
@@ -557,25 +555,11 @@ def _min_weighted_operator_eig(frame: Frame, n_starts: int, seed: int):
     return _multistart_extremum(value_grad, frame.n, n_starts, seed, maximize=False)
 
 
-def support_lower_bound(frame: Frame, x, tol: float = SPAN_TOL) -> float:
-    """Local magnitude-map lower bound at x for real frames: the lower frame
-    bound of the subset of vectors not orthogonal to x."""
-    V = frame.vectors.real
-    c = V @ np.asarray(x, dtype=float)
-    scale = np.linalg.norm(V, axis=1) * np.linalg.norm(x)
-    supp = np.abs(c) > tol * np.maximum(scale, np.finfo(float).tiny)
-    if not np.any(supp):
-        return 0.0
-    S = V[supp].T @ V[supp]
-    return float(np.linalg.eigvalsh(S)[0])
-
-
 def stability_bounds_real(
     frame: Frame,
     n_starts: int = 64,
     seed: int = 0,
     partition_cap: int = 24,
-    at_points=None,
 ) -> BoundsReport:
     """Certified global stability constants for a real phase-retrievable frame.
 
@@ -592,41 +576,29 @@ def stability_bounds_real(
         raise NotPhaseRetrievable("frame is not phase retrievable; A0 = 0")
     a0, _ = _min_weighted_operator_eig(frame, n_starts, seed)
     b0 = fourth_moment_max(frame, n_starts, seed)
-    local = []
-    for z in at_points or []:
-        rec = local_stability_bounds(frame, z)
-        rec["A_support"] = support_lower_bound(frame, np.asarray(z, dtype=complex).real)
-        local.append(rec)
     return BoundsReport(
         A0=A0,
         B0=B,
         a0=float(a0),
         b0=float(b0),
-        local=local,
         empirical=False,
         details={"A": A, "B": B, "n_starts": n_starts, "seed": seed},
     )
 
 
-def local_stability_bounds(frame: Frame, z, zero_tol: float = 1e-12) -> dict:
+def local_stability_bounds(frame: Frame, z) -> dict:
     """Per-point stability record for the complex-case formulas.
 
     A and a/b require z != 0 and are None at z = 0; A_tilde and B remain
-    defined there and reduce to the optimal frame bounds.  The record reports
-    the active set of vectors treated as orthogonal to z under ``zero_tol``.
+    defined there and reduce to the optimal frame bounds.  ``zero_set`` lists
+    the vectors whose measurement is numerically zero at z: exactly the terms
+    normalized_gradient_gram leaves out.
     """
-    z = np.asarray(z, dtype=complex)
     xi = realify(z)
     nz2 = float(xi @ xi)
-    d = 2 * frame.n
-    forms = measurement_forms(frame)
-    c = frame.vectors.conj() @ z
-    scale = np.linalg.norm(frame.vectors, axis=1) ** 2 * nz2
-    zero_set = np.flatnonzero(
-        (c * c.conj()).real <= zero_tol * np.maximum(scale, np.finfo(float).tiny)
-    )
-    correction = forms[zero_set].sum(axis=0) if zero_set.size else np.zeros((d, d))
-    S_plain = normalized_gradient_gram(frame, xi, zero_tol)
+    zero_set = np.flatnonzero(_gradient_terms(frame, xi)[2])
+    correction = measurement_forms(frame)[zero_set].sum(axis=0)
+    S_plain = normalized_gradient_gram(frame, xi)
     ev_corr = np.linalg.eigvalsh(S_plain + correction)
     record = {
         "A_tilde": float(ev_corr[1]),

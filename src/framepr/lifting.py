@@ -15,7 +15,9 @@ import numpy as np
 
 from .errors import DimensionMismatch, OddDimension
 from .frames import Frame
-from .linalg import hermitian_eig, hermitian_part
+from .linalg import hermitian_part
+
+ZERO_TOL = 1e-12  # relative threshold of the zero-measurement rule (_gradient_terms)
 
 
 def realify(x) -> np.ndarray:
@@ -31,14 +33,6 @@ def complexify(xi) -> np.ndarray:
         raise OddDimension(f"length {xi.shape[0]} is not even")
     n = xi.shape[0] // 2
     return xi[:n] + 1j * xi[n:]
-
-
-def complex_structure(n: int) -> np.ndarray:
-    """J, the 2n x 2n matrix representing multiplication by i: J^T = -J, J^2 = -I."""
-    J = np.zeros((2 * n, 2 * n))
-    J[:n, n:] = -np.eye(n)
-    J[n:, :n] = np.eye(n)
-    return J
 
 
 def apply_complex_structure(xi: np.ndarray) -> np.ndarray:
@@ -148,16 +142,6 @@ def lifted_map_adjoint(frame: Frame, w) -> np.ndarray:
     return hermitian_part((w @ frame.lifted_rows).conj().reshape(frame.n, frame.n))
 
 
-def lifted_map_real(frame: Frame, T) -> np.ndarray:
-    """Realified counterpart: k-th entry trace(T Phi_k) for symmetric 2n x 2n T."""
-    T = np.asarray(T, dtype=float)
-    d = 2 * frame.n
-    if T.shape != (d, d):
-        raise DimensionMismatch(f"expected ({d},{d}) matrix, got {T.shape}")
-    phi, jphi = frame.phi, frame.jphi
-    return np.einsum("ki,ij,kj->k", phi, T, phi) + np.einsum("ki,ij,kj->k", jphi, T, jphi)
-
-
 def weighted_frame_operator(frame: Frame, x) -> np.ndarray:
     """R(x) = sum_k |<x, f_k>|^2 f_k f_k*; PSD and quadratic in x."""
     c = frame.vectors.conj() @ np.asarray(x, dtype=complex)
@@ -188,52 +172,33 @@ def gradient_gram(frame: Frame, xi) -> np.ndarray:
     return Z @ Z.T
 
 
-def normalized_gradient_gram(frame: Frame, xi, zero_tol: float = 1e-12) -> np.ndarray:
+def _gradient_terms(frame: Frame, xi: np.ndarray):
+    """Z = gradient_columns(frame, xi), s = Z^T xi and the zero-measurement mask.
+
+    s_k = <Phi_k xi, xi> = |<x, f_k>|^2; measurement k counts as zero at xi
+    when s_k <= ZERO_TOL * ||f_k||^2 * ||xi||^2 (Phi_k xi = 0 up to roundoff).
+    """
+    Z = gradient_columns(frame, xi)
+    s = Z.T @ xi
+    scale = np.linalg.norm(frame.vectors, axis=1) ** 2 * float(xi @ xi)
+    return Z, s, s <= ZERO_TOL * np.maximum(scale, np.finfo(float).tiny)
+
+
+def normalized_gradient_gram(frame: Frame, xi) -> np.ndarray:
     """Same sum with each term divided by <Phi_k xi, xi>.
 
-    Terms whose quadratic form <Phi_k xi, xi> falls below
-    zero_tol * ||f_k||^2 * ||xi||^2 are excluded (Phi_k xi = 0 up to roundoff).
+    Terms of measurements that are numerically zero at xi are excluded.
     """
     xi = np.asarray(xi, dtype=float)
-    Z = gradient_columns(frame, xi)
-    s = Z.T @ xi  # s_k = <Phi_k xi, xi>
-    scale = np.linalg.norm(frame.vectors, axis=1) ** 2 * float(xi @ xi)
-    keep = s > zero_tol * np.maximum(scale, np.finfo(float).tiny)
+    Z, s, zero = _gradient_terms(frame, xi)
+    keep = ~zero
     if not np.any(keep):
         return np.zeros((xi.shape[0], xi.shape[0]))
     Zk = Z[:, keep] / np.sqrt(s[keep])
     return Zk @ Zk.T
 
 
-def rank_one_reduction(A) -> np.ndarray:
-    """Continuous map of a self-adjoint matrix onto the rank-<=1 PSD cone.
-
-    Returns (lam1 - lam2) P1 with P1 the principal eigenprojector.  Fixes
-    every x x* and vanishes when the top eigenvalue is tied, which keeps the
-    map Lipschitz where a plain top-eigenpair truncation would jump.
-    """
-    dec = hermitian_eig(np.asarray(A))
-    lam = dec.eigenvalues
-    if lam.shape[0] == 1:
-        gap = max(lam[0], 0.0)
-    else:
-        gap = lam[0] - lam[1]
-    if gap <= 0.0:
-        return np.zeros_like(np.asarray(A))
-    e1 = dec.eigenvectors[:, 0]
-    return gap * np.outer(e1, e1.conj())
-
-
 def lift_outer(x) -> np.ndarray:
     """x x*, the isometric embedding of the phase quotient for the 1-norm."""
     x = np.asarray(x, dtype=complex)
     return np.outer(x, x.conj())
-
-
-def lift_outer_normalized(x) -> np.ndarray:
-    """x x* / ||x|| (0 at x = 0); bi-Lipschitz for the phase-quotient 2-distance."""
-    x = np.asarray(x, dtype=complex)
-    nx = np.linalg.norm(x)
-    if nx == 0.0:
-        return np.zeros((x.shape[0], x.shape[0]), dtype=complex)
-    return np.outer(x, x.conj()) / nx

@@ -28,11 +28,6 @@ class EigDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        """Return E diag(lam) E*."""
-        e, v = self.eigenvalues, self.eigenvectors
-        return (v * e) @ v.conj().T
-
     def _kept(self, rank_tol: float) -> np.ndarray:
         lam = self.eigenvalues
         cutoff = rank_tol * np.max(np.abs(lam)) if lam.size else 0.0

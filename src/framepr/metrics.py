@@ -70,15 +70,3 @@ def outer_distance(x, y, p: float = 2) -> float:
         return spec.norm_inf
     raise ValueError(f"outer_distance supports p in {{1, 2, inf}}, got {p!r}")
 
-
-def align_phase(est, ref) -> tuple[np.ndarray, float]:
-    """Rotate ``est`` by the phase best matching ``ref``.
-
-    Returns (e^{i phi*} est, error) with phi* = arg <ref, est> (zero when the
-    vectors are orthogonal); the error equals quotient_distance(est, ref, 2).
-    """
-    est, ref = _check_pair(est, ref)
-    ip = np.vdot(est, ref)  # <ref, est>
-    phase = 1.0 if ip == 0 else ip / abs(ip)
-    aligned = phase * est
-    return aligned, float(np.linalg.norm(aligned - ref))

@@ -160,6 +160,11 @@ def test_exit_code_bad_solver_options(tmp_path, alg):
         ("recon", {"success_threshold": True}),
         ("recon", {"options": {"n_starts": True}}),
         ("sweep", {"sweep": {"parameter": "sigma", "values": [True]}}),
+        ("recon", {"algorithms": [{"name": "phaselift", "options": {"max_outer": True, "inner_max": True}}]}),
+        ("recon", {"algorithms": [{"name": "wirtinger_flow", "options": {"max_iter": True}}]}),
+        ("recon", {"algorithms": [{"name": "irls", "options": {"max_outer": True}}]}),
+        ("recon", {"options": {"n_start": 3}}),
+        ("recon", {"options": {"eps0": 0.5}}),
         ("recon", None),  # the whole file is a JSON list
     ],
 )

@@ -1,18 +1,15 @@
 import numpy as np
 import pytest
+from scipy import special
+from scipy.integrate import quad
 
 from framepr import (
     NoiseModel,
     OrthogonalAnchor,
     ZeroVector,
     apply_complex_structure,
-    bessel_i0,
-    bessel_i0_scaled,
-    bessel_i1,
-    bessel_i1_scaled,
     bessel_ratio_excess,
     bessel_ratio_weight,
-    bessel_ratio_weight_alt,
     crlb,
     crlb_upper_bound,
     certify_retrievable_complex,
@@ -21,7 +18,9 @@ from framepr import (
     gradient_columns,
     hermitian_eig,
     intensity_map,
+    local_stability_bounds,
     make_frame,
+    normalized_gradient_gram,
     pseudo_inverse,
     random_frame,
     realify,
@@ -93,43 +92,21 @@ def test_simulation_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# Bessel functions and the scalar weights
+# the scalar weights
 # ---------------------------------------------------------------------------
 
-def _i_series(nu, t, terms=30):
-    # power series sum_j (t/2)^(2j+nu) / (j! (j+nu)!)
-    from math import factorial
+def _bessel_ratio_weight_alt(a):
+    # the weight from its other printed integral form (exponential weight in
+    # the original variable), an independent reference for bessel_ratio_weight
+    def integrand(t):
+        z = 2.0 * np.sqrt(a * t)
+        ratio = special.i1e(z) ** 2 / special.i0e(z)
+        return ratio * t * np.exp(-((np.sqrt(t) - np.sqrt(a)) ** 2))
 
-    return sum(
-        (t / 2.0) ** (2 * j + nu) / (factorial(j) * factorial(j + nu))
-        for j in range(terms)
-    )
-
-
-def test_bessel_at_zero():
-    assert bessel_i0(0.0) == 1.0
-    assert bessel_i1(0.0) == 0.0
-
-
-def test_bessel_matches_power_series():
-    for t in (0.25, 1.0, 3.0):
-        assert bessel_i0(t) == pytest.approx(_i_series(0, t), rel=1e-12)
-        assert bessel_i1(t) == pytest.approx(_i_series(1, t), rel=1e-12)
-    assert bessel_i0(1.0) == pytest.approx(1.2660658777520084, rel=1e-10)
-
-
-def test_bessel_ratio_monotone_to_one():
-    r50 = bessel_i1_scaled(50.0) / bessel_i0_scaled(50.0)
-    r100 = bessel_i1_scaled(100.0) / bessel_i0_scaled(100.0)
-    assert r50 < r100 < 1.0
-
-
-def test_bessel_overflow_contract():
-    with pytest.raises(OverflowError):
-        bessel_i0(1e4)
-    assert np.isfinite(bessel_i0_scaled(1e4))
-    with pytest.raises(ValueError):
-        bessel_i0(-1.0)
+    hi = (np.sqrt(a) + 13.0) ** 2
+    val, err = quad(integrand, 0.0, hi, epsabs=1e-12, epsrel=1e-12, limit=200, points=[a])
+    assert err <= 1e-8 * max(1.0, abs(val))
+    return val / a
 
 
 def test_weight_small_argument_limit():
@@ -153,7 +130,7 @@ def test_excess_definition_identity():
 def test_weight_dual_quadrature_forms_agree():
     for a in (1e-3, 0.1, 1.0, 5.0, 25.0, 200.0):
         w1 = bessel_ratio_weight(a)
-        w2 = bessel_ratio_weight_alt(a)
+        w2 = _bessel_ratio_weight_alt(a)
         assert w1 == pytest.approx(w2, abs=1e-7)
 
 
@@ -212,6 +189,44 @@ def test_fisher_coefficient_kernel_and_psd(rng):
     assert np.linalg.norm(fi.matrix @ jxi) <= 1e-10 * np.linalg.norm(fi.matrix)
     lam = hermitian_eig(fi.matrix).eigenvalues
     assert lam[-1] >= -1e-10 * max(1.0, lam[0])
+
+
+@pytest.mark.parametrize(
+    "z, zeros",
+    [
+        ([0.0, 0.8 - 0.3j, 0.0], [0, 2]),  # exactly orthogonal to e1 and e3
+        ([0.0, 0.4 + 1.1j, -0.9j], [0]),
+        ([0.0, 0.0, 0.0], list(range(7))),
+    ],
+)
+def test_zero_measurement_rule_is_shared(monkeypatch, z, zeros):
+    # an orthonormal basis plus generic rows: at z the basis vectors on its
+    # zero entries are exactly orthogonal to z.  local_stability_bounds reports
+    # exactly the terms normalized_gradient_gram leaves out, and the Fisher
+    # matrix gives exactly those the continuous-extension weight 4/rho^4
+    rows = np.random.Generator(np.random.Philox(5)).normal(size=(4, 6))
+    frame = make_frame(np.vstack([np.eye(3), rows[:, :3] + 1j * rows[:, 3:]]))
+    xi = realify(np.array(z))
+    Z = gradient_columns(frame, xi)
+    s = Z.T @ xi
+    kept = [k for k in range(frame.m) if k not in zeros]
+    assert local_stability_bounds(frame, np.array(z))["zero_set"] == zeros
+    expected = sum((np.outer(Z[:, k], Z[:, k]) / s[k] for k in kept), np.zeros((6, 6)))
+    np.testing.assert_allclose(normalized_gradient_gram(frame, xi), expected, rtol=1e-12, atol=0)
+
+    rho = 0.7
+    seen = []
+
+    def recording_excess(a):
+        seen.append(a)
+        return bessel_ratio_excess(a)
+
+    monkeypatch.setattr("framepr.estimation.bessel_ratio_excess", recording_excess)
+    fi = fisher_coefficient_noise(frame, np.array(z), rho)
+    assert seen == [s[k] / rho**2 for k in kept]  # the other terms take 4/rho^4
+    w = np.full(frame.m, 4.0 / rho**4)
+    w[kept] = [(4.0 / rho**2) * bessel_ratio_excess(s[k] / rho**2) / s[k] for k in kept]
+    np.testing.assert_array_equal(fi.matrix, 0.5 * ((Z * w) @ Z.T + ((Z * w) @ Z.T).T))
 
 
 def test_fisher_score_covariance_scalar_case():

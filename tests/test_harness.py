@@ -66,6 +66,13 @@ def test_load_config_defaults():
         {"signal": {"kind": "gaussian", "norm": True}},
         {"options": {"budget": True}},
         {"task": "sweep", "sweep": {"parameter": "sigma", "values": [True]}},
+        {"algorithms": [{"name": "phaselift", "options": {"max_outer": True, "inner_max": True}}]},
+        {"algorithms": [{"name": "wirtinger_flow", "options": {"max_iter": True}}]},
+        {"algorithms": [{"name": "irls", "options": {"max_outer": True}}]},
+        {"algorithms": [{"name": "irls", "options": [1]}]},
+        # task options are samples/n_starts/budget/n_cap/partition_cap only
+        {"options": {"n_start": 3}},
+        {"options": {"eps0": 0.5}},
     ],
 )
 def test_load_config_rejects(patch):

@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from framepr import (
-    align_phase,
     hermitian_eig,
     lift_outer,
-    lift_outer_normalized,
     outer_distance,
     quotient_distance,
 )
@@ -130,32 +128,10 @@ def test_outer_distance_norm_equivalence(rng, p, q):
 
 
 def test_normalized_lift_is_bilipschitz(rng):
-    # D2 <= ||k(x) - k(y)||_2 <= sqrt(2) D2
+    # D2 <= ||k(x) - k(y)||_2 <= sqrt(2) D2 for the normalized lift k(x) = x x* / ||x||
     for _ in range(30):
         x, y = random_complex(rng, 3), random_complex(rng, 3)
         d = quotient_distance(x, y, 2)
-        k = np.linalg.norm(lift_outer_normalized(x) - lift_outer_normalized(y))
+        k = np.linalg.norm(lift_outer(x) / np.linalg.norm(x) - lift_outer(y) / np.linalg.norm(y))
         assert d - 1e-9 <= k <= np.sqrt(2.0) * d + 1e-9
 
-
-def test_align_phase_same_class(rng):
-    ref = random_complex(rng, 4)
-    aligned, err = align_phase(1j * ref, ref)
-    np.testing.assert_allclose(aligned, ref, atol=1e-12)
-    assert err <= 1e-12
-
-
-def test_align_phase_orthogonal():
-    e = np.eye(2, dtype=complex)
-    est = 2.0 * e[1]
-    aligned, err = align_phase(est, e[0])
-    np.testing.assert_array_equal(aligned, est)  # phase 0 when <ref, est> = 0
-    assert err == pytest.approx(np.sqrt(1.0 + 4.0))
-
-
-def test_align_phase_is_quotient_distance(rng):
-    for _ in range(20):
-        est, ref = random_complex(rng, 5), random_complex(rng, 5)
-        _, err = align_phase(est, ref)
-        assert err == pytest.approx(quotient_distance(est, ref, 2), abs=1e-12)
-        assert err <= grid_min(ref, est, 2) + 1e-6
