@@ -140,6 +140,8 @@ def fisher_coefficient_noise(frame: Frame, x, rho: float, form: str = "excess") 
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
+    if form not in ("excess", "weight"):
+        raise ValueError(f"unknown form {form!r}")
     x = np.asarray(x, dtype=complex)
     Z, s, zero = _gradient_terms(frame, realify(x))
     w = np.empty(frame.m)
@@ -148,10 +150,8 @@ def fisher_coefficient_noise(frame: Frame, x, rho: float, form: str = "excess") 
             w[k] = 4.0 / rho**4  # lim excess(s)/s
         elif form == "excess":
             w[k] = (4.0 / rho**2) * bessel_ratio_excess(s[k] / rho**2) / s[k]
-        elif form == "weight":
-            w[k] = (4.0 / rho**4) * (bessel_ratio_weight(s[k] / rho**2) - 1.0)
         else:
-            raise ValueError(f"unknown form {form!r}")
+            w[k] = (4.0 / rho**4) * (bessel_ratio_weight(s[k] / rho**2) - 1.0)
     mat = (Z * w) @ Z.T
     return FisherMatrix(matrix=hermitian_part(mat), kind="coefficient", x_ref=x, field=frame.field)
 

@@ -138,7 +138,7 @@ class PhaseLiftOptions:
     max_outer: int = 26  # 25 decays by 0.3 pass 1e-13 lambda0; the 26th stage runs at lambda_min
     inner_max: int = 400
     tol: float = 1e-10
-    l1_delta: float = 1e-6
+    l1_delta: float = 3e-2  # l1 weight floor, in units of ||y||_2 / m
 
     def __post_init__(self):
         if not (0.0 < self.lambda_decay < 1.0):
@@ -165,10 +165,15 @@ def phaselift(frame: Frame, y, opts: PhaseLiftOptions | None = None, x_true=None
     geometric continuation of lambda down to ``lambda_min`` (a final stage at
     lambda_min itself).  The weights are fixed within a stage, so each
     stage's gradient step Y - grad/L is one precomputed affine map on vec(Y).
+    The momentum uses the gradient restart of O'Donoghue and Candes: when
+    <Y - X_new, X_new - X_prev> > 0 the momentum points uphill, so t falls
+    back to 1 and the next step starts from X_new.
     fit "l1_reweighted" re-derives the weights from the residuals between
-    stages, approximating an l1 data fit.  The vector estimate is the
-    principal eigenvector scaled by the square root of the principal
-    eigenvalue.
+    stages, w_k = 1 / max(|r_k|, delta), approximating an l1 data fit; the
+    floor is relative, delta = l1_delta * ||y||_2 / m (l1_delta itself when
+    y = 0), so no weight outgrows the data scale and sets the step size
+    alone.  The vector estimate is the principal eigenvector scaled by the
+    square root of the principal eigenvalue.
     """
     opts = opts or PhaseLiftOptions()
     y = _values(y)
@@ -176,19 +181,21 @@ def phaselift(frame: Frame, y, opts: PhaseLiftOptions | None = None, x_true=None
     G = frame.lifted_gram
     A = frame.lifted_rows
     tol_sq = opts.tol * opts.tol
-    lam0 = opts.lambda0 if opts.lambda0 is not None else 0.1 * float(np.linalg.norm(y))
+    y_norm = float(np.linalg.norm(y))
+    lam0 = opts.lambda0 if opts.lambda0 is not None else 0.1 * y_norm
+    delta = opts.l1_delta * (y_norm / m if y_norm > 0.0 else 1.0)
     w = np.ones(m)
     X = np.zeros((n, n), dtype=complex)
     lam_reg = lam0
     trace_log: list[float] = []
     iterations = 0
     converged = False
-    if np.linalg.norm(y) == 0.0 and lam0 == 0.0:
+    if y_norm == 0.0 and lam0 == 0.0:
         lam_reg = 1.0  # pure feasibility at y = 0; any positive shrink gives X = 0
     for outer in range(opts.max_outer):
         lam_stage = lam_reg
         if opts.fit == "l1_reweighted" and outer > 0:
-            w = 1.0 / np.maximum(np.abs(r), opts.l1_delta)
+            w = 1.0 / np.maximum(np.abs(r), delta)
         L = 2.0 * float(np.linalg.eigvalsh(G * np.sqrt(np.outer(w, w)))[-1])
         L = max(L, np.finfo(float).tiny)
         # Y - (2/L) A*(w (A(Y) - y)) = H vec(Y) + c
@@ -201,9 +208,12 @@ def phaselift(frame: Frame, y, opts: PhaseLiftOptions | None = None, x_true=None
         X_prev = X
         for _ in range(opts.inner_max):
             X_new = _psd_trace_prox((H @ Y.ravel() + c).reshape(n, n), shrink)
-            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_m * t_m))
             D = X_new - X_prev
-            Y = X_new + ((t_m - 1.0) / t_new) * D
+            if np.vdot(Y - X_new, D).real > 0.0:
+                t_new, Y = 1.0, X_new
+            else:
+                t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_m * t_m))
+                Y = X_new + ((t_m - 1.0) / t_new) * D
             step_sq = np.vdot(D, D).real
             X_prev, X, t_m = X_new, X_new, t_new
             iterations += 1

@@ -98,7 +98,7 @@ def test_01_spectral_formula_suite():
             worst = max(worst, max(errs) / scale)
     elapsed = time.time() - t0
     ok = worst <= 1e-10 and elapsed < 10.0
-    report_line("1 spectral formulas", ok, f"worst rel err {worst:.2e}, {elapsed:.1f}s")
+    report_line("1 spectral formulas", ok, f"worst rel err {worst:.2e}")
     assert worst <= 1e-10
     assert elapsed < 10.0
 
@@ -293,7 +293,7 @@ def test_06_fisher_crlb_suite():
 
     elapsed = time.time() - t0
     ok &= elapsed < 60.0
-    report_line("6 Fisher/CRLB suite", ok, f"{elapsed:.1f}s")
+    report_line("6 Fisher/CRLB suite", ok)
     assert ok
 
 

@@ -181,6 +181,13 @@ def test_fisher_coefficient_dual_forms(rng):
         assert np.linalg.norm(f1 - f2) <= 1e-8 * scale
 
 
+@pytest.mark.parametrize("x", [[1.0, 1.0], [0.0, 0.0]])
+def test_fisher_coefficient_rejects_unknown_form(x):
+    # at x = 0 every term is zero, so the form must be checked before the terms
+    with pytest.raises(ValueError):
+        fisher_coefficient_noise(random_frame(2, 6, seed=1), np.array(x), 0.5, form="bogus")
+
+
 def test_fisher_coefficient_kernel_and_psd(rng):
     frame = random_frame(3, 7, "gaussian", seed=8)
     x = random_complex(rng, 3)
