@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,13 @@ from framepr import (
     sampled_stability_bounds,
     stability_bounds_real,
     weighted_frame_operator,
+)
+from framepr.frames import rng_from_seed
+from framepr.injectivity import (
+    _lifted_rows,
+    bloch_fibonacci_net,
+    quotient_covering_radius,
+    sphere_net,
 )
 
 TRIPLE = make_frame([[1, 0], [0, 1], [1, 1]])
@@ -199,6 +208,75 @@ def test_quadratic_form_lower_bound_identity(rng):
         assert lhs >= cert.a0_lower * rhs - 1e-9 * max(1.0, abs(rhs))
 
 
+def _dense_covering_radius(net, n_probes, seed):
+    # brute-force reference: every probe against every net point, in row
+    # blocks of 4096 (25 MB at 768 probes)
+    N, d = net.shape
+    n = d // 2
+    jnet = np.concatenate([-net[:, n:], net[:, :n]], axis=1)
+    rng = rng_from_seed([seed, 0x636F7665])
+    probes = rng.normal(size=(n_probes, d))
+    probes /= np.linalg.norm(probes, axis=1, keepdims=True)
+    probes_t = probes.T.copy()
+    best = np.zeros(n_probes)
+    for start in range(0, N, 4096):
+        re = net[start : start + 4096] @ probes_t
+        im = jnet[start : start + 4096] @ probes_t
+        np.square(re, out=re)
+        np.square(im, out=im)
+        re += im
+        best = np.maximum(best, re.max(axis=0))
+    return 1.12 * float(np.sqrt(np.maximum(2.0 - 2.0 * np.sqrt(best), 0.0)).max())
+
+
+@pytest.mark.parametrize(
+    "make_net",
+    [
+        lambda: bloch_fibonacci_net(1024, seed=[3, 0]),
+        lambda: bloch_fibonacci_net(17_698, seed=[3, 1]),
+        lambda: bloch_fibonacci_net(1 << 18, seed=[3, 2]),
+        lambda: sphere_net(6, 4096, seed=[1, 0]),
+        lambda: sphere_net(6, 65_536, seed=[1, 1]),
+    ],
+    ids=["fib1024", "fib17698", "fib2^18", "sphere6_4096", "sphere6_65536"],
+)
+def test_covering_radius_matches_dense_search(make_net):
+    net = make_net()
+    eps = quotient_covering_radius(net, n_probes=768, seed=5)
+    assert eps == pytest.approx(_dense_covering_radius(net, 768, 5), rel=1e-10)
+
+
+def test_covering_radius_scalar_net_is_zero():
+    # n = 1: every unit vector is one phase class; both sides read sqrt(roundoff)
+    net = sphere_net(2, 64, seed=0)
+    assert quotient_covering_radius(net, n_probes=768, seed=5) < 1e-7
+    assert _dense_covering_radius(net, 768, 5) < 1e-7
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_lift_distance_identity(rng, n):
+    u = rng.normal(size=(200, 2 * n))
+    v = rng.normal(size=(200, 2 * n))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    cu, cv = u[:, :n] + 1j * u[:, n:], v[:, :n] + 1j * v[:, n:]
+    overlap = np.abs(np.sum(cu.conj() * cv, axis=1)) ** 2
+    lifted = np.sum((_lifted_rows(u) - _lifted_rows(v)) ** 2, axis=1)
+    np.testing.assert_allclose(lifted, 2.0 - 2.0 * overlap, rtol=0, atol=1e-13)
+
+
+def test_covering_radius_memory():
+    # the dense search held two 2^18 x 768 float64 blocks (201 MB each)
+    net = bloch_fibonacci_net(1 << 18, seed=[3, 2])
+    tracemalloc.start()
+    try:
+        quotient_covering_radius(net, n_probes=768, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # stability bounds
 # ---------------------------------------------------------------------------
@@ -209,6 +287,15 @@ def test_global_bounds_triple_partition_minimum():
     report = stability_bounds_real(TRIPLE, n_starts=16, seed=0)
     assert report.A0 == pytest.approx((3.0 - np.sqrt(5.0)) / 2.0, abs=1e-12)
     assert report.B0 == pytest.approx(3.0, abs=1e-12)
+
+
+def test_global_bounds_mark_multistart_values_numerical():
+    # multistart overestimates the minimum a0 and underestimates the maximum
+    # b0, so only A0 and B0 may be read as certified
+    report = stability_bounds_real(TRIPLE, n_starts=8, seed=0)
+    assert not report.empirical
+    assert report.details["numerical"] == ["a0", "b0"]
+    assert report.to_dict()["details"]["numerical"] == ["a0", "b0"]
 
 
 def test_global_bounds_rejects_non_retrievable():
