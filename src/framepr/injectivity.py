@@ -39,6 +39,7 @@ from .metrics import quotient_distance
 
 SPAN_TOL = 1e-10  # relative singular-value threshold for span tests
 _SCAN_CHUNK = 65536
+_NET_BLOCK = 1 << 16  # rows per block while a Bloch net is built
 
 
 @dataclass(frozen=True)
@@ -257,17 +258,25 @@ def bloch_fibonacci_net(n_points: int, seed: int = 0) -> np.ndarray:
     Classes of unit vectors in C^2 form a 2-sphere; the lattice covers it
     near-optimally and each class is realified through the representative
     (cos(t/2), sin(t/2) e^{i phi}).  ``seed`` rotates the longitude origin.
+    The rows are filled in blocks, so the temporaries stay a few MB however
+    large the net.
     """
     n_points = max(int(n_points), 2)
-    i = np.arange(n_points)
-    z = 1.0 - (2.0 * i + 1.0) / n_points
-    theta = np.arccos(np.clip(z, -1.0, 1.0))
     golden = np.pi * (3.0 - np.sqrt(5.0))
-    phi = i * golden + 0.61803398875 * (seed if np.isscalar(seed) else sum(seed))
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    x0 = c.astype(complex)
-    x1 = s * np.exp(1j * phi)
-    return np.column_stack([x0.real, x1.real, x0.imag, x1.imag])
+    offset = 0.61803398875 * (seed if np.isscalar(seed) else sum(seed))
+    out = np.empty((n_points, 4))
+    for start in range(0, n_points, _NET_BLOCK):
+        stop = min(start + _NET_BLOCK, n_points)
+        i = np.arange(start, stop)
+        z = 1.0 - (2.0 * i + 1.0) / n_points
+        theta = np.arccos(np.clip(z, -1.0, 1.0))
+        x1 = np.sin(theta / 2.0) * np.exp(1j * (i * golden + offset))
+        rows = out[start:stop]
+        rows[:, 0] = np.cos(theta / 2.0)
+        rows[:, 1] = x1.real
+        rows[:, 2] = 0.0
+        rows[:, 3] = x1.imag
+    return out
 
 
 def _lifted_rows(rows: np.ndarray) -> np.ndarray:

@@ -277,6 +277,44 @@ def test_covering_radius_memory():
     assert peak < 64 * 2**20
 
 
+def _one_shot_bloch_net(n_points, seed=0):
+    # the whole net in one pass over full-length arrays: the reference for
+    # the blocked build
+    n_points = max(int(n_points), 2)
+    i = np.arange(n_points)
+    z = 1.0 - (2.0 * i + 1.0) / n_points
+    theta = np.arccos(np.clip(z, -1.0, 1.0))
+    golden = np.pi * (3.0 - np.sqrt(5.0))
+    phi = i * golden + 0.61803398875 * (seed if np.isscalar(seed) else sum(seed))
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    x0 = c.astype(complex)
+    x1 = s * np.exp(1j * phi)
+    return np.column_stack([x0.real, x1.real, x0.imag, x1.imag])
+
+
+@pytest.mark.parametrize(
+    "n_points,seed",
+    [(0, 0), (2, 0), (3, 4), (1000, 0), (65_536, [3, 1]), (65_537, 7), (200_001, [3, 2])],
+)
+def test_bloch_net_matches_one_shot_formula(n_points, seed):
+    net = bloch_fibonacci_net(n_points, seed=seed)
+    ref = _one_shot_bloch_net(n_points, seed)
+    assert net.shape == ref.shape
+    # bitwise, sign of zero included
+    assert net.tobytes() == ref.tobytes()
+
+
+def test_bloch_net_memory():
+    # the one-shot build held about 3.5x the output in full-length temporaries
+    tracemalloc.start()
+    try:
+        net = bloch_fibonacci_net(1_000_000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * net.nbytes
+
+
 # ---------------------------------------------------------------------------
 # stability bounds
 # ---------------------------------------------------------------------------

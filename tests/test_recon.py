@@ -410,6 +410,42 @@ def test_irls_noiseless_residual():
     assert result.d2_error <= 1e-4
 
 
+def _noisy_irls_problem():
+    frame = random_frame(8, 64, "gaussian", seed=23)
+    x = unit_signal(8, 23)
+    y = intensity_map(frame, x).values + 0.01 * rng_from_seed([23, 1]).normal(size=64)
+    return frame, x, y
+
+
+@pytest.mark.parametrize("max_outer", [1, 5, 40])
+def test_irls_logged_values_match_objective(max_outer):
+    # the loop builds the criterion from carried coefficients; irls_objective
+    # is the independent definition
+    frame, x, y = _noisy_irls_problem()
+    result = irls(frame, y, IRLSOptions(max_outer=max_outer))
+    assert result.iterations == max_outer
+    u, v = result.diagnostics["final_pair"]
+    log = result.diagnostics["outer_log"][-1]
+    lam, mu = log["lam"], log["mu"]
+    assert log["J_sub_after"] == pytest.approx(irls_objective(frame, u, v, lam, mu, y), rel=1e-12)
+    assert log["J_sub_before"] == pytest.approx(irls_objective(frame, v, v, lam, mu, y), rel=1e-12)
+    assert log["J_misfit"] == pytest.approx(irls_objective(frame, u, u, 0.0, 0.0, y), rel=1e-12)
+
+
+def test_irls_cg_only_checks_the_direct_solve():
+    frame, x, y = _noisy_irls_problem()
+    noiseless = irls(frame, intensity_map(frame, x), x_true=x)
+    noisy = irls(frame, y, x_true=x)
+    for result in (noiseless, noisy):
+        assert all(e["cg_iterations"] == 0 for e in result.diagnostics["outer_log"])
+        assert "cg_tolerance_missed" not in result.flags
+    # a tolerance below what the direct solve reaches sends CG refining
+    strict = irls(frame, y, IRLSOptions(cg_tol=1e-16), x_true=x)
+    assert sum(e["cg_iterations"] for e in strict.diagnostics["outer_log"]) > 0
+    assert np.all(np.isfinite(strict.x_hat))
+    assert strict.d2_error == pytest.approx(noisy.d2_error, rel=1e-8)
+
+
 def test_irls_objective_identity(rng):
     frame = random_frame(3, 9, "gaussian", seed=19)
     u = rng.normal(size=3) + 1j * rng.normal(size=3)
