@@ -4,9 +4,9 @@
 Four constants control reconstruction robustness: A0/B0 sandwich the
 magnitude map against the phase-quotient distance, a0/b0 sandwich the
 intensity map against the lifted nuclear-norm distance.  Real frames get A0
-by exhaustive bipartition enumeration; sphere extrema (a0, b0) come from
-projected-gradient multistarts; Monte-Carlo difference quotients bracket
-everything from the empirical side.
+from a pruned search over all bipartitions, which returns the exhaustive
+minimum; sphere extrema (a0, b0) come from projected-gradient multistarts;
+Monte-Carlo difference quotients bracket everything from the empirical side.
 """
 import numpy as np
 

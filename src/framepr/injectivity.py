@@ -1,10 +1,11 @@
 """Phase-retrievability certificates and stability (Lipschitz) bounds.
 
-Real frames are decided exactly by bipartition span enumeration, which also
-yields an ambiguous-pair witness when the frame fails.  Complex frames are
-certified by lower-bounding the second-smallest eigenvalue of the gradient
-Gram operator over a net of the unit sphere, with a Weyl perturbation argument
-extending the bound from the net to the whole sphere.
+Real frames are decided exactly by a branch-and-bound search over the
+bipartitions of the frame, which also yields an ambiguous-pair witness when
+the frame fails.  Complex frames are certified by lower-bounding the
+second-smallest eigenvalue of the gradient Gram operator over a net of the
+unit sphere, with a Weyl perturbation argument extending the bound from the
+net to the whole sphere.
 
 The eigenvalue map xi -> lambda_{2n-1}(gradient_gram(xi)) is exactly invariant
 under the phase orbit xi -> cos(t) xi + sin(t) J xi, so the net only needs to
@@ -15,6 +16,7 @@ measured in the quotient metric sqrt(2 - 2 |<u, v>|).
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass, field, fields
 from math import ceil, log2
 
@@ -39,7 +41,11 @@ from .metrics import quotient_distance
 
 SPAN_TOL = 1e-10  # relative singular-value threshold for span tests
 _SCAN_CHUNK = 65536
+_PARTITION_BLOCK = 1 << 17  # nodes per block of the bipartition search
+_INCUMBENT_NODES = 16  # lowest-bound nodes per block completed into leaves
 _NET_BLOCK = 1 << 16  # rows per block while a Bloch net is built
+
+logger = logging.getLogger("framepr")
 
 
 @dataclass(frozen=True)
@@ -116,16 +122,50 @@ def min_measurement_count(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# real case: bipartition enumeration
+# real case: bipartition search
 # ---------------------------------------------------------------------------
 
 def _bipartition_scan(frame: Frame, partition_cap: int):
-    """Enumerate all 2^(m-1) unordered bipartitions of the frame.
+    """Branch and bound over the 2^(m-1) unordered bipartitions of the frame.
 
     Returns (A0, fail_subset) where A0 is the minimum over partitions of the
     sum of the two lower frame bounds, and fail_subset is an index list for
-    the first partition where neither side spans (None when every partition
-    has a spanning side).
+    the first partition (in mask order) where neither side spans (None when
+    every partition has a spanning side).
+
+    Search.  Vector 0 always sits on the complement side; bit k-1 of a mask
+    puts vector k in I.  Vectors are assigned in a fixed search order:
+    vector 0, then the others by decreasing norm, so the bounds rise early.
+    A node at depth p fixes the sides of the first p vectors of that order
+    and carries LB = lambda_min(S_{I,p}) + lambda_min(S_{I^c,p}) over them.
+    The search starts with every node at depth p0 = min(m, 2n); a child is
+    its parent's two matrices with the next outer product O_p added to one
+    side, so only that side needs a new eigensolve.  The frontier is
+    processed depth-first in blocks of at most ``_PARTITION_BLOCK`` nodes.
+    Pending nodes keep only their mask and two eigenvalues, and a block's
+    matrices are rebuilt from its masks when it is expanded.  The incumbent
+    ``best`` is the smallest exact leaf sum evaluated so far; each block
+    first evaluates the two completions (every unassigned vector in I, or
+    every one in I^c) of its lowest-bound nodes.  Leaves that survive are
+    evaluated with the expressions of an exhaustive scan: the full incidence
+    row, then S_total - S_I.
+
+    Soundness.  Adding the PSD terms of the unassigned vectors never lowers
+    lambda_min (Weyl), so the exact LB of a node is at most the exact sum of
+    every leaf below it.  Each computed quantity is a floating-point sum of
+    at most m rank-one terms (a leaf adds one subtraction) followed by an
+    eigensolve.  The sums err by a small multiple of m eps ||V||_F^2 and
+    the eigensolver by a small multiple of n eps ||V||_2^2 per side.
+    Nothing is pruned unless m > 2n, and there margin = 64 m eps ||V||_F^2
+    exceeds both errors together.  So a computed LB never exceeds a computed
+    leaf sum below it by more than margin.  A node is pruned only when
+    LB > max(best, 2 screen_tol) + margin.  Every leaf below it then has a
+    computed sum above best, so it is not the minimiser and A0 equals the
+    exhaustive minimum bit for bit.  Its sum is also above 2 screen_tol, so
+    its sides do not both pass the screen and it is no failure candidate.
+    Every candidate is therefore evaluated.  Candidates are confirmed by SVD
+    in increasing mask order, and the smallest confirmed mask is kept: the
+    partition an exhaustive scan reports first.
     """
     m, n = frame.m, frame.n
     if m > partition_cap:
@@ -134,10 +174,13 @@ def _bipartition_scan(frame: Frame, partition_cap: int):
     O = np.einsum("ki,kj->kij", V, V)
     S_total = O.sum(axis=0)
     smax = np.linalg.norm(V, 2)
+    eps = np.finfo(float).eps
     # Gram eigenvalues only resolve zeros to ~eps * ||S||, far above the
     # squared singular-value threshold; screen loosely here and confirm
     # candidate failures with an SVD of the actual subsets below
-    screen_tol = max((SPAN_TOL * smax) ** 2, 64 * m * np.finfo(float).eps * smax**2)
+    screen_tol = max((SPAN_TOL * smax) ** 2, 64 * m * eps * smax**2)
+    margin = 64 * m * eps * float(np.sum(V * V))
+    shifts = np.arange(m - 1, dtype=np.uint64)
 
     def _deficient(rows) -> bool:
         if rows.shape[0] < n:
@@ -145,31 +188,89 @@ def _bipartition_scan(frame: Frame, partition_cap: int):
         s = np.linalg.svd(rows, compute_uv=False)
         return s[-1] <= SPAN_TOL * max(smax, np.finfo(float).tiny)
 
-    A0 = np.inf
-    fail_subset = None
-    n_masks = 1 << (m - 1)
-    chunk = max(1, min(131072, n_masks))
-    shifts = np.arange(m - 1, dtype=np.uint64)
-    for start in range(0, n_masks, chunk):
-        masks = np.arange(start, min(start + chunk, n_masks), dtype=np.uint64)
+    def _lam_min(S):
+        return np.linalg.eigvalsh(S)[:, 0]
+
+    A0 = np.inf  # also the incumbent: the smallest leaf sum evaluated so far
+    fail_mask = None  # smallest confirmed failing mask so far
+    leaves = 0
+    pruned = 0
+
+    def evaluate(masks):
+        nonlocal A0, fail_mask, leaves
+        leaves += masks.size
         bits = ((masks[:, None] >> shifts) & 1).astype(float)  # indices 1..m-1
         inc = np.concatenate([np.zeros((bits.shape[0], 1)), bits], axis=1)
         S_I = np.einsum("ck,kij->cij", inc, O)
-        lam_I = np.linalg.eigvalsh(S_I)[:, 0]
-        lam_Ic = np.linalg.eigvalsh(S_total[None] - S_I)[:, 0]
-        sums = lam_I + lam_Ic
-        idx = int(np.argmin(sums))
-        if sums[idx] < A0:
-            A0 = float(sums[idx])
-        if fail_subset is None:
-            for cand in np.flatnonzero((lam_I <= screen_tol) & (lam_Ic <= screen_tol)):
-                mask = int(masks[cand])
-                subset = [k + 1 for k in range(m - 1) if (mask >> k) & 1]
-                comp = [k for k in range(m) if k not in subset]
-                if _deficient(V[subset]) and _deficient(V[comp]):
-                    fail_subset = subset
-                    break
-    return A0, fail_subset
+        lam_I = _lam_min(S_I)
+        lam_Ic = _lam_min(S_total[None] - S_I)
+        A0 = min(A0, float((lam_I + lam_Ic).min()))
+        cands = masks[(lam_I <= screen_tol) & (lam_Ic <= screen_tol)]
+        if fail_mask is not None:
+            cands = cands[cands < fail_mask]
+        for mask in np.sort(cands).tolist():
+            subset = [k + 1 for k in range(m - 1) if (mask >> k) & 1]
+            comp = [k for k in range(m) if k not in subset]
+            if _deficient(V[subset]) and _deficient(V[comp]):
+                fail_mask = mask
+                break
+
+    # search order; masks keep the original bit of every vector
+    order = np.concatenate([[0], 1 + np.argsort(-np.sum(V[1:] ** 2, axis=1), kind="stable")])
+    O_order = O.reshape(m, n * n)[order]
+    bit_shift = (order[1:] - 1).astype(np.uint64)  # mask bit of the j-th assigned vector
+
+    def sides(masks, p):
+        """S_{I,p} and S_{I^c,p} over the first p assigned vectors, per mask."""
+        bits = ((masks[:, None] >> bit_shift[: p - 1]) & 1).astype(float)
+        S_I = (bits @ O_order[1:p]).reshape(-1, n, n)
+        S_c = ((1.0 - bits) @ O_order[1:p]).reshape(-1, n, n) + O[0]
+        return S_I, S_c
+
+    half = _PARTITION_BLOCK // 2  # parents per expansion, so children fit a block
+    p0 = min(m, 2 * n)
+    n_top = 1 << (p0 - 1)
+    positions = np.arange(p0 - 1, dtype=np.uint64)
+    for start in range(0, n_top, half):
+        t = np.arange(start, min(start + half, n_top), dtype=np.uint64)
+        bits = ((t[:, None] >> positions) & 1) << bit_shift[: p0 - 1]
+        masks = bits.sum(axis=1, dtype=np.uint64)
+        if p0 == m:
+            evaluate(masks)
+            continue
+        S_I, S_c = sides(masks, p0)
+        stack = [(p0, masks, _lam_min(S_I), _lam_min(S_c))]
+        while stack:
+            p, masks, lam_I, lam_c = stack.pop()
+            lb = lam_I + lam_c
+            if p < m:
+                low = masks[np.argsort(lb, kind="stable")[:_INCUMBENT_NODES]]
+                rest = np.bitwise_or.reduce(np.uint64(1) << bit_shift[p - 1 :])
+                evaluate(np.concatenate([low, low | rest]))
+            keep = lb <= max(A0, 2.0 * screen_tol) + margin
+            pruned += masks.size - int(keep.sum())
+            masks, lam_I, lam_c = masks[keep], lam_I[keep], lam_c[keep]
+            if masks.size == 0:
+                continue
+            if p == m:
+                evaluate(masks)
+                continue
+            S_I, S_c = sides(masks, p)
+            S_I += O[order[p]]
+            S_c += O[order[p]]
+            child_masks = np.concatenate([masks, masks | (np.uint64(1) << bit_shift[p - 1])])
+            child_I = np.concatenate([lam_I, _lam_min(S_I)])
+            child_c = np.concatenate([_lam_min(S_c), lam_c])
+            for s in range(0, child_masks.size, half):
+                stack.append((p + 1, child_masks[s : s + half],
+                              child_I[s : s + half], child_c[s : s + half]))
+    logger.debug(
+        "bipartition scan m=%d n=%d: %d leaves evaluated, %d nodes pruned, %d partitions",
+        m, n, leaves, pruned, 1 << (m - 1),
+    )
+    if fail_mask is None:
+        return A0, None
+    return A0, [k + 1 for k in range(m - 1) if (fail_mask >> k) & 1]
 
 
 def _null_direction(rows: np.ndarray, n: int, tol: float):
@@ -210,11 +311,14 @@ def ambiguous_pair_real(frame: Frame, subset) -> tuple[np.ndarray, np.ndarray]:
 
 
 def check_retrievable_real(frame: Frame, partition_cap: int = 24) -> PRCertificate:
-    """Exact decision for real-tagged frames by bipartition enumeration.
+    """Exact decision for real-tagged frames by a pruned bipartition search.
 
     Retrievable iff every bipartition has a side spanning R^n; the certified
     margin is the minimum over partitions of the sum of the two lower frame
-    bounds.  Non-retrievable verdicts ship a verified witness pair.
+    bounds.  The search prunes a set of partitions only when a lower bound
+    proves that none of them is the minimiser or a failing partition (see
+    ``_bipartition_scan``), so the margin and the witness equal those of an
+    exhaustive scan.  Non-retrievable verdicts ship a verified witness pair.
     """
     if not frame.is_real:
         raise InvalidPartition("check_retrievable_real requires a real-tagged frame")
@@ -591,11 +695,11 @@ def stability_bounds_real(
 ) -> BoundsReport:
     """Global stability constants for a real phase-retrievable frame.
 
-    Only A0 and B0 are certified: A0 comes from exhaustive bipartition
-    enumeration and B0 equals the upper frame bound.  a0 and b0 are sphere
-    extrema found by projected-gradient multistart, so a0 (a minimum) is an
-    upper estimate and b0 (a maximum) a lower estimate; ``details["numerical"]``
-    names them.
+    Only A0 and B0 are certified: A0 comes from the bipartition search that
+    ``check_retrievable_real`` runs and B0 equals the upper frame bound.  a0
+    and b0 are sphere extrema found by projected-gradient multistart, so a0
+    (a minimum) is an upper estimate and b0 (a maximum) a lower estimate;
+    ``details["numerical"]`` names them.
     """
     if not frame.is_real:
         raise InvalidPartition("stability_bounds_real requires a real-tagged frame")

@@ -1,3 +1,5 @@
+import logging
+import re
 import tracemalloc
 
 import numpy as np
@@ -28,8 +30,11 @@ from framepr import (
     stability_bounds_real,
     weighted_frame_operator,
 )
+from framepr import injectivity
 from framepr.frames import rng_from_seed
 from framepr.injectivity import (
+    SPAN_TOL,
+    _bipartition_scan,
     _lifted_rows,
     bloch_fibonacci_net,
     quotient_covering_radius,
@@ -129,6 +134,119 @@ def test_real_verdict_equals_full_spark(n):
         diff = magnitude_map(broken, x).values - magnitude_map(broken, y).values
         assert np.max(np.abs(diff)) <= 1e-12
         assert quotient_distance(x, y, 2) > 1e-6
+
+
+def _exhaustive_bipartition_scan(frame):
+    """Reference: every one of the 2^(m-1) bipartitions in increasing mask
+    order, the scan the branch and bound replaced."""
+    m, n = frame.m, frame.n
+    V = frame.vectors.real
+    O = np.einsum("ki,kj->kij", V, V)
+    S_total = O.sum(axis=0)
+    smax = np.linalg.norm(V, 2)
+    screen_tol = max((SPAN_TOL * smax) ** 2, 64 * m * np.finfo(float).eps * smax**2)
+
+    def _deficient(rows) -> bool:
+        if rows.shape[0] < n:
+            return True
+        s = np.linalg.svd(rows, compute_uv=False)
+        return s[-1] <= SPAN_TOL * max(smax, np.finfo(float).tiny)
+
+    A0 = np.inf
+    fail_subset = None
+    n_masks = 1 << (m - 1)
+    chunk = max(1, min(131072, n_masks))
+    shifts = np.arange(m - 1, dtype=np.uint64)
+    for start in range(0, n_masks, chunk):
+        masks = np.arange(start, min(start + chunk, n_masks), dtype=np.uint64)
+        bits = ((masks[:, None] >> shifts) & 1).astype(float)
+        inc = np.concatenate([np.zeros((bits.shape[0], 1)), bits], axis=1)
+        S_I = np.einsum("ck,kij->cij", inc, O)
+        lam_I = np.linalg.eigvalsh(S_I)[:, 0]
+        lam_Ic = np.linalg.eigvalsh(S_total[None] - S_I)[:, 0]
+        sums = lam_I + lam_Ic
+        idx = int(np.argmin(sums))
+        if sums[idx] < A0:
+            A0 = float(sums[idx])
+        if fail_subset is None:
+            for cand in np.flatnonzero((lam_I <= screen_tol) & (lam_Ic <= screen_tol)):
+                mask = int(masks[cand])
+                subset = [k + 1 for k in range(m - 1) if (mask >> k) & 1]
+                comp = [k for k in range(m) if k not in subset]
+                if _deficient(V[subset]) and _deficient(V[comp]):
+                    fail_subset = subset
+                    break
+    return A0, fail_subset
+
+
+def _real_harmonic_frame(n, m):
+    """Rows (cos j t_k, sin j t_k) for j = 1..n/2 at t_k = 2 pi k / m."""
+    t = 2.0 * np.pi * np.arange(m) / m
+    j = np.arange(1, n // 2 + 1)
+    return make_frame(np.concatenate([np.cos(np.outer(t, j)), np.sin(np.outer(t, j))], axis=1),
+                      field="real")
+
+
+@pytest.fixture(scope="module")
+def equivalence_cases():
+    """(frame, exhaustive result) pairs; the references are computed once."""
+    frames = []
+    for n in range(2, 6):
+        for m in range(n, 2 * n + 8):
+            V = random_frame(n, m, "real_gaussian", seed=[7, n, m]).vectors.real
+            scaled = V.copy()
+            scaled[-1] = -1.7 * V[0]  # one row a multiple of another
+            zero = V.copy()
+            zero[m // 2] = 0.0
+            for W in (V, scaled, zero):
+                if np.linalg.matrix_rank(W) == n:
+                    frames.append(make_frame(W, field="real"))
+    frames.append(_real_harmonic_frame(6, 20))
+    # three copies of the basis and two all-ones rows: many tied partition sums
+    frames.append(make_frame(np.concatenate([np.eye(6)] * 3 + [np.ones((2, 6))]), field="real"))
+    return [(frame, _exhaustive_bipartition_scan(frame)) for frame in frames]
+
+
+# 64-node blocks split the frontier, so whole blocks, leaf blocks included,
+# are pruned away
+@pytest.mark.parametrize("block", [None, 64])
+def test_bipartition_search_matches_exhaustive_scan(equivalence_cases, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(injectivity, "_PARTITION_BLOCK", block)
+    for frame, (ref_A0, ref_subset) in equivalence_cases:
+        A0, fail_subset = _bipartition_scan(frame, partition_cap=24)
+        tol = 1e-12 * max(abs(ref_A0), np.finfo(float).tiny)
+        assert abs(A0 - ref_A0) <= tol, (frame.n, frame.m)
+        assert fail_subset == ref_subset, (frame.n, frame.m)
+    # the grid exercises both verdicts and the witness order
+    failing = sum(ref_subset is not None for _, (_, ref_subset) in equivalence_cases)
+    assert 0 < failing < len(equivalence_cases)
+
+
+def test_bipartition_search_memory_and_pruning(caplog):
+    frame = random_frame(6, 22, "real_gaussian", seed=0)
+    tracemalloc.start()
+    try:
+        with caplog.at_level(logging.DEBUG, logger="framepr"):
+            A0, fail_subset = _bipartition_scan(frame, partition_cap=24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fail_subset is None and A0 > 0.0
+    assert peak < 64 * 2**20  # an exhaustive scan peaks at 135 MB here
+    records = [r for r in caplog.records if "bipartition scan" in r.getMessage()]
+    assert len(records) == 1 and records[0].levelno == logging.DEBUG
+    counts = re.findall(r"(\d+) (?:leaves|nodes|partitions)", records[0].getMessage())
+    leaves, pruned, partitions = map(int, counts)
+    assert partitions == 1 << 21
+    assert pruned > 0 and leaves < partitions // 100
+
+
+def test_global_bound_shares_the_partition_margin():
+    frame = random_frame(5, 12, "real_gaussian", seed=4)
+    cert = check_retrievable_real(frame)
+    assert cert.verdict == "retrievable"
+    assert stability_bounds_real(frame, n_starts=4).A0 == cert.a0_lower
 
 
 # ---------------------------------------------------------------------------
