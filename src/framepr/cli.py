@@ -94,6 +94,8 @@ def _cmd_frame(args) -> int:
         save_frame(frame, args.out)
         print(f"wrote {args.ensemble} frame n={args.n} m={args.m} seed={args.seed} to {args.out}")
         return EXIT_OK
+    if args.certify and args.budget < 1:
+        raise ConfigError(f"--budget must be >= 1, got {args.budget}")
     frame = load_frame(args.path)
     payload = {"n": frame.n, "m": frame.m, "field": frame.field, "valid": True}
     if args.full_spark:

@@ -43,8 +43,9 @@ NONDETERMINISTIC_KEYS = ("timestamp", "wall_time_s")
 
 _TASKS = ("certify", "bounds", "crlb", "reconstruct", "sweep")
 _NOISE_PARAMETER = {"awgn": "sigma", "coefficient": "rho"}  # noise kind -> parameter of its level
-# the options of the certify and bounds tasks, all integers, with their defaults
-_INT_OPTIONS = {"budget": 4_000_000, "n_cap": 3, "partition_cap": 24, "n_starts": 64, "samples": 2000}
+# the options of the certify and bounds tasks, all integers: (default, smallest accepted value)
+_INT_OPTIONS = {"budget": (4_000_000, 1), "n_cap": (3, 1), "partition_cap": (24, 1),
+                "n_starts": (64, 0), "samples": (2000, 2)}
 
 
 def _positive(value) -> bool:
@@ -60,7 +61,7 @@ def _integer(value) -> int:
 
 
 def _int_options(cfg: dict) -> dict:
-    return {key: _integer(cfg["options"].get(key, default)) for key, default in _INT_OPTIONS.items()}
+    return {key: _integer(cfg["options"].get(key, default)) for key, (default, _) in _INT_OPTIONS.items()}
 
 
 def load_config(source) -> dict:
@@ -106,11 +107,14 @@ def load_config(source) -> dict:
         raise ConfigError(f"unknown options {unknown}; allowed: {'/'.join(_INT_OPTIONS)}")
     try:
         cfg["trials"] = _integer(cfg["trials"])
-        _int_options(cfg)
+        opts = _int_options(cfg)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"trials and options.{'/'.join(_INT_OPTIONS)} must be integers: {exc}") from exc
     if cfg["trials"] < 1:
         raise ConfigError("trials must be >= 1")
+    for key, (_, low) in _INT_OPTIONS.items():
+        if opts[key] < low:
+            raise ConfigError(f"options.{key} must be >= {low}, got {opts[key]}")
     seed = cfg["seed"]
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")

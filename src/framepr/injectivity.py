@@ -11,6 +11,14 @@ The eigenvalue map xi -> lambda_{2n-1}(gradient_gram(xi)) is exactly invariant
 under the phase orbit xi -> cos(t) xi + sin(t) J xi, so the net only needs to
 cover the (2n-2)-dimensional phase quotient of the sphere; covering radii are
 measured in the quotient metric sqrt(2 - 2 |<u, v>|).
+
+J xi always lies in the kernel of R(xi) = gradient_gram(xi): the k-th
+gradient w_k = p_k phi_k + q_k J phi_k has w_k . J xi = -p_k q_k + q_k p_k = 0.
+So lambda_{2n-1}(R) is the smallest eigenvalue of R on (J xi)^perp.  For
+n = 2 that restriction is a 3x3 Gram whose eigenvalues have a closed form;
+the net scan screens every point with it and re-evaluates exactly only the
+points near a chunk extremum (see ``_scan_net``), so its results equal
+those of an exact eigensolve at every point.
 """
 
 from __future__ import annotations
@@ -44,6 +52,9 @@ _SCAN_CHUNK = 65536
 _PARTITION_BLOCK = 1 << 17  # nodes per block of the bipartition search
 _INCUMBENT_NODES = 16  # lowest-bound nodes per block completed into leaves
 _NET_BLOCK = 1 << 16  # rows per block while a Bloch net is built
+# realified (-conj z_2, conj z_1) = xi @ _PERP for xi = realify(z_1, z_2)
+_PERP = np.array([[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0],
+                  [0.0, 0.0, 0.0, -1.0], [0.0, 0.0, 1.0, 0.0]])
 
 logger = logging.getLogger("framepr")
 
@@ -146,7 +157,9 @@ def _bipartition_scan(frame: Frame, partition_cap: int):
     matrices are rebuilt from its masks when it is expanded.  The incumbent
     ``best`` is the smallest exact leaf sum evaluated so far; each block
     first evaluates the two completions (every unassigned vector in I, or
-    every one in I^c) of its lowest-bound nodes.  Leaves that survive are
+    every one in I^c) of its lowest-bound nodes.  A block at depth m - 1 that
+    pruned nothing has its children evaluated as leaves at once, without
+    their bounds, which would rarely prune there.  Leaves that survive are
     evaluated with the expressions of an exhaustive scan: the full incidence
     row, then S_total - S_I.
 
@@ -248,17 +261,25 @@ def _bipartition_scan(frame: Frame, partition_cap: int):
                 rest = np.bitwise_or.reduce(np.uint64(1) << bit_shift[p - 1 :])
                 evaluate(np.concatenate([low, low | rest]))
             keep = lb <= max(A0, 2.0 * screen_tol) + margin
-            pruned += masks.size - int(keep.sum())
+            n_pruned = masks.size - int(keep.sum())
+            pruned += n_pruned
             masks, lam_I, lam_c = masks[keep], lam_I[keep], lam_c[keep]
             if masks.size == 0:
                 continue
             if p == m:
                 evaluate(masks)
                 continue
+            child_masks = np.concatenate([masks, masks | (np.uint64(1) << bit_shift[p - 1])])
+            if p == m - 1 and n_pruned == 0:
+                # the children are leaves, and below a block that pruned
+                # nothing their bounds rarely prune either: evaluate them
+                # directly instead of paying one more eigensolve per child
+                for s in range(0, child_masks.size, half):
+                    evaluate(child_masks[s : s + half])
+                continue
             S_I, S_c = sides(masks, p)
             S_I += O[order[p]]
             S_c += O[order[p]]
-            child_masks = np.concatenate([masks, masks | (np.uint64(1) << bit_shift[p - 1])])
             child_I = np.concatenate([lam_I, _lam_min(S_I)])
             child_c = np.concatenate([_lam_min(S_c), lam_c])
             for s in range(0, child_masks.size, half):
@@ -431,10 +452,63 @@ def quotient_covering_radius(
     return 1.12 * eps
 
 
+def _gram_eigs(phi: np.ndarray, jphi: np.ndarray, Xi: np.ndarray):
+    """Second-smallest and largest eigenvalue of the gradient Gram at each row
+    of Xi, from the Gram matrices W^T W and a batched ``eigvalsh``."""
+    P = Xi @ phi.T
+    Q = Xi @ jphi.T
+    W = P[:, :, None] * phi[None] + Q[:, :, None] * jphi[None]
+    ev = np.linalg.eigvalsh(W.transpose(0, 2, 1) @ W)
+    return ev[:, 1], ev[:, -1]
+
+
+def _screen_n2(phi: np.ndarray, jphi: np.ndarray, Xi: np.ndarray):
+    """Closed-form (lambda_3, lambda_1) of the gradient Gram at unit rows of
+    Xi for n = 2, accurate to about sqrt(eps) lambda_1 near a double root.
+
+    On (J xi)^perp, R(xi) is the 3x3 Gram of s = p^2 + q^2, u = pP + qQ and
+    v = pQ - qP in the orthonormal basis {xi, eta, J eta}, where
+    eta = xi @ _PERP, (p, q) = (phi xi, J phi xi) and
+    (P, Q) = (phi eta, J phi eta).  Its eigenvalues come from the
+    trigonometric formula (Smith 1961; Kopp, arXiv physics/0610206).
+    """
+    m = phi.shape[0]
+    rows = np.concatenate([phi, jphi, phi @ _PERP.T, jphi @ _PERP.T])
+    C = rows @ Xi.T  # one contiguous (m, chunk) block per coordinate
+    p, q, P, Q = C[:m], C[m : 2 * m], C[2 * m : 3 * m], C[3 * m :]
+    s = p * p + q * q
+    u = p * P + q * Q
+    v = p * Q - q * P
+    a, d, f = (np.einsum("kc,kc->c", x, x) for x in (s, u, v))
+    b, c, e = (np.einsum("kc,kc->c", x, y) for x, y in ((s, u), (s, v), (u, v)))
+    # G = [[a, b, c], [b, d, e], [c, e, f]]; B = (G - mean I) / r has
+    # eigenvalues 2 cos(t + 2 pi j / 3) with cos(3 t) = det(B) / 2
+    mean = (a + d + f) / 3.0
+    a, d, f = a - mean, d - mean, f - mean
+    r = np.sqrt((a * a + d * d + f * f + 2.0 * (b * b + c * c + e * e)) / 6.0)
+    a, b, c, d, e, f = (x / np.where(r > 0.0, r, 1.0) for x in (a, b, c, d, e, f))
+    half_det = 0.5 * (a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d))
+    t = np.arccos(np.clip(half_det, -1.0, 1.0)) / 3.0
+    return mean + 2.0 * r * np.cos(t + 2.0 * np.pi / 3.0), mean + 2.0 * r * np.cos(t)
+
+
 def _scan_net(phi: np.ndarray, jphi: np.ndarray, net: np.ndarray):
     """Batched eigenvalues of the gradient Gram over net points.
 
-    Returns (min second-smallest, max largest, argmin point).
+    Returns (min second-smallest, max largest, argmin point), with ties
+    broken towards the first net row, exactly as one ``_gram_eigs`` pass
+    over the whole net would give them.
+
+    For n = 2 each chunk is first screened in closed form: J xi lies in the
+    kernel of R(xi), so lambda_3 and lambda_1 are the extreme eigenvalues of
+    the 3x3 Gram built by ``_screen_n2``.  The screen errs by at most
+    about 4e-14 lambda_1 on generic frames and 6e-9 lambda_1 near a double
+    root (the tetrahedral SIC frame).  Only the rows whose screened lambda_3
+    lies within tau = 1e-6 (chunk max screened lambda_1) of the chunk
+    minimum, or whose screened lambda_1 lies within tau of the chunk
+    maximum, are evaluated by ``_gram_eigs``.  As tau exceeds twice the
+    screen error, every row whose exact value attains the chunk extremum is
+    among them, so the result equals the unscreened scan bit for bit.
     """
     d = net.shape[1]
     m = phi.shape[0]
@@ -444,12 +518,11 @@ def _scan_net(phi: np.ndarray, jphi: np.ndarray, net: np.ndarray):
     argmin = net[0]
     for start in range(0, net.shape[0], chunk):
         Xi = net[start : start + chunk]
-        P = Xi @ phi.T
-        Q = Xi @ jphi.T
-        W = P[:, :, None] * phi[None] + Q[:, :, None] * jphi[None]
-        R = W.transpose(0, 2, 1) @ W
-        ev = np.linalg.eigvalsh(R)
-        lam3, lam1 = ev[:, 1], ev[:, -1]
+        if d == 4:
+            lo, hi = _screen_n2(phi, jphi, Xi)
+            tau = 1e-6 * hi.max()
+            Xi = Xi[(lo <= lo.min() + tau) | (hi >= hi.max() - tau)]
+        lam3, lam1 = _gram_eigs(phi, jphi, Xi)
         k = int(np.argmin(lam3))
         if lam3[k] < lam3_min:
             lam3_min = float(lam3[k])
@@ -517,7 +590,11 @@ def certify_retrievable_complex(
     certify, its worst direction is polished by alternating eigensolves into a
     candidate ambiguous pair; only a verified pair produces a
     "not_retrievable" verdict.  Budget or round exhaustion yields "undecided".
+    ``budget``, ``max_rounds`` and ``n_probes`` must be at least 1.
     """
+    for name, value in (("budget", budget), ("max_rounds", max_rounds), ("n_probes", n_probes)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     n = frame.n
     if n > n_cap:
         return PRCertificate(

@@ -181,6 +181,21 @@ def test_exit_code_bad_config_values(tmp_path, verb, patch):
     assert run_cli(verb, "--config", str(cfg_path)) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("frame", "check", "{path}", "--certify", "--budget", "0"),
+        ("frame", "check", "{path}", "--certify", "--budget", "-5"),
+        ("bounds", "{path}", "--samples", "0"),
+        ("bounds", "{path}", "--starts", "-1"),
+    ],
+)
+def test_exit_code_out_of_range_options(tmp_path, argv):
+    path = tmp_path / "frame.json"
+    assert run_cli("frame", "gen", "--n", "2", "--m", "6", "--out", str(path)) == 0
+    assert run_cli(*(arg.format(path=path) for arg in argv)) == 2
+
+
 def test_exit_code_budget(tmp_path):
     # real frame above the partition cap: budget exceeded -> 4
     from framepr import random_frame, save_frame

@@ -73,6 +73,13 @@ def test_load_config_defaults():
         # task options are samples/n_starts/budget/n_cap/partition_cap only
         {"options": {"n_start": 3}},
         {"options": {"eps0": 0.5}},
+        # each task option has a lower bound
+        {"options": {"budget": 0}},
+        {"options": {"budget": -5}},
+        {"options": {"n_cap": 0}},
+        {"options": {"partition_cap": 0}},
+        {"options": {"n_starts": -1}},
+        {"options": {"samples": 1}},
     ],
 )
 def test_load_config_rejects(patch):
@@ -80,6 +87,11 @@ def test_load_config_rejects(patch):
     cfg.update(patch)
     with pytest.raises(ConfigError):
         load_config(cfg)
+
+
+def test_load_config_accepts_option_lower_bounds():
+    cfg = dict(BASE, options={"budget": 1, "n_cap": 1, "partition_cap": 1, "n_starts": 0, "samples": 2})
+    assert load_config(cfg)["options"] == cfg["options"]
 
 
 def test_load_config_rejects_non_object_file(tmp_path):

@@ -36,6 +36,8 @@ from framepr.injectivity import (
     SPAN_TOL,
     _bipartition_scan,
     _lifted_rows,
+    _scan_net,
+    _screen_n2,
     bloch_fibonacci_net,
     quotient_covering_radius,
     sphere_net,
@@ -252,6 +254,73 @@ def test_global_bound_shares_the_partition_margin():
 # ---------------------------------------------------------------------------
 # complex case: net certification
 # ---------------------------------------------------------------------------
+
+def _tetrahedral_sic():
+    w = np.exp(2j * np.pi / 3)
+    c, s = np.sqrt(1.0 / 3.0), np.sqrt(2.0 / 3.0)
+    return make_frame(np.array([[1.0, 0.0], [c, s], [c, s * w], [c, s * w * w]]), field="complex")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_complex_structure_lies_in_gradient_gram_kernel(rng, n):
+    frame = random_frame(n, 4 * n, "gaussian", seed=n)
+    for _ in range(5):
+        xi = rng.normal(size=2 * n)
+        R = gradient_gram(frame, xi)
+        residual = np.linalg.norm(R @ apply_complex_structure(xi))
+        assert residual <= 1e-13 * np.linalg.norm(R, 2) * np.linalg.norm(xi)
+
+
+def _unscreened_scan(frame, net):
+    """Reference: one batched eigvalsh of every Gram W^T W over the whole net."""
+    P = net @ frame.phi.T
+    Q = net @ frame.jphi.T
+    W = P[:, :, None] * frame.phi[None] + Q[:, :, None] * frame.jphi[None]
+    ev = np.linalg.eigvalsh(W.transpose(0, 2, 1) @ W)
+    k = int(np.argmin(ev[:, 1]))
+    return float(ev[k, 1]), float(ev[:, -1].max()), net[k]
+
+
+# random_frame(2, 3) gets within 4e-13 lambda_1 of lambda_3 = 0 on this net;
+# the SIC frame has a double root 1/3 at every point, so every row is rechecked
+@pytest.mark.parametrize(
+    "frame",
+    [random_frame(2, 8, "gaussian", seed=4), random_frame(2, 3, seed=0), _tetrahedral_sic()],
+    ids=["gaussian_m8", "m3", "sic"],
+)
+@pytest.mark.parametrize("chunk", [None, 4096])
+def test_scan_net_matches_unscreened_scan(frame, chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(injectivity, "_SCAN_CHUNK", chunk)
+    net = bloch_fibonacci_net(65536 + 777, seed=[2, 1])  # the last chunk is partial
+    lam3, lam1, argmin = _scan_net(frame.phi, frame.jphi, net)
+    ref3, ref1, ref_arg = _unscreened_scan(frame, net)
+    assert lam3 == ref3 and lam1 == ref1
+    assert np.array_equal(argmin, ref_arg)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_n2_screen_accuracy(seed):
+    # _scan_net rechecks rows within 1e-6 lambda_1 of a chunk extremum, which
+    # must exceed twice the screen error
+    net = bloch_fibonacci_net(2000, seed=seed)
+    for frame, tol in ((random_frame(2, 8, "gaussian", seed=seed), 1e-12),
+                       (random_frame(2, 4, "gaussian", seed=seed), 1e-12),
+                       (_tetrahedral_sic(), 5e-8)):
+        lo, hi = _screen_n2(frame.phi, frame.jphi, net)
+        ev = np.array([np.linalg.eigvalsh(gradient_gram(frame, xi)) for xi in net])
+        scale = ev[:, -1].max()
+        assert np.max(np.abs(lo - ev[:, 1])) <= tol * scale
+        assert np.max(np.abs(hi - ev[:, -1])) <= tol * scale
+
+
+@pytest.mark.parametrize("option", ["budget", "max_rounds", "n_probes"])
+@pytest.mark.parametrize("value", [0, -5])
+def test_certify_rejects_nonpositive_counts(option, value):
+    frame = random_frame(2, 8, "gaussian", seed=0)
+    with pytest.raises(ValueError, match=option):
+        certify_retrievable_complex(frame, **{option: value})
+
 
 def test_certify_scalar_frame():
     cert = certify_retrievable_complex(make_frame(np.array([[1.0 + 0j]])))
