@@ -89,6 +89,8 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def _cmd_frame(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     if args.frame_verb == "gen":
         frame = random_frame(args.n, args.m, args.ensemble, args.seed)
         save_frame(frame, args.out)

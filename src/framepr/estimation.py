@@ -6,6 +6,11 @@ coefficient before the magnitude is taken ("coefficient").  The coefficient
 noise convention is Var(mu_k) = rho^2 total, i.e. rho^2/2 per real component,
 so that E|mu_k|^2 = rho^2 and the SNR argument of the Bessel weights is
 |<x, f_k>|^2 / rho^2.
+
+The Bessel weights of all measurements come from one vectorized pass of a
+fixed Gauss-Kronrod rule (G7/K15, as in QUADPACK's qk15) over the Gaussian
+window of each argument, with the Kronrod-minus-Gauss difference as a
+relative error gate; small arguments use a series.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
-from scipy.integrate import quad
 
 from .errors import OrthogonalAnchor, QuadratureError, ZeroVector
 from .frames import Frame, MeasurementVector, intensity_map, rng_from_seed
@@ -22,6 +26,34 @@ from .lifting import _gradient_terms, apply_complex_structure, gradient_gram, re
 from .linalg import hermitian_part, pseudo_inverse
 
 _SMALL_A = 1e-4  # below this, the Bessel weight uses its continuous extension
+_PANELS = 8  # equal G7/K15 panels on each side of the window's peak
+_WEIGHT_RTOL = 1e-10  # relative error gate of the Bessel weights
+
+# G7/K15 Gauss-Kronrod rule on [-1, 1] (Piessens et al., QUADPACK, 1983): the
+# nonnegative Kronrod nodes in decreasing order, their Kronrod weights, and the
+# 7-point Gauss weights on the same nodes (Gauss uses every other node)
+_KRONROD_X = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
+])
+_KRONROD_W = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+])
+_GAUSS_W = np.array([
+    0.0, 0.129484966168869693270611432679082,
+    0.0, 0.279705391489276667901467771423780,
+    0.0, 0.381830050505118944950369775488975,
+    0.0, 0.417959183673469387755102040816327,
+])
+# the same rules on all 15 nodes, left to right
+_GK_NODES = np.concatenate([-_KRONROD_X[:-1], _KRONROD_X[::-1]])
+_GK_WEIGHTS = np.concatenate([_KRONROD_W[:-1], _KRONROD_W[::-1]])
+_GK_ERROR = _GK_WEIGHTS - np.concatenate([_GAUSS_W[:-1], _GAUSS_W[::-1]])
 
 
 @dataclass(frozen=True)
@@ -81,38 +113,64 @@ def simulate_measurements(frame: Frame, x, model: NoiseModel) -> MeasurementVect
 # the scalar SNR weights
 # ---------------------------------------------------------------------------
 
-def _weight_integrand_window(t, a):
-    # I1(t)^2/I0(t) * t^3 * exp(-t^2/(4a)) * e^{-a} / (8 a^3), with the
-    # exponentials combined into the stable window exp(-(t-2a)^2/(4a))
-    ratio = special.i1e(t) ** 2 / special.i0e(t)
-    return ratio * t**3 * np.exp(-((t - 2.0 * a) ** 2) / (4.0 * a))
+def _bessel_weights(a: np.ndarray) -> np.ndarray:
+    """The SNR weight of every entry of the 1-d array ``a`` (all >= 0).
+
+    The weight is the Bessel-ratio integral
+    (1 / (8 a^3)) * int_0^inf I1(t)^2 / I0(t) * t^3 * exp(-t^2/(4a) - a) dt.
+    Arguments up to _SMALL_A use its second-order series.  The others are
+    integrated over the window [max(0, 2a - 13 sqrt(a)), 2a + 13 sqrt(a)],
+    split at the peak 2a into _PANELS equal panels per side, each with the
+    G7/K15 rule, all arguments and nodes in one array.  Raises
+    QuadratureError when the summed |K15 - G7| difference, relative to the
+    weight, exceeds _WEIGHT_RTOL * max(1, weight).
+    """
+    a = np.asarray(a, dtype=float)
+    if np.any(a < 0):
+        raise ValueError("argument must be nonnegative")
+    w = np.exp(-a) * (2.0 + 4.0 * a * a)  # second-order small-argument series
+    big = a > _SMALL_A
+    if not np.any(big):
+        return w
+    ab = a[big]
+    peak = 2.0 * ab
+    width = 13.0 * np.sqrt(ab)
+    lo = np.maximum(0.0, peak - width)
+    # (args, side, panel): the panel half-widths and centres
+    half = np.stack([peak - lo, width], axis=1)[:, :, None] / (2 * _PANELS)
+    centre = np.stack([lo, peak], axis=1)[:, :, None] + half * np.arange(1, 2 * _PANELS, 2)
+    t = centre[..., None] + half[..., None] * _GK_NODES
+    # I1(t)^2/I0(t) * t^3 * exp(-t^2/(4a)) * e^{-a}, with the exponentials
+    # combined into the stable window exp(-(t-2a)^2/(4a)); times the panel
+    # half-width, so the rules below need no further scaling
+    at = ab[:, None, None, None]
+    f = special.i1e(t) ** 2 / special.i0e(t) * t**3 * np.exp(-((t - 2.0 * at) ** 2) / (4.0 * at))
+    f *= half[..., None]
+    norm = 8.0 * ab**3
+    w[big] = (f * _GK_WEIGHTS).sum(axis=-1).sum(axis=(1, 2)) / norm
+    err = np.abs((f * _GK_ERROR).sum(axis=-1)).sum(axis=(1, 2)) / norm
+    bad = err > _WEIGHT_RTOL * np.maximum(1.0, w[big])
+    if np.any(bad):
+        k = int(np.flatnonzero(bad)[0])
+        raise QuadratureError(f"window quadrature error {err[k]:.2e} at a={ab[k]}")
+    return w
 
 
 def bessel_ratio_weight(a: float) -> float:
     """Scalar SNR weight: the Bessel-ratio integral with Gaussian window.
 
-    Continuous at 0 with value 2; decreases towards 1 for large a.  Absolute
-    accuracy around 1e-10 (series extension below a = 1e-4).
+    Continuous at 0 with value 2; decreases towards 1 for large a.  Computed
+    by the fixed G7/K15 Gauss-Kronrod rule on 8 panels each side of the
+    window's peak; raises QuadratureError unless the summed Kronrod-Gauss
+    difference is within 1e-10 of the weight.  Over a in (1e-4, 1e6] the
+    result agrees with a tight adaptive reference to about 1e-13.  Up to
+    a = 1e-4 a second-order series is used, within about 1.2e-11.
     """
-    if a < 0:
-        raise ValueError("argument must be nonnegative")
-    if a <= _SMALL_A:
-        # second-order small-argument expansion of the integral
-        return float(np.exp(-a) * (2.0 + 4.0 * a * a))
-    width = 13.0 * np.sqrt(a)
-    lo, hi = max(0.0, 2.0 * a - width), 2.0 * a + width
-    pts = [2.0 * a] if lo < 2.0 * a < hi else None
-    val, err = quad(_weight_integrand_window, lo, hi, args=(a,),
-                    epsabs=1e-12, epsrel=1e-12, limit=200, points=pts)
-    if err > 1e-8 * max(1.0, abs(val)):
-        raise QuadratureError(f"window quadrature error {err:.2e} at a={a}")
-    return float(val / (8.0 * a**3))
+    return float(_bessel_weights(np.array([a], dtype=float))[0])
 
 
 def bessel_ratio_excess(a: float) -> float:
     """a * (weight(a) - 1); vanishes linearly at 0 with unit slope."""
-    if a < 0:
-        raise ValueError("argument must be nonnegative")
     return a * (bessel_ratio_weight(a) - 1.0)
 
 
@@ -144,14 +202,14 @@ def fisher_coefficient_noise(frame: Frame, x, rho: float, form: str = "excess") 
         raise ValueError(f"unknown form {form!r}")
     x = np.asarray(x, dtype=complex)
     Z, s, zero = _gradient_terms(frame, realify(x))
-    w = np.empty(frame.m)
-    for k in range(frame.m):
-        if zero[k]:
-            w[k] = 4.0 / rho**4  # lim excess(s)/s
-        elif form == "excess":
-            w[k] = (4.0 / rho**2) * bessel_ratio_excess(s[k] / rho**2) / s[k]
-        else:
-            w[k] = (4.0 / rho**4) * (bessel_ratio_weight(s[k] / rho**2) - 1.0)
+    w = np.full(frame.m, 4.0 / rho**4)  # lim excess(s)/s on the zero terms
+    kept = ~zero
+    a = s[kept] / rho**2
+    w1 = _bessel_weights(a) - 1.0
+    if form == "excess":
+        w[kept] = (4.0 / rho**2) * (a * w1) / s[kept]
+    else:
+        w[kept] = (4.0 / rho**4) * w1
     mat = (Z * w) @ Z.T
     return FisherMatrix(matrix=hermitian_part(mat), kind="coefficient", x_ref=x, field=frame.field)
 

@@ -30,7 +30,6 @@ from math import ceil, log2
 
 import numpy as np
 from scipy.spatial import KDTree
-from scipy.stats import qmc
 from scipy.special import ndtri
 
 from .errors import BudgetExceeded, InvalidPartition, NotPhaseRetrievable
@@ -367,6 +366,10 @@ def sphere_net(dim: int, n_points: int, seed: int = 0) -> np.ndarray:
     Scrambled Sobol points mapped through the normal quantile and normalized;
     the point count is rounded up to a power of two for balance.
     """
+    # imported here: only complex nets at n >= 3 need it, and scipy.stats is
+    # slow to import
+    from scipy.stats import qmc
+
     n_points = max(int(n_points), 2)
     k = ceil(log2(n_points))
     sob = qmc.Sobol(d=dim, scramble=True, seed=rng_from_seed(seed))
@@ -833,8 +836,10 @@ def sampled_stability_bounds(frame: Frame, samples: int = 2000, seed: int = 0) -
 
     Draws both independent and perturbative pairs; the reported values are the
     sampled extrema of the defining difference quotients and are flagged
-    non-certified.
+    non-certified.  ``samples`` must be at least 2.
     """
+    if samples < 2:
+        raise ValueError(f"samples must be >= 2, got {samples}")
     rng = rng_from_seed([seed, 0x73616D70])
     n, m = frame.n, frame.m
     V = frame.vectors

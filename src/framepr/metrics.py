@@ -9,7 +9,6 @@ for p in {1, 2, inf}.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import DimensionMismatch
 from .lifting import rank_one_diff_spectrum
@@ -44,6 +43,8 @@ def quotient_distance(x, y, p: float = 2) -> float:
         # explicitly and difference the vectors instead
         phase = 1.0 if ip == 0 else ip / abs(ip)
         return float(np.linalg.norm(x - phase * y))
+
+    from scipy.optimize import minimize_scalar  # slow to import; only p != 2 needs it
 
     def objective(phi: float) -> float:
         return float(np.linalg.norm(x - np.exp(1j * phi) * y, ord=p))

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -186,6 +190,8 @@ def test_exit_code_bad_config_values(tmp_path, verb, patch):
     [
         ("frame", "check", "{path}", "--certify", "--budget", "0"),
         ("frame", "check", "{path}", "--certify", "--budget", "-5"),
+        ("frame", "check", "{path}", "--certify", "--seed", "-1"),
+        ("frame", "gen", "--n", "2", "--m", "6", "--seed", "-1", "--out", "{path}"),
         ("bounds", "{path}", "--samples", "0"),
         ("bounds", "{path}", "--starts", "-1"),
     ],
@@ -220,3 +226,20 @@ def test_exit_code_component_failure(tmp_path):
         )
     )
     assert run_cli("frame", "check", str(path)) == 3
+
+
+def test_import_leaves_slow_scipy_modules_unloaded():
+    # scipy.stats, scipy.optimize and scipy.integrate take most of a cold
+    # import; only sphere_net and p != 2 quotient distances load the first two
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    code = (
+        "import sys, framepr, framepr.cli; "
+        "print(sorted(m for m in ('scipy.stats', 'scipy.optimize', 'scipy.integrate') "
+        "if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from framepr import (
     NoiseModel,
     OrthogonalAnchor,
+    QuadratureError,
     ZeroVector,
     apply_complex_structure,
     bessel_ratio_excess,
@@ -27,6 +28,7 @@ from framepr import (
     simulate_measurements,
     weighted_frame_operator,
 )
+from framepr.estimation import _SMALL_A, _bessel_weights
 from conftest import random_complex
 
 SCALAR = make_frame(np.array([[1.0 + 0j]]))
@@ -134,6 +136,56 @@ def test_weight_dual_quadrature_forms_agree():
         assert w1 == pytest.approx(w2, abs=1e-7)
 
 
+def _bessel_ratio_weight_tight(a):
+    # the same window integral by adaptive quadrature on each side of the
+    # peak, with the absolute tolerance scaled by the normalization 8 a^3
+    def integrand(t):
+        ratio = special.i1e(t) ** 2 / special.i0e(t)
+        return ratio * t**3 * np.exp(-((t - 2.0 * a) ** 2) / (4.0 * a))
+
+    width = 13.0 * np.sqrt(a)
+    edges = (max(0.0, 2.0 * a - width), 2.0 * a, 2.0 * a + width)
+    norm = 8.0 * a**3
+    total = 0.0
+    for lo, hi in zip(edges, edges[1:]):
+        val, err = quad(integrand, lo, hi, epsabs=1e-14 * norm, epsrel=1e-13, limit=500)
+        assert err <= 1e-12 * norm
+        total += val
+    return total / norm
+
+
+def test_weight_kernel_matches_tight_reference():
+    a = np.logspace(-4, 6, 51)
+    w = _bessel_weights(a)
+    ref = np.array([_bessel_ratio_weight_tight(v) for v in a])
+    quadrature = a > _SMALL_A
+    assert quadrature.sum() == 50  # only a = 1e-4 takes the series
+    assert np.max(np.abs(w - ref)[quadrature]) <= 1e-12
+    # the series' third-order remainder at its boundary is about 1.2e-11
+    assert np.max(np.abs(w - ref)[~quadrature]) <= 2e-11
+
+
+def test_weight_kernel_vector_matches_scalar_wrappers():
+    a = np.concatenate([[0.0, 1e-6, _SMALL_A], np.logspace(-3, 5, 17)])
+    w = _bessel_weights(a)
+    np.testing.assert_array_equal(w, [bessel_ratio_weight(v) for v in a])
+    with pytest.raises(ValueError):
+        _bessel_weights(np.array([1.0, -1e-3]))
+    with pytest.raises(ValueError):
+        bessel_ratio_excess(-1.0)
+
+
+def test_weight_gate_rejects_a_coarse_rule(monkeypatch):
+    # one panel per side leaves the G7 and K15 sums far apart
+    monkeypatch.setattr("framepr.estimation._PANELS", 1)
+    with pytest.raises(QuadratureError):
+        bessel_ratio_weight(1.0)
+    with pytest.raises(QuadratureError):
+        fisher_coefficient_noise(random_frame(2, 6, seed=1), np.array([1.0, 0.5j]), 0.5)
+    # the series branch runs no quadrature, so the gate cannot reach it
+    assert bessel_ratio_weight(_SMALL_A) == np.exp(-_SMALL_A) * (2.0 + 4.0 * _SMALL_A**2)
+
+
 def test_weight_decreases_towards_one():
     vals = [bessel_ratio_weight(a) for a in (0.01, 0.1, 1.0, 10.0, 100.0)]
     assert all(v1 > v2 for v1, v2 in zip(vals, vals[1:]))
@@ -224,13 +276,18 @@ def test_zero_measurement_rule_is_shared(monkeypatch, z, zeros):
     rho = 0.7
     seen = []
 
-    def recording_excess(a):
-        seen.append(a)
-        return bessel_ratio_excess(a)
+    def recording_weights(a):
+        seen.append(a.copy())
+        return _bessel_weights(a)
 
-    monkeypatch.setattr("framepr.estimation.bessel_ratio_excess", recording_excess)
+    monkeypatch.setattr("framepr.estimation._bessel_weights", recording_weights)
     fi = fisher_coefficient_noise(frame, np.array(z), rho)
-    assert seen == [s[k] / rho**2 for k in kept]  # the other terms take 4/rho^4
+    monkeypatch.undo()
+    # one kernel call, on exactly the kept terms; the other terms take 4/rho^4
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0], [s[k] / rho**2 for k in kept])
+    # the kernel is elementwise in its argument, so the vector pass equals the
+    # per-term scalar excess bit for bit
     w = np.full(frame.m, 4.0 / rho**4)
     w[kept] = [(4.0 / rho**2) * bessel_ratio_excess(s[k] / rho**2) / s[k] for k in kept]
     np.testing.assert_array_equal(fi.matrix, 0.5 * ((Z * w) @ Z.T + ((Z * w) @ Z.T).T))

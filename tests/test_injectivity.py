@@ -611,6 +611,12 @@ def test_sampled_bounds_upper_bounded_by_frame_bound():
     assert 0 < report.a0 <= report.b0
 
 
+@pytest.mark.parametrize("samples", [-1, 0, 1])
+def test_sampled_bounds_reject_too_few_samples(samples):
+    with pytest.raises(ValueError, match="samples"):
+        sampled_stability_bounds(random_frame(2, 6, seed=0), samples=samples)
+
+
 def test_sampled_bounds_expose_non_retrievable():
     # orthonormal basis of C^2 is not retrievable; the sampled magnitude-map
     # lower ratio collapses next to a certified frame's margin
