@@ -92,6 +92,8 @@ def _cmd_frame(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     if args.frame_verb == "gen":
+        if args.n < 1 or args.m < 1:
+            raise ConfigError(f"--n and --m must be >= 1, got n={args.n} m={args.m}")
         frame = random_frame(args.n, args.m, args.ensemble, args.seed)
         save_frame(frame, args.out)
         print(f"wrote {args.ensemble} frame n={args.n} m={args.m} seed={args.seed} to {args.out}")

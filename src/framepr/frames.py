@@ -120,6 +120,8 @@ def make_frame(vectors, field: str | None = None) -> Frame:
     if not (np.all(np.isfinite(V.real)) and np.all(np.isfinite(V.imag))):
         raise ValueError("frame vectors must be finite")
     m, n = V.shape
+    if n < 1:
+        raise ValueError(f"frame vectors need dimension n >= 1, got n={n}")
     if m < n:
         raise RankDeficient(f"need m >= n vectors, got m={m}, n={n}")
     if field is None:
@@ -214,6 +216,8 @@ def random_frame(n: int, m: int, ensemble: str = "gaussian", seed=0) -> Frame:
     "uniform_sphere": gaussian rows rescaled to norm sqrt(n) exactly.
     "real_gaussian": real N(0, 1) entries, real-tagged.
     """
+    if n < 1:
+        raise ValueError(f"need dimension n >= 1, got n={n}")
     if m < n:
         raise RankDeficient(f"need m >= n, got m={m}, n={n}")
     rng = rng_from_seed(seed)

@@ -11,6 +11,7 @@ phase-quotient metrics.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -30,6 +31,8 @@ from .linalg import cg_solve, hermitian_eig
 from .metrics import outer_distance, quotient_distance
 
 _TIE_TOL = 1e-12
+
+logger = logging.getLogger("framepr")
 
 
 def _values(y) -> np.ndarray:
@@ -69,6 +72,16 @@ class ReconResult:
             "d1_error": self.d1_error,
             "flags": list(self.flags),
         }
+
+
+def _check_budgets(**budgets) -> None:
+    """Iteration budgets are positive integers; a float or a bool would pass
+    a bare ``< 1`` test and then fail (or silently count) inside ``range``."""
+    for name, value in budgets.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < 1:
+            raise ValueError(f"{name} must be positive, got {value}")
 
 
 def _attach_errors(result: ReconResult, x_true) -> ReconResult:
@@ -143,8 +156,7 @@ class PhaseLiftOptions:
     def __post_init__(self):
         if not (0.0 < self.lambda_decay < 1.0):
             raise ValueError("lambda_decay must lie in (0, 1)")
-        if self.max_outer < 1 or self.inner_max < 1:
-            raise ValueError("iteration budgets must be positive")
+        _check_budgets(max_outer=self.max_outer, inner_max=self.inner_max)
         if self.tol <= 0 or self.l1_delta <= 0 or self.lambda_min < 0:
             raise ValueError("tolerances must be positive")
         if self.fit not in ("l2", "l1_reweighted"):
@@ -174,6 +186,14 @@ def phaselift(frame: Frame, y, opts: PhaseLiftOptions | None = None, x_true=None
     y = 0), so no weight outgrows the data scale and sets the step size
     alone.  The vector estimate is the principal eigenvector scaled by the
     square root of the principal eigenvalue.
+
+    A stage stops when its step satisfies ||X_new - X_prev||_F <=
+    s * max(1, ||X_new||_F).  The final stage (the lambda_min stage, or the
+    last one ``max_outer`` allows) uses s = tol; every earlier stage only
+    warm-starts the next, so it uses the looser s = max(tol, sqrt(tol))
+    (inexact continuation).  ``converged`` means the lambda_min stage met
+    tol.  ``diagnostics["stage_iterations"]`` lists the FISTA steps of each
+    stage, and each solve logs them at DEBUG level on the "framepr" logger.
     """
     opts = opts or PhaseLiftOptions()
     y = _values(y)
@@ -181,6 +201,7 @@ def phaselift(frame: Frame, y, opts: PhaseLiftOptions | None = None, x_true=None
     G = frame.lifted_gram
     A = frame.lifted_rows
     tol_sq = opts.tol * opts.tol
+    warm_tol_sq = max(opts.tol, math.sqrt(opts.tol)) ** 2
     y_norm = float(np.linalg.norm(y))
     lam0 = opts.lambda0 if opts.lambda0 is not None else 0.1 * y_norm
     delta = opts.l1_delta * (y_norm / m if y_norm > 0.0 else 1.0)
@@ -188,7 +209,7 @@ def phaselift(frame: Frame, y, opts: PhaseLiftOptions | None = None, x_true=None
     X = np.zeros((n, n), dtype=complex)
     lam_reg = lam0
     trace_log: list[float] = []
-    iterations = 0
+    stage_iterations: list[int] = []
     converged = False
     if y_norm == 0.0 and lam0 == 0.0:
         lam_reg = 1.0  # pure feasibility at y = 0; any positive shrink gives X = 0
@@ -203,10 +224,12 @@ def phaselift(frame: Frame, y, opts: PhaseLiftOptions | None = None, x_true=None
         H = np.eye(n * n) - AwT @ A
         c = AwT @ y
         shrink = lam_reg / L
+        final = lam_reg <= opts.lambda_min or outer == opts.max_outer - 1
+        stage_tol_sq = tol_sq if final else warm_tol_sq
         Y = X
         t_m = 1.0
         X_prev = X
-        for _ in range(opts.inner_max):
+        for steps in range(1, opts.inner_max + 1):
             X_new = _psd_trace_prox((H @ Y.ravel() + c).reshape(n, n), shrink)
             D = X_new - X_prev
             if np.vdot(Y - X_new, D).real > 0.0:
@@ -216,10 +239,10 @@ def phaselift(frame: Frame, y, opts: PhaseLiftOptions | None = None, x_true=None
                 Y = X_new + ((t_m - 1.0) / t_new) * D
             step_sq = np.vdot(D, D).real
             X_prev, X, t_m = X_new, X_new, t_new
-            iterations += 1
-            met_tol = step_sq <= tol_sq * max(1.0, np.vdot(X_new, X_new).real)
+            met_tol = step_sq <= stage_tol_sq * max(1.0, np.vdot(X_new, X_new).real)
             if met_tol:
                 break
+        stage_iterations.append(steps)
         r = lifted_map(frame, X) - y
         trace_log.append(float(np.linalg.norm(r)))
         if lam_reg <= opts.lambda_min:
@@ -228,6 +251,11 @@ def phaselift(frame: Frame, y, opts: PhaseLiftOptions | None = None, x_true=None
         lam_reg = max(lam_reg * opts.lambda_decay, opts.lambda_min)
         if lam_reg < 1e-13 * max(lam0, 1.0):
             lam_reg = opts.lambda_min
+    iterations = sum(stage_iterations)
+    logger.debug(
+        "phaselift n=%d m=%d fit=%s: %d steps over %d stages %s, final lambda %.3g, converged %s",
+        n, m, opts.fit, iterations, len(stage_iterations), stage_iterations, lam_stage, converged,
+    )
     dec = hermitian_eig(X)
     lam1 = float(dec.eigenvalues[0])
     e1 = dec.eigenvectors[:, 0]
@@ -240,7 +268,11 @@ def phaselift(frame: Frame, y, opts: PhaseLiftOptions | None = None, x_true=None
         residual=trace_log[-1],
         converged=converged,
         trace=trace_log,
-        diagnostics={"rank_one_gap": rank_one_gap, "lambda_final": lam_stage},
+        diagnostics={
+            "rank_one_gap": rank_one_gap,
+            "lambda_final": lam_stage,
+            "stage_iterations": stage_iterations,
+        },
     )
     return _attach_errors(result, x_true)
 
@@ -256,8 +288,9 @@ class GSOptions:
     x0: Optional[np.ndarray] = None  # overrides the spectral start
 
     def __post_init__(self):
-        if self.max_iter < 1 or self.tol <= 0:
-            raise ValueError("max_iter and tol must be positive")
+        _check_budgets(max_iter=self.max_iter)
+        if self.tol <= 0:
+            raise ValueError("tol must be positive")
 
 
 def gerchberg_saxton(frame: Frame, y, opts: GSOptions | None = None, x_true=None) -> ReconResult:
@@ -375,8 +408,9 @@ class WirtingerOptions:
     def __post_init__(self):
         if not (0.0 < self.mu_max <= 1.0) or self.tau0 <= 0:
             raise ValueError("mu_max must lie in (0, 1] and tau0 be positive")
-        if self.max_iter < 1 or self.tol <= 0:
-            raise ValueError("max_iter and tol must be positive")
+        _check_budgets(max_iter=self.max_iter)
+        if self.tol <= 0:
+            raise ValueError("tol must be positive")
 
 
 def wirtinger_flow(frame: Frame, y, opts: WirtingerOptions | None = None, x_true=None) -> ReconResult:
@@ -449,8 +483,7 @@ class IRLSOptions:
             raise ValueError("rho must lie in (0, 1) and gamma in (0, 1]")
         if self.mu_min <= 0 or self.lambda_min < 0 or self.cg_tol <= 0:
             raise ValueError("mu_min, lambda_min, cg_tol must be positive")
-        if self.max_outer < 1:
-            raise ValueError("max_outer must be positive")
+        _check_budgets(max_outer=self.max_outer)
         if self.eps is not None and self.eps <= 0:
             raise ValueError("eps must be positive when given")
         if self.snr_target is not None and self.snr_target <= 0:

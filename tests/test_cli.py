@@ -167,6 +167,10 @@ def test_exit_code_bad_solver_options(tmp_path, alg):
         ("recon", {"algorithms": [{"name": "phaselift", "options": {"max_outer": True, "inner_max": True}}]}),
         ("recon", {"algorithms": [{"name": "wirtinger_flow", "options": {"max_iter": True}}]}),
         ("recon", {"algorithms": [{"name": "irls", "options": {"max_outer": True}}]}),
+        ("recon", {"algorithms": [{"name": "phaselift", "options": {"max_outer": 2.5}}]}),
+        ("recon", {"algorithms": [{"name": "gerchberg_saxton", "options": {"max_iter": 50.5}}]}),
+        ("recon", {"algorithms": [{"name": "wirtinger_flow", "options": {"max_iter": 1e3}}]}),
+        ("recon", {"algorithms": [{"name": "irls", "options": {"max_outer": 40.0}}]}),
         ("recon", {"options": {"n_start": 3}}),
         ("recon", {"options": {"eps0": 0.5}}),
         ("recon", None),  # the whole file is a JSON list
@@ -192,6 +196,9 @@ def test_exit_code_bad_config_values(tmp_path, verb, patch):
         ("frame", "check", "{path}", "--certify", "--budget", "-5"),
         ("frame", "check", "{path}", "--certify", "--seed", "-1"),
         ("frame", "gen", "--n", "2", "--m", "6", "--seed", "-1", "--out", "{path}"),
+        ("frame", "gen", "--n", "0", "--m", "3", "--out", "{path}"),
+        ("frame", "gen", "--n", "-1", "--m", "3", "--out", "{path}"),
+        ("frame", "gen", "--n", "1", "--m", "0", "--out", "{path}"),
         ("bounds", "{path}", "--samples", "0"),
         ("bounds", "{path}", "--starts", "-1"),
     ],

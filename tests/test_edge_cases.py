@@ -40,6 +40,14 @@ def test_options_validation():
         IRLSOptions(rho=1.0)
     with pytest.raises(ValueError):
         IRLSOptions(eps=-1.0)
+    # iteration budgets must be integers; bool is an int subclass but not a count
+    for cls, budget in ((PhaseLiftOptions, "max_outer"), (PhaseLiftOptions, "inner_max"),
+                        (GSOptions, "max_iter"), (WirtingerOptions, "max_iter"),
+                        (IRLSOptions, "max_outer")):
+        for bad in (2.5, 3.0, True, "3", None):
+            with pytest.raises(ValueError, match=budget):
+                cls(**{budget: bad})
+        assert getattr(cls(**{budget: np.int64(3)}), budget) == 3
 
 
 def test_measurement_vector_array_protocol():

@@ -143,6 +143,14 @@ def test_random_frame_determinism():
     np.testing.assert_array_equal(f1.vectors, f2.vectors)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_frames_need_positive_dimension(n):
+    with pytest.raises(ValueError, match="n >= 1"):
+        random_frame(n, 3)
+    with pytest.raises(ValueError, match="n >= 1"):
+        make_frame(np.zeros((3, 0)))
+
+
 def test_random_frame_uniform_sphere_norms():
     frame = random_frame(5, 12, "uniform_sphere", seed=1)
     np.testing.assert_allclose(np.linalg.norm(frame.vectors, axis=1) ** 2, 5.0, atol=1e-12)

@@ -69,6 +69,12 @@ def test_load_config_defaults():
         {"algorithms": [{"name": "phaselift", "options": {"max_outer": True, "inner_max": True}}]},
         {"algorithms": [{"name": "wirtinger_flow", "options": {"max_iter": True}}]},
         {"algorithms": [{"name": "irls", "options": {"max_outer": True}}]},
+        # iteration budgets are integers: range() would reject a float later
+        {"algorithms": [{"name": "phaselift", "options": {"max_outer": 2.5}}]},
+        {"algorithms": [{"name": "phaselift", "options": {"inner_max": 100.0}}]},
+        {"algorithms": [{"name": "gerchberg_saxton", "options": {"max_iter": 50.5}}]},
+        {"algorithms": [{"name": "wirtinger_flow", "options": {"max_iter": 1e3}}]},
+        {"algorithms": [{"name": "irls", "options": {"max_outer": 40.0}}]},
         {"algorithms": [{"name": "irls", "options": [1]}]},
         # task options are samples/n_starts/budget/n_cap/partition_cap only
         {"options": {"n_start": 3}},

@@ -114,18 +114,23 @@ def test_phaselift_converged_on_last_allowed_step(inner_max):
 
 def _phaselift_reference(frame, y, opts):
     """PhaseLift with the lifted map and its adjoint applied on every step;
-    returns (X_hat, iterations, converged, trace length)."""
+    returns (X_hat, steps per stage, converged, trace length)."""
     n, m = frame.n, frame.m
     lam0 = opts.lambda0 if opts.lambda0 is not None else 0.1 * float(np.linalg.norm(y))
     w = np.ones(m)
     X = np.zeros((n, n), dtype=complex)
     delta = opts.l1_delta * np.linalg.norm(y) / m
-    lam_reg, trace_len, iterations, converged = lam0, 0, 0, False
+    lam_reg, trace_len, stage_steps, converged = lam0, 0, [], False
     for outer in range(opts.max_outer):
         if opts.fit == "l1_reweighted" and outer > 0:
             w = 1.0 / np.maximum(np.abs(lifted_map(frame, X) - y), delta)
         L = 2.0 * float(np.linalg.eigvalsh(frame.lifted_gram * np.sqrt(np.outer(w, w)))[-1])
+        # warm-start stages stop at sqrt(tol); the lambda_min stage, or the
+        # last one max_outer allows, runs to tol
+        final = lam_reg <= opts.lambda_min or outer == opts.max_outer - 1
+        stage_tol = opts.tol if final else max(opts.tol, np.sqrt(opts.tol))
         Y, t_m, X_prev = X, 1.0, X
+        stage_steps.append(0)
         for _ in range(opts.inner_max):
             grad = 2.0 * lifted_map_adjoint(frame, w * (lifted_map(frame, Y) - y))
             Z = Y - grad / L
@@ -138,8 +143,8 @@ def _phaselift_reference(frame, y, opts):
                 Y = X_new + ((t_m - 1.0) / t_new) * (X_new - X_prev)
             step = np.linalg.norm(X_new - X_prev)
             X_prev, X, t_m = X_new, X_new, t_new
-            iterations += 1
-            met_tol = step <= opts.tol * max(1.0, np.linalg.norm(X_new))
+            stage_steps[-1] += 1
+            met_tol = step <= stage_tol * max(1.0, np.linalg.norm(X_new))
             if met_tol:
                 break
         trace_len += 1
@@ -149,25 +154,37 @@ def _phaselift_reference(frame, y, opts):
         lam_reg = max(lam_reg * opts.lambda_decay, opts.lambda_min)
         if lam_reg < 1e-13 * max(lam0, 1.0):
             lam_reg = opts.lambda_min
-    return X, iterations, converged, trace_len
+    return X, stage_steps, converged, trace_len
+
+
+# the truncated schedule is the one the acceptance CLI config runs: it never
+# reaches lambda_min, so its 8th stage is the one that runs to tol
+_REFERENCE_CASES = [(3, 14, 0), (3, 18, 1), (4, 24, 2), (5, 30, 3)]
+_TRUNCATED = {"max_outer": 8, "inner_max": 100}
 
 
 @pytest.mark.parametrize("fit", ["l2", "l1_reweighted"])
-@pytest.mark.parametrize("n, m, seed", [(3, 14, 0), (3, 18, 1), (4, 24, 2), (5, 30, 3)])
-def test_phaselift_matches_per_step_reference(fit, n, m, seed):
+@pytest.mark.parametrize(
+    "n, m, seed, schedule",
+    [pytest.param(*case, {}, id="-".join(map(str, case))) for case in _REFERENCE_CASES]
+    + [pytest.param(*case, _TRUNCATED, id="-".join(map(str, case)) + "-truncated")
+       for case in _REFERENCE_CASES],
+)
+def test_phaselift_matches_per_step_reference(fit, n, m, seed, schedule):
     frame = random_frame(n, m, "gaussian", seed=[130, seed])
     x = unit_signal(n, seed)
     y = intensity_map(frame, x).values
     if fit == "l1_reweighted":
         y = y + 0.01 * rng_from_seed([131, seed]).normal(size=m)
-    opts = PhaseLiftOptions(fit=fit)
+    opts = PhaseLiftOptions(fit=fit, **schedule)
     result = phaselift(frame, y, opts)
-    X_ref, iterations, converged, trace_len = _phaselift_reference(frame, y, opts)
+    X_ref, stage_steps, converged, trace_len = _phaselift_reference(frame, y, opts)
     # the reweighting divides by the residuals, so a one-ulp change of y
     # already moves the l1_reweighted reference by up to 4e-12 relative
     rtol = 1e-12 if fit == "l2" else 1e-10
     assert np.linalg.norm(result.X_hat - X_ref) <= rtol * np.linalg.norm(X_ref)
-    assert result.iterations == iterations
+    assert result.iterations == sum(stage_steps)
+    assert result.diagnostics["stage_iterations"] == stage_steps
     assert result.converged == converged
     assert len(result.trace) == trace_len
 
@@ -175,9 +192,14 @@ def test_phaselift_matches_per_step_reference(fit, n, m, seed):
 def test_phaselift_default_noiseless_solves_converge():
     # the default schedule reaches its lambda_min stage, which meets the
     # tolerance; plain_fista_steps is the same solve with FISTA momentum that
-    # never restarts, and the gradient restart needs under half of it
+    # never restarts, and the gradient restart needs under half of it;
+    # all_stages_to_tol_steps is the restarted solve with every stage run to
+    # tol, and stopping the warm-start stages at sqrt(tol) needs under half
+    # of that
     opts = PhaseLiftOptions()
-    for seed, plain_fista_steps in enumerate((3038, 3731, 3119, 3490)):
+    for seed, (plain_fista_steps, all_stages_to_tol_steps) in enumerate(
+        ((3038, 1025), (3731, 1428), (3119, 1088), (3490, 1223))
+    ):
         frame = random_frame(4, 24, "gaussian", seed=[132, seed])
         x = unit_signal(4, seed)
         result = phaselift(frame, intensity_map(frame, x), x_true=x)
@@ -186,6 +208,23 @@ def test_phaselift_default_noiseless_solves_converge():
         assert len(result.trace) == opts.max_outer
         assert result.diagnostics["lambda_final"] == opts.lambda_min
         assert result.iterations < plain_fista_steps / 2
+        assert result.iterations < all_stages_to_tol_steps / 2
+
+
+def test_phaselift_reports_steps_per_stage(caplog):
+    frame = random_frame(3, 12, "gaussian", seed=6)
+    y = intensity_map(frame, unit_signal(3, 6))
+    opts = PhaseLiftOptions(max_outer=5)
+    with caplog.at_level("DEBUG", logger="framepr"):
+        result = phaselift(frame, y, opts)
+    stages = result.diagnostics["stage_iterations"]
+    assert len(stages) == len(result.trace) == opts.max_outer
+    assert all(isinstance(k, int) and 1 <= k <= opts.inner_max for k in stages)
+    assert sum(stages) == result.iterations
+    records = [r.getMessage() for r in caplog.records if r.name == "framepr"]
+    assert len(records) == 1
+    assert str(stages) in records[0] and f"{result.iterations} steps" in records[0]
+    assert "stage_iterations" not in result.to_dict()
 
 
 def test_phaselift_lambda_final_is_last_stage():
