@@ -1,14 +1,16 @@
 """Command-line entry points.
 
 Verbs: ``frame gen|check``, ``bounds``, ``crlb``, ``recon``, ``sweep``,
-``report``.  Exit codes: 0 success, 2 config error, 3 component failure,
-4 budget exceeded.
+``report``.  ``-v`` prints the library's DEBUG log records to stderr.  Exit
+codes: 0 success, 2 config error, 3 component failure, 4 budget exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import logging
 import sys
 
 from .errors import BudgetExceeded, ConfigError, FramePRError
@@ -31,6 +33,8 @@ EXIT_BUDGET = 4
 
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="framepr", description=__doc__)
+    p.add_argument("-v", "--verbose", action="store_true",
+                   help="print the library's DEBUG log records to stderr")
     sub = p.add_subparsers(dest="verb", required=True)
 
     frame = sub.add_parser("frame", help="generate or check measurement frames")
@@ -100,7 +104,10 @@ def _cmd_frame(args) -> int:
         return EXIT_OK
     if args.certify and args.budget < 1:
         raise ConfigError(f"--budget must be >= 1, got {args.budget}")
-    frame = load_frame(args.path)
+    try:
+        frame = load_frame(args.path)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad frame file: {type(exc).__name__}: {exc}") from exc
     payload = {"n": frame.n, "m": frame.m, "field": frame.field, "valid": True}
     if args.full_spark:
         payload["full_spark"] = is_full_spark(frame)
@@ -174,27 +181,44 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
+@contextlib.contextmanager
+def _debug_log_to_stderr():
+    """Print the "framepr" logger's records, DEBUG and up, to stderr inside the block."""
+    logger = logging.getLogger("framepr")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(name)s %(levelname)s: %(message)s"))
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    try:
-        if args.verb == "frame":
-            return _cmd_frame(args)
-        if args.verb == "bounds":
-            return _cmd_bounds(args)
-        if args.verb in ("crlb", "recon", "sweep"):
-            return _cmd_task(args, "reconstruct" if args.verb == "recon" else args.verb)
-        if args.verb == "report":
-            return _cmd_report(args)
-        raise ConfigError(f"unknown verb {args.verb!r}")  # pragma: no cover
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except BudgetExceeded as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except FramePRError as exc:
-        print(f"component failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_COMPONENT
+    with _debug_log_to_stderr() if args.verbose else contextlib.nullcontext():
+        try:
+            if args.verb == "frame":
+                return _cmd_frame(args)
+            if args.verb == "bounds":
+                return _cmd_bounds(args)
+            if args.verb in ("crlb", "recon", "sweep"):
+                return _cmd_task(args, "reconstruct" if args.verb == "recon" else args.verb)
+            if args.verb == "report":
+                return _cmd_report(args)
+            raise ConfigError(f"unknown verb {args.verb!r}")  # pragma: no cover
+        except (ConfigError, OSError, json.JSONDecodeError) as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except BudgetExceeded as exc:
+            print(f"budget exceeded: {exc}", file=sys.stderr)
+            return EXIT_BUDGET
+        except FramePRError as exc:
+            print(f"component failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return EXIT_COMPONENT
 
 
 if __name__ == "__main__":  # pragma: no cover

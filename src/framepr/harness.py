@@ -218,6 +218,10 @@ def _strip_volatile(obj):
 
 
 def report_from_dict(data: dict) -> Report:
+    """Rebuild a Report from its JSON form; anything that is not an object
+    with a 'config' object and a 'task' is a ConfigError."""
+    if not isinstance(data, dict) or not isinstance(data.get("config"), dict) or "task" not in data:
+        raise ConfigError("not a report: expected an object with a 'config' object and a 'task'")
     return Report(
         config=data["config"],
         task=data["task"],

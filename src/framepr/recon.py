@@ -163,6 +163,17 @@ class PhaseLiftOptions:
             raise ValueError(f"unknown fit mode {self.fit!r}")
 
 
+def _step_operator(frame: Frame, w: np.ndarray, y: np.ndarray):
+    """(L, H, c) of the weighted gradient step: L = 2 lambda_max(W^1/2 G W^1/2)
+    is the step's Lipschitz constant and Y - (2/L) A*(w (A(Y) - y)) =
+    H vec(Y) + c."""
+    A = frame.lifted_rows
+    L = 2.0 * float(np.linalg.eigvalsh(frame.lifted_gram * np.sqrt(np.outer(w, w)))[-1])
+    L = max(L, np.finfo(float).tiny)
+    AwT = A.conj().T * ((2.0 / L) * w)
+    return L, np.eye(frame.n * frame.n) - AwT @ A, AwT @ y
+
+
 def _psd_trace_prox(Z: np.ndarray, shrink: float) -> np.ndarray:
     dec = hermitian_eig(Z)
     lam = np.maximum(dec.eigenvalues - shrink, 0.0)
@@ -175,8 +186,9 @@ def phaselift(frame: Frame, y, opts: PhaseLiftOptions | None = None, x_true=None
     Solves min_{X >= 0} sum_k w_k (A(X) - y)_k^2 + lambda trace(X) with FISTA
     steps (gradient of the smooth part, then eigenvalue shrink-and-clip), and
     geometric continuation of lambda down to ``lambda_min`` (a final stage at
-    lambda_min itself).  The weights are fixed within a stage, so each
-    stage's gradient step Y - grad/L is one precomputed affine map on vec(Y).
+    lambda_min itself).  The gradient step Y - grad/L is one affine map on
+    vec(Y), precomputed once per weight vector: once per solve for fit "l2",
+    whose weights are all ones, and once per stage for "l1_reweighted".
     The momentum uses the gradient restart of O'Donoghue and Candes: when
     <Y - X_new, X_new - X_prev> > 0 the momentum points uphill, so t falls
     back to 1 and the next step starts from X_new.
@@ -198,8 +210,6 @@ def phaselift(frame: Frame, y, opts: PhaseLiftOptions | None = None, x_true=None
     opts = opts or PhaseLiftOptions()
     y = _values(y)
     n, m = frame.n, frame.m
-    G = frame.lifted_gram
-    A = frame.lifted_rows
     tol_sq = opts.tol * opts.tol
     warm_tol_sq = max(opts.tol, math.sqrt(opts.tol)) ** 2
     y_norm = float(np.linalg.norm(y))
@@ -213,16 +223,12 @@ def phaselift(frame: Frame, y, opts: PhaseLiftOptions | None = None, x_true=None
     converged = False
     if y_norm == 0.0 and lam0 == 0.0:
         lam_reg = 1.0  # pure feasibility at y = 0; any positive shrink gives X = 0
+    L, H, c = _step_operator(frame, w, y)
     for outer in range(opts.max_outer):
         lam_stage = lam_reg
         if opts.fit == "l1_reweighted" and outer > 0:
             w = 1.0 / np.maximum(np.abs(r), delta)
-        L = 2.0 * float(np.linalg.eigvalsh(G * np.sqrt(np.outer(w, w)))[-1])
-        L = max(L, np.finfo(float).tiny)
-        # Y - (2/L) A*(w (A(Y) - y)) = H vec(Y) + c
-        AwT = A.conj().T * ((2.0 / L) * w)
-        H = np.eye(n * n) - AwT @ A
-        c = AwT @ y
+            L, H, c = _step_operator(frame, w, y)
         shrink = lam_reg / L
         final = lam_reg <= opts.lambda_min or outer == opts.max_outer - 1
         stage_tol_sq = tol_sq if final else warm_tol_sq

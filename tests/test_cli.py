@@ -15,6 +15,14 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+_REAL_FRAME = {
+    "n": 2,
+    "m": 3,
+    "field": "real",
+    "vectors": [[[1, 0], [0, 0]], [[0, 0], [1, 0]], [[1, 0], [1, 0]]],
+}
+
+
 def test_frame_gen_and_check(tmp_path):
     path = tmp_path / "frame.json"
     assert run_cli("frame", "gen", "--n", "2", "--m", "6", "--seed", "5", "--out", str(path)) == 0
@@ -28,16 +36,7 @@ def test_frame_gen_and_check(tmp_path):
 
 def test_frame_check_certify_real(tmp_path):
     path = tmp_path / "frame.json"
-    path.write_text(
-        json.dumps(
-            {
-                "n": 2,
-                "m": 3,
-                "field": "real",
-                "vectors": [[[1, 0], [0, 0]], [[0, 0], [1, 0]], [[1, 0], [1, 0]]],
-            }
-        )
-    )
+    path.write_text(json.dumps(_REAL_FRAME))
     out = tmp_path / "cert.json"
     assert run_cli("frame", "check", str(path), "--certify", "--out", str(out)) == 0
     cert = json.loads(out.read_text())["certificate"]
@@ -233,6 +232,49 @@ def test_exit_code_component_failure(tmp_path):
         )
     )
     assert run_cli("frame", "check", str(path)) == 3
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 0, "m": 3, "vectors": [[], [], []]}',  # ValueError: not [re, im] pairs
+        '{"n": 2, "m": 2, "vectors": [[[NaN, 0], [0, 0]], [[0, 0], [1, 0]]]}',  # not finite
+        '{"n": 2, "m": 2}',  # KeyError
+        "[1, 2]",  # TypeError
+    ],
+)
+def test_frame_check_malformed_file_is_config_error(tmp_path, capsys, text):
+    path = tmp_path / "frame.json"
+    path.write_text(text)
+    assert run_cli("frame", "check", str(path)) == 2
+    assert capsys.readouterr().err.startswith("config error: bad frame file")
+
+
+@pytest.mark.parametrize("data", [[1, 2], {}, {"config": {}}, {"task": "reconstruct"},
+                                  {"config": [], "task": "reconstruct"}])
+def test_report_on_non_report_is_config_error(tmp_path, capsys, data):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(data))
+    assert run_cli("report", str(path)) == 2
+    assert capsys.readouterr().err.startswith("config error: not a report")
+
+
+def test_verbose_prints_debug_records_without_stacking(tmp_path, capsys):
+    import logging
+
+    path = tmp_path / "frame.json"
+    path.write_text(json.dumps(_REAL_FRAME))
+    logger = logging.getLogger("framepr")
+    handlers, level = list(logger.handlers), logger.level
+    argv = ("frame", "check", str(path), "--certify")
+    assert run_cli(*argv) == 0
+    assert "bipartition scan" not in capsys.readouterr().err
+    for _ in range(2):
+        assert run_cli("-v", *argv) == 0
+        assert capsys.readouterr().err.count("bipartition scan") == 1
+        assert logger.handlers == handlers and logger.level == level
+    assert run_cli(*argv) == 0
+    assert "bipartition scan" not in capsys.readouterr().err
 
 
 def test_import_leaves_slow_scipy_modules_unloaded():

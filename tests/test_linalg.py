@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import framepr.linalg as linalg_mod
 from framepr import (
     IndefiniteOperator,
+    NoConvergence,
     NotHermitian,
     cg_solve,
     hermitian_eig,
@@ -76,6 +78,40 @@ def test_eig_matches_argsort_reference(rng, n):
         w, v = _argsort_eig(M)
         np.testing.assert_array_equal(dec.eigenvalues, w)
         np.testing.assert_array_equal(dec.eigenvectors, v)
+
+
+@pytest.mark.parametrize(
+    "dtype", [np.float64, np.complex128, np.float32, np.complex64, np.int64]
+)
+@pytest.mark.parametrize("n", [0, 1, 4, 9])
+def test_eig_dtypes_match_numpy_eigh(rng, dtype, n):
+    # B + B* is exactly self-adjoint, so the symmetrization is the identity
+    # and the LAPACK call sees what np.linalg.eigh sees
+    B = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    if not np.issubdtype(dtype, np.complexfloating):
+        B = B.real * (10 if dtype is np.int64 else 1)
+    B = B.astype(dtype)
+    M = B + B.conj().T
+    dec = hermitian_eig(M)
+    w, v = np.linalg.eigh(M)
+    assert dec.eigenvalues.dtype == w.dtype and dec.eigenvectors.dtype == v.dtype
+    np.testing.assert_array_equal(dec.eigenvalues, w[::-1])
+    np.testing.assert_array_equal(dec.eigenvectors, v[:, ::-1])
+
+
+def test_eig_rejects_half_precision_as_numpy_eigh_does():
+    for eig in (np.linalg.eigh, hermitian_eig):
+        with pytest.raises(TypeError, match="unsupported in linalg"):
+            eig(np.eye(2, dtype=np.float16))
+
+
+def test_eig_lapack_failure_raises_no_convergence(monkeypatch):
+    def failing_routine(a, lower):
+        return np.zeros(a.shape[0]), np.zeros_like(a), 3
+
+    monkeypatch.setattr(linalg_mod, "_eig_routine", lambda dtype: failing_routine)
+    with pytest.raises(NoConvergence, match="info=3"):
+        hermitian_eig(np.eye(2))
 
 
 def test_eig_residual_and_orthonormality(rng):

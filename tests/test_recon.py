@@ -250,6 +250,22 @@ def test_phaselift_lifted_map_calls_per_stage(monkeypatch):
     assert len(calls) <= opts.max_outer + 2
 
 
+@pytest.mark.parametrize("fit", ["l2", "l1_reweighted"])
+def test_phaselift_builds_step_operator_once_per_weight_vector(monkeypatch, fit):
+    # L (one eigvalsh), H and c depend only on the weights: l2's are all ones
+    # for the whole solve, l1_reweighted's change at every stage
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: calls.append(1) or eigvalsh(*a))
+    frame = random_frame(4, 24, "gaussian", seed=5)
+    x = unit_signal(4, 5)
+    y = intensity_map(frame, x).values + 0.01 * rng_from_seed([142, 4]).normal(size=24)
+    result = phaselift(frame, y, PhaseLiftOptions(fit=fit))
+    stages = len(result.diagnostics["stage_iterations"])
+    assert stages > 1
+    assert len(calls) == (1 if fit == "l2" else stages)
+
+
 @pytest.mark.parametrize("n, seed", [(3, 0), (3, 1), (4, 0), (4, 1), (5, 0), (5, 1)])
 def test_phaselift_l1_noisy_solves_converge(n, seed):
     # the relative weight floor keeps L at the data scale, so every stage
