@@ -22,6 +22,7 @@ from .linalg import hermitian_eig, hermitian_part
 
 #: counter-based 64-bit generator used for every seeded draw in the package
 RNG_NAME = "philox"
+SPARK_TOL = 1e-10  # relative determinant below which is_full_spark sees dependence
 
 
 def rng_from_seed(seed) -> np.random.Generator:
@@ -186,11 +187,11 @@ def canonical_dual(frame: Frame) -> Frame:
     return make_frame(duals, field=frame.field)
 
 
-def is_full_spark(frame: Frame, tol: float = 1e-10, max_subsets: int = 10**6) -> bool:
+def is_full_spark(frame: Frame, max_subsets: int = 10**6) -> bool:
     """True when every n-subset of the frame is linearly independent.
 
-    Determinants are compared against tol times the product of the column
-    norms (Hadamard scale), so the test is invariant to rescaling.
+    Determinants are compared against SPARK_TOL times the product of the
+    column norms (Hadamard scale), so the test is invariant to rescaling.
     """
     m, n = frame.m, frame.n
     if comb(m, n) > max_subsets:
@@ -204,7 +205,7 @@ def is_full_spark(frame: Frame, tol: float = 1e-10, max_subsets: int = 10**6) ->
         scale = float(np.prod(norms[list(idx)]))
         if scale == 0.0:
             return False
-        if abs(np.linalg.det(sub)) <= tol * scale:
+        if abs(np.linalg.det(sub)) <= SPARK_TOL * scale:
             return False
     return True
 

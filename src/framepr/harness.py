@@ -48,9 +48,13 @@ _INT_OPTIONS = {"budget": (4_000_000, 1), "n_cap": (3, 1), "partition_cap": (24,
                 "n_starts": (64, 0), "samples": (2000, 2)}
 
 
-def _positive(value) -> bool:
+def _number(value) -> bool:
     # bool is an int subclass, so JSON true would pass as 1
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 < value < math.inf
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _positive(value) -> bool:
+    return _number(value) and 0 < value < math.inf
 
 
 def _integer(value) -> int:
@@ -148,6 +152,8 @@ def load_config(source) -> dict:
         values = sweep.get("values")
         if not isinstance(values, list) or not values or not all(map(_positive, values)):
             raise ConfigError(f"sweep.values must be a non-empty list of positive numbers, got {values!r}")
+        if len(set(values)) < len(values):
+            raise ConfigError(f"sweep.values repeats a value, so its seeded trials would rerun: {values!r}")
     elif cfg["task"] == "reconstruct" and level and not _positive(cfg["noise"].get(level)):
         raise ConfigError(f"{kind} noise requires a positive {level!r}")
     return cfg
@@ -217,12 +223,20 @@ def _strip_volatile(obj):
     return obj
 
 
+def _is_record(rec) -> bool:
+    """An algorithm name plus an error or the numbers compute_aggregates reads."""
+    return isinstance(rec, dict) and isinstance(rec.get("algorithm"), str) and (
+        "error" in rec or all(_number(rec.get(key)) for key in ("d2_rel", "residual", "iterations")))
+
+
 def report_from_dict(data: dict) -> Report:
-    """Rebuild a Report from its JSON form; anything that is not an object
-    with a 'config' object and a 'task' is a ConfigError."""
+    """Rebuild a Report from its JSON form.  It is a ConfigError unless data
+    is an object with a 'config' object and a 'task', the success threshold
+    is a positive number, every record passes ``_is_record``, the aggregates
+    are an object of objects and the tables a list of objects."""
     if not isinstance(data, dict) or not isinstance(data.get("config"), dict) or "task" not in data:
         raise ConfigError("not a report: expected an object with a 'config' object and a 'task'")
-    return Report(
+    report = Report(
         config=data["config"],
         task=data["task"],
         records=data.get("records", []),
@@ -232,6 +246,15 @@ def report_from_dict(data: dict) -> Report:
         artifact_version=data.get("artifact_version", ARTIFACT_VERSION),
         timestamp=data.get("timestamp", ""),
     )
+    if not _positive(report.config.get("success_threshold", 1e-5)):
+        raise ConfigError("not a report: config.success_threshold is not a positive number")
+    if not isinstance(report.records, list) or not all(map(_is_record, report.records)):
+        raise ConfigError("not a report: a record lacks an algorithm and an error or numeric results")
+    if not isinstance(report.aggregates, dict) or not all(isinstance(a, dict) for a in report.aggregates.values()):
+        raise ConfigError("not a report: aggregates are not an object of objects")
+    if not isinstance(report.tables, list) or not all(isinstance(row, dict) for row in report.tables):
+        raise ConfigError("not a report: tables are not a list of objects")
+    return report
 
 
 def load_report(path) -> Report:

@@ -51,6 +51,8 @@ _SCAN_CHUNK = 65536
 _PARTITION_BLOCK = 1 << 17  # nodes per block of the bipartition search
 _INCUMBENT_NODES = 16  # lowest-bound nodes per block completed into leaves
 _NET_BLOCK = 1 << 16  # rows per block while a Bloch net is built
+_MAX_ROUNDS = 16  # net refinements before a complex certificate is undecided
+_N_PROBES = 768  # random probes per covering-radius estimate
 # realified (-conj z_2, conj z_1) = xi @ _PERP for xi = realify(z_1, z_2)
 _PERP = np.array([[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0],
                   [0.0, 0.0, 0.0, -1.0], [0.0, 0.0, 1.0, 0.0]])
@@ -577,9 +579,7 @@ def certify_retrievable_complex(
     frame: Frame,
     budget: int = 4_000_000,
     seed: int = 0,
-    max_rounds: int = 16,
     n_cap: int = 3,
-    n_probes: int = 768,
 ) -> PRCertificate:
     """Certify complex phase retrievability over an eps-net of the sphere.
 
@@ -592,12 +592,11 @@ def certify_retrievable_complex(
     update b <- min(b, max_net lambda_1 + 2 b eps).  Whenever a round fails to
     certify, its worst direction is polished by alternating eigensolves into a
     candidate ambiguous pair; only a verified pair produces a
-    "not_retrievable" verdict.  Budget or round exhaustion yields "undecided".
-    ``budget``, ``max_rounds`` and ``n_probes`` must be at least 1.
+    "not_retrievable" verdict.  Budget exhaustion or _MAX_ROUNDS rounds yield
+    "undecided".  Covering radii use _N_PROBES probes; ``budget`` must be >= 1.
     """
-    for name, value in (("budget", budget), ("max_rounds", max_rounds), ("n_probes", n_probes)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     n = frame.n
     if n > n_cap:
         return PRCertificate(
@@ -623,13 +622,13 @@ def certify_retrievable_complex(
     nets = 0
     coef = None  # covering-law coefficient eps ~ coef / N^(1/quotient_dim)
     at_cap = False
-    for rnd in range(max_rounds):
+    for rnd in range(_MAX_ROUNDS):
         net = make_net(n_points, rnd)
         n_built = net.shape[0]
         lam3_min, lam1_max, xi_min = _scan_net(frame.phi, frame.jphi, net)
         nets += 1
         if n_built <= (1 << 18) or coef is None:
-            eps_hat = quotient_covering_radius(net, n_probes=n_probes, seed=seed + rnd)
+            eps_hat = quotient_covering_radius(net, n_probes=_N_PROBES, seed=seed + rnd)
             coef = eps_hat * n_built ** (1.0 / quotient_dim)
         else:
             # the lattice covering radius follows coef / N^(1/dim) closely;

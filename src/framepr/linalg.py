@@ -29,19 +29,19 @@ class EigDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def _kept(self, rank_tol: float) -> np.ndarray:
+    def _kept(self) -> np.ndarray:
         lam = self.eigenvalues
-        cutoff = rank_tol * np.max(np.abs(lam)) if lam.size else 0.0
+        cutoff = DEFAULT_RANK_TOL * np.max(np.abs(lam)) if lam.size else 0.0
         return np.abs(lam) > cutoff
 
     def rank(self) -> int:
         """Number of eigenvalues with |lam| > DEFAULT_RANK_TOL * max|lam|."""
-        return int(np.sum(self._kept(DEFAULT_RANK_TOL)))
+        return int(np.sum(self._kept()))
 
-    def pseudo_inverse(self, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-        """Moore-Penrose inverse; eigenvalues with |lam| <= rank_tol * max|lam| count as zero."""
+    def pseudo_inverse(self) -> np.ndarray:
+        """Moore-Penrose inverse; eigenvalues with |lam| <= DEFAULT_RANK_TOL * max|lam| count as zero."""
         lam = self.eigenvalues
-        inv = np.where(self._kept(rank_tol), 1.0 / np.where(lam == 0, 1.0, lam), 0.0)
+        inv = np.where(self._kept(), 1.0 / np.where(lam == 0, 1.0, lam), 0.0)
         out = (self.eigenvectors * inv) @ self.eigenvectors.conj().T
         return hermitian_part(out)
 
@@ -65,11 +65,6 @@ def _hermitian_defect(M: np.ndarray, tol: float) -> np.ndarray:
     return D
 
 
-def check_hermitian(M: np.ndarray, tol: float = DEFAULT_TOL) -> None:
-    """Raise NotHermitian when ||M - M*|| exceeds tol * max(||M||, 1) (Frobenius)."""
-    _hermitian_defect(np.asarray(M), tol)
-
-
 @functools.cache
 def _eig_routine(dtype: np.dtype):
     """The LAPACK divide-and-conquer routine np.linalg.eigh runs for ``dtype``;
@@ -89,11 +84,11 @@ def _eig_routine(dtype: np.dtype):
     raise TypeError(f"array type {dtype} is unsupported in linalg")
 
 
-def hermitian_eig(M: np.ndarray, tol: float = DEFAULT_TOL) -> EigDecomposition:
+def hermitian_eig(M: np.ndarray) -> EigDecomposition:
     """Full eigendecomposition of a self-adjoint matrix, sorted descending.
 
-    The input is symmetrized to M - (M - M*)/2 before factorization, reusing
-    the difference the self-adjointness check forms, so that roundoff-level
+    NotHermitian is raised when ||M - M*||_F > DEFAULT_TOL * max(||M||_F, 1);
+    the input is then symmetrized to M - (M - M*)/2, so that roundoff-level
     asymmetry never leaks into the spectrum.  The factorization calls
     LAPACK's ?heevd/?syevd on the lower triangle (``lower=1``) directly: the
     routine, triangle and precision ``np.linalg.eigh`` uses, so the result is
@@ -102,7 +97,7 @@ def hermitian_eig(M: np.ndarray, tol: float = DEFAULT_TOL) -> EigDecomposition:
     dtype.
     """
     M = np.asarray(M)
-    D = _hermitian_defect(M, tol)
+    D = _hermitian_defect(M, DEFAULT_TOL)
     S = M - 0.5 * D
     routine = _eig_routine(S.dtype)
     w, v, info = routine(S, lower=1)
@@ -114,12 +109,12 @@ def hermitian_eig(M: np.ndarray, tol: float = DEFAULT_TOL) -> EigDecomposition:
     return EigDecomposition(w[::-1], v[:, ::-1])
 
 
-def pseudo_inverse(M: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def pseudo_inverse(M: np.ndarray) -> np.ndarray:
     """Moore-Penrose inverse of a self-adjoint matrix via its spectrum.
 
-    Eigenvalues with |lam| <= rank_tol * max|lam| are treated as zero.
+    Eigenvalues with |lam| <= DEFAULT_RANK_TOL * max|lam| are treated as zero.
     """
-    return hermitian_eig(M).pseudo_inverse(rank_tol)
+    return hermitian_eig(M).pseudo_inverse()
 
 
 def cg_solve(
@@ -179,7 +174,7 @@ def power_method(
     (the last iterate is still returned).  Deterministic given ``seed``.
     """
     M = np.asarray(M)
-    check_hermitian(M, max(tol, DEFAULT_TOL))
+    _hermitian_defect(M, max(tol, DEFAULT_TOL))
     n = M.shape[0]
     rng = np.random.Generator(np.random.Philox(seed))
     v = rng.normal(size=n)

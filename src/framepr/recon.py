@@ -32,6 +32,18 @@ from .metrics import outer_distance, quotient_distance
 
 _TIE_TOL = 1e-12
 
+# fixed solver parameters, one set per solver; no caller tunes them
+PHASELIFT_TOL = 1e-10  # FISTA step test of the final stage
+L1_DELTA = 3e-2  # l1 weight floor, in units of ||y||_2 / m
+GS_TOL = 1e-12  # relative residual change that stops Gerchberg-Saxton
+WF_MU_MAX = 0.2  # Wirtinger step cap and ramp time (Candes, Li & Soltanolkotabi)
+WF_TAU0 = 330.0
+WF_TOL = 1e-9  # relative gradient norm that stops Wirtinger flow
+IRLS_RHO = 0.5  # initial ridge and coupling weights, in units of a1
+IRLS_GAMMA = 0.85  # per-step decay of both weights
+IRLS_MU_MIN = 1e-6  # coupling weight floor
+IRLS_EPS = 1e-10  # misfit stop, in units of ||y||^2
+
 logger = logging.getLogger("framepr")
 
 
@@ -150,15 +162,13 @@ class PhaseLiftOptions:
     fit: str = "l2"  # "l2" | "l1_reweighted"
     max_outer: int = 26  # 25 decays by 0.3 pass 1e-13 lambda0; the 26th stage runs at lambda_min
     inner_max: int = 400
-    tol: float = 1e-10
-    l1_delta: float = 3e-2  # l1 weight floor, in units of ||y||_2 / m
 
     def __post_init__(self):
         if not (0.0 < self.lambda_decay < 1.0):
             raise ValueError("lambda_decay must lie in (0, 1)")
         _check_budgets(max_outer=self.max_outer, inner_max=self.inner_max)
-        if self.tol <= 0 or self.l1_delta <= 0 or self.lambda_min < 0:
-            raise ValueError("tolerances must be positive")
+        if self.lambda_min < 0:
+            raise ValueError("lambda_min must be non-negative")
         if self.fit not in ("l2", "l1_reweighted"):
             raise ValueError(f"unknown fit mode {self.fit!r}")
 
@@ -194,27 +204,26 @@ def phaselift(frame: Frame, y, opts: PhaseLiftOptions | None = None, x_true=None
     back to 1 and the next step starts from X_new.
     fit "l1_reweighted" re-derives the weights from the residuals between
     stages, w_k = 1 / max(|r_k|, delta), approximating an l1 data fit; the
-    floor is relative, delta = l1_delta * ||y||_2 / m (l1_delta itself when
+    floor is relative, delta = L1_DELTA * ||y||_2 / m (L1_DELTA itself when
     y = 0), so no weight outgrows the data scale and sets the step size
     alone.  The vector estimate is the principal eigenvector scaled by the
     square root of the principal eigenvalue.
 
     A stage stops when its step satisfies ||X_new - X_prev||_F <=
     s * max(1, ||X_new||_F).  The final stage (the lambda_min stage, or the
-    last one ``max_outer`` allows) uses s = tol; every earlier stage only
-    warm-starts the next, so it uses the looser s = max(tol, sqrt(tol))
-    (inexact continuation).  ``converged`` means the lambda_min stage met
-    tol.  ``diagnostics["stage_iterations"]`` lists the FISTA steps of each
-    stage, and each solve logs them at DEBUG level on the "framepr" logger.
+    last one ``max_outer`` allows) uses s = PHASELIFT_TOL; every earlier
+    stage only warm-starts the next, so it uses the looser s =
+    sqrt(PHASELIFT_TOL) (inexact continuation).  ``converged`` means the
+    lambda_min stage met PHASELIFT_TOL.  ``diagnostics["stage_iterations"]``
+    lists the FISTA steps of each stage, and each solve logs them at DEBUG
+    level on the "framepr" logger.
     """
     opts = opts or PhaseLiftOptions()
     y = _values(y)
     n, m = frame.n, frame.m
-    tol_sq = opts.tol * opts.tol
-    warm_tol_sq = max(opts.tol, math.sqrt(opts.tol)) ** 2
     y_norm = float(np.linalg.norm(y))
     lam0 = opts.lambda0 if opts.lambda0 is not None else 0.1 * y_norm
-    delta = opts.l1_delta * (y_norm / m if y_norm > 0.0 else 1.0)
+    delta = L1_DELTA * (y_norm / m if y_norm > 0.0 else 1.0)
     w = np.ones(m)
     X = np.zeros((n, n), dtype=complex)
     lam_reg = lam0
@@ -231,7 +240,7 @@ def phaselift(frame: Frame, y, opts: PhaseLiftOptions | None = None, x_true=None
             L, H, c = _step_operator(frame, w, y)
         shrink = lam_reg / L
         final = lam_reg <= opts.lambda_min or outer == opts.max_outer - 1
-        stage_tol_sq = tol_sq if final else warm_tol_sq
+        stage_tol_sq = (PHASELIFT_TOL if final else math.sqrt(PHASELIFT_TOL)) ** 2
         Y = X
         t_m = 1.0
         X_prev = X
@@ -252,7 +261,7 @@ def phaselift(frame: Frame, y, opts: PhaseLiftOptions | None = None, x_true=None
         r = lifted_map(frame, X) - y
         trace_log.append(float(np.linalg.norm(r)))
         if lam_reg <= opts.lambda_min:
-            converged = met_tol
+            converged = bool(met_tol)
             break
         lam_reg = max(lam_reg * opts.lambda_decay, opts.lambda_min)
         if lam_reg < 1e-13 * max(lam0, 1.0):
@@ -290,13 +299,10 @@ def phaselift(frame: Frame, y, opts: PhaseLiftOptions | None = None, x_true=None
 @dataclass
 class GSOptions:
     max_iter: int = 500
-    tol: float = 1e-12
     x0: Optional[np.ndarray] = None  # overrides the spectral start
 
     def __post_init__(self):
         _check_budgets(max_iter=self.max_iter)
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
 
 
 def gerchberg_saxton(frame: Frame, y, opts: GSOptions | None = None, x_true=None) -> ReconResult:
@@ -325,7 +331,7 @@ def gerchberg_saxton(frame: Frame, y, opts: GSOptions | None = None, x_true=None
     prev_res = None
     converged = False
     it = 0
-    floor = opts.tol * max(float(np.linalg.norm(r)), 1.0)
+    floor = GS_TOL * max(float(np.linalg.norm(r)), 1.0)
     for it in range(1, opts.max_iter + 1):
         c = analysis(frame, x)
         absc = np.abs(c)
@@ -336,7 +342,7 @@ def gerchberg_saxton(frame: Frame, y, opts: GSOptions | None = None, x_true=None
         if res < best_res:
             best_res, best_x, best_it = res, x, it
         if res <= floor or (
-            prev_res is not None and abs(prev_res - res) <= opts.tol * max(prev_res, floor)
+            prev_res is not None and abs(prev_res - res) <= GS_TOL * max(prev_res, floor)
         ):
             converged = True
             break
@@ -361,17 +367,16 @@ class SpectralInit:
     a1: float
     e1: np.ndarray
     x0: np.ndarray
-    mode: str
 
 
-def spectral_init(frame: Frame, y, mode: str = "wf", rho: float = 0.5) -> SpectralInit:
+def spectral_init(frame: Frame, y, mode: str = "wf") -> SpectralInit:
     """Scaled principal eigenvector of the measurement-weighted frame operator.
 
     a1 and e1 are the top algebraic eigenpair of sum_k y_k f_k f_k*, which
     may be indefinite for noisy y.  x0 is e1 scaled (plus a 1e-12 component
     along any f_k orthogonal to e1): mode "wf" scales it so its energy
-    matches the measurements; mode "irls" uses the regularized scale and
-    returns the zero sentinel when a1 <= 0.
+    matches the measurements; mode "irls" uses the IRLS_RHO-regularized scale
+    and returns the zero sentinel when a1 <= 0.
     """
     y = _values(y)
     V = frame.vectors
@@ -391,12 +396,12 @@ def spectral_init(frame: Frame, y, mode: str = "wf", rho: float = 0.5) -> Spectr
         x0 = scale * start
     elif mode == "irls":
         if a1 <= 0.0:
-            return SpectralInit(a1=a1, e1=e1, x0=np.zeros(frame.n, dtype=complex), mode=mode)
+            return SpectralInit(a1=a1, e1=e1, x0=np.zeros(frame.n, dtype=complex))
         fourth = float(np.sum(np.abs(c) ** 4))
-        x0 = np.sqrt((1.0 - rho) * a1 / max(fourth, np.finfo(float).tiny)) * start
+        x0 = np.sqrt((1.0 - IRLS_RHO) * a1 / max(fourth, np.finfo(float).tiny)) * start
     else:
         raise ValueError(f"unknown spectral_init mode {mode!r}")
-    return SpectralInit(a1=a1, e1=e1, x0=x0, mode=mode)
+    return SpectralInit(a1=a1, e1=e1, x0=x0)
 
 
 # ---------------------------------------------------------------------------
@@ -405,18 +410,11 @@ def spectral_init(frame: Frame, y, mode: str = "wf", rho: float = 0.5) -> Spectr
 
 @dataclass
 class WirtingerOptions:
-    mu_max: float = 0.2
-    tau0: float = 330.0
     max_iter: int = 2500
-    tol: float = 1e-9
     x0: Optional[np.ndarray] = None  # overrides the spectral start
 
     def __post_init__(self):
-        if not (0.0 < self.mu_max <= 1.0) or self.tau0 <= 0:
-            raise ValueError("mu_max must lie in (0, 1] and tau0 be positive")
         _check_budgets(max_iter=self.max_iter)
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
 
 
 def wirtinger_flow(frame: Frame, y, opts: WirtingerOptions | None = None, x_true=None) -> ReconResult:
@@ -425,8 +423,8 @@ def wirtinger_flow(frame: Frame, y, opts: WirtingerOptions | None = None, x_true
     Starts from the spectral initialization (energy-matched scaling), then
     iterates x <- x - (mu_t / ||x0||^2) g with g the m-averaged misfit
     direction sum_k (|<x,f_k>|^2 - y_k) <x,f_k> f_k and the step schedule
-    mu_t = min(mu_max, 1 - exp(-t / tau0)), t the iteration counter.  Stops on
-    a relative gradient-norm test or at the iteration cap.
+    mu_t = min(WF_MU_MAX, 1 - exp(-t / WF_TAU0)), t the iteration counter.
+    Stops when ||g|| <= WF_TOL ||x0||^3 or at the iteration cap.
     """
     opts = opts or WirtingerOptions()
     y = np.maximum(_values(y), 0.0)
@@ -453,10 +451,10 @@ def wirtinger_flow(frame: Frame, y, opts: WirtingerOptions | None = None, x_true
         g = synthesis(frame, misfit * c) / m
         gnorm = float(np.linalg.norm(g))
         trace_log.append(float(np.linalg.norm(misfit)))
-        if gnorm <= opts.tol * gscale:
+        if gnorm <= WF_TOL * gscale:
             converged = True
             break
-        mu = min(opts.mu_max, 1.0 - np.exp(-it / opts.tau0))
+        mu = min(WF_MU_MAX, 1.0 - np.exp(-it / WF_TAU0))
         x = x - (mu / norm0_sq) * g
     result = ReconResult(
         x_hat=x,
@@ -474,26 +472,15 @@ def wirtinger_flow(frame: Frame, y, opts: WirtingerOptions | None = None, x_true
 
 @dataclass
 class IRLSOptions:
-    rho: float = 0.5
-    gamma: float = 0.85
-    mu_min: float = 1e-6
     lambda_min: float = 0.0  # floor for the decaying ridge weight
-    eps: Optional[float] = None  # auto: 1e-10 ||y||^2
-    snr_target: Optional[float] = None
     max_outer: int = 400
     cg_tol: float = 1e-12
     x0: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if not (0.0 < self.rho < 1.0) or not (0.0 < self.gamma <= 1.0):
-            raise ValueError("rho must lie in (0, 1) and gamma in (0, 1]")
-        if self.mu_min <= 0 or self.lambda_min < 0 or self.cg_tol <= 0:
-            raise ValueError("mu_min, lambda_min, cg_tol must be positive")
+        if self.lambda_min < 0 or self.cg_tol <= 0:
+            raise ValueError("lambda_min must be non-negative and cg_tol positive")
         _check_budgets(max_outer=self.max_outer)
-        if self.eps is not None and self.eps <= 0:
-            raise ValueError("eps must be positive when given")
-        if self.snr_target is not None and self.snr_target <= 0:
-            raise ValueError("snr_target must be positive when given")
 
 
 def irls_objective(frame: Frame, u, v, lam: float, mu: float, y) -> float:
@@ -519,21 +506,20 @@ def irls(frame: Frame, y, opts: IRLSOptions | None = None, x_true=None) -> Recon
     Each outer step freezes v at the current iterate and minimizes the
     criterion over u.  That is a quadratic in the realified coordinates whose
     normal matrix Z Z^T + (lam + mu) I (Z the gradient columns at v) is SPD,
-    since mu never falls below mu_min > 0.  It is solved directly, and
+    since mu never falls below IRLS_MU_MIN > 0.  It is solved directly, and
     ``cg_solve`` started at that solution checks the residual against
     ``cg_tol``, refining it when the direct solve falls short.  The exact
     minimizer never exceeds the criterion's value at u = v, so each step's
     subproblem value descends by construction.  The three logged criterion
     values are built from the frame coefficients of u and v, one analysis
-    per step.  The ridge weight decays geometrically, the coupling weight
-    decays to a floor, and the reported estimate is the best iterate along
-    the path by pure misfit.
+    per step.  Both weights start at IRLS_RHO a1 and decay by IRLS_GAMMA per
+    step, to ``lambda_min`` and IRLS_MU_MIN; the loop stops on a misfit below
+    IRLS_EPS ||y||^2, and the reported estimate is the best iterate by misfit.
     """
     opts = opts or IRLSOptions()
     y = _values(y)
-    ysq = float(y @ y)
-    eps = opts.eps if opts.eps is not None else 1e-10 * ysq
-    init = spectral_init(frame, y, mode="irls", rho=opts.rho)
+    eps = IRLS_EPS * float(y @ y)
+    init = spectral_init(frame, y, mode="irls")
     if opts.x0 is not None:
         x = np.asarray(opts.x0, dtype=complex).copy()
     else:
@@ -548,8 +534,7 @@ def irls(frame: Frame, y, opts: IRLSOptions | None = None, x_true=None) -> Recon
             diagnostics={"a1": init.a1},
         )
         return _attach_errors(result, x_true)
-    lam = opts.rho * init.a1
-    mu = opts.rho * init.a1
+    lam = mu = IRLS_RHO * init.a1
     d = 2 * frame.n
     eye = np.eye(d)
     best_val = np.inf
@@ -590,15 +575,11 @@ def irls(frame: Frame, y, opts: IRLSOptions | None = None, x_true=None) -> Recon
         if misfit < best_val:
             best_val = misfit
             best_x = x
-        lam = max(opts.gamma * lam, opts.lambda_min)
-        mu = max(opts.gamma * mu, opts.mu_min)
+        lam = max(IRLS_GAMMA * lam, opts.lambda_min)
+        mu = max(IRLS_GAMMA * mu, IRLS_MU_MIN)
         if misfit < eps:
             converged = True
             break
-        if opts.snr_target is not None and misfit > 0.0:
-            if xx / misfit > opts.snr_target:
-                converged = True
-                break
     result = ReconResult(
         x_hat=best_x,
         iterations=it,

@@ -65,6 +65,15 @@ def test_recon_and_report(tmp_path):
     assert csv_path.read_text().startswith("group,")
 
 
+def test_recon_default_phaselift_and_report_digest(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"frame": {"ensemble": "gaussian", "n": 3, "m": 18, "seed": 1},
+                                    "algorithms": [{"name": "phaselift"}]}))
+    rep_path = tmp_path / "rep.json"
+    assert run_cli("recon", "--config", str(cfg_path), "--out", str(rep_path)) == 0
+    assert run_cli("report", str(rep_path), "--digest") == 0
+
+
 def test_report_detects_tampered_aggregates(tmp_path):
     frame_path = tmp_path / "frame.json"
     run_cli("frame", "gen", "--n", "2", "--m", "6", "--seed", "3", "--out", str(frame_path))
@@ -125,6 +134,7 @@ def test_exit_code_config_error(tmp_path):
     [
         {"name": "wirtinger_flow", "options": {"max_iter": 0}},
         {"name": "phaselift", "options": {"bogus": 1}},
+        {"name": "wirtinger_flow", "options": {"mu_max": 0.1}},  # a fixed constant
     ],
 )
 def test_exit_code_bad_solver_options(tmp_path, alg):
@@ -250,12 +260,20 @@ def test_frame_check_malformed_file_is_config_error(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("config error: bad frame file")
 
 
+_RECORD = {"algorithm": "x", "d2_rel": 0.1, "residual": 0.2, "iterations": 3}
+
+
 @pytest.mark.parametrize("data", [[1, 2], {}, {"config": {}}, {"task": "reconstruct"},
-                                  {"config": [], "task": "reconstruct"}])
+                                  {"config": [], "task": "reconstruct"},
+                                  {"config": {}, "task": "reconstruct", "records": [1]},
+                                  {"config": {}, "task": "reconstruct", "records": [{"algorithm": "x"}]},
+                                  {"config": {"success_threshold": "tight"}, "task": "reconstruct",
+                                   "records": [_RECORD]},
+                                  {"config": {}, "task": "sweep", "tables": 5}])
 def test_report_on_non_report_is_config_error(tmp_path, capsys, data):
     path = tmp_path / "rep.json"
     path.write_text(json.dumps(data))
-    assert run_cli("report", str(path)) == 2
+    assert run_cli("report", str(path), "--csv", str(tmp_path / "t.csv")) == 2
     assert capsys.readouterr().err.startswith("config error: not a report")
 
 

@@ -35,11 +35,7 @@ def test_options_validation():
     with pytest.raises(ValueError):
         GSOptions(max_iter=0)
     with pytest.raises(ValueError):
-        WirtingerOptions(mu_max=0.0)
-    with pytest.raises(ValueError):
-        IRLSOptions(rho=1.0)
-    with pytest.raises(ValueError):
-        IRLSOptions(eps=-1.0)
+        IRLSOptions(lambda_min=-1.0)
     # iteration budgets must be integers; bool is an int subclass but not a count
     for cls, budget in ((PhaseLiftOptions, "max_outer"), (PhaseLiftOptions, "inner_max"),
                         (GSOptions, "max_iter"), (WirtingerOptions, "max_iter"),

@@ -12,6 +12,7 @@ from framepr import (
     random_frame,
     write_csv,
 )
+from framepr import recon
 from framepr.harness import build_frame, load_report, report_from_dict
 
 BASE = {
@@ -86,6 +87,13 @@ def test_load_config_defaults():
         {"options": {"partition_cap": 0}},
         {"options": {"n_starts": -1}},
         {"options": {"samples": 1}},
+        # solver parameters that are fixed constants, not options
+        {"algorithms": [{"name": "phaselift", "options": {"l1_delta": 0.05}}]},
+        {"algorithms": [{"name": "gerchberg_saxton", "options": {"tol": 1e-10}}]},
+        {"algorithms": [{"name": "wirtinger_flow", "options": {"tau0": 100.0}}]},
+        {"algorithms": [{"name": "irls", "options": {"gamma": 0.9}}]},
+        # a repeated level would rerun the same seeded trials into one group
+        {"task": "sweep", "sweep": {"parameter": "sigma", "values": [0.01, 0.01]}},
     ],
 )
 def test_load_config_rejects(patch):
@@ -149,6 +157,19 @@ def test_reconstruct_report_structure():
     agg = report.aggregates["lifted_linear"]
     assert agg["count"] == 3
     assert agg["success_rate"] == 1.0
+
+
+@pytest.mark.parametrize("name", sorted(recon.SOLVERS))
+def test_default_reconstruct_report_serializes(name):
+    # a default PhaseLift solve ends in its lambda_min stage, whose converged
+    # flag must be a Python bool for the report to be written
+    cfg = dict(BASE, frame={"ensemble": "gaussian", "n": 3, "m": 18, "seed": 1}, trials=1,
+               algorithms=[{"name": name}])
+    report = run_experiment(cfg)
+    (rec,) = report.records
+    assert "error" not in rec and isinstance(rec["converged"], bool)
+    assert json.loads(report.to_json())["records"][0]["algorithm"] == name
+    assert len(report.deterministic_digest()) == 64
 
 
 def test_aggregates_recomputable():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from framepr import recon
 from framepr import (
     GSOptions,
     IRLSOptions,
@@ -119,8 +120,9 @@ def _phaselift_reference(frame, y, opts):
     lam0 = opts.lambda0 if opts.lambda0 is not None else 0.1 * float(np.linalg.norm(y))
     w = np.ones(m)
     X = np.zeros((n, n), dtype=complex)
-    delta = opts.l1_delta * np.linalg.norm(y) / m
+    delta = recon.L1_DELTA * np.linalg.norm(y) / m
     lam_reg, trace_len, stage_steps, converged = lam0, 0, [], False
+    tol = recon.PHASELIFT_TOL
     for outer in range(opts.max_outer):
         if opts.fit == "l1_reweighted" and outer > 0:
             w = 1.0 / np.maximum(np.abs(lifted_map(frame, X) - y), delta)
@@ -128,7 +130,7 @@ def _phaselift_reference(frame, y, opts):
         # warm-start stages stop at sqrt(tol); the lambda_min stage, or the
         # last one max_outer allows, runs to tol
         final = lam_reg <= opts.lambda_min or outer == opts.max_outer - 1
-        stage_tol = opts.tol if final else max(opts.tol, np.sqrt(opts.tol))
+        stage_tol = tol if final else max(tol, np.sqrt(tol))
         Y, t_m, X_prev = X, 1.0, X
         stage_steps.append(0)
         for _ in range(opts.inner_max):
