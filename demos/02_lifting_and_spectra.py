@@ -77,5 +77,5 @@ a = rng.normal(size=3) + 1j * rng.normal(size=3)
 b = rng.normal(size=3) + 1j * rng.normal(size=3)
 print("\nscale t, ratio outer_distance / quotient_distance:")
 for t in (0.1, 1.0, 10.0, 100.0):
-    ratio = outer_distance(t * a, t * b, 2) / quotient_distance(t * a, t * b, 2)
+    ratio = outer_distance(t * a, t * b, 2) / quotient_distance(t * a, t * b)
     print(f"  t={t:<6} ratio={ratio:.3f}")

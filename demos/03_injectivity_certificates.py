@@ -31,7 +31,7 @@ print("\nrepeated direction:", cert.verdict)
 print("  witness x =", x.real, " y =", y.real)
 print("  magnitudes agree:", np.allclose(magnitude_map(bad, x).values,
                                          magnitude_map(bad, y).values))
-print("  classes differ:  D2(x, y) =", round(quotient_distance(x, y, 2), 3))
+print("  classes differ:  D2(x, y) =", round(quotient_distance(x, y), 3))
 
 # --- how many vectors are needed in C^n --------------------------------------
 print("\nminimum vector counts for complex retrievability:")

@@ -46,7 +46,7 @@ ref = results["wirtinger_flow"].x_hat
 print("\npairwise class distances to the Wirtinger estimate:")
 for name, res in results.items():
     if name != "wirtinger_flow":
-        print(f"  {name:<18} {quotient_distance(res.x_hat, ref, 2):.2e}")
+        print(f"  {name:<18} {quotient_distance(res.x_hat, ref):.2e}")
 
 # --- behaviour under noise ------------------------------------------------------
 print("\nwith additive noise (sigma = 0.05):")

@@ -93,7 +93,6 @@ from .injectivity import (
 from .estimation import (
     FisherMatrix,
     NoiseModel,
-    bessel_ratio_excess,
     bessel_ratio_weight,
     crlb,
     crlb_upper_bound,

@@ -56,6 +56,14 @@ _GK_WEIGHTS = np.concatenate([_KRONROD_W[:-1], _KRONROD_W[::-1]])
 _GK_ERROR = _GK_WEIGHTS - np.concatenate([_GAUSS_W[:-1], _GAUSS_W[::-1]])
 
 
+def _check_positive(**values) -> None:
+    """Raise ValueError unless every value is a finite number > 0 (NaN fails
+    both comparisons)."""
+    for name, value in values.items():
+        if value is None or not 0.0 < value < np.inf:
+            raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Seeded measurement noise description.
@@ -72,11 +80,9 @@ class NoiseModel:
 
     def __post_init__(self):
         if self.kind == "awgn":
-            if self.sigma is None or self.sigma <= 0:
-                raise ValueError("awgn noise requires sigma > 0")
+            _check_positive(sigma=self.sigma)
         elif self.kind == "coefficient":
-            if self.rho is None or self.rho <= 0:
-                raise ValueError("coefficient noise requires rho > 0")
+            _check_positive(rho=self.rho)
         else:
             raise ValueError(f"unknown noise kind {self.kind!r}")
 
@@ -169,19 +175,13 @@ def bessel_ratio_weight(a: float) -> float:
     return float(_bessel_weights(np.array([a], dtype=float))[0])
 
 
-def bessel_ratio_excess(a: float) -> float:
-    """a * (weight(a) - 1); vanishes linearly at 0 with unit slope."""
-    return a * (bessel_ratio_weight(a) - 1.0)
-
-
 # ---------------------------------------------------------------------------
 # Fisher matrices
 # ---------------------------------------------------------------------------
 
 def fisher_awgn(frame: Frame, x, sigma: float) -> FisherMatrix:
     """(4 / sigma^2) times the gradient Gram of the intensity map at x."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    _check_positive(sigma=sigma)
     x = np.asarray(x, dtype=complex)
     mat = (4.0 / sigma**2) * gradient_gram(frame, realify(x))
     return FisherMatrix(matrix=mat, kind="awgn", x_ref=x, field=frame.field)
@@ -196,8 +196,7 @@ def fisher_coefficient_noise(frame: Frame, x, rho: float, form: str = "excess") 
     numerically zero use the continuous-extension weight (and vanish with the
     gradient column).
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    _check_positive(rho=rho)
     if form not in ("excess", "weight"):
         raise ValueError(f"unknown form {form!r}")
     x = np.asarray(x, dtype=complex)
@@ -256,8 +255,7 @@ def crlb_upper_bound(frame: Frame, x, z0, sigma: float, a0: float) -> np.ndarray
     (For a unit-norm anchor the scalar reduces to sigma^2 / (4 a0 |<x,z0>|^2);
     the ||z0||^2 factor keeps the bound above the CRLB at every anchor scale.)
     """
-    if a0 <= 0:
-        raise ValueError("a0 must be a certified positive constant")
+    _check_positive(a0=a0, sigma=sigma)
     x = np.asarray(x, dtype=complex)
     z0 = np.asarray(z0, dtype=complex)
     ip = np.vdot(z0, x)  # <x, z0>

@@ -222,25 +222,17 @@ def random_frame(n: int, m: int, ensemble: str = "gaussian", seed=0) -> Frame:
     if m < n:
         raise RankDeficient(f"need m >= n, got m={m}, n={n}")
     rng = rng_from_seed(seed)
-    last_err = None
-    for _ in range(3):
-        if ensemble == "gaussian":
-            V = rng.normal(0.0, np.sqrt(0.5), (m, n)) + 1j * rng.normal(0.0, np.sqrt(0.5), (m, n))
-            field = "complex"
-        elif ensemble == "uniform_sphere":
-            V = rng.normal(0.0, np.sqrt(0.5), (m, n)) + 1j * rng.normal(0.0, np.sqrt(0.5), (m, n))
+    if ensemble in ("gaussian", "uniform_sphere"):
+        V = rng.normal(0.0, np.sqrt(0.5), (m, n)) + 1j * rng.normal(0.0, np.sqrt(0.5), (m, n))
+        if ensemble == "uniform_sphere":
             V *= np.sqrt(n) / np.linalg.norm(V, axis=1, keepdims=True)
-            field = "complex"
-        elif ensemble == "real_gaussian":
-            V = rng.normal(0.0, 1.0, (m, n)).astype(complex)
-            field = "real"
-        else:
-            raise ValueError(f"unknown ensemble {ensemble!r}")
-        try:
-            return make_frame(V, field=field)
-        except RankDeficient as exc:  # pragma: no cover - probability zero
-            last_err = exc
-    raise last_err  # pragma: no cover
+        field = "complex"
+    elif ensemble == "real_gaussian":
+        V = rng.normal(0.0, 1.0, (m, n)).astype(complex)
+        field = "real"
+    else:
+        raise ValueError(f"unknown ensemble {ensemble!r}")
+    return make_frame(V, field=field)
 
 
 def encode_complex(a) -> list:

@@ -44,8 +44,7 @@ NONDETERMINISTIC_KEYS = ("timestamp", "wall_time_s")
 _TASKS = ("certify", "bounds", "crlb", "reconstruct", "sweep")
 _NOISE_PARAMETER = {"awgn": "sigma", "coefficient": "rho"}  # noise kind -> parameter of its level
 # the options of the certify and bounds tasks, all integers: (default, smallest accepted value)
-_INT_OPTIONS = {"budget": (4_000_000, 1), "n_cap": (3, 1), "partition_cap": (24, 1),
-                "n_starts": (64, 0), "samples": (2000, 2)}
+_INT_OPTIONS = {"budget": (4_000_000, 1), "n_starts": (64, 0), "samples": (2000, 2)}
 
 
 def _number(value) -> bool:
@@ -96,6 +95,9 @@ def load_config(source) -> dict:
         "sweep": raw.get("sweep"),
         "options": raw.get("options", {}),
     }
+    unknown = sorted(set(raw) - set(cfg) - {"threads"})
+    if unknown:
+        raise ConfigError(f"unknown config keys {unknown}; allowed: {', '.join([*cfg, 'threads'])}")
     if raw.get("threads", 1) != 1:
         raise ConfigError("threads must be 1: trials run serially in one process")
     if cfg["schema_version"] != SCHEMA_VERSION:
@@ -426,14 +428,9 @@ def run_experiment(config) -> Report:
     opts = _int_options(cfg)
     if cfg["task"] == "certify":
         if frame.is_real:
-            cert = check_retrievable_real(frame, partition_cap=opts["partition_cap"])
+            cert = check_retrievable_real(frame)
         else:
-            cert = certify_retrievable_complex(
-                frame,
-                budget=opts["budget"],
-                seed=cfg["seed"],
-                n_cap=opts["n_cap"],
-            )
+            cert = certify_retrievable_complex(frame, budget=opts["budget"], seed=cfg["seed"])
         report.result = cert.to_dict()
         return report
 
@@ -441,12 +438,7 @@ def run_experiment(config) -> Report:
         A, B = frame_bounds(frame)
         out = {"frame_lower_bound": A, "frame_upper_bound": B}
         if frame.is_real:
-            certified = stability_bounds_real(
-                frame,
-                n_starts=opts["n_starts"],
-                seed=cfg["seed"],
-                partition_cap=opts["partition_cap"],
-            )
+            certified = stability_bounds_real(frame, n_starts=opts["n_starts"], seed=cfg["seed"])
             out["certified"] = certified.to_dict()
         else:
             out["B0"] = B
@@ -496,17 +488,15 @@ def _sweep_table(aggregates: dict) -> list:
     return rows
 
 
-def crlb_reference_curve(cfg: dict, frame: Frame | None = None) -> list:
+def crlb_reference_curve(cfg: dict, frame: Frame) -> list:
     """Table of trace-CRLB against Monte-Carlo estimator MSE over a noise grid.
 
     The phase is anchored at the true signal (the estimate is phase-aligned to
     x before the squared error is taken), matching the anchored bound.  Each
     row counts the trials an algorithm failed in ``failed_<name>``; its MSE
-    averages the remaining trials (None when all failed).
+    averages the remaining trials (None when all failed).  ``cfg`` is a
+    config as ``load_config`` returns it.
     """
-    cfg = load_config(cfg)  # idempotent on already-normalized configs
-    if frame is None:
-        frame = build_frame(cfg["frame"])
     fisher = fisher_awgn if cfg["sweep"]["parameter"] == "sigma" else fisher_coefficient_noise
     master = cfg["seed"]
     x = _draw_signal(frame, cfg["signal"], [master, 917, 0])

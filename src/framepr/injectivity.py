@@ -53,6 +53,8 @@ _INCUMBENT_NODES = 16  # lowest-bound nodes per block completed into leaves
 _NET_BLOCK = 1 << 16  # rows per block while a Bloch net is built
 _MAX_ROUNDS = 16  # net refinements before a complex certificate is undecided
 _N_PROBES = 768  # random probes per covering-radius estimate
+N_CAP = 3  # largest ambient dimension certify_retrievable_complex attempts
+PARTITION_CAP = 24  # largest frame size the bipartition search accepts
 # realified (-conj z_2, conj z_1) = xi @ _PERP for xi = realify(z_1, z_2)
 _PERP = np.array([[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0],
                   [0.0, 0.0, 0.0, -1.0], [0.0, 0.0, 1.0, 0.0]])
@@ -137,7 +139,7 @@ def min_measurement_count(n: int) -> int:
 # real case: bipartition search
 # ---------------------------------------------------------------------------
 
-def _bipartition_scan(frame: Frame, partition_cap: int):
+def _bipartition_scan(frame: Frame):
     """Branch and bound over the 2^(m-1) unordered bipartitions of the frame.
 
     Returns (A0, fail_subset) where A0 is the minimum over partitions of the
@@ -182,8 +184,8 @@ def _bipartition_scan(frame: Frame, partition_cap: int):
     partition an exhaustive scan reports first.
     """
     m, n = frame.m, frame.n
-    if m > partition_cap:
-        raise BudgetExceeded(f"m={m} exceeds partition cap {partition_cap}")
+    if m > PARTITION_CAP:
+        raise BudgetExceeded(f"m={m} exceeds partition cap {PARTITION_CAP}")
     V = frame.vectors.real
     O = np.einsum("ki,kj->kij", V, V)
     S_total = O.sum(axis=0)
@@ -332,7 +334,7 @@ def ambiguous_pair_real(frame: Frame, subset) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def check_retrievable_real(frame: Frame, partition_cap: int = 24) -> PRCertificate:
+def check_retrievable_real(frame: Frame) -> PRCertificate:
     """Exact decision for real-tagged frames by a pruned bipartition search.
 
     Retrievable iff every bipartition has a side spanning R^n; the certified
@@ -341,10 +343,11 @@ def check_retrievable_real(frame: Frame, partition_cap: int = 24) -> PRCertifica
     proves that none of them is the minimiser or a failing partition (see
     ``_bipartition_scan``), so the margin and the witness equal those of an
     exhaustive scan.  Non-retrievable verdicts ship a verified witness pair.
+    Frames of more than PARTITION_CAP vectors raise BudgetExceeded.
     """
     if not frame.is_real:
         raise InvalidPartition("check_retrievable_real requires a real-tagged frame")
-    A0, fail_subset = _bipartition_scan(frame, partition_cap)
+    A0, fail_subset = _bipartition_scan(frame)
     if fail_subset is None and A0 > 0.0:
         return PRCertificate(verdict="retrievable", a0_lower=A0)
     if fail_subset is None:
@@ -572,14 +575,13 @@ def _verify_witness(frame: Frame, x, y) -> bool:
     scale = max(1.0, float(np.max(ax)))
     if np.max(np.abs(ax - ay)) > 1e-12 * scale:
         return False
-    return quotient_distance(x, y, 2) > 1e-6
+    return quotient_distance(x, y) > 1e-6
 
 
 def certify_retrievable_complex(
     frame: Frame,
     budget: int = 4_000_000,
     seed: int = 0,
-    n_cap: int = 3,
 ) -> PRCertificate:
     """Certify complex phase retrievability over an eps-net of the sphere.
 
@@ -594,15 +596,16 @@ def certify_retrievable_complex(
     candidate ambiguous pair; only a verified pair produces a
     "not_retrievable" verdict.  Budget exhaustion or _MAX_ROUNDS rounds yield
     "undecided".  Covering radii use _N_PROBES probes; ``budget`` must be >= 1.
+    Frames of ambient dimension above N_CAP are "undecided" without a scan.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     n = frame.n
-    if n > n_cap:
+    if n > N_CAP:
         return PRCertificate(
             verdict="undecided",
             seed=seed,
-            notes=f"ambient dimension {n} above cap {n_cap}; raise n_cap to force",
+            notes=f"ambient dimension {n} above cap {N_CAP}",
         )
     d = 2 * n
     _, B = frame_bounds(frame)
@@ -770,7 +773,6 @@ def stability_bounds_real(
     frame: Frame,
     n_starts: int = 64,
     seed: int = 0,
-    partition_cap: int = 24,
 ) -> BoundsReport:
     """Global stability constants for a real phase-retrievable frame.
 
@@ -783,7 +785,7 @@ def stability_bounds_real(
     if not frame.is_real:
         raise InvalidPartition("stability_bounds_real requires a real-tagged frame")
     A, B = frame_bounds(frame)
-    A0, fail_subset = _bipartition_scan(frame, partition_cap)
+    A0, fail_subset = _bipartition_scan(frame)
     if fail_subset is not None or A0 <= 0.0:
         raise NotPhaseRetrievable("frame is not phase retrievable; A0 = 0")
     a0, _ = _min_weighted_operator_eig(frame, n_starts, seed)

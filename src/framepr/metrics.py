@@ -1,9 +1,8 @@
 """Distances on the phase quotient space (x identified with e^{i phi} x).
 
-Two families: the phase-minimized vector distance quotient_distance (closed
-form at p = 2, numeric phase search otherwise) and the matrix-norm distance
-outer_distance between the lifted outer products, available in closed form
-for p in {1, 2, inf}.
+Two families: the phase-minimized Euclidean distance quotient_distance and
+the matrix-norm distance outer_distance between the lifted outer products,
+both in closed form (the latter for p in {1, 2, inf}).
 """
 
 from __future__ import annotations
@@ -12,8 +11,6 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .lifting import rank_one_diff_spectrum
-
-_PHASE_GRID = 256
 
 
 def _check_pair(x, y):
@@ -24,39 +21,23 @@ def _check_pair(x, y):
     return x, y
 
 
-def quotient_distance(x, y, p: float = 2) -> float:
-    """min over phases of ||x - e^{i phi} y||_p.
+def quotient_distance(x, y) -> float:
+    """min over phases of ||x - e^{i phi} y||_2.
 
-    p = 2 uses the closed form sqrt(||x||^2 + ||y||^2 - 2 |<x, y>|); other p
-    are resolved by a coarse phase grid refined with bounded scalar
-    minimization on the bracketing interval (absolute phase accuracy ~1e-9).
+    Uses the closed form sqrt(||x||^2 + ||y||^2 - 2 |<x, y>|), or the aligned
+    difference where that form cancels.
     """
     x, y = _check_pair(x, y)
-    if p == 2:
-        nx2 = np.vdot(x, x).real
-        ny2 = np.vdot(y, y).real
-        ip = np.vdot(y, x)  # <x, y>
-        d2sq = max(nx2 + ny2 - 2.0 * abs(ip), 0.0)
-        if d2sq > 64.0 * np.finfo(float).eps * (nx2 + ny2):
-            return float(np.sqrt(d2sq))
-        # the closed form cancels catastrophically near zero; align the phase
-        # explicitly and difference the vectors instead
-        phase = 1.0 if ip == 0 else ip / abs(ip)
-        return float(np.linalg.norm(x - phase * y))
-
-    from scipy.optimize import minimize_scalar  # slow to import; only p != 2 needs it
-
-    def objective(phi: float) -> float:
-        return float(np.linalg.norm(x - np.exp(1j * phi) * y, ord=p))
-
-    grid = np.linspace(0.0, 2.0 * np.pi, _PHASE_GRID, endpoint=False)
-    values = np.linalg.norm(x - np.exp(1j * grid)[:, None] * y, ord=p, axis=1)
-    k = int(np.argmin(values))
-    step = 2.0 * np.pi / _PHASE_GRID
-    lo, hi = grid[k] - step, grid[k] + step
-    res = minimize_scalar(objective, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-9})
-    return float(min(res.fun, values[k]))
+    nx2 = np.vdot(x, x).real
+    ny2 = np.vdot(y, y).real
+    ip = np.vdot(y, x)  # <x, y>
+    d2sq = max(nx2 + ny2 - 2.0 * abs(ip), 0.0)
+    if d2sq > 64.0 * np.finfo(float).eps * (nx2 + ny2):
+        return float(np.sqrt(d2sq))
+    # the closed form cancels catastrophically near zero; align the phase
+    # explicitly and difference the vectors instead
+    phase = 1.0 if ip == 0 else ip / abs(ip)
+    return float(np.linalg.norm(x - phase * y))
 
 
 def outer_distance(x, y, p: float = 2) -> float:

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InsufficientRedundancy
+from .errors import DimensionMismatch, InsufficientRedundancy
 from .frames import Frame, MeasurementVector, analysis, encode_complex, intensity_map, synthesis
 from .lifting import (
     gradient_columns,
@@ -43,14 +43,25 @@ IRLS_RHO = 0.5  # initial ridge and coupling weights, in units of a1
 IRLS_GAMMA = 0.85  # per-step decay of both weights
 IRLS_MU_MIN = 1e-6  # coupling weight floor
 IRLS_EPS = 1e-10  # misfit stop, in units of ||y||^2
+IRLS_CG_TOL = 1e-12  # residual tolerance of the CG check on each u-step
 
 logger = logging.getLogger("framepr")
 
 
-def _values(y) -> np.ndarray:
-    if isinstance(y, MeasurementVector):
-        return np.asarray(y.values, dtype=float)
-    return np.asarray(y, dtype=float)
+def _values(frame: Frame, y) -> np.ndarray:
+    """The measurements as a float array of shape (m,); any other shape is a
+    DimensionMismatch."""
+    values = np.asarray(y.values if isinstance(y, MeasurementVector) else y, dtype=float)
+    if values.shape != (frame.m,):
+        raise DimensionMismatch(f"expected {frame.m} measurements, got shape {values.shape}")
+    return values
+
+
+def _check_lambda(**values) -> None:
+    """Regularization weights are finite and non-negative; NaN fails the test."""
+    for name, value in values.items():
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")
 
 
 @dataclass
@@ -98,7 +109,7 @@ def _check_budgets(**budgets) -> None:
 
 def _attach_errors(result: ReconResult, x_true) -> ReconResult:
     if x_true is not None:
-        result.d2_error = quotient_distance(result.x_hat, x_true, 2)
+        result.d2_error = quotient_distance(result.x_hat, x_true)
         result.d1_error = outer_distance(result.x_hat, x_true, 1)
     return result
 
@@ -117,7 +128,7 @@ def lifted_linear(frame: Frame, y, x_true=None) -> ReconResult:
     sqrt(lambda1 - lambda2).  The gap-scaled estimate varies Lipschitz-
     continuously with y and is returned as ``x_hat``.
     """
-    y = _values(y)
+    y = _values(frame, y)
     rank, gram_pinv = frame.lifted_inverse
     if rank < frame.n**2:
         raise InsufficientRedundancy(
@@ -167,8 +178,9 @@ class PhaseLiftOptions:
         if not (0.0 < self.lambda_decay < 1.0):
             raise ValueError("lambda_decay must lie in (0, 1)")
         _check_budgets(max_outer=self.max_outer, inner_max=self.inner_max)
-        if self.lambda_min < 0:
-            raise ValueError("lambda_min must be non-negative")
+        _check_lambda(lambda_min=self.lambda_min)
+        if self.lambda0 is not None:
+            _check_lambda(lambda0=self.lambda0)
         if self.fit not in ("l2", "l1_reweighted"):
             raise ValueError(f"unknown fit mode {self.fit!r}")
 
@@ -219,7 +231,7 @@ def phaselift(frame: Frame, y, opts: PhaseLiftOptions | None = None, x_true=None
     level on the "framepr" logger.
     """
     opts = opts or PhaseLiftOptions()
-    y = _values(y)
+    y = _values(frame, y)
     n, m = frame.n, frame.m
     y_norm = float(np.linalg.norm(y))
     lam0 = opts.lambda0 if opts.lambda0 is not None else 0.1 * y_norm
@@ -321,7 +333,7 @@ def gerchberg_saxton(frame: Frame, y, opts: GSOptions | None = None, x_true=None
         x = np.asarray(opts.x0, dtype=complex).copy()
     else:
         x = spectral_init(frame, y, mode="wf").x0
-    y = np.maximum(_values(y), 0.0)
+    y = np.maximum(_values(frame, y), 0.0)
     r = np.sqrt(y)
     duals = frame.dual
     best_res = np.inf
@@ -378,7 +390,7 @@ def spectral_init(frame: Frame, y, mode: str = "wf") -> SpectralInit:
     matches the measurements; mode "irls" uses the IRLS_RHO-regularized scale
     and returns the zero sentinel when a1 <= 0.
     """
-    y = _values(y)
+    y = _values(frame, y)
     V = frame.vectors
     dec = hermitian_eig(lifted_map_adjoint(frame, y))
     a1 = float(dec.eigenvalues[0])
@@ -427,7 +439,7 @@ def wirtinger_flow(frame: Frame, y, opts: WirtingerOptions | None = None, x_true
     Stops when ||g|| <= WF_TOL ||x0||^3 or at the iteration cap.
     """
     opts = opts or WirtingerOptions()
-    y = np.maximum(_values(y), 0.0)
+    y = np.maximum(_values(frame, y), 0.0)
     m = frame.m
     if opts.x0 is not None:
         x = np.asarray(opts.x0, dtype=complex).copy()
@@ -474,19 +486,17 @@ def wirtinger_flow(frame: Frame, y, opts: WirtingerOptions | None = None, x_true
 class IRLSOptions:
     lambda_min: float = 0.0  # floor for the decaying ridge weight
     max_outer: int = 400
-    cg_tol: float = 1e-12
     x0: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.lambda_min < 0 or self.cg_tol <= 0:
-            raise ValueError("lambda_min must be non-negative and cg_tol positive")
+        _check_lambda(lambda_min=self.lambda_min)
         _check_budgets(max_outer=self.max_outer)
 
 
 def irls_objective(frame: Frame, u, v, lam: float, mu: float, y) -> float:
     """Bilinear criterion: squared misfit of the symmetrized coefficient
     product against y, plus Tikhonov terms on u, v and their difference."""
-    y = _values(y)
+    y = _values(frame, y)
     cu = analysis(frame, np.asarray(u, dtype=complex))
     cv = analysis(frame, np.asarray(v, dtype=complex))
     model = (cu * cv.conj()).real
@@ -508,7 +518,7 @@ def irls(frame: Frame, y, opts: IRLSOptions | None = None, x_true=None) -> Recon
     normal matrix Z Z^T + (lam + mu) I (Z the gradient columns at v) is SPD,
     since mu never falls below IRLS_MU_MIN > 0.  It is solved directly, and
     ``cg_solve`` started at that solution checks the residual against
-    ``cg_tol``, refining it when the direct solve falls short.  The exact
+    IRLS_CG_TOL, refining it when the direct solve falls short.  The exact
     minimizer never exceeds the criterion's value at u = v, so each step's
     subproblem value descends by construction.  The three logged criterion
     values are built from the frame coefficients of u and v, one analysis
@@ -517,7 +527,7 @@ def irls(frame: Frame, y, opts: IRLSOptions | None = None, x_true=None) -> Recon
     IRLS_EPS ||y||^2, and the reported estimate is the best iterate by misfit.
     """
     opts = opts or IRLSOptions()
-    y = _values(y)
+    y = _values(frame, y)
     eps = IRLS_EPS * float(y @ y)
     init = spectral_init(frame, y, mode="irls")
     if opts.x0 is not None:
@@ -552,7 +562,7 @@ def irls(frame: Frame, y, opts: IRLSOptions | None = None, x_true=None) -> Recon
         A = Z @ Z.T + (lam + mu) * eye
         rhs = Z @ y + mu * xi_v
         xi_u, ok, n_cg = cg_solve(
-            A.__matmul__, rhs, tol=opts.cg_tol, max_iter=20 * d, x0=np.linalg.solve(A, rhs)
+            A.__matmul__, rhs, tol=IRLS_CG_TOL, max_iter=20 * d, x0=np.linalg.solve(A, rhs)
         )
         cg_ok = cg_ok and ok
         u = complexify(xi_u)

@@ -182,6 +182,13 @@ def test_exit_code_bad_solver_options(tmp_path, alg):
         ("recon", {"algorithms": [{"name": "irls", "options": {"max_outer": 40.0}}]}),
         ("recon", {"options": {"n_start": 3}}),
         ("recon", {"options": {"eps0": 0.5}}),
+        # the certificate caps and the IRLS CG tolerance are constants
+        ("recon", {"options": {"n_cap": 3}}),
+        ("recon", {"options": {"partition_cap": 24}}),
+        ("recon", {"algorithms": [{"name": "irls", "options": {"cg_tol": 1e-12}}]}),
+        # Python's json reads NaN, so a config file can carry one
+        ("recon", {"algorithms": [{"name": "phaselift", "options": {"lambda_min": float("nan")}}]}),
+        ("recon", {"trails": 5}),
         ("recon", None),  # the whole file is a JSON list
     ],
 )
@@ -297,7 +304,8 @@ def test_verbose_prints_debug_records_without_stacking(tmp_path, capsys):
 
 def test_import_leaves_slow_scipy_modules_unloaded():
     # scipy.stats, scipy.optimize and scipy.integrate take most of a cold
-    # import; only sphere_net and p != 2 quotient distances load the first two
+    # import; only sphere_net loads scipy.stats, and no framepr path loads
+    # the other two
     root = pathlib.Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))

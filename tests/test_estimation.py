@@ -9,7 +9,6 @@ from framepr import (
     QuadratureError,
     ZeroVector,
     apply_complex_structure,
-    bessel_ratio_excess,
     bessel_ratio_weight,
     crlb,
     crlb_upper_bound,
@@ -116,17 +115,12 @@ def test_weight_small_argument_limit():
     assert abs(w - 2.0) <= 1e-3
     assert 1.99 <= w <= 2.01
     assert bessel_ratio_weight(0.0) == 2.0
-    assert bessel_ratio_excess(0.0) == 0.0
 
 
 def test_excess_slope_at_zero():
+    # the excess a (w(a) - 1) vanishes linearly at 0 with unit slope
     for a in (1e-6, 1e-4, 1e-3):
-        assert bessel_ratio_excess(a) / a == pytest.approx(1.0, abs=5e-3)
-
-
-def test_excess_definition_identity():
-    for a in (0.3, 1.0, 4.0):
-        assert bessel_ratio_excess(a) == a * (bessel_ratio_weight(a) - 1.0)
+        assert a * (bessel_ratio_weight(a) - 1.0) / a == pytest.approx(1.0, abs=5e-3)
 
 
 def test_weight_dual_quadrature_forms_agree():
@@ -172,7 +166,7 @@ def test_weight_kernel_vector_matches_scalar_wrappers():
     with pytest.raises(ValueError):
         _bessel_weights(np.array([1.0, -1e-3]))
     with pytest.raises(ValueError):
-        bessel_ratio_excess(-1.0)
+        bessel_ratio_weight(-1.0)
 
 
 def test_weight_gate_rejects_a_coarse_rule(monkeypatch):
@@ -289,7 +283,9 @@ def test_zero_measurement_rule_is_shared(monkeypatch, z, zeros):
     # the kernel is elementwise in its argument, so the vector pass equals the
     # per-term scalar excess bit for bit
     w = np.full(frame.m, 4.0 / rho**4)
-    w[kept] = [(4.0 / rho**2) * bessel_ratio_excess(s[k] / rho**2) / s[k] for k in kept]
+    for k in kept:
+        a = s[k] / rho**2
+        w[k] = (4.0 / rho**2) * (a * (bessel_ratio_weight(a) - 1.0)) / s[k]
     np.testing.assert_array_equal(fi.matrix, 0.5 * ((Z * w) @ Z.T + ((Z * w) @ Z.T).T))
 
 
@@ -392,3 +388,20 @@ def test_crlb_upper_bound_orthogonal_anchor():
     e = np.eye(2, dtype=complex)
     with pytest.raises(OrthogonalAnchor):
         crlb_upper_bound(frame, e[0], e[1], 0.5, 1.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+def test_noise_and_bound_parameters_are_finite_and_positive(bad):
+    frame = random_frame(2, 6, seed=1)
+    x = np.array([1.0, 0.5j])
+    calls = (
+        lambda: NoiseModel(kind="awgn", sigma=bad),
+        lambda: NoiseModel(kind="coefficient", rho=bad),
+        lambda: fisher_awgn(frame, x, bad),
+        lambda: fisher_coefficient_noise(frame, x, bad),
+        lambda: crlb_upper_bound(frame, x, x, sigma=bad, a0=1.0),
+        lambda: crlb_upper_bound(frame, x, x, sigma=0.1, a0=bad),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="finite positive"):
+            call()

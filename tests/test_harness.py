@@ -77,14 +77,14 @@ def test_load_config_defaults():
         {"algorithms": [{"name": "wirtinger_flow", "options": {"max_iter": 1e3}}]},
         {"algorithms": [{"name": "irls", "options": {"max_outer": 40.0}}]},
         {"algorithms": [{"name": "irls", "options": [1]}]},
-        # task options are samples/n_starts/budget/n_cap/partition_cap only
+        # task options are samples/n_starts/budget only; the caps are constants
         {"options": {"n_start": 3}},
         {"options": {"eps0": 0.5}},
+        {"options": {"n_cap": 3}},
+        {"options": {"partition_cap": 24}},
         # each task option has a lower bound
         {"options": {"budget": 0}},
         {"options": {"budget": -5}},
-        {"options": {"n_cap": 0}},
-        {"options": {"partition_cap": 0}},
         {"options": {"n_starts": -1}},
         {"options": {"samples": 1}},
         # solver parameters that are fixed constants, not options
@@ -92,6 +92,14 @@ def test_load_config_defaults():
         {"algorithms": [{"name": "gerchberg_saxton", "options": {"tol": 1e-10}}]},
         {"algorithms": [{"name": "wirtinger_flow", "options": {"tau0": 100.0}}]},
         {"algorithms": [{"name": "irls", "options": {"gamma": 0.9}}]},
+        {"algorithms": [{"name": "irls", "options": {"cg_tol": 1e-12}}]},
+        # regularization weights are finite, as JSON NaN would otherwise pass
+        {"algorithms": [{"name": "phaselift", "options": {"lambda_min": float("nan")}}]},
+        {"algorithms": [{"name": "phaselift", "options": {"lambda0": float("inf")}}]},
+        {"algorithms": [{"name": "irls", "options": {"lambda_min": float("nan")}}]},
+        # top-level keys outside the schema are misspellings, not extensions
+        {"trails": 5},
+        {"sed": 4},
         # a repeated level would rerun the same seeded trials into one group
         {"task": "sweep", "sweep": {"parameter": "sigma", "values": [0.01, 0.01]}},
     ],
@@ -104,7 +112,7 @@ def test_load_config_rejects(patch):
 
 
 def test_load_config_accepts_option_lower_bounds():
-    cfg = dict(BASE, options={"budget": 1, "n_cap": 1, "partition_cap": 1, "n_starts": 0, "samples": 2})
+    cfg = dict(BASE, options={"budget": 1, "n_starts": 0, "samples": 2})
     assert load_config(cfg)["options"] == cfg["options"]
 
 

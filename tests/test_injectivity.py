@@ -92,13 +92,15 @@ def test_real_repeated_direction_witness():
     ay = magnitude_map(frame, y).values
     np.testing.assert_allclose(ax, ay, atol=1e-13)
     np.testing.assert_allclose(np.sort(ax), [1.0, 1.0, 1.0], atol=1e-12)
-    assert quotient_distance(x, y, 2) > 1e-6
+    assert quotient_distance(x, y) > 1e-6
 
 
 def test_real_partition_cap():
-    frame = random_frame(3, 25, "real_gaussian", seed=0)
+    frame = random_frame(3, injectivity.PARTITION_CAP + 1, "real_gaussian", seed=0)
     with pytest.raises(BudgetExceeded):
-        check_retrievable_real(frame, partition_cap=24)
+        check_retrievable_real(frame)
+    with pytest.raises(BudgetExceeded):
+        stability_bounds_real(frame)
 
 
 def test_ambiguous_pair_standard_basis():
@@ -110,7 +112,7 @@ def test_ambiguous_pair_standard_basis():
     np.testing.assert_allclose(
         magnitude_map(frame, x).values, magnitude_map(frame, y).values, atol=1e-13
     )
-    assert quotient_distance(x, y, 2) > 1e-6
+    assert quotient_distance(x, y) > 1e-6
 
 
 def test_ambiguous_pair_rejects_spanning_side():
@@ -135,7 +137,7 @@ def test_real_verdict_equals_full_spark(n):
         x, y = cert2.witness
         diff = magnitude_map(broken, x).values - magnitude_map(broken, y).values
         assert np.max(np.abs(diff)) <= 1e-12
-        assert quotient_distance(x, y, 2) > 1e-6
+        assert quotient_distance(x, y) > 1e-6
 
 
 def _exhaustive_bipartition_scan(frame):
@@ -216,7 +218,7 @@ def test_bipartition_search_matches_exhaustive_scan(equivalence_cases, block, mo
     if block is not None:
         monkeypatch.setattr(injectivity, "_PARTITION_BLOCK", block)
     for frame, (ref_A0, ref_subset) in equivalence_cases:
-        A0, fail_subset = _bipartition_scan(frame, partition_cap=24)
+        A0, fail_subset = _bipartition_scan(frame)
         tol = 1e-12 * max(abs(ref_A0), np.finfo(float).tiny)
         assert abs(A0 - ref_A0) <= tol, (frame.n, frame.m)
         assert fail_subset == ref_subset, (frame.n, frame.m)
@@ -230,7 +232,7 @@ def test_bipartition_search_memory_and_pruning(caplog):
     tracemalloc.start()
     try:
         with caplog.at_level(logging.DEBUG, logger="framepr"):
-            A0, fail_subset = _bipartition_scan(frame, partition_cap=24)
+            A0, fail_subset = _bipartition_scan(frame)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -349,7 +351,7 @@ def test_certify_real_frame_in_complex_space():
     x, y = cert.witness
     diff = magnitude_map(frame, x).values - magnitude_map(frame, y).values
     assert np.max(np.abs(diff)) <= 1e-12
-    assert quotient_distance(x, y, 2) > 1e-6
+    assert quotient_distance(x, y) > 1e-6
 
 
 def test_certify_minimal_redundancy_frame():
@@ -363,9 +365,9 @@ def test_certify_minimal_redundancy_frame():
 
 
 def test_certify_dimension_cap():
-    frame = random_frame(5, 24, "gaussian", seed=0)
-    cert = certify_retrievable_complex(frame, n_cap=3)
-    assert cert.verdict == "undecided"
+    frame = random_frame(injectivity.N_CAP + 1, 24, "gaussian", seed=0)
+    cert = certify_retrievable_complex(frame)
+    assert cert.verdict == "undecided" and cert.nets_tested == 0
 
 
 def test_certificate_json_roundtrip():
@@ -629,7 +631,7 @@ def test_sampled_bounds_expose_non_retrievable():
     x = np.array([1.0 + 1.0j, 1.0 - 1.0j]) / 2.0
     y = x.conj()
     num = np.linalg.norm(magnitude_map(basis, x).values - magnitude_map(basis, y).values)
-    assert num == 0.0 and quotient_distance(x, y, 2) > 1e-6
+    assert num == 0.0 and quotient_distance(x, y) > 1e-6
 
 
 def test_sampled_bounds_contain_certified_margin():

@@ -10,57 +10,25 @@ from framepr import (
 from conftest import random_complex
 
 
-def grid_min(x, y, p, grid=10**4):
+def grid_min(x, y, grid=10**4):
     phis = np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
-    return min(np.linalg.norm(x - np.exp(1j * phi) * y, ord=p) for phi in phis)
+    return min(np.linalg.norm(x - np.exp(1j * phi) * y) for phi in phis)
 
 
 def test_quotient_distance_same_class():
     e1 = np.eye(2, dtype=complex)[0]
-    assert quotient_distance(e1, 1j * e1, 2) == 0.0
+    assert quotient_distance(e1, 1j * e1) == 0.0
 
 
 def test_quotient_distance_orthogonal():
     e = np.eye(2, dtype=complex)
-    assert quotient_distance(e[0], e[1], 2) == pytest.approx(np.sqrt(2.0))
+    assert quotient_distance(e[0], e[1]) == pytest.approx(np.sqrt(2.0))
 
 
 def test_quotient_distance_matches_grid(rng):
     for _ in range(10):
         x, y = random_complex(rng, 3), random_complex(rng, 3)
-        assert quotient_distance(x, y, 2) == pytest.approx(grid_min(x, y, 2), abs=1e-6)
-
-
-@pytest.mark.parametrize("p", [1, np.inf])
-def test_quotient_distance_other_p(rng, p):
-    for _ in range(8):
-        x, y = random_complex(rng, 3), random_complex(rng, 3)
-        assert quotient_distance(x, y, p) <= grid_min(x, y, p) + 1e-9
-
-
-def loop_quotient_distance(x, y, p, grid=256):
-    """The per-phase loop that quotient_distance vectorises, kept as its reference."""
-    from scipy.optimize import minimize_scalar
-
-    def objective(phi):
-        return float(np.linalg.norm(x - np.exp(1j * phi) * y, ord=p))
-
-    phis = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
-    values = [objective(phi) for phi in phis]
-    k = int(np.argmin(values))
-    step = 2.0 * np.pi / grid
-    res = minimize_scalar(objective, bounds=(phis[k] - step, phis[k] + step),
-                          method="bounded", options={"xatol": 1e-9})
-    return min(res.fun, values[k])
-
-
-@pytest.mark.parametrize("p", [1, 3, np.inf])
-def test_quotient_distance_matches_loop_reference(rng, p):
-    # the vectorised grid sums in another order: agreement to 1e-12 relative
-    for _ in range(20):
-        x, y = random_complex(rng, 4), random_complex(rng, 4)
-        ref = loop_quotient_distance(x, y, p)
-        assert quotient_distance(x, y, p) == pytest.approx(ref, rel=1e-12, abs=0)
+        assert quotient_distance(x, y) == pytest.approx(grid_min(x, y), abs=1e-6)
 
 
 def test_outer_distance_examples():
@@ -92,7 +60,7 @@ def _metric_axioms(dist, pts, tol=1e-10):
 
 def test_metric_axioms(rng):
     pts = [random_complex(rng, 3) for _ in range(4)]
-    _metric_axioms(lambda a, b: quotient_distance(a, b, 2), pts)
+    _metric_axioms(quotient_distance, pts)
     for p in (1, 2, np.inf):
         _metric_axioms(lambda a, b, p=p: outer_distance(a, b, p), pts)
 
@@ -100,21 +68,10 @@ def test_metric_axioms(rng):
 def test_identity_of_indiscernibles_class_level(rng):
     x = random_complex(rng, 4)
     y = np.exp(1.234j) * x
-    assert quotient_distance(x, y, 2) <= 1e-10
+    assert quotient_distance(x, y) <= 1e-10
     assert outer_distance(x, y, 1) <= 1e-10
     z = random_complex(rng, 4)
-    assert quotient_distance(x, z, 2) > 1e-6
-
-
-@pytest.mark.parametrize("p,q", [(1, 2), (2, 1), (2, np.inf), (np.inf, 2), (1, np.inf)])
-def test_quotient_distance_norm_equivalence(rng, p, q):
-    # D_q <= max(1, n^(1/q - 1/p)) D_p
-    n = 4
-    inv = lambda r: 0.0 if r == np.inf else 1.0 / r
-    const = max(1.0, n ** (inv(q) - inv(p)))
-    for _ in range(10):
-        x, y = random_complex(rng, n), random_complex(rng, n)
-        assert quotient_distance(x, y, q) <= const * quotient_distance(x, y, p) + 1e-8
+    assert quotient_distance(x, z) > 1e-6
 
 
 @pytest.mark.parametrize("p,q", [(1, 2), (2, 1), (2, np.inf), (np.inf, 1)])
@@ -131,7 +88,7 @@ def test_normalized_lift_is_bilipschitz(rng):
     # D2 <= ||k(x) - k(y)||_2 <= sqrt(2) D2 for the normalized lift k(x) = x x* / ||x||
     for _ in range(30):
         x, y = random_complex(rng, 3), random_complex(rng, 3)
-        d = quotient_distance(x, y, 2)
+        d = quotient_distance(x, y)
         k = np.linalg.norm(lift_outer(x) / np.linalg.norm(x) - lift_outer(y) / np.linalg.norm(y))
         assert d - 1e-9 <= k <= np.sqrt(2.0) * d + 1e-9
 

@@ -3,6 +3,7 @@ import pytest
 
 from framepr import recon
 from framepr import (
+    DimensionMismatch,
     GSOptions,
     IRLSOptions,
     InsufficientRedundancy,
@@ -344,7 +345,7 @@ def test_spectral_init_orthobasis():
     frame = make_frame(np.eye(3))
     y = intensity_map(frame, np.eye(3, dtype=complex)[0])
     init = spectral_init(frame, y, mode="wf")
-    assert quotient_distance(init.x0, np.eye(3, dtype=complex)[0], 2) <= 1e-6
+    assert quotient_distance(init.x0, np.eye(3, dtype=complex)[0]) <= 1e-6
     assert init.a1 == pytest.approx(1.0, abs=1e-8)
 
 
@@ -439,7 +440,7 @@ def test_wirtinger_init_quality():
         frame = random_frame(16, 128, "gaussian", seed=seed)
         x = unit_signal(16, seed)
         init = spectral_init(frame, intensity_map(frame, x), mode="wf")
-        dists.append(quotient_distance(init.x0, x, 2))
+        dists.append(quotient_distance(init.x0, x))
     assert max(dists) <= 1.1
     assert float(np.median(dists)) <= 0.8
 
@@ -489,7 +490,7 @@ def test_irls_logged_values_match_objective(max_outer):
     assert log["J_misfit"] == pytest.approx(irls_objective(frame, u, u, 0.0, 0.0, y), rel=1e-12)
 
 
-def test_irls_cg_only_checks_the_direct_solve():
+def test_irls_cg_only_checks_the_direct_solve(monkeypatch):
     frame, x, y = _noisy_irls_problem()
     noiseless = irls(frame, intensity_map(frame, x), x_true=x)
     noisy = irls(frame, y, x_true=x)
@@ -497,7 +498,8 @@ def test_irls_cg_only_checks_the_direct_solve():
         assert all(e["cg_iterations"] == 0 for e in result.diagnostics["outer_log"])
         assert "cg_tolerance_missed" not in result.flags
     # a tolerance below what the direct solve reaches sends CG refining
-    strict = irls(frame, y, IRLSOptions(cg_tol=1e-16), x_true=x)
+    monkeypatch.setattr(recon, "IRLS_CG_TOL", 1e-16)
+    strict = irls(frame, y, x_true=x)
     assert sum(e["cg_iterations"] for e in strict.diagnostics["outer_log"]) > 0
     assert np.all(np.isfinite(strict.x_hat))
     assert strict.d2_error == pytest.approx(noisy.d2_error, rel=1e-8)
@@ -556,15 +558,15 @@ def test_phase_covariance(rotate):
 
     r_gs = gerchberg_saxton(frame, y, GSOptions(x0=x0))
     r_gs_rot = gerchberg_saxton(frame, y, GSOptions(x0=rotate * x0))
-    assert quotient_distance(r_gs.x_hat, r_gs_rot.x_hat, 2) <= 1e-8
+    assert quotient_distance(r_gs.x_hat, r_gs_rot.x_hat) <= 1e-8
 
     r_wf = wirtinger_flow(frame, y, WirtingerOptions(x0=x0))
     r_wf_rot = wirtinger_flow(frame, y, WirtingerOptions(x0=rotate * x0))
-    assert quotient_distance(r_wf.x_hat, r_wf_rot.x_hat, 2) <= 1e-6
+    assert quotient_distance(r_wf.x_hat, r_wf_rot.x_hat) <= 1e-6
 
     r_ir = irls(frame, y, IRLSOptions(x0=x0))
     r_ir_rot = irls(frame, y, IRLSOptions(x0=rotate * x0))
-    assert quotient_distance(r_ir.x_hat, r_ir_rot.x_hat, 2) <= 1e-6
+    assert quotient_distance(r_ir.x_hat, r_ir_rot.x_hat) <= 1e-6
 
 
 def test_result_serialization():
@@ -575,3 +577,20 @@ def test_result_serialization():
     assert data["converged"] is True
     assert len(data["x_hat"]) == 2 and len(data["x_hat"][0]) == 2
     assert data["d2_error"] == result.d2_error
+
+
+@pytest.mark.parametrize("length", [1, 13])  # m = 12
+@pytest.mark.parametrize("name", sorted(recon.SOLVERS))
+def test_solvers_reject_wrong_measurement_count(name, length):
+    # with an explicit start, GS and WF never build the spectral start, so
+    # the solver itself must check y
+    frame = random_frame(3, 12, "gaussian", seed=22)
+    y = np.full(length, 0.5)
+    cls = recon.SOLVERS[name]
+    if name in ("gerchberg_saxton", "wirtinger_flow"):
+        args = (cls(x0=np.ones(3, dtype=complex)),)
+    else:
+        args = () if cls is None else (cls(),)
+    with pytest.raises(DimensionMismatch):
+        getattr(recon, name)(frame, y, *args)
+
