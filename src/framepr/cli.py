@@ -14,16 +14,15 @@ import logging
 import sys
 
 from .errors import BudgetExceeded, ConfigError, FramePRError
-from .frames import load_frame, random_frame, save_frame
+from .frames import is_full_spark, save_frame
 from .harness import (
+    TASK_OPTIONS,
     Report,
-    compute_aggregates,
+    build_frame,
     load_report,
     run_experiment,
     write_csv,
 )
-from .injectivity import certify_retrievable_complex, check_retrievable_real
-from .frames import is_full_spark
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -43,8 +42,7 @@ def _parser() -> argparse.ArgumentParser:
     gen = frame_sub.add_parser("gen", help="draw a seeded random frame")
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--m", type=int, required=True)
-    gen.add_argument("--ensemble", default="gaussian",
-                     choices=["gaussian", "uniform_sphere", "real_gaussian"])
+    gen.add_argument("--ensemble", default="gaussian")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
 
@@ -54,13 +52,13 @@ def _parser() -> argparse.ArgumentParser:
     check.add_argument("--certify", action="store_true",
                        help="run the retrievability decision procedure")
     check.add_argument("--seed", type=int, default=0)
-    check.add_argument("--budget", type=int, default=4_000_000)
+    check.add_argument("--budget", type=int, default=TASK_OPTIONS["budget"][0])
     check.add_argument("--out", default=None, help="write the certificate JSON here")
 
     bounds = sub.add_parser("bounds", help="stability bounds for a frame")
     bounds.add_argument("path")
-    bounds.add_argument("--samples", type=int, default=2000)
-    bounds.add_argument("--starts", type=int, default=64)
+    bounds.add_argument("--samples", type=int, default=TASK_OPTIONS["samples"][0])
+    bounds.add_argument("--starts", type=int, default=TASK_OPTIONS["n_starts"][0])
     bounds.add_argument("--seed", type=int, default=0)
     bounds.add_argument("--out", default=None)
 
@@ -93,43 +91,27 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def _cmd_frame(args) -> int:
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     if args.frame_verb == "gen":
-        if args.n < 1 or args.m < 1:
-            raise ConfigError(f"--n and --m must be >= 1, got n={args.n} m={args.m}")
-        frame = random_frame(args.n, args.m, args.ensemble, args.seed)
+        frame = build_frame({"ensemble": args.ensemble, "n": args.n, "m": args.m, "seed": args.seed})
         save_frame(frame, args.out)
         print(f"wrote {args.ensemble} frame n={args.n} m={args.m} seed={args.seed} to {args.out}")
         return EXIT_OK
-    if args.certify and args.budget < 1:
-        raise ConfigError(f"--budget must be >= 1, got {args.budget}")
-    try:
-        frame = load_frame(args.path)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad frame file: {type(exc).__name__}: {exc}") from exc
+    frame = build_frame({"file": args.path})
     payload = {"n": frame.n, "m": frame.m, "field": frame.field, "valid": True}
+    if args.certify:
+        config = {"task": "certify", "frame": {"file": args.path}, "seed": args.seed,
+                  "options": {"budget": args.budget}}
+        payload["certificate"] = run_experiment(config).result
     if args.full_spark:
         payload["full_spark"] = is_full_spark(frame)
-    if args.certify:
-        if frame.is_real:
-            cert = check_retrievable_real(frame)
-        else:
-            cert = certify_retrievable_complex(frame, seed=args.seed, budget=args.budget)
-        payload["certificate"] = cert.to_dict()
     _emit(payload, args.out)
     return EXIT_OK
 
 
 def _cmd_bounds(args) -> int:
-    config = {
-        "task": "bounds",
-        "frame": {"file": args.path},
-        "seed": args.seed,
-        "options": {"samples": args.samples, "n_starts": args.starts},
-    }
-    report = run_experiment(config)
-    _emit(report.to_dict(), args.out)
+    config = {"task": "bounds", "frame": {"file": args.path}, "seed": args.seed,
+              "options": {"samples": args.samples, "n_starts": args.starts}}
+    _emit(run_experiment(config).to_dict(), args.out)
     return EXIT_OK
 
 
@@ -144,40 +126,32 @@ def _cmd_task(args, task: str) -> int:
     if args.seed is not None:
         config["seed"] = args.seed
     report = run_experiment(config)
+    _emit(report.to_dict(), args.out)
     if args.out:
-        report.save(args.out)
         print(f"report written to {args.out}")
-    else:
-        print(report.to_json())
     if args.csv:
-        rows = report.tables or _aggregate_rows(report)
-        write_csv(rows, args.csv)
-        print(f"table written to {args.csv}")
+        _write_table(report, args.csv)
     return EXIT_OK
 
 
-def _aggregate_rows(report: Report) -> list:
-    rows = []
-    for key, entry in sorted(report.aggregates.items()):
-        rows.append({"group": key, **entry})
-    return rows
+def _write_table(report: Report, path: str) -> None:
+    """The report's tables as CSV, or one row per aggregate group when it has none."""
+    rows = report.tables or [{"group": key, **entry} for key, entry in sorted(report.aggregates.items())]
+    write_csv(rows, path)
+    print(f"table written to {path}")
 
 
 def _cmd_report(args) -> int:
     report = load_report(args.path)
     if report.records:
-        threshold = report.config.get("success_threshold", 1e-5)
-        recomputed = compute_aggregates(report.records, threshold)
-        if recomputed != report.aggregates:
+        if not report.aggregates_match():
             print("aggregates do not match their records", file=sys.stderr)
             return EXIT_COMPONENT
         print(f"aggregates verified over {len(report.records)} records")
     if args.digest:
         print(report.deterministic_digest())
     if args.csv:
-        rows = report.tables or _aggregate_rows(report)
-        write_csv(rows, args.csv)
-        print(f"table written to {args.csv}")
+        _write_table(report, args.csv)
     return EXIT_OK
 
 
@@ -205,11 +179,9 @@ def main(argv=None) -> int:
                 return _cmd_frame(args)
             if args.verb == "bounds":
                 return _cmd_bounds(args)
-            if args.verb in ("crlb", "recon", "sweep"):
-                return _cmd_task(args, "reconstruct" if args.verb == "recon" else args.verb)
             if args.verb == "report":
                 return _cmd_report(args)
-            raise ConfigError(f"unknown verb {args.verb!r}")  # pragma: no cover
+            return _cmd_task(args, "reconstruct" if args.verb == "recon" else args.verb)
         except (ConfigError, OSError, json.JSONDecodeError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG

@@ -43,8 +43,18 @@ NONDETERMINISTIC_KEYS = ("timestamp", "wall_time_s")
 
 _TASKS = ("certify", "bounds", "crlb", "reconstruct", "sweep")
 _NOISE_PARAMETER = {"awgn": "sigma", "coefficient": "rho"}  # noise kind -> parameter of its level
+_SUCCESS_THRESHOLD = 1e-5  # default largest d2_rel that counts as a success
 # the options of the certify and bounds tasks, all integers: (default, smallest accepted value)
-_INT_OPTIONS = {"budget": (4_000_000, 1), "n_starts": (64, 0), "samples": (2000, 2)}
+TASK_OPTIONS = {"budget": (4_000_000, 1), "n_starts": (64, 0), "samples": (2000, 2)}
+# the keys each config section may hold; a frame section names exactly one
+# source, and only an ensemble takes further keys
+_SECTION_KEYS = {
+    "frame": {"inline": ("inline",), "file": ("file",), "ensemble": ("ensemble", "n", "m", "seed")},
+    "noise": ("kind", "sigma", "rho"),
+    "signal": ("kind", "norm"),
+    "sweep": ("parameter", "values"),
+    "options": tuple(TASK_OPTIONS),
+}
 
 
 def _number(value) -> bool:
@@ -52,19 +62,36 @@ def _number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _whole(value) -> bool:
+    return _number(value) and isinstance(value, int)
+
+
 def _positive(value) -> bool:
     return _number(value) and 0 < value < math.inf
 
 
-def _integer(value) -> int:
-    """int(value), with booleans refused as int() would read true as 1."""
-    if isinstance(value, bool):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return int(value)
+def _check_section(name: str, section, allowed) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {name!r} must be an object, got {type(section).__name__}")
+    unknown = sorted(set(section) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown {name} keys {unknown}; allowed: {', '.join(allowed)}")
 
 
-def _int_options(cfg: dict) -> dict:
-    return {key: _integer(cfg["options"].get(key, default)) for key, (default, _) in _INT_OPTIONS.items()}
+def _frame_source(spec) -> str:
+    """The one source a config 'frame' section names, after checking its keys
+    and that an ensemble's n, m and seed are integers, 1 <= n <= m, seed >= 0."""
+    sources = [key for key in _SECTION_KEYS["frame"] if key in spec] if isinstance(spec, dict) else []
+    if len(sources) != 1:
+        raise ConfigError(f"a frame section is an object naming exactly one of {'/'.join(_SECTION_KEYS['frame'])}")
+    source = sources[0]
+    _check_section(f"frame {source}", spec, _SECTION_KEYS["frame"][source])
+    if source == "ensemble":
+        n, m, seed = spec.get("n"), spec.get("m"), spec.get("seed", 0)
+        if not all(map(_whole, (n, m, seed))) or not 1 <= n <= m or seed < 0:
+            raise ConfigError(f"an ensemble needs integers 1 <= n <= m and seed >= 0, "
+                              f"got n={n!r} m={m!r} seed={seed!r}")
+    return source
 
 
 def load_config(source) -> dict:
@@ -91,44 +118,37 @@ def load_config(source) -> dict:
         "algorithms": raw.get("algorithms", []),
         "trials": raw.get("trials", 1),
         "seed": raw.get("seed", 0),
-        "success_threshold": raw.get("success_threshold", 1e-5),
+        "success_threshold": raw.get("success_threshold", _SUCCESS_THRESHOLD),
         "sweep": raw.get("sweep"),
         "options": raw.get("options", {}),
     }
-    unknown = sorted(set(raw) - set(cfg) - {"threads"})
-    if unknown:
-        raise ConfigError(f"unknown config keys {unknown}; allowed: {', '.join([*cfg, 'threads'])}")
+    _check_section("config", raw, [*cfg, "threads"])
     if raw.get("threads", 1) != 1:
         raise ConfigError("threads must be 1: trials run serially in one process")
     if cfg["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {cfg['schema_version']}")
     if cfg["task"] not in _TASKS:
         raise ConfigError(f"task must be one of {_TASKS}, got {cfg['task']!r}")
-    if not isinstance(cfg["frame"], dict):
-        raise ConfigError("config requires a 'frame' section")
-    if not all(isinstance(cfg[key], dict) for key in ("noise", "signal", "options")):
-        raise ConfigError("config sections 'noise', 'signal' and 'options' must be objects")
-    unknown = sorted(set(cfg["options"]) - set(_INT_OPTIONS))
-    if unknown:
-        raise ConfigError(f"unknown options {unknown}; allowed: {'/'.join(_INT_OPTIONS)}")
-    try:
-        cfg["trials"] = _integer(cfg["trials"])
-        opts = _int_options(cfg)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"trials and options.{'/'.join(_INT_OPTIONS)} must be integers: {exc}") from exc
-    if cfg["trials"] < 1:
-        raise ConfigError("trials must be >= 1")
-    for key, (_, low) in _INT_OPTIONS.items():
-        if opts[key] < low:
-            raise ConfigError(f"options.{key} must be >= {low}, got {opts[key]}")
+    _frame_source(cfg["frame"])
+    for name in ("noise", "signal", "options", "sweep"):
+        if name != "sweep" or cfg["sweep"] is not None:  # only sweep and crlb need a sweep
+            _check_section(name, cfg[name], _SECTION_KEYS[name])
+    if not _whole(cfg["trials"]) or cfg["trials"] < 1:
+        raise ConfigError(f"trials must be an integer >= 1, got {cfg['trials']!r}")
+    for key, (default, low) in TASK_OPTIONS.items():
+        value = cfg["options"].get(key, default)
+        if not _whole(value) or value < low:
+            raise ConfigError(f"options.{key} must be an integer >= {low}, got {value!r}")
     seed = cfg["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+    if not _whole(seed) or seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     if not _positive(cfg["success_threshold"]):
         raise ConfigError(f"success_threshold must be a positive number, got {cfg['success_threshold']!r}")
     norm = cfg["signal"].get("norm")
     if norm is not None and not _positive(norm):
         raise ConfigError(f"signal.norm must be a positive number, got {norm!r}")
+    if cfg["signal"].get("kind", "gaussian") != "gaussian":
+        raise ConfigError(f"unknown signal kind {cfg['signal']['kind']!r}")
     if not isinstance(cfg["algorithms"], list) or not all(isinstance(a, dict) for a in cfg["algorithms"]):
         raise ConfigError("algorithms must be a list of objects with a 'name'")
     for alg in cfg["algorithms"]:
@@ -139,13 +159,16 @@ def load_config(source) -> dict:
             _solver_options(name, alg.get("options"))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad options for {name}: {exc}") from exc
+    names = [alg["name"] for alg in cfg["algorithms"]]
+    if len(set(names)) < len(names):
+        raise ConfigError(f"algorithms repeats a name, so its records would merge into one group: {names}")
     kind = cfg["noise"].get("kind", "none")
     if kind not in ("none", *_NOISE_PARAMETER):
         raise ConfigError(f"unknown noise kind {kind!r}")
     level = _NOISE_PARAMETER.get(kind)
     if cfg["task"] in ("crlb", "sweep"):
         sweep = cfg["sweep"]
-        if not isinstance(sweep, dict) or not sweep:
+        if not sweep:
             raise ConfigError(f"task {cfg['task']!r} requires a 'sweep' section")
         if sweep.get("parameter") not in ("sigma", "rho"):
             raise ConfigError("sweep.parameter must be 'sigma' or 'rho'")
@@ -162,18 +185,18 @@ def load_config(source) -> dict:
 
 
 def build_frame(spec: dict) -> Frame:
-    """Materialize the frame named by a config 'frame' section; an unreadable
-    file or a malformed frame description is a ConfigError."""
+    """Materialize the frame a config 'frame' section names; a section that
+    ``_frame_source`` refuses, an unreadable file or a malformed frame
+    description is a ConfigError."""
+    source = _frame_source(spec)
     try:
-        if "inline" in spec:
+        if source == "inline":
             return frame_from_dict(spec["inline"])
-        if "file" in spec:
+        if source == "file":
             return load_frame(spec["file"])
-        if "ensemble" in spec:
-            return random_frame(int(spec["n"]), int(spec["m"]), spec["ensemble"], spec.get("seed", 0))
+        return random_frame(spec["n"], spec["m"], spec["ensemble"], spec.get("seed", 0))
     except (OSError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad frame section: {type(exc).__name__}: {exc}") from exc
-    raise ConfigError("frame section needs one of 'inline', 'file', 'ensemble'")
+        raise ConfigError(f"bad frame {source}: {type(exc).__name__}: {exc}") from exc
 
 
 @dataclass
@@ -208,6 +231,11 @@ class Report:
         with open(path, "w") as fh:
             fh.write(self.to_json())
             fh.write("\n")
+
+    def aggregates_match(self) -> bool:
+        """Whether recomputing the aggregates from the records reproduces them exactly."""
+        threshold = self.config.get("success_threshold", _SUCCESS_THRESHOLD)
+        return compute_aggregates(self.records, threshold) == self.aggregates
 
     def deterministic_digest(self) -> str:
         """SHA-256 of the canonical JSON with wall-clock fields removed."""
@@ -248,7 +276,7 @@ def report_from_dict(data: dict) -> Report:
         artifact_version=data.get("artifact_version", ARTIFACT_VERSION),
         timestamp=data.get("timestamp", ""),
     )
-    if not _positive(report.config.get("success_threshold", 1e-5)):
+    if not _positive(report.config.get("success_threshold", _SUCCESS_THRESHOLD)):
         raise ConfigError("not a report: config.success_threshold is not a positive number")
     if not isinstance(report.records, list) or not all(map(_is_record, report.records)):
         raise ConfigError("not a report: a record lacks an algorithm and an error or numeric results")
@@ -270,9 +298,6 @@ def load_report(path) -> Report:
 
 def _draw_signal(frame: Frame, signal: dict, seed) -> np.ndarray:
     rng = rng_from_seed(seed)
-    kind = signal.get("kind", "gaussian")
-    if kind != "gaussian":
-        raise ConfigError(f"unknown signal kind {kind!r}")
     if frame.is_real:
         x = rng.normal(size=frame.n).astype(complex)
     else:
@@ -425,7 +450,7 @@ def run_experiment(config) -> Report:
     report = Report(config=cfg, task=cfg["task"])
     report.timestamp = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
 
-    opts = _int_options(cfg)
+    opts = {key: cfg["options"].get(key, default) for key, (default, _) in TASK_OPTIONS.items()}
     if cfg["task"] == "certify":
         if frame.is_real:
             cert = check_retrievable_real(frame)

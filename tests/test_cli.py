@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from framepr import load_frame
+from framepr import load_frame, run_experiment
 from framepr.cli import main
 
 
@@ -42,6 +42,17 @@ def test_frame_check_certify_real(tmp_path):
     cert = json.loads(out.read_text())["certificate"]
     assert cert["verdict"] == "retrievable"
     assert cert["a0_lower"] == pytest.approx((3 - np.sqrt(5)) / 2, abs=1e-12)
+
+
+@pytest.mark.parametrize("ensemble", ["real_gaussian", "gaussian"])
+def test_frame_check_certify_matches_certify_task(tmp_path, ensemble):
+    path = tmp_path / "frame.json"
+    assert run_cli("frame", "gen", "--n", "2", "--m", "8", "--ensemble", ensemble, "--seed", "7",
+                   "--out", str(path)) == 0
+    out = tmp_path / "cert.json"
+    assert run_cli("frame", "check", str(path), "--certify", "--seed", "3", "--out", str(out)) == 0
+    report = run_experiment({"task": "certify", "frame": {"file": str(path)}, "seed": 3})
+    assert json.loads(out.read_text())["certificate"] == report.result
 
 
 def test_recon_and_report(tmp_path):
@@ -190,6 +201,11 @@ def test_exit_code_bad_solver_options(tmp_path, alg):
         ("recon", {"algorithms": [{"name": "phaselift", "options": {"lambda_min": float("nan")}}]}),
         ("recon", {"trails": 5}),
         ("recon", None),  # the whole file is a JSON list
+        ("recon", {"frame": {"ensemble": "gaussian", "n": 2, "m": 6, "sede": 4}}),
+        ("recon", {"frame": {"ensemble": "gaussian", "n": 2.7, "m": 6}}),
+        ("recon", {"frame": {"ensemble": "gaussian", "n": 3, "m": 2}}),
+        ("sweep", {"noise": {"kind": "awgn", "sigam": 0.1}, "sweep": {"parameter": "sigma", "values": [0.1]}}),
+        ("recon", {"algorithms": [{"name": "lifted_linear"}, {"name": "lifted_linear"}]}),
     ],
 )
 def test_exit_code_bad_config_values(tmp_path, verb, patch):
@@ -217,6 +233,7 @@ def test_exit_code_bad_config_values(tmp_path, verb, patch):
         ("frame", "gen", "--n", "1", "--m", "0", "--out", "{path}"),
         ("bounds", "{path}", "--samples", "0"),
         ("bounds", "{path}", "--starts", "-1"),
+        ("frame", "gen", "--n", "3", "--m", "2", "--out", "{path}"),
     ],
 )
 def test_exit_code_out_of_range_options(tmp_path, argv):

@@ -102,6 +102,27 @@ def test_load_config_defaults():
         {"sed": 4},
         # a repeated level would rerun the same seeded trials into one group
         {"task": "sweep", "sweep": {"parameter": "sigma", "values": [0.01, 0.01]}},
+        # and a repeated algorithm name would merge two option sets into one group
+        {"algorithms": [{"name": "wirtinger_flow", "options": {"max_iter": 5}},
+                        {"name": "wirtinger_flow", "options": {"max_iter": 2000}}]},
+        # every section refuses keys it does not read
+        {"signal": {"kind": "gaussian", "nrom": 5}},
+        {"frame": {"ensemble": "gaussian", "n": 2, "m": 6, "sede": 4}},
+        {"task": "sweep", "noise": {"kind": "awgn", "sigam": 0.1}, "sweep": {"parameter": "sigma", "values": [0.1]}},
+        {"task": "sweep", "sweep": {"parameter": "sigma", "values": [0.1], "valeus": [0.2]}},
+        {"sweep": 5},
+        {"signal": {"kind": "uniform"}},
+        # a frame section names exactly one source
+        {"frame": {"ensemble": "gaussian", "n": 2, "m": 6, "file": "frame.json"}},
+        {"frame": {"n": 2, "m": 6}},
+        # an ensemble's n, m and seed are integers with 1 <= n <= m and seed >= 0
+        {"frame": {"ensemble": "gaussian", "n": 2.7, "m": 6}},
+        {"frame": {"ensemble": "gaussian", "n": True, "m": 6}},
+        {"frame": {"ensemble": "gaussian", "n": 3, "m": 2}},
+        {"frame": {"ensemble": "gaussian", "n": 2, "m": 6, "seed": -1}},
+        # and so are trials and the task options: int() would truncate 2.5 to 2
+        {"trials": 2.5},
+        {"options": {"samples": 100.0}},
     ],
 )
 def test_load_config_rejects(patch):
