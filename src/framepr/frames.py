@@ -23,6 +23,7 @@ from .linalg import hermitian_eig, hermitian_part
 #: counter-based 64-bit generator used for every seeded draw in the package
 RNG_NAME = "philox"
 SPARK_TOL = 1e-10  # relative determinant below which is_full_spark sees dependence
+ENSEMBLES = ("gaussian", "uniform_sphere", "real_gaussian")  # random_frame's ensembles
 
 
 def rng_from_seed(seed) -> np.random.Generator:
@@ -211,28 +212,25 @@ def is_full_spark(frame: Frame, max_subsets: int = 10**6) -> bool:
 
 
 def random_frame(n: int, m: int, ensemble: str = "gaussian", seed=0) -> Frame:
-    """Seeded random frame from one of three ensembles.
+    """Seeded random frame from one of the three ``ENSEMBLES``.
 
     "gaussian": entries N(0, 1/2) + i N(0, 1/2) (unit variance per entry).
     "uniform_sphere": gaussian rows rescaled to norm sqrt(n) exactly.
     "real_gaussian": real N(0, 1) entries, real-tagged.
     """
+    if ensemble not in ENSEMBLES:
+        raise ValueError(f"unknown ensemble {ensemble!r}")
     if n < 1:
         raise ValueError(f"need dimension n >= 1, got n={n}")
     if m < n:
         raise RankDeficient(f"need m >= n, got m={m}, n={n}")
     rng = rng_from_seed(seed)
-    if ensemble in ("gaussian", "uniform_sphere"):
-        V = rng.normal(0.0, np.sqrt(0.5), (m, n)) + 1j * rng.normal(0.0, np.sqrt(0.5), (m, n))
-        if ensemble == "uniform_sphere":
-            V *= np.sqrt(n) / np.linalg.norm(V, axis=1, keepdims=True)
-        field = "complex"
-    elif ensemble == "real_gaussian":
-        V = rng.normal(0.0, 1.0, (m, n)).astype(complex)
-        field = "real"
-    else:
-        raise ValueError(f"unknown ensemble {ensemble!r}")
-    return make_frame(V, field=field)
+    if ensemble == "real_gaussian":
+        return make_frame(rng.normal(0.0, 1.0, (m, n)).astype(complex), field="real")
+    V = rng.normal(0.0, np.sqrt(0.5), (m, n)) + 1j * rng.normal(0.0, np.sqrt(0.5), (m, n))
+    if ensemble == "uniform_sphere":
+        V *= np.sqrt(n) / np.linalg.norm(V, axis=1, keepdims=True)
+    return make_frame(V, field="complex")
 
 
 def encode_complex(a) -> list:

@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import recon
-from .errors import ConfigError, FramePRError
+from .errors import ConfigError, DimensionMismatch, FramePRError
 from .estimation import NoiseModel, crlb, fisher_awgn, fisher_coefficient_noise, simulate_measurements
 from .frames import (
+    ENSEMBLES,
     Frame,
     frame_bounds,
     frame_from_dict,
@@ -47,10 +48,11 @@ _SUCCESS_THRESHOLD = 1e-5  # default largest d2_rel that counts as a success
 # the options of the certify and bounds tasks, all integers: (default, smallest accepted value)
 TASK_OPTIONS = {"budget": (4_000_000, 1), "n_starts": (64, 0), "samples": (2000, 2)}
 # the keys each config section may hold; a frame section names exactly one
-# source, and only an ensemble takes further keys
+# source, and only an ensemble takes further keys; a noise section holds only
+# the parameter of its kind
 _SECTION_KEYS = {
     "frame": {"inline": ("inline",), "file": ("file",), "ensemble": ("ensemble", "n", "m", "seed")},
-    "noise": ("kind", "sigma", "rho"),
+    "noise": {"none": ("kind",), **{kind: ("kind", level) for kind, level in _NOISE_PARAMETER.items()}},
     "signal": ("kind", "norm"),
     "sweep": ("parameter", "values"),
     "options": tuple(TASK_OPTIONS),
@@ -79,14 +81,17 @@ def _check_section(name: str, section, allowed) -> None:
 
 
 def _frame_source(spec) -> str:
-    """The one source a config 'frame' section names, after checking its keys
-    and that an ensemble's n, m and seed are integers, 1 <= n <= m, seed >= 0."""
+    """The one source a config 'frame' section names, after checking its keys,
+    that an ensemble is one of ``ENSEMBLES`` and that its n, m and seed are
+    integers, 1 <= n <= m, seed >= 0."""
     sources = [key for key in _SECTION_KEYS["frame"] if key in spec] if isinstance(spec, dict) else []
     if len(sources) != 1:
         raise ConfigError(f"a frame section is an object naming exactly one of {'/'.join(_SECTION_KEYS['frame'])}")
     source = sources[0]
     _check_section(f"frame {source}", spec, _SECTION_KEYS["frame"][source])
     if source == "ensemble":
+        if spec["ensemble"] not in ENSEMBLES:
+            raise ConfigError(f"unknown ensemble {spec['ensemble']!r}; known: {', '.join(ENSEMBLES)}")
         n, m, seed = spec.get("n"), spec.get("m"), spec.get("seed", 0)
         if not all(map(_whole, (n, m, seed))) or not 1 <= n <= m or seed < 0:
             raise ConfigError(f"an ensemble needs integers 1 <= n <= m and seed >= 0, "
@@ -130,9 +135,14 @@ def load_config(source) -> dict:
     if cfg["task"] not in _TASKS:
         raise ConfigError(f"task must be one of {_TASKS}, got {cfg['task']!r}")
     _frame_source(cfg["frame"])
-    for name in ("noise", "signal", "options", "sweep"):
+    for name in ("signal", "options", "sweep"):
         if name != "sweep" or cfg["sweep"] is not None:  # only sweep and crlb need a sweep
             _check_section(name, cfg[name], _SECTION_KEYS[name])
+    noise = cfg["noise"]
+    kind = noise.get("kind", "none") if isinstance(noise, dict) else "none"
+    if not isinstance(kind, str) or kind not in _SECTION_KEYS["noise"]:
+        raise ConfigError(f"unknown noise kind {kind!r}")
+    _check_section("noise", noise, _SECTION_KEYS["noise"][kind])
     if not _whole(cfg["trials"]) or cfg["trials"] < 1:
         raise ConfigError(f"trials must be an integer >= 1, got {cfg['trials']!r}")
     for key, (default, low) in TASK_OPTIONS.items():
@@ -162,9 +172,6 @@ def load_config(source) -> dict:
     names = [alg["name"] for alg in cfg["algorithms"]]
     if len(set(names)) < len(names):
         raise ConfigError(f"algorithms repeats a name, so its records would merge into one group: {names}")
-    kind = cfg["noise"].get("kind", "none")
-    if kind not in ("none", *_NOISE_PARAMETER):
-        raise ConfigError(f"unknown noise kind {kind!r}")
     level = _NOISE_PARAMETER.get(kind)
     if cfg["task"] in ("crlb", "sweep"):
         sweep = cfg["sweep"]
@@ -174,6 +181,8 @@ def load_config(source) -> dict:
             raise ConfigError("sweep.parameter must be 'sigma' or 'rho'")
         if level not in (None, sweep["parameter"]):
             raise ConfigError(f"{kind} noise is swept over {level!r}, not {sweep['parameter']!r}")
+        if sweep["parameter"] in noise:
+            raise ConfigError(f"noise.{sweep['parameter']} is the swept parameter; the sweep values replace it")
         values = sweep.get("values")
         if not isinstance(values, list) or not values or not all(map(_positive, values)):
             raise ConfigError(f"sweep.values must be a non-empty list of positive numbers, got {values!r}")
@@ -195,7 +204,7 @@ def build_frame(spec: dict) -> Frame:
         if source == "file":
             return load_frame(spec["file"])
         return random_frame(spec["n"], spec["m"], spec["ensemble"], spec.get("seed", 0))
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, DimensionMismatch) as exc:
         raise ConfigError(f"bad frame {source}: {type(exc).__name__}: {exc}") from exc
 
 

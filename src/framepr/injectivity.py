@@ -70,7 +70,7 @@ class PRCertificate:
     ``a0_lower`` (partition margin for real frames, net-certified eigenvalue
     bound for complex frames).  verdict "not_retrievable" carries a verified
     ambiguous pair ``witness = (x, y)`` with equal magnitude measurements and
-    distinct phase classes.
+    distinct phase classes.  verdict "undecided" carries neither.
     """
 
     verdict: str
@@ -179,9 +179,9 @@ def _bipartition_scan(frame: Frame):
     computed sum above best, so it is not the minimiser and A0 equals the
     exhaustive minimum bit for bit.  Its sum is also above 2 screen_tol, so
     its sides do not both pass the screen and it is no failure candidate.
-    Every candidate is therefore evaluated.  Candidates are confirmed by SVD
-    in increasing mask order, and the smallest confirmed mask is kept: the
-    partition an exhaustive scan reports first.
+    Every candidate is therefore evaluated.  Candidates are confirmed by
+    ``_null_direction`` in increasing mask order, and the smallest confirmed
+    mask is kept: the partition an exhaustive scan reports first.
     """
     m, n = frame.m, frame.n
     if m > PARTITION_CAP:
@@ -190,19 +190,14 @@ def _bipartition_scan(frame: Frame):
     O = np.einsum("ki,kj->kij", V, V)
     S_total = O.sum(axis=0)
     smax = np.linalg.norm(V, 2)
+    cutoff = _span_cutoff(V)
     eps = np.finfo(float).eps
     # Gram eigenvalues only resolve zeros to ~eps * ||S||, far above the
     # squared singular-value threshold; screen loosely here and confirm
     # candidate failures with an SVD of the actual subsets below
-    screen_tol = max((SPAN_TOL * smax) ** 2, 64 * m * eps * smax**2)
+    screen_tol = max(cutoff**2, 64 * m * eps * smax**2)
     margin = 64 * m * eps * float(np.sum(V * V))
     shifts = np.arange(m - 1, dtype=np.uint64)
-
-    def _deficient(rows) -> bool:
-        if rows.shape[0] < n:
-            return True
-        s = np.linalg.svd(rows, compute_uv=False)
-        return s[-1] <= SPAN_TOL * max(smax, np.finfo(float).tiny)
 
     def _lam_min(S):
         return np.linalg.eigvalsh(S)[:, 0]
@@ -227,7 +222,8 @@ def _bipartition_scan(frame: Frame):
         for mask in np.sort(cands).tolist():
             subset = [k + 1 for k in range(m - 1) if (mask >> k) & 1]
             comp = [k for k in range(m) if k not in subset]
-            if _deficient(V[subset]) and _deficient(V[comp]):
+            if (_null_direction(V[subset], n, cutoff) is not None
+                    and _null_direction(V[comp], n, cutoff) is not None):
                 fail_mask = mask
                 break
 
@@ -297,17 +293,18 @@ def _bipartition_scan(frame: Frame):
     return A0, [k + 1 for k in range(m - 1) if (fail_mask >> k) & 1]
 
 
-def _null_direction(rows: np.ndarray, n: int, tol: float):
-    """Unit vector orthogonal to the span of the given row vectors,
-    or None when the rows span R^n."""
+def _span_cutoff(V: np.ndarray) -> float:
+    """Largest singular value that counts as zero in a span test on frame V."""
+    return SPAN_TOL * max(np.linalg.norm(V, 2), np.finfo(float).tiny)
+
+
+def _null_direction(rows: np.ndarray, n: int, cutoff: float):
+    """Unit vector orthogonal to the rows' singular directions above
+    ``cutoff``, or None when the rows span R^n at that cutoff."""
     if rows.shape[0] == 0:
-        e = np.zeros(n)
-        e[0] = 1.0
-        return e
+        return np.eye(n)[0]
     _, s, vh = np.linalg.svd(rows, full_matrices=True)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > tol * max(smax, 1.0)))
-    if rank >= n:
+    if s.size >= n and s[-1] > cutoff:
         return None
     return vh[-1].real
 
@@ -316,22 +313,34 @@ def ambiguous_pair_real(frame: Frame, subset) -> tuple[np.ndarray, np.ndarray]:
     """Ambiguous pair (x, y) = (u + v, u - v) from a failing bipartition.
 
     ``subset`` indexes one side of the partition; u is a unit null direction
-    of that side's span and v of the complement's.  The construction makes
-    both magnitude measurement vectors equal while keeping the phase classes
-    distinct.
+    of that side's span and v of the complement's, at the span cutoff of the
+    bipartition search.  The construction makes both magnitude measurement
+    vectors equal while keeping the phase classes distinct.
     """
     if not frame.is_real:
         raise InvalidPartition("ambiguous pair construction applies to real frames")
     V = frame.vectors.real
     subset = sorted(set(int(k) for k in subset))
     comp = [k for k in range(frame.m) if k not in subset]
-    u = _null_direction(V[subset], frame.n, SPAN_TOL)
-    v = _null_direction(V[comp], frame.n, SPAN_TOL)
+    cutoff = _span_cutoff(V)
+    u = _null_direction(V[subset], frame.n, cutoff)
+    v = _null_direction(V[comp], frame.n, cutoff)
     if u is None or v is None:
         raise InvalidPartition("one side of the partition spans the space")
     x = (u + v).astype(complex)
     y = (u - v).astype(complex)
     return x, y
+
+
+def _verify_witness(frame: Frame, x, y) -> bool:
+    """Whether (x, y) is an ambiguous pair, judged scale-free: the magnitudes
+    agree to 1e-12 of the largest, and the phase classes lie more than 1e-6
+    of the larger norm apart."""
+    ax = magnitude_map(frame, x).values
+    ay = magnitude_map(frame, y).values
+    if np.max(np.abs(ax - ay)) > 1e-12 * np.max(ax):
+        return False
+    return quotient_distance(x, y) > 1e-6 * max(np.linalg.norm(x), np.linalg.norm(y))
 
 
 def check_retrievable_real(frame: Frame) -> PRCertificate:
@@ -342,8 +351,9 @@ def check_retrievable_real(frame: Frame) -> PRCertificate:
     bounds.  The search prunes a set of partitions only when a lower bound
     proves that none of them is the minimiser or a failing partition (see
     ``_bipartition_scan``), so the margin and the witness equal those of an
-    exhaustive scan.  Non-retrievable verdicts ship a verified witness pair.
-    Frames of more than PARTITION_CAP vectors raise BudgetExceeded.
+    exhaustive scan.  A failing partition gives "not_retrievable" only if its
+    pair passes ``_verify_witness``, else "undecided".  Frames of more than
+    PARTITION_CAP vectors raise BudgetExceeded.
     """
     if not frame.is_real:
         raise InvalidPartition("check_retrievable_real requires a real-tagged frame")
@@ -354,11 +364,10 @@ def check_retrievable_real(frame: Frame) -> PRCertificate:
         # numerically zero margin without an explicit failing mask
         return PRCertificate(verdict="undecided", notes="zero partition margin")
     x, y = ambiguous_pair_real(frame, fail_subset)
-    return PRCertificate(
-        verdict="not_retrievable",
-        witness=(x, y),
-        notes=f"failing partition subset {fail_subset}",
-    )
+    notes = f"failing partition subset {fail_subset}"
+    if not _verify_witness(frame, x, y):
+        return PRCertificate(verdict="undecided", notes=notes + " without a verified pair")
+    return PRCertificate(verdict="not_retrievable", witness=(x, y), notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -569,15 +578,6 @@ def _alternating_kernel_pair(frame: Frame, xi0: np.ndarray, deflate: float, iter
     return xi, v, energy
 
 
-def _verify_witness(frame: Frame, x, y) -> bool:
-    ax = magnitude_map(frame, x).values
-    ay = magnitude_map(frame, y).values
-    scale = max(1.0, float(np.max(ax)))
-    if np.max(np.abs(ax - ay)) > 1e-12 * scale:
-        return False
-    return quotient_distance(x, y) > 1e-6
-
-
 def certify_retrievable_complex(
     frame: Frame,
     budget: int = 4_000_000,
@@ -776,22 +776,20 @@ def stability_bounds_real(
 ) -> BoundsReport:
     """Global stability constants for a real phase-retrievable frame.
 
-    Only A0 and B0 are certified: A0 comes from the bipartition search that
-    ``check_retrievable_real`` runs and B0 equals the upper frame bound.  a0
-    and b0 are sphere extrema found by projected-gradient multistart, so a0
-    (a minimum) is an upper estimate and b0 (a maximum) a lower estimate;
-    ``details["numerical"]`` names them.
+    Only A0 and B0 are certified: A0 is the margin of
+    ``check_retrievable_real``, which must find the frame retrievable, and B0
+    equals the upper frame bound.  a0 and b0 are sphere extrema found by
+    projected-gradient multistart, so a0 (a minimum) is an upper estimate and
+    b0 (a maximum) a lower estimate; ``details["numerical"]`` names them.
     """
-    if not frame.is_real:
-        raise InvalidPartition("stability_bounds_real requires a real-tagged frame")
+    cert = check_retrievable_real(frame)
+    if cert.verdict != "retrievable":
+        raise NotPhaseRetrievable(f"frame is not certified phase retrievable: {cert.verdict}")
     A, B = frame_bounds(frame)
-    A0, fail_subset = _bipartition_scan(frame)
-    if fail_subset is not None or A0 <= 0.0:
-        raise NotPhaseRetrievable("frame is not phase retrievable; A0 = 0")
     a0, _ = _min_weighted_operator_eig(frame, n_starts, seed)
     b0 = fourth_moment_max(frame, n_starts, seed)
     return BoundsReport(
-        A0=A0,
+        A0=cert.a0_lower,
         B0=B,
         a0=float(a0),
         b0=float(b0),

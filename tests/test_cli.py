@@ -44,6 +44,16 @@ def test_frame_check_certify_real(tmp_path):
     assert cert["a0_lower"] == pytest.approx((3 - np.sqrt(5)) / 2, abs=1e-12)
 
 
+def test_frame_check_certify_unverified_pair(tmp_path):
+    # the scan finds a failing partition whose pair does not verify
+    path = tmp_path / "frame.json"
+    path.write_text(json.dumps({"n": 2, "m": 3, "field": "real",
+                                "vectors": [[[1, 0], [0, 0]], [[1, 0], [1e-5, 0]], [[1e6, 0], [1e6, 0]]]}))
+    out = tmp_path / "cert.json"
+    assert run_cli("frame", "check", str(path), "--certify", "--out", str(out)) == 0
+    assert json.loads(out.read_text())["certificate"]["verdict"] == "undecided"
+
+
 @pytest.mark.parametrize("ensemble", ["real_gaussian", "gaussian"])
 def test_frame_check_certify_matches_certify_task(tmp_path, ensemble):
     path = tmp_path / "frame.json"
@@ -206,6 +216,8 @@ def test_exit_code_bad_solver_options(tmp_path, alg):
         ("recon", {"frame": {"ensemble": "gaussian", "n": 3, "m": 2}}),
         ("sweep", {"noise": {"kind": "awgn", "sigam": 0.1}, "sweep": {"parameter": "sigma", "values": [0.1]}}),
         ("recon", {"algorithms": [{"name": "lifted_linear"}, {"name": "lifted_linear"}]}),
+        # a frame header that disagrees with its vector table
+        ("recon", {"frame": {"inline": {"n": 2, "m": 3, "vectors": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}}}),
     ],
 )
 def test_exit_code_bad_config_values(tmp_path, verb, patch):
@@ -275,6 +287,7 @@ def test_exit_code_component_failure(tmp_path):
         '{"n": 2, "m": 2, "vectors": [[[NaN, 0], [0, 0]], [[0, 0], [1, 0]]]}',  # not finite
         '{"n": 2, "m": 2}',  # KeyError
         "[1, 2]",  # TypeError
+        '{"n": 2, "m": 3, "vectors": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}',  # header disagrees
     ],
 )
 def test_frame_check_malformed_file_is_config_error(tmp_path, capsys, text):

@@ -123,6 +123,14 @@ def test_load_config_defaults():
         # and so are trials and the task options: int() would truncate 2.5 to 2
         {"trials": 2.5},
         {"options": {"samples": 100.0}},
+        # a noise section holds only its kind's parameter, and none in a sweep
+        {"noise": {"kind": "awgn", "sigma": 0.05, "rho": 0.3}},
+        {"noise": {"kind": "none", "sigma": 0.1}},
+        {"task": "sweep", "noise": {"kind": "awgn", "sigma": 0.5}, "sweep": {"parameter": "sigma", "values": [0.1]}},
+        {"task": "crlb", "noise": {"kind": "awgn", "sigma": 0.5}, "sweep": {"parameter": "sigma", "values": [0.1]}},
+        {"task": "crlb", "noise": {"kind": "coefficient", "rho": 0.5}, "sweep": {"parameter": "rho", "values": [0.1]}},
+        # the ensemble name is checked at load, not when the frame is drawn
+        {"frame": {"ensemble": "bogus", "n": 2, "m": 6}},
     ],
 )
 def test_load_config_rejects(patch):

@@ -140,6 +140,30 @@ def test_real_verdict_equals_full_spark(n):
         assert quotient_distance(x, y) > 1e-6
 
 
+# a failing partition of the scan's span cutoff whose pair magnitudes still
+# differ by 1.4e-5 against 1e-12 * 1.4e6 allowed
+_UNVERIFIABLE = make_frame([[1.0, 0.0], [1.0, 1e-5], [1e6, 1e6]], field="real")
+
+
+def test_real_unverified_pair_is_undecided():
+    cert = check_retrievable_real(_UNVERIFIABLE)
+    assert cert.verdict == "undecided" and cert.witness is None
+    assert "failing partition subset [2]" in cert.notes
+    with pytest.raises(NotPhaseRetrievable):
+        stability_bounds_real(_UNVERIFIABLE, n_starts=4)
+
+
+def test_real_witness_check_is_scale_free():
+    V = random_frame(3, 5, "real_gaussian", seed=0).vectors.real.copy()
+    V[-1] = 0.5 * V[0]
+    broken = make_frame(V * 2.0**-44, field="real")
+    cert = check_retrievable_real(broken)
+    assert cert.verdict == "not_retrievable"
+    x, y = cert.witness
+    ax, ay = magnitude_map(broken, x).values, magnitude_map(broken, y).values
+    assert np.max(np.abs(ax - ay)) <= 1e-12 * np.max(ax)
+
+
 def _exhaustive_bipartition_scan(frame):
     """Reference: every one of the 2^(m-1) bipartitions in increasing mask
     order, the scan the branch and bound replaced."""
@@ -362,6 +386,22 @@ def test_certify_minimal_redundancy_frame():
     cert = certify_retrievable_complex(frame, seed=0, budget=16_000_000)
     assert cert.verdict == "retrievable"
     assert cert.a0_lower > 0
+
+
+_SCALED_CASES = [(random_frame(2, 8, "gaussian", seed=3), 3),
+                 (random_frame(2, 4, "gaussian", seed=[55, 0]), 0)]
+
+
+# mismatch and distance are judged relative to the measurements, so a frame
+# scaled by 2^-44 is no easier to refute than the unscaled one
+@pytest.mark.parametrize("scale, rel", [(2.0**-44, 1e-12), (2.0**20, 0.0)])
+@pytest.mark.parametrize("frame, seed", _SCALED_CASES)
+def test_certify_scaled_frame_keeps_verdict(frame, seed, scale, rel):
+    ref = certify_retrievable_complex(frame, seed=seed, budget=16_000_000)
+    cert = certify_retrievable_complex(make_frame(frame.vectors * scale), seed=seed,
+                                       budget=16_000_000)
+    assert ref.verdict == cert.verdict == "retrievable"
+    assert cert.a0_lower / scale**4 == pytest.approx(ref.a0_lower, rel=rel, abs=0.0)
 
 
 def test_certify_dimension_cap():
