@@ -388,6 +388,7 @@ def _reconstruct_trial(cfg: dict, frame: Frame, x, noise: dict, stem: list, tria
                 residual=result.residual,
                 iterations=result.iterations,
                 converged=result.converged,
+                stop_reason=result.stop_reason,
                 flags=result.flags,
             )
         except FramePRError as exc:

@@ -43,6 +43,8 @@ IRLS_RHO = 0.5  # initial ridge and coupling weights, in units of a1
 IRLS_GAMMA = 0.85  # per-step decay of both weights
 IRLS_MU_MIN = 1e-6  # coupling weight floor
 IRLS_EPS = 1e-10  # misfit stop, in units of ||y||^2
+IRLS_STALL_STEPS = 20  # stagnation window of the best misfit, in steps
+IRLS_STALL_REL = 1e-9  # relative best-misfit gain below which IRLS stalls
 IRLS_CG_TOL = 1e-12  # residual tolerance of the CG check on each u-step
 
 logger = logging.getLogger("framepr")
@@ -71,6 +73,10 @@ class ReconResult:
     ``residual`` is ||A(X_hat) - y||_2 for lifted solvers and
     ||intensity(x_hat) - y||_2 for vector solvers.  ``d2_error``/``d1_error``
     are phase-quotient errors against the ground truth when it was supplied.
+    ``stop_reason`` says why the solver stopped: "tol" (its tolerance test
+    held), "max_iter" (its budget ran out), "stagnation" (it stopped
+    improving) or "degenerate" (a zero start or a nonpositive top
+    eigenvalue, so it returned without iterating).
     """
 
     x_hat: np.ndarray
@@ -83,6 +89,7 @@ class ReconResult:
     d1_error: Optional[float] = None
     flags: list = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
+    stop_reason: Optional[str] = None
 
     def to_dict(self) -> dict:
         return {
@@ -90,6 +97,7 @@ class ReconResult:
             "iterations": int(self.iterations),
             "residual": float(self.residual),
             "converged": bool(self.converged),
+            "stop_reason": self.stop_reason,
             "trace": None if self.trace is None else [float(t) for t in self.trace],
             "d2_error": self.d2_error,
             "d1_error": self.d1_error,
@@ -155,6 +163,7 @@ def lifted_linear(frame: Frame, y, x_true=None) -> ReconResult:
         iterations=1,
         residual=float(np.linalg.norm(lifted_map(frame, X) - y)),
         converged=True,
+        stop_reason="tol",
         flags=flags,
         diagnostics={"x_ls": x_ls, "x_lip": x_lip, "lambda1": lam1, "lambda2": lam2},
     )
@@ -294,6 +303,7 @@ def phaselift(frame: Frame, y, opts: PhaseLiftOptions | None = None, x_true=None
         iterations=iterations,
         residual=trace_log[-1],
         converged=converged,
+        stop_reason="tol" if converged else "max_iter",
         trace=trace_log,
         diagnostics={
             "rank_one_gap": rank_one_gap,
@@ -324,9 +334,11 @@ def gerchberg_saxton(frame: Frame, y, opts: GSOptions | None = None, x_true=None
     of the unclamped measurements.  Each sweep: analyze the iterate, replace
     coefficient magnitudes by sqrt(y) while keeping phases (zero coefficients
     get phase 1), synthesize with the canonical dual.  Convergence is not
-    guaranteed; the best iterate by magnitude residual is returned and the
-    stopping rule is a relative change test on that residual.  Negative
-    measurements are clamped to zero.
+    guaranteed; the best iterate by magnitude residual is returned.  The loop
+    stops with ``stop_reason`` "tol" when that residual falls to
+    GS_TOL max(||sqrt(y)||, 1), "stagnation" when it changes by less than
+    GS_TOL relative between sweeps (both count as converged), and
+    "max_iter" otherwise.  Negative measurements are clamped to zero.
     """
     opts = opts or GSOptions()
     if opts.x0 is not None:
@@ -341,7 +353,7 @@ def gerchberg_saxton(frame: Frame, y, opts: GSOptions | None = None, x_true=None
     best_it = 0
     trace_log: list[float] = []
     prev_res = None
-    converged = False
+    stop_reason = "max_iter"
     it = 0
     floor = GS_TOL * max(float(np.linalg.norm(r)), 1.0)
     for it in range(1, opts.max_iter + 1):
@@ -353,17 +365,19 @@ def gerchberg_saxton(frame: Frame, y, opts: GSOptions | None = None, x_true=None
         trace_log.append(res)
         if res < best_res:
             best_res, best_x, best_it = res, x, it
-        if res <= floor or (
-            prev_res is not None and abs(prev_res - res) <= GS_TOL * max(prev_res, floor)
-        ):
-            converged = True
+        if res <= floor:
+            stop_reason = "tol"
+            break
+        if prev_res is not None and abs(prev_res - res) <= GS_TOL * max(prev_res, floor):
+            stop_reason = "stagnation"
             break
         prev_res = res
     result = ReconResult(
         x_hat=best_x,
         iterations=it,
         residual=float(np.linalg.norm(intensity_map(frame, best_x).values - y)),
-        converged=converged,
+        converged=stop_reason != "max_iter",
+        stop_reason=stop_reason,
         trace=trace_log,
         diagnostics={"best_iteration": best_it, "magnitude_residual": best_res},
     )
@@ -436,7 +450,8 @@ def wirtinger_flow(frame: Frame, y, opts: WirtingerOptions | None = None, x_true
     iterates x <- x - (mu_t / ||x0||^2) g with g the m-averaged misfit
     direction sum_k (|<x,f_k>|^2 - y_k) <x,f_k> f_k and the step schedule
     mu_t = min(WF_MU_MAX, 1 - exp(-t / WF_TAU0)), t the iteration counter.
-    Stops when ||g|| <= WF_TOL ||x0||^3 or at the iteration cap.
+    Stops when ||g|| <= WF_TOL ||x0||^3 (``stop_reason`` "tol") or at the
+    iteration cap ("max_iter"); a zero start returns at once ("degenerate").
     """
     opts = opts or WirtingerOptions()
     y = np.maximum(_values(frame, y), 0.0)
@@ -450,7 +465,8 @@ def wirtinger_flow(frame: Frame, y, opts: WirtingerOptions | None = None, x_true
         result = ReconResult(
             x_hat=x, iterations=0,
             residual=float(np.linalg.norm(intensity_map(frame, x).values - y)),
-            converged=True, trace=[], diagnostics={"note": "zero initialization"},
+            converged=True, stop_reason="degenerate", trace=[],
+            diagnostics={"note": "zero initialization"},
         )
         return _attach_errors(result, x_true)
     trace_log: list[float] = []
@@ -473,6 +489,7 @@ def wirtinger_flow(frame: Frame, y, opts: WirtingerOptions | None = None, x_true
         iterations=it,
         residual=float(np.linalg.norm(intensity_map(frame, x).values - y)),
         converged=converged,
+        stop_reason="tol" if converged else "max_iter",
         trace=trace_log,
     )
     return _attach_errors(result, x_true)
@@ -516,15 +533,23 @@ def irls(frame: Frame, y, opts: IRLSOptions | None = None, x_true=None) -> Recon
     Each outer step freezes v at the current iterate and minimizes the
     criterion over u.  That is a quadratic in the realified coordinates whose
     normal matrix Z Z^T + (lam + mu) I (Z the gradient columns at v) is SPD,
-    since mu never falls below IRLS_MU_MIN > 0.  It is solved directly, and
+    since lam never falls below ``lambda_min`` >= 0 and mu never below
+    IRLS_MU_MIN > 0, from the first step on.  It is solved directly, and
     ``cg_solve`` started at that solution checks the residual against
     IRLS_CG_TOL, refining it when the direct solve falls short.  The exact
     minimizer never exceeds the criterion's value at u = v, so each step's
     subproblem value descends by construction.  The three logged criterion
     values are built from the frame coefficients of u and v, one analysis
-    per step.  Both weights start at IRLS_RHO a1 and decay by IRLS_GAMMA per
-    step, to ``lambda_min`` and IRLS_MU_MIN; the loop stops on a misfit below
-    IRLS_EPS ||y||^2, and the reported estimate is the best iterate by misfit.
+    per step.  Both weights start at IRLS_RHO a1, floored at ``lambda_min``
+    and IRLS_MU_MIN, and decay by IRLS_GAMMA per step down to those floors.
+    The loop stops on a misfit below IRLS_EPS ||y||^2 (``stop_reason``
+    "tol", the only stop that sets ``converged``), when the best misfit has
+    gained less than IRLS_STALL_REL of its value over the last
+    IRLS_STALL_STEPS steps ("stagnation", the usual stop under noise, which
+    no misfit test can reach), or after ``max_outer`` steps ("max_iter").
+    The reported estimate is the best iterate by misfit.  Without an
+    explicit start, a nonpositive a1 returns the zero vector at once
+    ("degenerate").
     """
     opts = opts or IRLSOptions()
     y = _values(frame, y)
@@ -540,19 +565,22 @@ def irls(frame: Frame, y, opts: IRLSOptions | None = None, x_true=None) -> Recon
             iterations=0,
             residual=float(np.linalg.norm(y)),
             converged=True,
+            stop_reason="degenerate",
             flags=["nonpositive_top_eigenvalue"],
             diagnostics={"a1": init.a1},
         )
         return _attach_errors(result, x_true)
-    lam = mu = IRLS_RHO * init.a1
+    lam = max(IRLS_RHO * init.a1, opts.lambda_min)
+    mu = max(IRLS_RHO * init.a1, IRLS_MU_MIN)
     d = 2 * frame.n
     eye = np.eye(d)
     best_val = np.inf
     best_x = x
+    best_log: list[float] = []
     trace_log: list[float] = []
     outer_log: list[dict] = []
     cg_ok = True
-    converged = False
+    stop_reason = "max_iter"
     it = 0
     cx = analysis(frame, x)
     xx = np.vdot(x, x).real
@@ -585,16 +613,23 @@ def irls(frame: Frame, y, opts: IRLSOptions | None = None, x_true=None) -> Recon
         if misfit < best_val:
             best_val = misfit
             best_x = x
+        best_log.append(best_val)
         lam = max(IRLS_GAMMA * lam, opts.lambda_min)
         mu = max(IRLS_GAMMA * mu, IRLS_MU_MIN)
         if misfit < eps:
-            converged = True
+            stop_reason = "tol"
             break
+        if it > IRLS_STALL_STEPS:
+            before = best_log[-1 - IRLS_STALL_STEPS]
+            if before - best_val <= IRLS_STALL_REL * before:
+                stop_reason = "stagnation"
+                break
     result = ReconResult(
         x_hat=best_x,
         iterations=it,
         residual=float(np.sqrt(best_val)),
-        converged=converged,
+        converged=stop_reason == "tol",
+        stop_reason=stop_reason,
         trace=trace_log,
         flags=[] if cg_ok else ["cg_tolerance_missed"],
         diagnostics={

@@ -95,6 +95,7 @@ def test_wirtinger_zero_start():
     result = wirtinger_flow(frame, y, WirtingerOptions(x0=np.zeros(2)))
     np.testing.assert_array_equal(result.x_hat, np.zeros(2))
     assert result.converged
+    assert result.stop_reason == "degenerate" and result.iterations == 0
 
 
 def test_gs_zero_start():

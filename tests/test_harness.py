@@ -205,6 +205,7 @@ def test_default_reconstruct_report_serializes(name):
     report = run_experiment(cfg)
     (rec,) = report.records
     assert "error" not in rec and isinstance(rec["converged"], bool)
+    assert rec["stop_reason"] in ("tol", "max_iter", "stagnation", "degenerate")
     assert json.loads(report.to_json())["records"][0]["algorithm"] == name
     assert len(report.deterministic_digest()) == 64
 
@@ -309,6 +310,15 @@ def test_crlb_task_sigma_scaling():
     for row in report.tables:
         assert row["mse_lifted_linear"] is not None
         assert row["mse_lifted_linear"] > 0
+
+
+def test_report_without_stop_reasons_still_loads():
+    # reports written before records carried a stop_reason
+    data = run_experiment(BASE).to_dict()
+    for rec in data["records"]:
+        del rec["stop_reason"]
+    loaded = report_from_dict(data)
+    assert loaded.aggregates_match()
 
 
 def test_report_json_roundtrip(tmp_path):

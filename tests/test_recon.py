@@ -525,6 +525,7 @@ def test_irls_nonpositive_sentinel():
     result = irls(frame, y)
     np.testing.assert_array_equal(result.x_hat, np.zeros(2, dtype=complex))
     assert "nonpositive_top_eigenvalue" in result.flags
+    assert result.stop_reason == "degenerate"
 
 
 def test_irls_negative_control_non_retrievable():
@@ -543,6 +544,67 @@ def test_irls_negative_control_non_retrievable():
     assert np.isfinite(result.residual)
     assert result.diagnostics["best_misfit"] <= 0.25 * ysq
     assert result.d2_error is not None
+
+
+@pytest.mark.parametrize(
+    "y, opts",
+    [
+        # an explicit start with a1 <= 0 once ran step 1 at lam = mu < 0
+        (-np.ones(12), IRLSOptions(x0=np.array([1.0, 0.5j, -0.2]))),
+        # a lambda_min above IRLS_RHO a1 once ran step 1 below that floor
+        (None, IRLSOptions(lambda_min=1e3)),
+    ],
+)
+def test_irls_weights_respect_their_floors_from_the_first_step(y, opts):
+    frame = random_frame(3, 12, "gaussian", seed=0)
+    if y is None:
+        y = intensity_map(frame, unit_signal(3, 0))
+    result = irls(frame, y, opts)
+    log = result.diagnostics["outer_log"]
+    assert log
+    assert all(e["lam"] >= opts.lambda_min and e["mu"] >= recon.IRLS_MU_MIN for e in log)
+
+
+def _irls_with_and_without_stall_rule(monkeypatch, sigma):
+    """IRLS on n=8, m=64 Gaussian frames with unit signals (10 seeds), then
+    the same solves with the stall rule out of reach; awgn of std sigma, or
+    exact measurements when sigma is None."""
+    problems = []
+    for seed in range(10):
+        frame = random_frame(8, 64, "gaussian", seed=[190, seed])
+        x = unit_signal(8, 190 + seed)
+        if sigma is None:
+            y = intensity_map(frame, x)
+        else:
+            y = simulate_measurements(frame, x, NoiseModel("awgn", sigma=sigma, seed=[190, seed, 1]))
+        problems.append((frame, x, y))
+    stalled = [irls(frame, y, x_true=x) for frame, x, y in problems]
+    monkeypatch.setattr(recon, "IRLS_STALL_STEPS", IRLSOptions().max_outer + 1)
+    return list(zip(stalled, [irls(frame, y, x_true=x) for frame, x, y in problems]))
+
+
+@pytest.mark.parametrize("sigma", [0.005, 0.01, 0.02])
+def test_irls_stops_on_stagnation_under_noise(sigma, monkeypatch):
+    for result, full in _irls_with_and_without_stall_rule(monkeypatch, sigma):
+        assert full.iterations == IRLSOptions().max_outer and full.stop_reason == "max_iter"
+        assert result.stop_reason == "stagnation" and not result.converged
+        assert result.iterations < 150
+        assert result.d2_error == pytest.approx(full.d2_error, rel=1e-6)
+
+
+def test_irls_noiseless_solves_still_stop_on_tolerance(monkeypatch):
+    pairs = _irls_with_and_without_stall_rule(monkeypatch, None)
+    for result, full in pairs:
+        if full.converged:
+            # the stall rule never fires before the misfit test
+            assert result.stop_reason == "tol" and result.converged
+            assert result.iterations == full.iterations
+            np.testing.assert_array_equal(result.x_hat, full.x_hat)
+        else:
+            # a solve that never reaches IRLS_EPS stalls on the same best iterate
+            assert result.stop_reason == "stagnation" and result.iterations < full.iterations
+            assert result.d2_error == pytest.approx(full.d2_error, rel=1e-6)
+    assert sum(result.stop_reason == "tol" for result, _ in pairs) >= 9
 
 
 # ---------------------------------------------------------------------------
@@ -577,6 +639,40 @@ def test_result_serialization():
     assert data["converged"] is True
     assert len(data["x_hat"]) == 2 and len(data["x_hat"][0]) == 2
     assert data["d2_error"] == result.d2_error
+    assert data["stop_reason"] == "tol"
+
+
+# options that end each solver on its budget before any tolerance test holds
+_ONE_STEP = {
+    "phaselift": {"max_outer": 1},
+    "gerchberg_saxton": {"max_iter": 1},
+    "wirtinger_flow": {"max_iter": 1},
+    "irls": {"max_outer": 1},
+}
+
+
+@pytest.mark.parametrize("name", sorted(recon.SOLVERS))
+def test_stop_reason_of_each_solver(name):
+    frame = random_frame(3, 12, "gaussian", seed=6)
+    y = intensity_map(frame, unit_signal(3, 6))
+    solver = getattr(recon, name)
+    result = solver(frame, y)
+    assert result.stop_reason == "tol" and result.converged
+    cls = recon.SOLVERS[name]
+    if cls is not None:
+        capped = solver(frame, y, cls(**_ONE_STEP[name]))
+        assert capped.stop_reason == "max_iter" and not capped.converged
+
+
+def test_gerchberg_saxton_stop_reasons():
+    frame = random_frame(4, 24, "gaussian", seed=20)
+    x = unit_signal(4, 20)
+    noisy = intensity_map(frame, x).values + 0.05 * rng_from_seed(3).normal(size=24)
+    stalled = gerchberg_saxton(frame, noisy)
+    assert stalled.stop_reason == "stagnation" and stalled.converged
+    assert stalled.iterations < GSOptions().max_iter
+    exact = gerchberg_saxton(frame, np.zeros(24))
+    assert exact.stop_reason == "tol" and exact.iterations == 1
 
 
 @pytest.mark.parametrize("length", [1, 13])  # m = 12
