@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import logging
 import sys
@@ -30,7 +31,10 @@ EXIT_COMPONENT = 3
 EXIT_BUDGET = 4
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; ``parse_args`` leaves it
+    unchanged, so every ``main`` call parses from the same defaults."""
     p = argparse.ArgumentParser(prog="framepr", description=__doc__)
     p.add_argument("-v", "--verbose", action="store_true",
                    help="print the library's DEBUG log records to stderr")

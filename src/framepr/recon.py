@@ -3,10 +3,11 @@
 Five solvers: exact linear inversion on the lifted matrix space, a
 trace-regularized PSD least-squares relaxation (PhaseLift-style, solved by
 proximal gradient with continuation), Gerchberg-Saxton alternating
-projections, Wirtinger-flow gradient descent, and iterated regularized least
-squares on a bilinear criterion.  All are deterministic given their options;
-estimates are defined up to a global phase, so errors are reported with the
-phase-quotient metrics.
+projections, Wirtinger flow (the intensity-misfit gradient taken along
+conjugate directions with an exact line search), and iterated regularized
+least squares on a bilinear criterion.  All are deterministic given their
+options; estimates are defined up to a global phase, so errors are reported
+with the phase-quotient metrics.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ _TIE_TOL = 1e-12
 PHASELIFT_TOL = 1e-10  # FISTA step test of the final stage
 L1_DELTA = 3e-2  # l1 weight floor, in units of ||y||_2 / m
 GS_TOL = 1e-12  # relative residual change that stops Gerchberg-Saxton
-WF_MU_MAX = 0.2  # Wirtinger step cap and ramp time (Candes, Li & Soltanolkotabi)
-WF_TAU0 = 330.0
 WF_TOL = 1e-9  # relative gradient norm that stops Wirtinger flow
 IRLS_RHO = 0.5  # initial ridge and coupling weights, in units of a1
 IRLS_GAMMA = 0.85  # per-step decay of both weights
@@ -76,7 +75,8 @@ class ReconResult:
     ``stop_reason`` says why the solver stopped: "tol" (its tolerance test
     held), "max_iter" (its budget ran out), "stagnation" (it stopped
     improving) or "degenerate" (a zero start or a nonpositive top
-    eigenvalue, so it returned without iterating).
+    eigenvalue, so it returned without iterating, and ``converged`` is
+    False).
     """
 
     x_hat: np.ndarray
@@ -443,15 +443,57 @@ class WirtingerOptions:
         _check_budgets(max_iter=self.max_iter)
 
 
-def wirtinger_flow(frame: Frame, y, opts: WirtingerOptions | None = None, x_true=None) -> ReconResult:
-    """Gradient descent on the squared intensity misfit with a ramped step.
+def _quartic_step(r: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """Global minimizer of phi(t) = sum_k (r_k + a_k t + b_k t^2)^2.
 
-    Starts from the spectral initialization (energy-matched scaling), then
-    iterates x <- x - (mu_t / ||x0||^2) g with g the m-averaged misfit
-    direction sum_k (|<x,f_k>|^2 - y_k) <x,f_k> f_k and the step schedule
-    mu_t = min(WF_MU_MAX, 1 - exp(-t / WF_TAU0)), t the iteration counter.
-    Stops when ||g|| <= WF_TOL ||x0||^3 (``stop_reason`` "tol") or at the
-    iteration cap ("max_iter"); a zero start returns at once ("degenerate").
+    phi'(t) / 2 = 2 S_bb t^3 + 3 S_ab t^2 + (S_aa + 2 S_rb) t + S_ra, with
+    S_uv = sum_k u_k v_k, is solved in closed form: Cardano when it has one
+    real root, the trigonometric form when it has three.  Of those, the one
+    with the least phi, evaluated from the same moments, is returned.  When
+    b = 0 then a = 0 too on the Wirtinger line (|d|^2 = 0 means d = 0), phi
+    is constant and t = 0.
+    """
+    s_bb = float(b @ b)
+    if s_bb == 0.0:
+        return 0.0
+    s_ab, s_aa, s_rb, s_ra = float(a @ b), float(a @ a), float(r @ b), float(r @ a)
+    # monic t^3 + e2 t^2 + e1 t + e0, shifted by t = u - e2 / 3 to u^3 + P u + Q
+    e2 = 1.5 * s_ab / s_bb
+    e1 = 0.5 * (s_aa + 2.0 * s_rb) / s_bb
+    e0 = 0.5 * s_ra / s_bb
+    shift = e2 / 3.0
+    P = e1 - e2 * shift
+    Q = shift * (2.0 * shift * shift - e1) + e0
+    disc = 0.25 * Q * Q + P * P * P / 27.0
+    if disc >= 0.0:
+        A = -math.copysign(math.cbrt(0.5 * abs(Q) + math.sqrt(disc)), Q)
+        roots = [A - P / (3.0 * A) if A != 0.0 else 0.0]
+    else:
+        rad = math.sqrt(-P / 3.0)
+        theta = math.acos(max(-1.0, min(1.0, -0.5 * Q / rad**3)))
+        roots = [2.0 * rad * math.cos((theta - 2.0 * math.pi * k) / 3.0) for k in range(3)]
+
+    def phi(t: float) -> float:  # phi(t) - phi(0)
+        return t * (2.0 * s_ra + t * (s_aa + 2.0 * s_rb + t * (2.0 * s_ab + t * s_bb)))
+
+    return min((u - shift for u in roots), key=phi)
+
+
+def wirtinger_flow(frame: Frame, y, opts: WirtingerOptions | None = None, x_true=None) -> ReconResult:
+    """Conjugate-direction descent on the squared intensity misfit.
+
+    Starts from the spectral initialization (energy-matched scaling).  Each
+    step takes the Wirtinger gradient g = sum_k (|<x,f_k>|^2 - y_k) <x,f_k>
+    f_k / m and the Polak-Ribiere+ direction p = -g + beta p_prev, beta =
+    max(0, Re<g, g - g_prev> / ||g_prev||^2), falling back to p = -g when
+    Re<p, g> >= 0.  The step length t is the exact minimizer of the quartic
+    misfit sum_k (r_k + a_k t + b_k t^2)^2 along p, with r = |c|^2 - y, c the
+    frame coefficients of x, d those of p, a = 2 Re(c conj d) and b = |d|^2
+    (``_quartic_step``); then x <- x + t p and c <- c + t d, so a step costs
+    one gradient and one analysis, and the misfit never increases (up to
+    rounding).  Stops when ||g|| <= WF_TOL ||x0||^3 (``stop_reason`` "tol")
+    or at the iteration cap ("max_iter"); a zero start returns at once
+    ("degenerate", not ``converged``).
     """
     opts = opts or WirtingerOptions()
     y = np.maximum(_values(frame, y), 0.0)
@@ -465,7 +507,7 @@ def wirtinger_flow(frame: Frame, y, opts: WirtingerOptions | None = None, x_true
         result = ReconResult(
             x_hat=x, iterations=0,
             residual=float(np.linalg.norm(intensity_map(frame, x).values - y)),
-            converged=True, stop_reason="degenerate", trace=[],
+            converged=False, stop_reason="degenerate", trace=[],
             diagnostics={"note": "zero initialization"},
         )
         return _attach_errors(result, x_true)
@@ -473,17 +515,27 @@ def wirtinger_flow(frame: Frame, y, opts: WirtingerOptions | None = None, x_true
     converged = False
     it = 0
     gscale = max(norm0_sq ** 1.5, np.finfo(float).tiny)
+    c = analysis(frame, x)
+    # an infinite previous norm makes beta 0, so the first direction is -g
+    p = g_prev = np.zeros_like(x)
+    gg_prev = math.inf
     for it in range(1, opts.max_iter + 1):
-        c = analysis(frame, x)
         misfit = (c * c.conj()).real - y
         g = synthesis(frame, misfit * c) / m
-        gnorm = float(np.linalg.norm(g))
+        gg = float(np.vdot(g, g).real)
         trace_log.append(float(np.linalg.norm(misfit)))
-        if gnorm <= WF_TOL * gscale:
+        if math.sqrt(gg) <= WF_TOL * gscale:
             converged = True
             break
-        mu = min(WF_MU_MAX, 1.0 - np.exp(-it / WF_TAU0))
-        x = x - (mu / norm0_sq) * g
+        beta = max(0.0, (gg - float(np.vdot(g_prev, g).real)) / gg_prev)
+        p = beta * p - g
+        if np.vdot(p, g).real >= 0.0:
+            p = -g
+        d = analysis(frame, p)
+        t = _quartic_step(misfit, 2.0 * (c * d.conj()).real, (d * d.conj()).real)
+        x = x + t * p
+        c = c + t * d
+        g_prev, gg_prev = g, gg
     result = ReconResult(
         x_hat=x,
         iterations=it,
@@ -564,7 +616,7 @@ def irls(frame: Frame, y, opts: IRLSOptions | None = None, x_true=None) -> Recon
             x_hat=np.zeros(frame.n, dtype=complex),
             iterations=0,
             residual=float(np.linalg.norm(y)),
-            converged=True,
+            converged=False,
             stop_reason="degenerate",
             flags=["nonpositive_top_eigenvalue"],
             diagnostics={"a1": init.a1},

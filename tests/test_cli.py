@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from framepr import load_frame, run_experiment
+from framepr import cli, load_frame, run_experiment
 from framepr.cli import main
 
 
@@ -330,6 +330,41 @@ def test_verbose_prints_debug_records_without_stacking(tmp_path, capsys):
         assert logger.handlers == handlers and logger.level == level
     assert run_cli(*argv) == 0
     assert "bipartition scan" not in capsys.readouterr().err
+
+
+def test_cached_parser_parses_each_call_independently(monkeypatch):
+    # the parser is built once per process; options one call sets must not
+    # leak into the next call's namespace
+    seen = []
+
+    def record(args, *task):
+        seen.append((vars(args), *task))
+        return 0
+
+    for name in ("_cmd_frame", "_cmd_bounds", "_cmd_task", "_cmd_report"):
+        monkeypatch.setattr(cli, name, record)
+    budget, samples, starts = (cli.TASK_OPTIONS[k][0] for k in ("budget", "samples", "n_starts"))
+    check = {"verbose": False, "verb": "frame", "frame_verb": "check", "path": "f.json",
+             "full_spark": False, "certify": False, "seed": 0, "budget": budget, "out": None}
+    task = {"verbose": False, "config": "c.json", "trials": None, "seed": None,
+            "out": None, "csv": None}
+    calls = [
+        (["frame", "check", "f.json", "--certify", "--seed", "3", "--out", "o.json"],
+         ({**check, "certify": True, "seed": 3, "out": "o.json"},)),
+        (["frame", "check", "f.json"], (check,)),
+        (["-v", "bounds", "f.json", "--samples", "7"],
+         ({"verbose": True, "verb": "bounds", "path": "f.json", "samples": 7,
+           "starts": starts, "seed": 0, "out": None},)),
+        (["sweep", "--config", "c.json", "--trials", "2", "--seed", "5"],
+         ({**task, "verb": "sweep", "trials": 2, "seed": 5}, "sweep")),
+        (["recon", "--config", "c.json"], ({**task, "verb": "recon"}, "reconstruct")),
+        (["report", "r.json"],
+         ({"verbose": False, "verb": "report", "path": "r.json", "csv": None, "digest": False},)),
+    ]
+    for argv, expected in calls:
+        assert main(argv) == 0
+        assert seen.pop() == expected
+    assert cli._parser() is cli._parser()
 
 
 def test_import_leaves_slow_scipy_modules_unloaded():

@@ -94,7 +94,7 @@ def test_wirtinger_zero_start():
     y = intensity_map(frame, np.array([1.0, 1j]))
     result = wirtinger_flow(frame, y, WirtingerOptions(x0=np.zeros(2)))
     np.testing.assert_array_equal(result.x_hat, np.zeros(2))
-    assert result.converged
+    assert not result.converged
     assert result.stop_reason == "degenerate" and result.iterations == 0
 
 
