@@ -61,16 +61,22 @@ class Frame:
         return self.field == "real"
 
     @cached_property
+    def realified_rows(self) -> np.ndarray:
+        """[phi; J phi], shape (2m, 2n): rows phi_k = [Re f_k, Im f_k], then
+        rows J phi_k = [-Im f_k, Re f_k].  ``realified_rows @ realify(x)`` is
+        [Re c; Im c] for the frame coefficients c = analysis(frame, x)."""
+        V = self.vectors
+        return _read_only(np.block([[V.real, V.imag], [-V.imag, V.real]]))
+
+    @cached_property
     def phi(self) -> np.ndarray:
         """Realified rows phi_k = [Re f_k, Im f_k], shape (m, 2n)."""
-        V = self.vectors
-        return _read_only(np.concatenate([V.real, V.imag], axis=1))
+        return self.realified_rows[: self.m]
 
     @cached_property
     def jphi(self) -> np.ndarray:
         """Rows J phi_k = [-Im f_k, Re f_k], shape (m, 2n)."""
-        V = self.vectors
-        return _read_only(np.concatenate([-V.imag, V.real], axis=1))
+        return self.realified_rows[self.m :]
 
     @cached_property
     def lifted_gram(self) -> np.ndarray:

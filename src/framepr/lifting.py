@@ -159,8 +159,17 @@ def gradient_columns(frame: Frame, xi) -> np.ndarray:
     d = 2 * frame.n
     if xi.shape != (d,):
         raise DimensionMismatch(f"expected length-{d} vector, got {xi.shape}")
-    phi, jphi = frame.phi, frame.jphi
-    return (phi.T * (phi @ xi)) + (jphi.T * (jphi @ xi))
+    return coefficient_columns(frame, frame.phi @ xi, frame.jphi @ xi)
+
+
+def coefficient_columns(frame: Frame, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``gradient_columns`` at the point whose frame coefficients are p + iq.
+
+    Column k is Phi_k xi = p_k phi_k + q_k J phi_k, where p = phi xi and
+    q = J phi xi are the real and imaginary parts of <x, f_k>; a solver that
+    already holds them skips the two products with the realified rows.
+    """
+    return (frame.phi.T * p) + (frame.jphi.T * q)
 
 
 def gradient_gram(frame: Frame, xi) -> np.ndarray:

@@ -84,6 +84,28 @@ def _eig_routine(dtype: np.dtype):
     raise TypeError(f"array type {dtype} is unsupported in linalg")
 
 
+@functools.cache
+def _cholesky_routine():
+    """LAPACK's dposv (Cholesky factor and solve), imported on first use for
+    the reason ``_eig_routine`` gives."""
+    from scipy.linalg import lapack
+
+    return lapack.dposv
+
+
+def spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b for a real symmetric positive definite A by Cholesky.
+
+    Calls LAPACK's dposv directly, without the checks and copies of
+    ``scipy.linalg.solve``; only one triangle of A is read.  When the
+    factorization meets a nonpositive pivot (A is not numerically positive
+    definite, info > 0), the system is solved by ``np.linalg.solve`` (LU with
+    partial pivoting) instead.
+    """
+    _, x, info = _cholesky_routine()(A, b)
+    return np.linalg.solve(A, b) if info > 0 else x
+
+
 def hermitian_eig(M: np.ndarray) -> EigDecomposition:
     """Full eigendecomposition of a self-adjoint matrix, sorted descending.
 

@@ -21,14 +21,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, InsufficientRedundancy
 from .frames import Frame, MeasurementVector, analysis, encode_complex, intensity_map, synthesis
-from .lifting import (
-    gradient_columns,
-    lifted_map,
-    lifted_map_adjoint,
-    realify,
-    complexify,
-)
-from .linalg import cg_solve, hermitian_eig
+from .lifting import coefficient_columns, complexify, lifted_map, lifted_map_adjoint, realify
+from .linalg import cg_solve, hermitian_eig, spd_solve
 from .metrics import outer_distance, quotient_distance
 
 _TIE_TOL = 1e-12
@@ -74,9 +68,9 @@ class ReconResult:
     are phase-quotient errors against the ground truth when it was supplied.
     ``stop_reason`` says why the solver stopped: "tol" (its tolerance test
     held), "max_iter" (its budget ran out), "stagnation" (it stopped
-    improving) or "degenerate" (a zero start or a nonpositive top
-    eigenvalue, so it returned without iterating, and ``converged`` is
-    False).
+    improving) or "degenerate" (a zero start, a nonpositive top eigenvalue
+    or a tied one, so it returned a fallback estimate).  In every solver
+    ``converged`` is True exactly when ``stop_reason`` is "tol".
     """
 
     x_hat: np.ndarray
@@ -134,7 +128,10 @@ def lifted_linear(frame: Frame, y, x_true=None) -> ReconResult:
     the dual forms, and two vector estimates are read off its top eigenpair:
     the least-squares scale sqrt(lambda1) and the gap scale
     sqrt(lambda1 - lambda2).  The gap-scaled estimate varies Lipschitz-
-    continuously with y and is returned as ``x_hat``.
+    continuously with y and is returned as ``x_hat``.  When the top
+    eigenvalue is tied (no gap), ``x_hat`` falls back to 0, flagged
+    "tie_top_eigenvalue", with ``stop_reason`` "degenerate" and
+    ``converged`` False; otherwise the solve reports "tol".
     """
     y = _values(frame, y)
     rank, gram_pinv = frame.lifted_inverse
@@ -150,21 +147,17 @@ def lifted_linear(frame: Frame, y, x_true=None) -> ReconResult:
     lam2 = float(lam[1]) if lam.shape[0] > 1 else 0.0
     e1 = dec.eigenvectors[:, 0]
     x_ls = np.sqrt(max(lam1, 0.0)) * e1
-    flags = []
     gap = lam1 - lam2
-    if gap <= _TIE_TOL * max(abs(lam1), 1.0):
-        x_lip = np.zeros(frame.n, dtype=complex)
-        flags.append("tie_top_eigenvalue")
-    else:
-        x_lip = np.sqrt(gap) * e1
+    tie = gap <= _TIE_TOL * max(abs(lam1), 1.0)
+    x_lip = np.zeros(frame.n, dtype=complex) if tie else np.sqrt(gap) * e1
     result = ReconResult(
         x_hat=x_lip,
         X_hat=X,
         iterations=1,
         residual=float(np.linalg.norm(lifted_map(frame, X) - y)),
-        converged=True,
-        stop_reason="tol",
-        flags=flags,
+        converged=not tie,
+        stop_reason="degenerate" if tie else "tol",
+        flags=["tie_top_eigenvalue"] if tie else [],
         diagnostics={"x_ls": x_ls, "x_lip": x_lip, "lambda1": lam1, "lambda2": lam2},
     )
     return _attach_errors(result, x_true)
@@ -331,14 +324,16 @@ def gerchberg_saxton(frame: Frame, y, opts: GSOptions | None = None, x_true=None
     """Alternate between the measured magnitudes and the coefficient range.
 
     Starts from ``opts.x0``, or else from the energy-matched spectral start
-    of the unclamped measurements.  Each sweep: analyze the iterate, replace
+    of the unclamped measurements.  Each sweep: replace the iterate's
     coefficient magnitudes by sqrt(y) while keeping phases (zero coefficients
-    get phase 1), synthesize with the canonical dual.  Convergence is not
+    get phase 1), synthesize with the canonical dual, and analyze the result
+    once, for both the residual and the next sweep.  Convergence is not
     guaranteed; the best iterate by magnitude residual is returned.  The loop
     stops with ``stop_reason`` "tol" when that residual falls to
-    GS_TOL max(||sqrt(y)||, 1), "stagnation" when it changes by less than
-    GS_TOL relative between sweeps (both count as converged), and
-    "max_iter" otherwise.  Negative measurements are clamped to zero.
+    GS_TOL max(||sqrt(y)||, 1), the only stop that sets ``converged``;
+    "stagnation" when it changes by less than GS_TOL relative between
+    sweeps; and "max_iter" otherwise.  Negative measurements are clamped to
+    zero.
     """
     opts = opts or GSOptions()
     if opts.x0 is not None:
@@ -356,12 +351,13 @@ def gerchberg_saxton(frame: Frame, y, opts: GSOptions | None = None, x_true=None
     stop_reason = "max_iter"
     it = 0
     floor = GS_TOL * max(float(np.linalg.norm(r)), 1.0)
+    c = analysis(frame, x)
     for it in range(1, opts.max_iter + 1):
-        c = analysis(frame, x)
         absc = np.abs(c)
         d = np.where(absc > 0.0, r * c / np.where(absc > 0.0, absc, 1.0), r)
         x = synthesis(duals, d)
-        res = float(np.linalg.norm(np.abs(analysis(frame, x)) - r))
+        c = analysis(frame, x)
+        res = float(np.linalg.norm(np.abs(c) - r))
         trace_log.append(res)
         if res < best_res:
             best_res, best_x, best_it = res, x, it
@@ -376,7 +372,7 @@ def gerchberg_saxton(frame: Frame, y, opts: GSOptions | None = None, x_true=None
         x_hat=best_x,
         iterations=it,
         residual=float(np.linalg.norm(intensity_map(frame, best_x).values - y)),
-        converged=stop_reason != "max_iter",
+        converged=stop_reason == "tol",
         stop_reason=stop_reason,
         trace=trace_log,
         diagnostics={"best_iteration": best_it, "magnitude_residual": best_res},
@@ -586,14 +582,19 @@ def irls(frame: Frame, y, opts: IRLSOptions | None = None, x_true=None) -> Recon
     criterion over u.  That is a quadratic in the realified coordinates whose
     normal matrix Z Z^T + (lam + mu) I (Z the gradient columns at v) is SPD,
     since lam never falls below ``lambda_min`` >= 0 and mu never below
-    IRLS_MU_MIN > 0, from the first step on.  It is solved directly, and
-    ``cg_solve`` started at that solution checks the residual against
-    IRLS_CG_TOL, refining it when the direct solve falls short.  The exact
-    minimizer never exceeds the criterion's value at u = v, so each step's
-    subproblem value descends by construction.  The three logged criterion
-    values are built from the frame coefficients of u and v, one analysis
-    per step.  Both weights start at IRLS_RHO a1, floored at ``lambda_min``
-    and IRLS_MU_MIN, and decay by IRLS_GAMMA per step down to those floors.
+    IRLS_MU_MIN > 0, from the first step on.  It is solved by Cholesky
+    (``spd_solve``), and ``cg_solve`` started at that solution checks the
+    residual against IRLS_CG_TOL, refining it when the direct solve falls
+    short.  The exact minimizer never exceeds the criterion's value at
+    u = v, so each step's subproblem value descends by construction.  The
+    loop works in realified coordinates throughout: each step computes the
+    coefficients (p, q) = (phi xi_u, J phi xi_u) of the new iterate with one
+    product with ``Frame.realified_rows``, and carries them and the
+    intensity residual p^2 + q^2 - y into the next step, which builds Z from
+    them (``coefficient_columns``) and the three logged criterion values
+    from the carried residuals.  Both weights start at IRLS_RHO a1, floored
+    at ``lambda_min`` and IRLS_MU_MIN, and decay by IRLS_GAMMA per step down
+    to those floors.
     The loop stops on a misfit below IRLS_EPS ||y||^2 (``stop_reason``
     "tol", the only stop that sets ``converged``), when the best misfit has
     gained less than IRLS_STALL_REL of its value over the last
@@ -607,10 +608,6 @@ def irls(frame: Frame, y, opts: IRLSOptions | None = None, x_true=None) -> Recon
     y = _values(frame, y)
     eps = IRLS_EPS * float(y @ y)
     init = spectral_init(frame, y, mode="irls")
-    if opts.x0 is not None:
-        x = np.asarray(opts.x0, dtype=complex).copy()
-    else:
-        x = init.x0
     if init.a1 <= 0.0 and opts.x0 is None:
         result = ReconResult(
             x_hat=np.zeros(frame.n, dtype=complex),
@@ -624,47 +621,49 @@ def irls(frame: Frame, y, opts: IRLSOptions | None = None, x_true=None) -> Recon
         return _attach_errors(result, x_true)
     lam = max(IRLS_RHO * init.a1, opts.lambda_min)
     mu = max(IRLS_RHO * init.a1, IRLS_MU_MIN)
-    d = 2 * frame.n
-    eye = np.eye(d)
+    m, d = frame.m, 2 * frame.n
+    rows = frame.realified_rows
     best_val = np.inf
-    best_x = x
     best_log: list[float] = []
     trace_log: list[float] = []
     outer_log: list[dict] = []
     cg_ok = True
     stop_reason = "max_iter"
     it = 0
-    cx = analysis(frame, x)
-    xx = np.vdot(x, x).real
+    # the iterate xi carries its frame coefficients as pq = [Re c; Im c] and
+    # its intensity residual r = |c|^2 - y from the u-step that produced it
+    xi = best_xi = realify(init.x0 if opts.x0 is None else opts.x0)
+    pq = rows @ xi
+    r = pq[:m] ** 2 + pq[m:] ** 2 - y
+    xx = xi @ xi
     for it in range(1, opts.max_outer + 1):
-        xi_v = realify(x)
-        Z = gradient_columns(frame, xi_v)
-        A = Z @ Z.T + (lam + mu) * eye
-        rhs = Z @ y + mu * xi_v
+        Z = coefficient_columns(frame, pq[:m], pq[m:])
+        A = Z @ Z.T
+        A.flat[:: d + 1] += lam + mu
+        rhs = Z @ y + mu * xi
         xi_u, ok, n_cg = cg_solve(
-            A.__matmul__, rhs, tol=IRLS_CG_TOL, max_iter=20 * d, x0=np.linalg.solve(A, rhs)
+            A.__matmul__, rhs, tol=IRLS_CG_TOL, max_iter=20 * d, x0=spd_solve(A, rhs)
         )
         cg_ok = cg_ok and ok
-        u = complexify(xi_u)
-        cu = analysis(frame, u)
-        uu = np.vdot(u, u).real
-        # irls_objective at (x, x), (u, x) and (u, u), from the coefficients
-        sub_before = float(np.sum(((cx * cx.conj()).real - y) ** 2) + 2.0 * lam * xx)
-        sub_after = float(
-            np.sum(((cu * cx.conj()).real - y) ** 2)
-            + lam * uu + mu * np.vdot(u - x, u - x).real + lam * xx
-        )
-        misfit = float(np.sum(((cu * cu.conj()).real - y) ** 2))
+        pq_u = rows @ xi_u
+        r_u = pq_u[:m] ** 2 + pq_u[m:] ** 2 - y
+        r_cross = pq_u[:m] * pq[:m] + pq_u[m:] * pq[m:] - y
+        uu = xi_u @ xi_u
+        step = xi_u - xi
+        # irls_objective at (x, x), (u, x) and (u, u), from the residuals
+        sub_before = float(r @ r + 2.0 * lam * xx)
+        sub_after = float(r_cross @ r_cross + lam * uu + mu * (step @ step) + lam * xx)
+        misfit = float(r_u @ r_u)
         outer_log.append(
             {"lam": lam, "mu": mu, "J_sub_before": sub_before, "J_sub_after": sub_after,
              "J_misfit": misfit, "cg_iterations": n_cg}
         )
         trace_log.append(misfit)
-        prev = x
-        x, cx, xx = u, cu, uu
+        xi_prev = xi
+        xi, pq, r, xx = xi_u, pq_u, r_u, uu
         if misfit < best_val:
             best_val = misfit
-            best_x = x
+            best_xi = xi
         best_log.append(best_val)
         lam = max(IRLS_GAMMA * lam, opts.lambda_min)
         mu = max(IRLS_GAMMA * mu, IRLS_MU_MIN)
@@ -677,7 +676,7 @@ def irls(frame: Frame, y, opts: IRLSOptions | None = None, x_true=None) -> Recon
                 stop_reason = "stagnation"
                 break
     result = ReconResult(
-        x_hat=best_x,
+        x_hat=complexify(best_xi),
         iterations=it,
         residual=float(np.sqrt(best_val)),
         converged=stop_reason == "tol",
@@ -686,7 +685,7 @@ def irls(frame: Frame, y, opts: IRLSOptions | None = None, x_true=None) -> Recon
         flags=[] if cg_ok else ["cg_tolerance_missed"],
         diagnostics={
             "outer_log": outer_log,
-            "final_pair": (u, prev),
+            "final_pair": (complexify(xi), complexify(xi_prev)),
             "a1": init.a1,
             "best_misfit": best_val,
         },

@@ -233,6 +233,7 @@ def test_cached_frame_operators(monkeypatch):
     np.testing.assert_array_equal(frame.lifted_gram, G)
     np.testing.assert_array_equal(frame.phi, np.concatenate([V.real, V.imag], axis=1))
     np.testing.assert_array_equal(frame.jphi, np.concatenate([-V.imag, V.real], axis=1))
+    np.testing.assert_array_equal(frame.realified_rows, np.concatenate([frame.phi, frame.jphi]))
     rank, pinv = frame.lifted_inverse
     assert rank == np.linalg.matrix_rank(G) == 9
     np.testing.assert_allclose(pinv, np.linalg.pinv(G), atol=1e-10)
@@ -240,9 +241,10 @@ def test_cached_frame_operators(monkeypatch):
     rows = np.array([np.outer(f.conj(), f).ravel() for f in V])
     np.testing.assert_array_equal(frame.lifted_rows, rows)
     assert frame.lifted_rows.shape == (10, 9)
-    for name in ("phi", "jphi", "lifted_gram", "lifted_rows"):
+    for name in ("realified_rows", "phi", "jphi", "lifted_gram", "lifted_rows"):
         assert getattr(frame, name) is getattr(frame, name)
-    for value in (frame.phi, frame.jphi, frame.lifted_gram, frame.lifted_rows, pinv):
+    cached = (frame.realified_rows, frame.phi, frame.jphi, frame.lifted_gram, frame.lifted_rows)
+    for value in (*cached, pinv):
         assert not value.flags.writeable
         with pytest.raises(ValueError):
             value[0, 0] = 0.0

@@ -25,6 +25,7 @@ from framepr import (
     sym_outer_spectrum,
     weighted_frame_operator,
 )
+from framepr.lifting import coefficient_columns
 from conftest import random_complex
 
 
@@ -275,6 +276,20 @@ def test_gradient_gram_factorization_and_kernel(rng):
         scale = max(1.0, np.linalg.norm(R))
         np.testing.assert_allclose(R, Z @ Z.T, atol=1e-12 * scale)
         assert np.linalg.norm(R @ apply_complex_structure(xi)) < 1e-12 * scale
+
+
+def test_coefficient_columns_match_gradient_columns(rng):
+    frame = random_frame(3, 8, "gaussian", seed=27)
+    m = frame.m
+    for _ in range(5):
+        xi = rng.normal(size=6)
+        pq = frame.realified_rows @ xi
+        c = frame.vectors.conj() @ (xi[:3] + 1j * xi[3:])
+        # the stacked rows give [Re c; Im c] in one product
+        np.testing.assert_allclose(pq, np.concatenate([c.real, c.imag]), atol=1e-12)
+        np.testing.assert_allclose(
+            coefficient_columns(frame, pq[:m], pq[m:]), gradient_columns(frame, xi), atol=1e-12
+        )
 
 
 def test_normalized_gradient_gram_quadratic_form(rng):

@@ -11,7 +11,7 @@ from framepr import (
     power_method,
     pseudo_inverse,
 )
-from framepr.linalg import DEFAULT_TOL
+from framepr.linalg import DEFAULT_TOL, spd_solve
 from conftest import random_complex, random_hermitian, random_unitary
 
 
@@ -177,6 +177,24 @@ def test_cg_matches_dense_solve(rng):
     x, ok, _ = cg_solve(lambda v: A @ v, b, tol=1e-12)
     assert ok
     np.testing.assert_allclose(x, np.linalg.solve(A, b), atol=1e-8)
+
+
+def test_spd_solve_matches_dense_solve(rng):
+    for n in (1, 4, 16):
+        B = rng.normal(size=(n, 3 * n))
+        A = B @ B.T + 0.1 * np.eye(n)
+        b = rng.normal(size=n)
+        x = spd_solve(A, b)
+        np.testing.assert_allclose(x, np.linalg.solve(A, b), rtol=1e-10, atol=1e-12)
+        # the inputs stay untouched
+        np.testing.assert_array_equal(A, B @ B.T + 0.1 * np.eye(n))
+
+
+def test_spd_solve_falls_back_to_lu_without_positive_definiteness():
+    # symmetric but indefinite: Cholesky meets a nonpositive pivot (info > 0)
+    A = np.array([[1.0, 2.0], [2.0, 1.0]])
+    b = np.array([1.0, -1.0])
+    np.testing.assert_array_equal(spd_solve(A, b), np.linalg.solve(A, b))
 
 
 def test_cg_flags_indefinite():

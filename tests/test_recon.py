@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from framepr import recon
+from framepr import linalg, recon
 from framepr import (
     DimensionMismatch,
     GSOptions,
@@ -9,6 +9,8 @@ from framepr import (
     InsufficientRedundancy,
     NoiseModel,
     PhaseLiftOptions,
+    complexify,
+    gradient_columns,
     WirtingerOptions,
     gerchberg_saxton,
     intensity_map,
@@ -73,6 +75,8 @@ def test_lifted_linear_tie_case():
     result = lifted_linear(frame, y)
     assert "tie_top_eigenvalue" in result.flags
     np.testing.assert_allclose(result.x_hat, np.zeros(2), atol=1e-6)
+    # the zero fallback is no solution of the tolerance test
+    assert result.stop_reason == "degenerate" and not result.converged
 
 
 def test_lifted_linear_insufficient_redundancy():
@@ -324,6 +328,59 @@ def test_gs_negative_entries_rectified():
     assert np.isfinite(result.residual)
 
 
+def _gs_reference(frame, y, x0, max_iter):
+    """Gerchberg-Saxton analyzing each sweep's start and result separately;
+    returns (x_hat, iterations, stop_reason, trace)."""
+    r = np.sqrt(np.maximum(np.asarray(y, dtype=float), 0.0))
+    floor = recon.GS_TOL * max(float(np.linalg.norm(r)), 1.0)
+    x, best_res, best_x, trace, prev, stop = x0, np.inf, x0, [], None, "max_iter"
+    for it in range(1, max_iter + 1):
+        c = frame.vectors.conj() @ x
+        absc = np.abs(c)
+        d = np.where(absc > 0.0, r * c / np.where(absc > 0.0, absc, 1.0), r)
+        x = frame.dual.vectors.T @ d
+        res = float(np.linalg.norm(np.abs(frame.vectors.conj() @ x) - r))
+        trace.append(res)
+        if res < best_res:
+            best_res, best_x = res, x
+        if res <= floor:
+            stop = "tol"
+            break
+        if prev is not None and abs(prev - res) <= recon.GS_TOL * max(prev, floor):
+            stop = "stagnation"
+            break
+        prev = res
+    return best_x, it, stop, trace
+
+
+@pytest.mark.parametrize(
+    "sigma, max_iter", [(None, 500), (0.05, 500), (0.05, 7), (0.0, 500)], ids=str
+)
+def test_gs_matches_reference_with_one_analysis_per_sweep(sigma, max_iter, monkeypatch):
+    # sigma None: exact measurements; 0.0: y = 0, so every coefficient of the
+    # first sweep's result is 0 and gets phase 1
+    frame = random_frame(4, 24, "gaussian", seed=20)
+    x = unit_signal(4, 20)
+    if sigma is None:
+        y = intensity_map(frame, x).values
+    else:
+        y = sigma * rng_from_seed(3).normal(size=24) + (sigma > 0) * intensity_map(frame, x).values
+    x0 = spectral_init(frame, intensity_map(frame, x), mode="wf").x0
+    x_ref, iterations, stop, trace = _gs_reference(frame, y, x0, max_iter)
+    calls = []
+
+    def counted(frame_, v):
+        calls.append(1)
+        return frame_.vectors.conj() @ np.asarray(v, dtype=complex)
+
+    monkeypatch.setattr(recon, "analysis", counted)
+    result = gerchberg_saxton(frame, y, GSOptions(x0=x0, max_iter=max_iter))
+    assert len(calls) == result.iterations + 1
+    assert (result.iterations, result.stop_reason) == (iterations, stop)
+    np.testing.assert_array_equal(result.x_hat, x_ref)
+    assert result.trace == trace
+
+
 def test_gs_best_iterate_tracking():
     frame = random_frame(8, 48, "gaussian", seed=12)
     x = unit_signal(8, 12)
@@ -558,6 +615,123 @@ def test_irls_cg_only_checks_the_direct_solve(monkeypatch):
     assert strict.d2_error == pytest.approx(noisy.d2_error, rel=1e-8)
 
 
+def _irls_reference(frame, y, opts):
+    """IRLS as a per-step loop on complex iterates: Z from
+    ``gradient_columns``, each u-step by ``np.linalg.solve`` and the logged
+    criterion values from ``irls_objective``; returns (x_hat, iterations,
+    stop_reason, best misfit, outer_log rows as (J_sub_before, J_sub_after,
+    J_misfit))."""
+    y = np.asarray(y, dtype=float)
+    init = spectral_init(frame, y, mode="irls")
+    x = init.x0 if opts.x0 is None else np.asarray(opts.x0, dtype=complex)
+    lam = max(recon.IRLS_RHO * init.a1, opts.lambda_min)
+    mu = max(recon.IRLS_RHO * init.a1, recon.IRLS_MU_MIN)
+    eps = recon.IRLS_EPS * float(y @ y)
+    eye = np.eye(2 * frame.n)
+    best, best_x, best_log, log, stop = np.inf, x, [], [], "max_iter"
+    for it in range(1, opts.max_outer + 1):
+        xi = realify(x)
+        Z = gradient_columns(frame, xi)
+        u = complexify(np.linalg.solve(Z @ Z.T + (lam + mu) * eye, Z @ y + mu * xi))
+        misfit = irls_objective(frame, u, u, 0.0, 0.0, y)
+        log.append((irls_objective(frame, x, x, lam, mu, y),
+                    irls_objective(frame, u, x, lam, mu, y), misfit))
+        x = u
+        if misfit < best:
+            best, best_x = misfit, u
+        best_log.append(best)
+        lam = max(recon.IRLS_GAMMA * lam, opts.lambda_min)
+        mu = max(recon.IRLS_GAMMA * mu, recon.IRLS_MU_MIN)
+        if misfit < eps:
+            stop = "tol"
+            break
+        if it > recon.IRLS_STALL_STEPS:
+            before = best_log[-1 - recon.IRLS_STALL_STEPS]
+            if before - best <= recon.IRLS_STALL_REL * before:
+                stop = "stagnation"
+                break
+    return best_x, it, stop, best, log
+
+
+def _irls_reference_case(n, sigma, start, lambda_frac, seed, max_outer):
+    """(frame, x, y, opts) on a Gaussian frame with m = 8n: exact or awgn
+    measurements; the spectral start or an explicit one; lambda_min zero or a
+    fraction of a1."""
+    frame = random_frame(n, 8 * n, "gaussian", seed=[210, n, seed])
+    x = unit_signal(n, 210 + seed)
+    y = intensity_map(frame, x).values
+    if sigma:
+        y = y + sigma * rng_from_seed([211, n, seed]).normal(size=8 * n)
+    x0 = None
+    if start == "explicit":
+        x0 = x + 0.3 * unit_signal(n, 212 + seed)
+    lambda_min = lambda_frac * spectral_init(frame, y, mode="irls").a1
+    return frame, x, y, IRLSOptions(lambda_min=lambda_min, max_outer=max_outer, x0=x0)
+
+
+# these stop on "tol" (exact measurements), "stagnation" (awgn, or a
+# lambda_min that keeps the misfit off IRLS_EPS) and, with max_outer 30,
+# "max_iter"
+_IRLS_REFERENCE_CASES = [
+    pytest.param(n, *case, id=f"n{n}-" + "-".join(map(str, case)))
+    for n in (4, 8)
+    for case in [
+        (0.0, "spectral", 0.0, 0, 150),
+        (0.0, "explicit", 0.0, 1, 150),
+        (0.0, "spectral", 3e-4, 2, 150),
+        (0.01, "spectral", 0.0, 3, 150),
+        (0.02, "explicit", 0.0, 4, 150),
+        (0.01, "spectral", 3e-3, 5, 150),
+        (0.01, "explicit", 0.0, 6, 30),
+    ]
+]
+
+
+def _assert_irls_matches_reference(result, ref, y):
+    """Same step count and stop reason; values within roundoff of the
+    reference.  Both loops solve the same 2n x 2n SPD systems, Cholesky
+    against LU, so each step differs by a few ulps of the iterate.  The
+    criterion values are sums of squares of residuals of size ~||y||, each
+    carrying an absolute rounding error of a few ulps of ||y||, so they are
+    compared at 1e-12 relative plus 1e-12 ||y||^2 absolute; the absolute
+    term covers the misfits that noiseless solves drive below 1e-10 ||y||^2,
+    where the relative error of the tiny value is large.  Observed: at most
+    ~3e-16 of the criterion plus ||y||^2, and ~3e-14 relative in the
+    quotient distance of the estimates, which is compared at 1e-11."""
+    x_ref, iterations, stop, best, log = ref
+    assert (result.iterations, result.stop_reason) == (iterations, stop)
+    scale = float(y @ y)
+    assert result.diagnostics["best_misfit"] == pytest.approx(best, rel=1e-12, abs=1e-12 * scale)
+    got = [(e["J_sub_before"], e["J_sub_after"], e["J_misfit"])
+           for e in result.diagnostics["outer_log"]]
+    np.testing.assert_allclose(got, log, rtol=1e-12, atol=1e-12 * scale)
+    assert quotient_distance(result.x_hat, x_ref) <= 1e-11 * np.linalg.norm(x_ref)
+
+
+@pytest.mark.parametrize("n, sigma, start, lambda_frac, seed, max_outer", _IRLS_REFERENCE_CASES)
+def test_irls_matches_per_step_reference(n, sigma, start, lambda_frac, seed, max_outer):
+    frame, x, y, opts = _irls_reference_case(n, sigma, start, lambda_frac, seed, max_outer)
+    result = irls(frame, y, opts, x_true=x)
+    _assert_irls_matches_reference(result, _irls_reference(frame, y, opts), y)
+
+
+def test_irls_cholesky_fallback_matches_reference(monkeypatch):
+    # a Cholesky routine that reports a nonpositive pivot on every call (and
+    # returns NaN) sends each u-step to the LU fallback
+    frame, x, y, opts = _irls_reference_case(8, 0.01, "spectral", 0.0, 3, 150)
+    calls = []
+
+    def failing_routine(a, b):
+        calls.append(1)
+        return a, np.full_like(b, np.nan), 1
+
+    monkeypatch.setattr(linalg, "_cholesky_routine", lambda: failing_routine)
+    result = irls(frame, y, opts, x_true=x)
+    assert len(calls) == result.iterations
+    assert np.all(np.isfinite(result.x_hat)) and "cg_tolerance_missed" not in result.flags
+    _assert_irls_matches_reference(result, _irls_reference(frame, y, opts), y)
+
+
 def test_irls_objective_identity(rng):
     frame = random_frame(3, 9, "gaussian", seed=19)
     u = rng.normal(size=3) + 1j * rng.normal(size=3)
@@ -717,12 +891,42 @@ def test_stop_reason_of_each_solver(name):
         assert capped.stop_reason == "max_iter" and not capped.converged
 
 
+def _stop_cases():
+    """(solver name, frame, y, options or None) covering every stop reason."""
+    frame = random_frame(3, 12, "gaussian", seed=6)
+    x = unit_signal(3, 6)
+    exact = intensity_map(frame, x).values
+    noisy = exact + 0.05 * rng_from_seed(3).normal(size=12)
+    cases = []
+    for name, cls in sorted(recon.SOLVERS.items()):
+        cases += [(name, frame, exact, None), (name, frame, noisy, None)]
+        if cls is not None:
+            cases.append((name, frame, exact, cls(**_ONE_STEP[name])))
+    tie_frame = random_frame(2, 6, "gaussian", seed=4)
+    cases += [
+        ("lifted_linear", tie_frame, lifted_map(tie_frame, np.eye(2)), None),
+        ("wirtinger_flow", frame, exact, WirtingerOptions(x0=np.zeros(3))),
+        ("irls", frame, -np.ones(12), None),
+    ]
+    return cases
+
+
+def test_converged_means_stop_reason_tol_in_every_solver():
+    reasons = set()
+    for name, frame, y, opts in _stop_cases():
+        args = () if opts is None else (opts,)
+        result = getattr(recon, name)(frame, y, *args)
+        assert result.converged == (result.stop_reason == "tol"), (name, result.stop_reason)
+        reasons.add(result.stop_reason)
+    assert reasons == {"tol", "max_iter", "stagnation", "degenerate"}
+
+
 def test_gerchberg_saxton_stop_reasons():
     frame = random_frame(4, 24, "gaussian", seed=20)
     x = unit_signal(4, 20)
     noisy = intensity_map(frame, x).values + 0.05 * rng_from_seed(3).normal(size=24)
     stalled = gerchberg_saxton(frame, noisy)
-    assert stalled.stop_reason == "stagnation" and stalled.converged
+    assert stalled.stop_reason == "stagnation" and not stalled.converged
     assert stalled.iterations < GSOptions().max_iter
     exact = gerchberg_saxton(frame, np.zeros(24))
     assert exact.stop_reason == "tol" and exact.iterations == 1
