@@ -23,6 +23,7 @@ from .errors import (
     InsufficientRedundancy,
     InvalidPartition,
     NoConvergence,
+    NonFiniteMeasurement,
     NotHermitian,
     NotPhaseRetrievable,
     OddDimension,

@@ -13,6 +13,10 @@ class NotHermitian(FramePRError):
     """Matrix fails the self-adjointness check."""
 
 
+class NonFiniteMeasurement(FramePRError):
+    """A measurement is NaN or infinite."""
+
+
 class NoConvergence(FramePRError):
     """Iterative routine exhausted its budget without meeting tolerance."""
 

@@ -7,6 +7,7 @@ are always reported in descending order.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -52,16 +53,25 @@ def hermitian_part(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.conj().T)
 
 
+def _defect_within(D: np.ndarray, M: np.ndarray, tol: float) -> bool:
+    """Whether ||D|| <= tol * max(||M||, 1) (Frobenius; the squares are
+    compared).  A NaN or infinite ||D||, which any non-finite entry of M
+    gives when D is a defect of M, fails."""
+    defect = np.vdot(D, D).real
+    # ||M|| is only needed when the defect exceeds the floor tol * 1
+    return defect <= tol * tol or (
+        math.isfinite(defect) and defect <= tol * tol * np.vdot(M, M).real
+    )
+
+
 def _hermitian_defect(M: np.ndarray, tol: float) -> np.ndarray:
     """D = M - M*, after raising NotHermitian when M is not square or when
-    ||D|| > tol * max(||M||, 1) (Frobenius; the squares are compared)."""
+    ``_defect_within(D, M, tol)`` fails, so also on NaN or inf entries."""
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NotHermitian(f"expected a square matrix, got shape {M.shape}")
     D = M - M.conj().T
-    defect = np.vdot(D, D).real
-    # ||M|| is only needed when the defect exceeds the floor tol * 1
-    if defect > tol * tol and defect > tol * tol * np.vdot(M, M).real:
-        raise NotHermitian("matrix is not self-adjoint within tolerance")
+    if not _defect_within(D, M, tol):
+        raise NotHermitian("matrix is not self-adjoint within tolerance, or not finite")
     return D
 
 
@@ -109,14 +119,14 @@ def spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 def hermitian_eig(M: np.ndarray) -> EigDecomposition:
     """Full eigendecomposition of a self-adjoint matrix, sorted descending.
 
-    NotHermitian is raised when ||M - M*||_F > DEFAULT_TOL * max(||M||_F, 1);
-    the input is then symmetrized to M - (M - M*)/2, so that roundoff-level
-    asymmetry never leaks into the spectrum.  The factorization calls
-    LAPACK's ?heevd/?syevd on the lower triangle (``lower=1``) directly: the
-    routine, triangle and precision ``np.linalg.eigh`` uses, so the result is
-    bit for bit that of ``eigh`` without its per-call wrapper cost.  Integer
-    input is factored as float64; float32 and complex64 results keep their
-    dtype.
+    NotHermitian is raised when ||M - M*||_F > DEFAULT_TOL * max(||M||_F, 1)
+    or when M has a NaN or infinite entry; the input is then symmetrized to
+    M - (M - M*)/2, so that roundoff-level asymmetry never leaks into the
+    spectrum.  The factorization calls LAPACK's ?heevd/?syevd on the lower
+    triangle (``lower=1``) directly: the routine, triangle and precision
+    ``np.linalg.eigh`` uses, so the result is bit for bit that of ``eigh``
+    without its per-call wrapper cost.  Integer input is factored as
+    float64; float32 and complex64 results keep their dtype.
     """
     M = np.asarray(M)
     D = _hermitian_defect(M, DEFAULT_TOL)

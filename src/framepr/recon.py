@@ -19,10 +19,23 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, InsufficientRedundancy
+from .errors import (
+    DimensionMismatch,
+    InsufficientRedundancy,
+    NoConvergence,
+    NonFiniteMeasurement,
+    NotHermitian,
+)
 from .frames import Frame, MeasurementVector, analysis, encode_complex, intensity_map, synthesis
 from .lifting import coefficient_columns, complexify, lifted_map, lifted_map_adjoint, realify
-from .linalg import cg_solve, hermitian_eig, spd_solve
+from .linalg import (
+    DEFAULT_TOL,
+    _defect_within,
+    _eig_routine,
+    cg_solve,
+    hermitian_eig,
+    spd_solve,
+)
 from .metrics import outer_distance, quotient_distance
 
 _TIE_TOL = 1e-12
@@ -45,10 +58,14 @@ logger = logging.getLogger("framepr")
 
 def _values(frame: Frame, y) -> np.ndarray:
     """The measurements as a float array of shape (m,); any other shape is a
-    DimensionMismatch."""
+    DimensionMismatch, and a NaN or infinite entry a NonFiniteMeasurement."""
     values = np.asarray(y.values if isinstance(y, MeasurementVector) else y, dtype=float)
     if values.shape != (frame.m,):
         raise DimensionMismatch(f"expected {frame.m} measurements, got shape {values.shape}")
+    finite = np.isfinite(values)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise NonFiniteMeasurement(f"measurement {k} is {values[k]}")
     return values
 
 
@@ -190,18 +207,49 @@ class PhaseLiftOptions:
 def _step_operator(frame: Frame, w: np.ndarray, y: np.ndarray):
     """(L, H, c) of the weighted gradient step: L = 2 lambda_max(W^1/2 G W^1/2)
     is the step's Lipschitz constant and Y - (2/L) A*(w (A(Y) - y)) =
-    H vec(Y) + c."""
+    H vec(Y) + c.
+
+    NotHermitian is raised unless H maps Hermitian matrices to Hermitian
+    matrices and c is Hermitian, each within DEFAULT_TOL as in
+    ``hermitian_eig``.  With P the vec transpose (P vec(X) = vec(X^T)), H
+    preserves the Hermitian matrices exactly when H = conj(P H P).  Every
+    step input H vec(Y) + c then is Hermitian, so the FISTA loop factors it
+    without a check of its own.
+    """
+    n = frame.n
     A = frame.lifted_rows
     L = 2.0 * float(np.linalg.eigvalsh(frame.lifted_gram * np.sqrt(np.outer(w, w)))[-1])
     L = max(L, np.finfo(float).tiny)
     AwT = A.conj().T * ((2.0 / L) * w)
-    return L, np.eye(frame.n * frame.n) - AwT @ A, AwT @ y
+    H = np.eye(n * n) - AwT @ A
+    c = AwT @ y
+    C = c.reshape(n, n)
+    perm = np.arange(n * n).reshape(n, n).T.ravel()
+    if not _defect_within(C - C.conj().T, C, DEFAULT_TOL):
+        raise NotHermitian("step offset c is not Hermitian within tolerance")
+    if not _defect_within(H - H[np.ix_(perm, perm)].conj(), H, DEFAULT_TOL):
+        raise NotHermitian("step operator does not map Hermitian matrices to Hermitian matrices")
+    return L, H, c
 
 
-def _psd_trace_prox(Z: np.ndarray, shrink: float) -> np.ndarray:
-    dec = hermitian_eig(Z)
-    lam = np.maximum(dec.eigenvalues - shrink, 0.0)
-    return (dec.eigenvectors * lam) @ dec.eigenvectors.conj().T
+def _psd_trace_prox(z: np.ndarray, shrink: float, heevd) -> np.ndarray:
+    """vec of the prox of shrink * trace + PSD indicator at the Hermitian
+    matrix with vec z: eigenvalues shrunk by ``shrink`` and clipped at 0.
+
+    ``heevd`` is LAPACK's ?heevd, called on the lower triangle of z viewed
+    as n x n, as ``hermitian_eig`` calls it, but without that function's
+    Hermitian check (``_step_operator`` guarantees it), symmetrization and
+    spectrum reversal; raises NoConvergence when LAPACK reports failure.
+    """
+    n = math.isqrt(z.shape[0])
+    lam, V, info = heevd(z.reshape(n, n), lower=1)
+    if info != 0:
+        raise NoConvergence(f"LAPACK {heevd.__name__} failed with info={info}")
+    lam -= shrink
+    np.maximum(lam, 0.0, out=lam)
+    # np.dot rather than @ here and for H vec(Y): the same BLAS call without
+    # matmul's dispatch, which at n = 4 cost 6% of a step (2-vCPU Xeon)
+    return np.dot(V * lam, V.conj().T).ravel()
 
 
 def phaselift(frame: Frame, y, opts: PhaseLiftOptions | None = None, x_true=None) -> ReconResult:
@@ -213,6 +261,10 @@ def phaselift(frame: Frame, y, opts: PhaseLiftOptions | None = None, x_true=None
     lambda_min itself).  The gradient step Y - grad/L is one affine map on
     vec(Y), precomputed once per weight vector: once per solve for fit "l2",
     whose weights are all ones, and once per stage for "l1_reweighted".
+    The loop keeps Y and the iterates as flat vec vectors, so a step is one
+    n^2 x n^2 product and one direct LAPACK eigensolve (``_psd_trace_prox``);
+    ``_step_operator`` checks once per weight vector that every such step
+    input is Hermitian.
     The momentum uses the gradient restart of O'Donoghue and Candes: when
     <Y - X_new, X_new - X_prev> > 0 the momentum points uphill, so t falls
     back to 1 and the next step starts from X_new.
@@ -239,7 +291,7 @@ def phaselift(frame: Frame, y, opts: PhaseLiftOptions | None = None, x_true=None
     lam0 = opts.lambda0 if opts.lambda0 is not None else 0.1 * y_norm
     delta = L1_DELTA * (y_norm / m if y_norm > 0.0 else 1.0)
     w = np.ones(m)
-    X = np.zeros((n, n), dtype=complex)
+    X = np.zeros(n * n, dtype=complex)  # vec(X), as are Y and each step's X_new
     lam_reg = lam0
     trace_log: list[float] = []
     stage_iterations: list[int] = []
@@ -247,6 +299,7 @@ def phaselift(frame: Frame, y, opts: PhaseLiftOptions | None = None, x_true=None
     if y_norm == 0.0 and lam0 == 0.0:
         lam_reg = 1.0  # pure feasibility at y = 0; any positive shrink gives X = 0
     L, H, c = _step_operator(frame, w, y)
+    heevd = _eig_routine(c.dtype)
     for outer in range(opts.max_outer):
         lam_stage = lam_reg
         if opts.fit == "l1_reweighted" and outer > 0:
@@ -257,22 +310,21 @@ def phaselift(frame: Frame, y, opts: PhaseLiftOptions | None = None, x_true=None
         stage_tol_sq = (PHASELIFT_TOL if final else math.sqrt(PHASELIFT_TOL)) ** 2
         Y = X
         t_m = 1.0
-        X_prev = X
         for steps in range(1, opts.inner_max + 1):
-            X_new = _psd_trace_prox((H @ Y.ravel() + c).reshape(n, n), shrink)
-            D = X_new - X_prev
+            X_new = _psd_trace_prox(np.dot(H, Y) + c, shrink, heevd)
+            D = X_new - X
             if np.vdot(Y - X_new, D).real > 0.0:
                 t_new, Y = 1.0, X_new
             else:
                 t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_m * t_m))
                 Y = X_new + ((t_m - 1.0) / t_new) * D
             step_sq = np.vdot(D, D).real
-            X_prev, X, t_m = X_new, X_new, t_new
-            met_tol = step_sq <= stage_tol_sq * max(1.0, np.vdot(X_new, X_new).real)
+            X, t_m = X_new, t_new
+            met_tol = step_sq <= stage_tol_sq * max(1.0, np.vdot(X, X).real)
             if met_tol:
                 break
         stage_iterations.append(steps)
-        r = lifted_map(frame, X) - y
+        r = lifted_map(frame, X.reshape(n, n)) - y
         trace_log.append(float(np.linalg.norm(r)))
         if lam_reg <= opts.lambda_min:
             converged = bool(met_tol)
@@ -285,6 +337,7 @@ def phaselift(frame: Frame, y, opts: PhaseLiftOptions | None = None, x_true=None
         "phaselift n=%d m=%d fit=%s: %d steps over %d stages %s, final lambda %.3g, converged %s",
         n, m, opts.fit, iterations, len(stage_iterations), stage_iterations, lam_stage, converged,
     )
+    X = X.reshape(n, n)
     dec = hermitian_eig(X)
     lam1 = float(dec.eigenvalues[0])
     e1 = dec.eigenvectors[:, 0]

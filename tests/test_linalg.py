@@ -234,3 +234,19 @@ def test_power_method_deterministic():
     r2 = power_method(M, seed=11)
     assert r1[0] == r2[0]
     np.testing.assert_array_equal(r1[1], r2[1])
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.inf)])
+@pytest.mark.parametrize("where", [(0, 1), (1, 0), (1, 1)])
+def test_eig_rejects_non_finite_entries(bad, where):
+    # a NaN defect once failed the comparison defect > tol^2 and passed; the
+    # symmetric pair [[1, inf], [inf, 1]] gave eigenvalues [nan, nan]
+    M = np.eye(2, dtype=complex)
+    M[where] = bad
+    with pytest.raises(NotHermitian):
+        hermitian_eig(M)
+    M[where[::-1]] = np.conj(bad)
+    with pytest.raises(NotHermitian):
+        hermitian_eig(M)
+    with pytest.raises(NotHermitian):
+        power_method(M)

@@ -1,13 +1,19 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from framepr import linalg, recon
 from framepr import (
     DimensionMismatch,
+    FramePRError,
     GSOptions,
     IRLSOptions,
     InsufficientRedundancy,
     NoiseModel,
+    NonFiniteMeasurement,
+    NoConvergence,
+    NotHermitian,
     PhaseLiftOptions,
     complexify,
     gradient_columns,
@@ -255,6 +261,67 @@ def test_phaselift_lifted_map_calls_per_stage(monkeypatch):
     opts = PhaseLiftOptions()
     assert result.iterations > 10 * (opts.max_outer + 2)
     assert len(calls) <= opts.max_outer + 2
+
+
+def test_phaselift_steps_bypass_hermitian_eig(monkeypatch):
+    # the FISTA steps call LAPACK directly; hermitian_eig only reads the
+    # estimate off the final X
+    calls = []
+    monkeypatch.setattr(recon, "hermitian_eig", lambda M: calls.append(1) or linalg.hermitian_eig(M))
+    frame = random_frame(4, 24, "gaussian", seed=5)
+    result = phaselift(frame, intensity_map(frame, unit_signal(4, 5)))
+    assert result.converged and result.iterations > 100
+    assert len(calls) == 1
+
+
+def test_phaselift_eigensolver_failure_inside_the_loop_raises(monkeypatch):
+    calls = []
+
+    def failing_routine(dtype):
+        heevd = linalg._eig_routine(dtype)
+
+        def routine(a, lower):
+            calls.append(1)
+            w, v, info = heevd(a, lower=lower)
+            return w, v, 2 if len(calls) == 5 else info
+
+        return routine
+
+    monkeypatch.setattr(recon, "_eig_routine", failing_routine)
+    frame = random_frame(4, 24, "gaussian", seed=5)
+    with pytest.raises(NoConvergence, match="info=2"):
+        phaselift(frame, intensity_map(frame, unit_signal(4, 5)))
+    assert len(calls) == 5
+
+
+def _fake_frame(frame, rows):
+    """The attributes _step_operator reads, with the lifted rows replaced."""
+    return SimpleNamespace(n=frame.n, lifted_rows=rows, lifted_gram=frame.lifted_gram)
+
+
+def test_step_operator_checks_self_adjointness_once_per_weight_vector():
+    frame = random_frame(3, 12, "gaussian", seed=5)
+    y = intensity_map(frame, unit_signal(3, 5)).values
+    w = np.ones(12)
+    L, H, c = recon._step_operator(frame, w, y)
+    # H maps Hermitian matrices to Hermitian ones, and c is Hermitian
+    Y = lift_outer(unit_signal(3, 6)) + lift_outer(unit_signal(3, 7))
+    Z = (H @ Y.ravel() + c).reshape(3, 3)
+    assert np.linalg.norm(Z - Z.conj().T) <= 1e-14 * np.linalg.norm(Z)
+    # a row that is no measurement form f f* breaks both; complex data
+    # breaks c alone
+    rows = frame.lifted_rows.copy()
+    rows[0, 1] += 0.5
+    with pytest.raises(NotHermitian, match="step operator"):
+        recon._step_operator(_fake_frame(frame, rows), w, np.zeros(12))
+    with pytest.raises(NotHermitian, match="offset"):
+        recon._step_operator(_fake_frame(frame, rows), w, y)
+    with pytest.raises(NotHermitian, match="offset"):
+        recon._step_operator(frame, w, y + 1e-3j)
+    # roundoff-level asymmetry passes
+    rows = frame.lifted_rows.copy()
+    rows[0, 1] *= 1.0 + 1e-15
+    recon._step_operator(_fake_frame(frame, rows), w, y)
 
 
 @pytest.mark.parametrize("fit", ["l2", "l1_reweighted"])
@@ -947,3 +1014,22 @@ def test_solvers_reject_wrong_measurement_count(name, length):
     with pytest.raises(DimensionMismatch):
         getattr(recon, name)(frame, y, *args)
 
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("start", [False, True])
+@pytest.mark.parametrize("name", sorted(recon.SOLVERS))
+def test_solvers_reject_non_finite_measurements(name, start, bad):
+    # a NaN or inf once reached LAPACK as a misleading NoConvergence, or, with
+    # an explicit start, ran GS and WF to max_iter on NaN iterates
+    frame = random_frame(3, 12, "gaussian", seed=1)
+    y = intensity_map(frame, unit_signal(3, 1)).values.copy()
+    y[[4, 9]] = bad
+    cls = recon.SOLVERS[name]
+    if start and cls is not None and "x0" in cls.__dataclass_fields__:
+        args = (cls(x0=unit_signal(3, 2)),)
+    else:
+        args = () if cls is None else (cls(),)
+    with pytest.raises(NonFiniteMeasurement, match="measurement 4 is"):
+        getattr(recon, name)(frame, y, *args)
+    assert issubclass(NonFiniteMeasurement, FramePRError)
