@@ -2,10 +2,11 @@
 
 Real frames are decided exactly by a branch-and-bound search over the
 bipartitions of the frame, which also yields an ambiguous-pair witness when
-the frame fails.  Complex frames are certified by lower-bounding the
-second-smallest eigenvalue of the gradient Gram operator over a net of the
-unit sphere, with a Weyl perturbation argument extending the bound from the
-net to the whole sphere.
+the frame fails.  A complex frame fails iff the kernel of its lifted map
+holds a rank-2 matrix x x* - y y*, found for n <= 3 by linear algebra;
+otherwise its margin is certified by lower-bounding the second-smallest
+eigenvalue of the gradient Gram operator over a net of the unit sphere,
+with a Weyl perturbation argument extending the bound to the whole sphere.
 
 The eigenvalue map xi -> lambda_{2n-1}(gradient_gram(xi)) is exactly invariant
 under the phase orbit xi -> cos(t) xi + sin(t) J xi, so the net only needs to
@@ -36,15 +37,13 @@ from .errors import BudgetExceeded, InvalidPartition, NotPhaseRetrievable
 from .frames import Frame, encode_complex, frame_bounds, magnitude_map, rng_from_seed
 from .lifting import (
     _gradient_terms,
-    apply_complex_structure,
-    complexify,
     gradient_gram,
     measurement_forms,
     normalized_gradient_gram,
     realify,
 )
-from .linalg import hermitian_eig
 from .metrics import quotient_distance
+from .recon import _check_budgets
 
 SPAN_TOL = 1e-10  # relative singular-value threshold for span tests
 _SCAN_CHUNK = 65536
@@ -70,7 +69,8 @@ class PRCertificate:
     ``a0_lower`` (partition margin for real frames, net-certified eigenvalue
     bound for complex frames).  verdict "not_retrievable" carries a verified
     ambiguous pair ``witness = (x, y)`` with equal magnitude measurements and
-    distinct phase classes.  verdict "undecided" carries neither.
+    distinct phase classes, from a failing bipartition (real frames) or the
+    lifted kernel (complex frames).  verdict "undecided" carries neither.
     """
 
     verdict: str
@@ -512,9 +512,8 @@ def _screen_n2(phi: np.ndarray, jphi: np.ndarray, Xi: np.ndarray):
 def _scan_net(phi: np.ndarray, jphi: np.ndarray, net: np.ndarray):
     """Batched eigenvalues of the gradient Gram over net points.
 
-    Returns (min second-smallest, max largest, argmin point), with ties
-    broken towards the first net row, exactly as one ``_gram_eigs`` pass
-    over the whole net would give them.
+    Returns (min second-smallest, max largest), exactly as one
+    ``_gram_eigs`` pass over the whole net would give them.
 
     For n = 2 each chunk is first screened in closed form: J xi lies in the
     kernel of R(xi), so lambda_3 and lambda_1 are the extreme eigenvalues of
@@ -532,7 +531,6 @@ def _scan_net(phi: np.ndarray, jphi: np.ndarray, net: np.ndarray):
     chunk = max(4096, min(_SCAN_CHUNK, int(8e6 / max(m * d, 1))))
     lam3_min = np.inf
     lam1_max = 0.0
-    argmin = net[0]
     for start in range(0, net.shape[0], chunk):
         Xi = net[start : start + chunk]
         if d == 4:
@@ -540,42 +538,40 @@ def _scan_net(phi: np.ndarray, jphi: np.ndarray, net: np.ndarray):
             tau = 1e-6 * hi.max()
             Xi = Xi[(lo <= lo.min() + tau) | (hi >= hi.max() - tau)]
         lam3, lam1 = _gram_eigs(phi, jphi, Xi)
-        k = int(np.argmin(lam3))
-        if lam3[k] < lam3_min:
-            lam3_min = float(lam3[k])
-            argmin = Xi[k].copy()
+        lam3_min = min(lam3_min, float(lam3.min()))
         lam1_max = max(lam1_max, float(lam1.max()))
-    return lam3_min, lam1_max, argmin
+    return lam3_min, lam1_max
 
 
-def _alternating_kernel_pair(frame: Frame, xi0: np.ndarray, deflate: float, iters: int = 80):
-    """Polish a candidate degenerate direction into an exact kernel pair.
+def _kernel_witness(frame: Frame):
+    """Candidate pair from a rank-2 element of the lifted map's kernel, read
+    by one SVD on an orthonormal basis of the Hermitian matrices, or None.
 
-    Alternates exact restricted eigensolves of the gradient Gram in xi and in
-    the paired direction; the coupling energy sum_k <Phi_k xi, v>^2 is
-    nonincreasing and reaches roundoff level when the frame is genuinely
-    non-retrievable.  Returns (xi, v, energy).
+    Such an element lambda_+ e_+ e_+* + lambda_- e_- e_-* gives the pair
+    (sqrt(lambda_+) e_+, sqrt(-lambda_-) e_-) for ``_verify_witness`` to
+    judge.  At n = 2 every nonzero kernel element of a spanning frame has
+    rank 2.  At n = 3, for |det K| >= |det H|, H + t K has rank 2 at a real
+    root t of the cubic det(H + t K), or H itself if det K = 0.
     """
-    xi = xi0 / np.linalg.norm(xi0)
-    v = None
-    energy = np.inf
-    for _ in range(iters):
-        R = gradient_gram(frame, xi)
-        jxi = apply_complex_structure(xi)
-        dec = hermitian_eig(R + deflate * np.outer(jxi, jxi))
-        v = dec.eigenvectors[:, -1]
-        R2 = gradient_gram(frame, v)
-        jv = apply_complex_structure(v)
-        dec2 = hermitian_eig(R2 + deflate * np.outer(jv, jv))
-        xi_new = dec2.eigenvectors[:, -1]
-        new_energy = float(xi_new @ R2 @ xi_new)
-        if new_energy >= energy * (1.0 - 1e-12):
-            xi = xi_new
-            energy = new_energy
-            break
-        xi = xi_new
-        energy = new_energy
-    return xi, v, energy
+    n = frame.n
+    # E_aa, (E_ab + E_ba) / sqrt 2 for a < b and i (E_ab - E_ba) / sqrt 2 for a > b
+    a, b = np.divmod(np.arange(n * n), n)
+    c = np.where(a < b, np.sqrt(0.5), np.where(a > b, 1j * np.sqrt(0.5), 0.5))[:, None, None]
+    E = np.eye(n * n).reshape(n * n, n, n)
+    basis = c * E + c.conj() * E.transpose(0, 2, 1)
+    M = (frame.lifted_rows @ basis.reshape(n * n, n * n).T).real
+    _, s, vh = np.linalg.svd(M)
+    kernel = [np.tensordot(h, basis, 1) for h in vh[int(np.sum(s > _span_cutoff(M))) :]]
+    if not kernel:
+        return None
+    G = kernel[0]
+    if n == 3 and len(kernel) > 1:
+        H, K = sorted(kernel[:2], key=lambda A: abs(np.linalg.det(A)))
+        ts = np.arange(-1.0, 3.0)  # the cubic through four of its values
+        t = np.roots(np.polyfit(ts, [np.linalg.det(H + x * K).real for x in ts], 3))
+        G = H + t[np.argmin(np.abs(t.imag))].real * K if np.linalg.det(K) != 0.0 else H
+    w, e = np.linalg.eigh(G)
+    return np.sqrt(max(w[-1], 0.0)) * e[:, -1], np.sqrt(max(-w[0], 0.0)) * e[:, 0]
 
 
 def certify_retrievable_complex(
@@ -583,23 +579,23 @@ def certify_retrievable_complex(
     budget: int = 4_000_000,
     seed: int = 0,
 ) -> PRCertificate:
-    """Certify complex phase retrievability over an eps-net of the sphere.
+    """Decide complex phase retrievability; n > N_CAP is "undecided".
 
-    Each round evaluates the second-smallest eigenvalue of the gradient Gram
-    on a deterministic net, sets the candidate margin to half the minimum, and
-    stops when twice the global-spectral-bound times the net covering radius
-    falls below the margin (Weyl perturbation argument); otherwise the target
-    radius is halved and a larger net is drawn.  The global spectral bound
-    starts at B * max_k ||f_k||^2 and is tightened each round by the sound
-    update b <- min(b, max_net lambda_1 + 2 b eps).  Whenever a round fails to
-    certify, its worst direction is polished by alternating eigensolves into a
-    candidate ambiguous pair; only a verified pair produces a
-    "not_retrievable" verdict.  Budget exhaustion or _MAX_ROUNDS rounds yield
-    "undecided".  Covering radii use _N_PROBES probes; ``budget`` must be >= 1.
-    Frames of ambient dimension above N_CAP are "undecided" without a scan.
+    A frame fails iff its lifted kernel holds a rank-2 matrix ("Saving
+    phase", Bandeira-Cahill-Mixon-Nelson): when the pair of
+    ``_kernel_witness`` passes ``_verify_witness``, the verdict is
+    "not_retrievable" with no net tested.  Otherwise each round evaluates the
+    second-smallest eigenvalue of the gradient Gram on a deterministic net,
+    sets the candidate margin to half the minimum, and stops when twice the
+    global-spectral-bound times the net covering radius falls below the
+    margin (Weyl perturbation argument); else the target radius is halved
+    for a larger net.  The global spectral bound starts at B max_k ||f_k||^2
+    and is tightened each round by the sound update b <- min(b, max_net
+    lambda_1 + 2 b eps).  Budget exhaustion or _MAX_ROUNDS rounds yield
+    "undecided".  Covering radii use _N_PROBES probes; ``budget`` must be an
+    integer >= 1.
     """
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
+    _check_budgets(budget=budget)
     n = frame.n
     if n > N_CAP:
         return PRCertificate(
@@ -620,15 +616,18 @@ def certify_retrievable_complex(
     def stop(verdict, **fields):
         return PRCertificate(verdict=verdict, nets_tested=nets, b0_bound=b0, seed=seed, **fields)
 
+    nets = 0
+    pair = _kernel_witness(frame)
+    if pair is not None and _verify_witness(frame, *pair):
+        return stop("not_retrievable", witness=pair, notes="rank-2 element of the lifted kernel")
     eps_target = np.inf  # the first failing round sets it to half the net's radius
     n_points = 1024
-    nets = 0
     coef = None  # covering-law coefficient eps ~ coef / N^(1/quotient_dim)
     at_cap = False
     for rnd in range(_MAX_ROUNDS):
         net = make_net(n_points, rnd)
         n_built = net.shape[0]
-        lam3_min, lam1_max, xi_min = _scan_net(frame.phi, frame.jphi, net)
+        lam3_min, lam1_max = _scan_net(frame.phi, frame.jphi, net)
         nets += 1
         if n_built <= (1 << 18) or coef is None:
             eps_hat = quotient_covering_radius(net, n_probes=_N_PROBES, seed=seed + rnd)
@@ -650,17 +649,6 @@ def certify_retrievable_complex(
             return stop(
                 "retrievable", a0_lower=salvage, epsilon_final=eps_hat, net_points=n_built,
                 notes="margin from budget-capped net (below the half-minimum rule)",
-            )
-        # not certifiable at this radius: before paying for a larger net, try
-        # to polish the worst direction into an exact ambiguous pair
-        xi, v, energy = _alternating_kernel_pair(frame, xi_min, deflate=2.0 * b0 + 1.0)
-        u = complexify(xi)
-        w = complexify(v)
-        x, y = u + w, u - w
-        if _verify_witness(frame, x, y):
-            return stop(
-                "not_retrievable", witness=(x, y), epsilon_final=eps_hat, net_points=n_built,
-                notes=f"kernel pair energy {energy:.3e}",
             )
         if at_cap:
             return stop("undecided", net_points=n_built, notes="net budget exhausted")

@@ -76,6 +76,20 @@ def _check_lambda(**values) -> None:
             raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")
 
 
+def _check_start(x0) -> None:
+    """An explicit start is finite; a NaN would spend the whole budget."""
+    if x0 is not None and not np.isfinite(np.asarray(x0, dtype=complex)).all():
+        raise ValueError(f"x0 must be finite, got {x0!r}")
+
+
+def _start(frame: Frame, x0) -> np.ndarray:
+    """An explicit start as a complex copy; a shape other than (n,) is a DimensionMismatch."""
+    x = np.array(x0, dtype=complex)
+    if x.shape != (frame.n,):
+        raise DimensionMismatch(f"expected a start of shape ({frame.n},), got {x.shape}")
+    return x
+
+
 @dataclass
 class ReconResult:
     """Estimate plus convergence diagnostics.
@@ -371,6 +385,7 @@ class GSOptions:
 
     def __post_init__(self):
         _check_budgets(max_iter=self.max_iter)
+        _check_start(self.x0)
 
 
 def gerchberg_saxton(frame: Frame, y, opts: GSOptions | None = None, x_true=None) -> ReconResult:
@@ -389,10 +404,7 @@ def gerchberg_saxton(frame: Frame, y, opts: GSOptions | None = None, x_true=None
     zero.
     """
     opts = opts or GSOptions()
-    if opts.x0 is not None:
-        x = np.asarray(opts.x0, dtype=complex).copy()
-    else:
-        x = spectral_init(frame, y, mode="wf").x0
+    x = spectral_init(frame, y, mode="wf").x0 if opts.x0 is None else _start(frame, opts.x0)
     y = np.maximum(_values(frame, y), 0.0)
     r = np.sqrt(y)
     duals = frame.dual
@@ -490,6 +502,7 @@ class WirtingerOptions:
 
     def __post_init__(self):
         _check_budgets(max_iter=self.max_iter)
+        _check_start(self.x0)
 
 
 def _quartic_step(r: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
@@ -547,10 +560,7 @@ def wirtinger_flow(frame: Frame, y, opts: WirtingerOptions | None = None, x_true
     opts = opts or WirtingerOptions()
     y = np.maximum(_values(frame, y), 0.0)
     m = frame.m
-    if opts.x0 is not None:
-        x = np.asarray(opts.x0, dtype=complex).copy()
-    else:
-        x = spectral_init(frame, y, mode="wf").x0
+    x = spectral_init(frame, y, mode="wf").x0 if opts.x0 is None else _start(frame, opts.x0)
     norm0_sq = float(np.vdot(x, x).real)
     if norm0_sq == 0.0:
         result = ReconResult(
@@ -609,6 +619,7 @@ class IRLSOptions:
     def __post_init__(self):
         _check_lambda(lambda_min=self.lambda_min)
         _check_budgets(max_outer=self.max_outer)
+        _check_start(self.x0)
 
 
 def irls_objective(frame: Frame, u, v, lam: float, mu: float, y) -> float:
@@ -685,7 +696,7 @@ def irls(frame: Frame, y, opts: IRLSOptions | None = None, x_true=None) -> Recon
     it = 0
     # the iterate xi carries its frame coefficients as pq = [Re c; Im c] and
     # its intensity residual r = |c|^2 - y from the u-step that produced it
-    xi = best_xi = realify(init.x0 if opts.x0 is None else opts.x0)
+    xi = best_xi = realify(init.x0 if opts.x0 is None else _start(frame, opts.x0))
     pq = rows @ xi
     r = pq[:m] ** 2 + pq[m:] ** 2 - y
     xx = xi @ xi

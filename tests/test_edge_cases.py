@@ -47,6 +47,11 @@ def test_options_validation():
             with pytest.raises(ValueError, match=budget):
                 cls(**{budget: bad})
         assert getattr(cls(**{budget: np.int64(3)}), budget) == 3
+    # an explicit start is finite; a NaN start would run to the iteration cap
+    for cls in (GSOptions, WirtingerOptions, IRLSOptions):
+        for bad in ([np.nan, 1.0], [1.0, np.inf], [complex(1.0, np.nan), 0.0]):
+            with pytest.raises(ValueError, match="x0"):
+                cls(x0=np.array(bad))
 
 
 def test_measurement_vector_array_protocol():

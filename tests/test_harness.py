@@ -131,6 +131,8 @@ def test_load_config_defaults():
         {"task": "crlb", "noise": {"kind": "coefficient", "rho": 0.5}, "sweep": {"parameter": "rho", "values": [0.1]}},
         # the ensemble name is checked at load, not when the frame is drawn
         {"frame": {"ensemble": "bogus", "n": 2, "m": 6}},
+        # an explicit start is finite (JSON NaN parses to a float nan)
+        {"algorithms": [{"name": "irls", "options": {"x0": json.loads("[NaN, 1.0]")}}]},
     ],
 )
 def test_load_config_rejects(patch):
@@ -240,6 +242,14 @@ def test_trial_errors_recorded_not_raised():
     report = run_experiment(cfg)
     assert all("error" in rec for rec in report.records)
     assert report.aggregates["lifted_linear"]["errors"] == 3
+
+
+def test_wrong_length_start_is_recorded_per_trial():
+    cfg = dict(BASE, algorithms=[{"name": "irls", "options": {"x0": [1.0, 0.5, 0.25]}}])
+    report = run_experiment(cfg)
+    assert len(report.records) == 3
+    assert all(rec["error"].startswith("DimensionMismatch") for rec in report.records)
+    assert report.aggregates["irls"]["errors"] == 3
 
 
 def test_certify_task_real_triple():

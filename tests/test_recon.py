@@ -1015,6 +1015,16 @@ def test_solvers_reject_wrong_measurement_count(name, length):
         getattr(recon, name)(frame, y, *args)
 
 
+@pytest.mark.parametrize("shape", [(2,), (4,), (3, 1), ()])
+@pytest.mark.parametrize("cls", [recon.GSOptions, recon.WirtingerOptions, recon.IRLSOptions])
+def test_solvers_reject_wrong_start_shape(cls, shape):
+    # a length-2 IRLS start on an n=3 frame once escaped as numpy's ValueError
+    frame = random_frame(3, 12, "gaussian", seed=22)
+    name = next(key for key, value in recon.SOLVERS.items() if value is cls)
+    with pytest.raises(DimensionMismatch, match="start"):
+        getattr(recon, name)(frame, np.full(12, 0.5), cls(x0=np.ones(shape)))
+
+
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("start", [False, True])
