@@ -28,12 +28,12 @@ print(f"frame: m={frame.m} vectors in R^{frame.n} (field tag: {frame.field})")
 x = np.array([0.8, -0.6])
 coeffs = analysis(frame, x)
 print("coefficients <x, f_k>:", np.round(coeffs.real, 4))
-print("magnitudes:", np.round(magnitude_map(frame, x).values, 4))
-print("intensities:", np.round(intensity_map(frame, x).values, 4))
+print("magnitudes:", np.round(magnitude_map(frame, x), 4))
+print("intensities:", np.round(intensity_map(frame, x), 4))
 
 # the global phase of x is invisible to the measurements
 x_rot = np.exp(0.7j) * x
-assert np.allclose(magnitude_map(frame, x_rot).values, magnitude_map(frame, x).values)
+assert np.allclose(magnitude_map(frame, x_rot), magnitude_map(frame, x))
 print("a rotated copy of x gives identical magnitudes\n")
 
 # --- frame bounds and the canonical dual -----------------------------------

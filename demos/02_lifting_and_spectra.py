@@ -39,7 +39,7 @@ print(
     "quadratic form vs direct intensity:",
     float(xi @ Phi0 @ xi),
     "=",
-    intensity_map(frame, x).values[0],
+    intensity_map(frame, x)[0],
 )
 
 # J xi always sits in the kernel of the gradient Gram: the phase direction is
@@ -52,7 +52,7 @@ print("R = Z Z^T check:", np.linalg.norm(R - Z @ Z.T))
 # --- lifting ----------------------------------------------------------------
 X = lift_outer(x)
 print("\nlifted measurements == intensities:",
-      np.allclose(lifted_map(frame, X), intensity_map(frame, x).values))
+      np.allclose(lifted_map(frame, X), intensity_map(frame, x)))
 
 # --- closed-form spectra ----------------------------------------------------
 u = rng.normal(size=3) + 1j * rng.normal(size=3)

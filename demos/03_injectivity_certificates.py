@@ -29,8 +29,7 @@ cert = check_retrievable_real(bad)
 x, y = cert.witness
 print("\nrepeated direction:", cert.verdict)
 print("  witness x =", x.real, " y =", y.real)
-print("  magnitudes agree:", np.allclose(magnitude_map(bad, x).values,
-                                         magnitude_map(bad, y).values))
+print("  magnitudes agree:", np.allclose(magnitude_map(bad, x), magnitude_map(bad, y)))
 print("  classes differ:  D2(x, y) =", round(quotient_distance(x, y), 3))
 
 # --- how many vectors are needed in C^n --------------------------------------
@@ -52,4 +51,4 @@ cert2 = certify_retrievable_complex(real_in_c, seed=4)
 print(f"\nreal vectors in C^2: {cert2.verdict}")
 wx, wy = cert2.witness
 print("  extracted witness magnitude gap:",
-      np.max(np.abs(magnitude_map(real_in_c, wx).values - magnitude_map(real_in_c, wy).values)))
+      np.max(np.abs(magnitude_map(real_in_c, wx) - magnitude_map(real_in_c, wy))))

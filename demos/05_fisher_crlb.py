@@ -30,8 +30,8 @@ x /= np.linalg.norm(x)
 # --- simulated measurements ---------------------------------------------------
 y_awgn = simulate_measurements(frame, x, NoiseModel(kind="awgn", sigma=0.1, seed=1))
 y_coef = simulate_measurements(frame, x, NoiseModel(kind="coefficient", rho=0.1, seed=1))
-print("noisy intensities (awgn):        ", np.round(y_awgn.values[:4], 3))
-print("noisy intensities (coefficient): ", np.round(y_coef.values[:4], 3))
+print("noisy intensities (awgn):        ", np.round(y_awgn[:4], 3))
+print("noisy intensities (coefficient): ", np.round(y_coef[:4], 3))
 
 # --- Fisher matrices ------------------------------------------------------------
 fi_a = fisher_awgn(frame, x, sigma=0.1)

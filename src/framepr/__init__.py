@@ -34,7 +34,6 @@ from .errors import (
 )
 from .frames import (
     Frame,
-    MeasurementVector,
     analysis,
     canonical_dual,
     frame_bounds,

@@ -21,7 +21,7 @@ import numpy as np
 from scipy import special
 
 from .errors import OrthogonalAnchor, QuadratureError, ZeroVector
-from .frames import Frame, MeasurementVector, intensity_map, rng_from_seed
+from .frames import Frame, analysis, intensity_map, rng_from_seed
 from .lifting import _gradient_terms, apply_complex_structure, gradient_gram, realify
 from .linalg import hermitian_part, pseudo_inverse
 
@@ -91,28 +91,24 @@ class NoiseModel:
 class FisherMatrix:
     """Fisher information in realified coordinates (2n x 2n, PSD).
 
-    The realified direction J j(x_ref) always lies in the kernel: the global
-    phase of x is not identifiable from intensity measurements.
+    The realified direction J realify(x) always lies in the kernel at the
+    point x it was built at: the global phase of x is not identifiable from
+    intensity measurements.
     """
 
     matrix: np.ndarray
-    kind: str
-    x_ref: np.ndarray
     field: str
 
 
-def simulate_measurements(frame: Frame, x, model: NoiseModel) -> MeasurementVector:
+def simulate_measurements(frame: Frame, x, model: NoiseModel) -> np.ndarray:
     """Draw one noisy intensity measurement vector; deterministic given seed."""
     rng = rng_from_seed(model.seed)
-    x = np.asarray(x, dtype=complex)
     if model.kind == "awgn":
-        y = intensity_map(frame, x).values + rng.normal(0.0, model.sigma, frame.m)
-    else:
-        c = frame.vectors.conj() @ x
-        half = model.rho * np.sqrt(0.5)
-        mu = rng.normal(0.0, half, frame.m) + 1j * rng.normal(0.0, half, frame.m)
-        y = np.abs(c + mu) ** 2
-    return MeasurementVector(y, kind="intensity")
+        return intensity_map(frame, x) + rng.normal(0.0, model.sigma, frame.m)
+    c = analysis(frame, x)
+    half = model.rho * np.sqrt(0.5)
+    mu = rng.normal(0.0, half, frame.m) + 1j * rng.normal(0.0, half, frame.m)
+    return np.abs(c + mu) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +178,8 @@ def bessel_ratio_weight(a: float) -> float:
 def fisher_awgn(frame: Frame, x, sigma: float) -> FisherMatrix:
     """(4 / sigma^2) times the gradient Gram of the intensity map at x."""
     _check_positive(sigma=sigma)
-    x = np.asarray(x, dtype=complex)
     mat = (4.0 / sigma**2) * gradient_gram(frame, realify(x))
-    return FisherMatrix(matrix=mat, kind="awgn", x_ref=x, field=frame.field)
+    return FisherMatrix(matrix=mat, field=frame.field)
 
 
 def fisher_coefficient_noise(frame: Frame, x, rho: float, form: str = "excess") -> FisherMatrix:
@@ -199,7 +194,6 @@ def fisher_coefficient_noise(frame: Frame, x, rho: float, form: str = "excess") 
     _check_positive(rho=rho)
     if form not in ("excess", "weight"):
         raise ValueError(f"unknown form {form!r}")
-    x = np.asarray(x, dtype=complex)
     Z, s, zero = _gradient_terms(frame, realify(x))
     w = np.full(frame.m, 4.0 / rho**4)  # lim excess(s)/s on the zero terms
     kept = ~zero
@@ -210,7 +204,7 @@ def fisher_coefficient_noise(frame: Frame, x, rho: float, form: str = "excess") 
     else:
         w[kept] = (4.0 / rho**4) * w1
     mat = (Z * w) @ Z.T
-    return FisherMatrix(matrix=hermitian_part(mat), kind="coefficient", x_ref=x, field=frame.field)
+    return FisherMatrix(matrix=hermitian_part(mat), field=frame.field)
 
 
 # ---------------------------------------------------------------------------

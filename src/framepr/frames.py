@@ -23,6 +23,7 @@ from .linalg import hermitian_eig, hermitian_part
 #: counter-based 64-bit generator used for every seeded draw in the package
 RNG_NAME = "philox"
 SPARK_TOL = 1e-10  # relative determinant below which is_full_spark sees dependence
+SPARK_MAX_SUBSETS = 10**6  # most n-subsets is_full_spark enumerates
 ENSEMBLES = ("gaussian", "uniform_sphere", "real_gaussian")  # random_frame's ensembles
 
 
@@ -104,24 +105,6 @@ class Frame:
         return canonical_dual(self)
 
 
-@dataclass(frozen=True)
-class MeasurementVector:
-    """Real measurement vector tagged by kind.
-
-    kind "magnitude" holds |<x, f_k>|, kind "intensity" holds |<x, f_k>|^2.
-    Noisy intensity measurements may have negative entries.
-    """
-
-    values: np.ndarray
-    kind: str
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.values, dtype=dtype)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 def make_frame(vectors, field: str | None = None) -> Frame:
     """Validate and build a Frame from an (m, n) array of row vectors."""
     V = np.atleast_2d(np.asarray(vectors, dtype=complex))
@@ -162,15 +145,15 @@ def synthesis(frame: Frame, c) -> np.ndarray:
     return frame.vectors.T @ c
 
 
-def magnitude_map(frame: Frame, x) -> MeasurementVector:
+def magnitude_map(frame: Frame, x) -> np.ndarray:
     """|<x, f_k>| for each frame vector; invariant to a global phase on x."""
-    return MeasurementVector(np.abs(analysis(frame, x)), kind="magnitude")
+    return np.abs(analysis(frame, x))
 
 
-def intensity_map(frame: Frame, x) -> MeasurementVector:
+def intensity_map(frame: Frame, x) -> np.ndarray:
     """|<x, f_k>|^2 for each frame vector."""
     c = analysis(frame, x)
-    return MeasurementVector((c * c.conj()).real, kind="intensity")
+    return (c * c.conj()).real
 
 
 def frame_operator(frame: Frame) -> np.ndarray:
@@ -194,16 +177,17 @@ def canonical_dual(frame: Frame) -> Frame:
     return make_frame(duals, field=frame.field)
 
 
-def is_full_spark(frame: Frame, max_subsets: int = 10**6) -> bool:
+def is_full_spark(frame: Frame) -> bool:
     """True when every n-subset of the frame is linearly independent.
 
     Determinants are compared against SPARK_TOL times the product of the
     column norms (Hadamard scale), so the test is invariant to rescaling.
+    More than SPARK_MAX_SUBSETS subsets raise CombinatorialBudgetExceeded.
     """
     m, n = frame.m, frame.n
-    if comb(m, n) > max_subsets:
+    if comb(m, n) > SPARK_MAX_SUBSETS:
         raise CombinatorialBudgetExceeded(
-            f"C({m},{n}) = {comb(m, n)} subsets exceeds cap {max_subsets}"
+            f"C({m},{n}) = {comb(m, n)} subsets exceeds cap {SPARK_MAX_SUBSETS}"
         )
     V = frame.vectors
     norms = np.linalg.norm(V, axis=1)

@@ -24,7 +24,6 @@ those of an exact eigensolve at every point.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field, fields
 from math import ceil, log2
@@ -43,7 +42,7 @@ from .lifting import (
     realify,
 )
 from .metrics import quotient_distance
-from .recon import _check_budgets
+from .recon import _check_counts
 
 SPAN_TOL = 1e-10  # relative singular-value threshold for span tests
 _SCAN_CHUNK = 65536
@@ -86,9 +85,6 @@ class PRCertificate:
     def to_dict(self) -> dict:
         witness = None if self.witness is None else encode_complex(self.witness)
         return {**{f.name: getattr(self, f.name) for f in fields(self)}, "witness": witness}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=1, sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -336,8 +332,8 @@ def _verify_witness(frame: Frame, x, y) -> bool:
     """Whether (x, y) is an ambiguous pair, judged scale-free: the magnitudes
     agree to 1e-12 of the largest, and the phase classes lie more than 1e-6
     of the larger norm apart."""
-    ax = magnitude_map(frame, x).values
-    ay = magnitude_map(frame, y).values
+    ax = magnitude_map(frame, x)
+    ay = magnitude_map(frame, y)
     if np.max(np.abs(ax - ay)) > 1e-12 * np.max(ax):
         return False
     return quotient_distance(x, y) > 1e-6 * max(np.linalg.norm(x), np.linalg.norm(y))
@@ -595,7 +591,7 @@ def certify_retrievable_complex(
     "undecided".  Covering radii use _N_PROBES probes; ``budget`` must be an
     integer >= 1.
     """
-    _check_budgets(budget=budget)
+    _check_counts(1, budget=budget)
     n = frame.n
     if n > N_CAP:
         return PRCertificate(
@@ -622,14 +618,14 @@ def certify_retrievable_complex(
         return stop("not_retrievable", witness=pair, notes="rank-2 element of the lifted kernel")
     eps_target = np.inf  # the first failing round sets it to half the net's radius
     n_points = 1024
-    coef = None  # covering-law coefficient eps ~ coef / N^(1/quotient_dim)
+    coef = None  # covering-law coefficient eps ~ coef / N^(1/quotient_dim); round 0 measures it
     at_cap = False
     for rnd in range(_MAX_ROUNDS):
         net = make_net(n_points, rnd)
         n_built = net.shape[0]
         lam3_min, lam1_max = _scan_net(frame.phi, frame.jphi, net)
         nets += 1
-        if n_built <= (1 << 18) or coef is None:
+        if n_built <= (1 << 18):
             eps_hat = quotient_covering_radius(net, n_probes=_N_PROBES, seed=seed + rnd)
             coef = eps_hat * n_built ** (1.0 / quotient_dim)
         else:
@@ -716,8 +712,10 @@ def fourth_moment_max(frame: Frame, n_starts: int = 64, seed: int = 0) -> float:
     """max over unit x of sum_k |<x, f_k>|^4 by projected-gradient multistart.
 
     Real-tagged frames are optimized over the real sphere, complex frames over
-    the realified sphere (the objective is phase-invariant).
+    the realified sphere (the objective is phase-invariant).  ``n_starts``
+    random starts (an integer >= 0) run besides the n or 2n basis vectors.
     """
+    _check_counts(0, n_starts=n_starts)
     if frame.is_real:
         V = frame.vectors.real
 
@@ -769,7 +767,9 @@ def stability_bounds_real(
     equals the upper frame bound.  a0 and b0 are sphere extrema found by
     projected-gradient multistart, so a0 (a minimum) is an upper estimate and
     b0 (a maximum) a lower estimate; ``details["numerical"]`` names them.
+    ``n_starts`` is an integer >= 0, as in ``fourth_moment_max``.
     """
+    _check_counts(0, n_starts=n_starts)
     cert = check_retrievable_real(frame)
     if cert.verdict != "retrievable":
         raise NotPhaseRetrievable(f"frame is not certified phase retrievable: {cert.verdict}")
@@ -823,10 +823,9 @@ def sampled_stability_bounds(frame: Frame, samples: int = 2000, seed: int = 0) -
 
     Draws both independent and perturbative pairs; the reported values are the
     sampled extrema of the defining difference quotients and are flagged
-    non-certified.  ``samples`` must be at least 2.
+    non-certified.  ``samples`` must be an integer >= 2.
     """
-    if samples < 2:
-        raise ValueError(f"samples must be >= 2, got {samples}")
+    _check_counts(2, samples=samples)
     rng = rng_from_seed([seed, 0x73616D70])
     n, m = frame.n, frame.m
     V = frame.vectors

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, OddDimension
-from .frames import Frame
+from .frames import Frame, analysis
 from .linalg import hermitian_part
 
 ZERO_TOL = 1e-12  # relative threshold of the zero-measurement rule (_gradient_terms)
@@ -144,7 +144,7 @@ def lifted_map_adjoint(frame: Frame, w) -> np.ndarray:
 
 def weighted_frame_operator(frame: Frame, x) -> np.ndarray:
     """R(x) = sum_k |<x, f_k>|^2 f_k f_k*; PSD and quadratic in x."""
-    c = frame.vectors.conj() @ np.asarray(x, dtype=complex)
+    c = analysis(frame, x)
     w = (c * c.conj()).real
     return lifted_map_adjoint(frame, w)
 

@@ -48,7 +48,7 @@ def outer_distance(x, y, p: float = 2) -> float:
         return spec.norm1
     if p == 2:
         return spec.norm2
-    if p == np.inf or p == "inf":
+    if p == np.inf:
         return spec.norm_inf
     raise ValueError(f"outer_distance supports p in {{1, 2, inf}}, got {p!r}")
 

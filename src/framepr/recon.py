@@ -26,7 +26,7 @@ from .errors import (
     NonFiniteMeasurement,
     NotHermitian,
 )
-from .frames import Frame, MeasurementVector, analysis, encode_complex, intensity_map, synthesis
+from .frames import Frame, analysis, intensity_map, synthesis
 from .lifting import coefficient_columns, complexify, lifted_map, lifted_map_adjoint, realify
 from .linalg import (
     DEFAULT_TOL,
@@ -42,6 +42,8 @@ _TIE_TOL = 1e-12
 
 # fixed solver parameters, one set per solver; no caller tunes them
 PHASELIFT_TOL = 1e-10  # FISTA step test of the final stage
+LAMBDA0 = 0.1  # PhaseLift's first trace weight, in units of ||y||_2
+LAMBDA_DECAY = 0.3  # per-stage decay of PhaseLift's trace weight
 L1_DELTA = 3e-2  # l1 weight floor, in units of ||y||_2 / m
 GS_TOL = 1e-12  # relative residual change that stops Gerchberg-Saxton
 WF_TOL = 1e-9  # relative gradient norm that stops Wirtinger flow
@@ -59,7 +61,7 @@ logger = logging.getLogger("framepr")
 def _values(frame: Frame, y) -> np.ndarray:
     """The measurements as a float array of shape (m,); any other shape is a
     DimensionMismatch, and a NaN or infinite entry a NonFiniteMeasurement."""
-    values = np.asarray(y.values if isinstance(y, MeasurementVector) else y, dtype=float)
+    values = np.asarray(y, dtype=float)
     if values.shape != (frame.m,):
         raise DimensionMismatch(f"expected {frame.m} measurements, got shape {values.shape}")
     finite = np.isfinite(values)
@@ -67,13 +69,6 @@ def _values(frame: Frame, y) -> np.ndarray:
         k = int(np.argmin(finite))
         raise NonFiniteMeasurement(f"measurement {k} is {values[k]}")
     return values
-
-
-def _check_lambda(**values) -> None:
-    """Regularization weights are finite and non-negative; NaN fails the test."""
-    for name, value in values.items():
-        if not 0.0 <= value < math.inf:
-            raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")
 
 
 def _check_start(x0) -> None:
@@ -116,28 +111,14 @@ class ReconResult:
     diagnostics: dict = field(default_factory=dict)
     stop_reason: Optional[str] = None
 
-    def to_dict(self) -> dict:
-        return {
-            "x_hat": encode_complex(self.x_hat),
-            "iterations": int(self.iterations),
-            "residual": float(self.residual),
-            "converged": bool(self.converged),
-            "stop_reason": self.stop_reason,
-            "trace": None if self.trace is None else [float(t) for t in self.trace],
-            "d2_error": self.d2_error,
-            "d1_error": self.d1_error,
-            "flags": list(self.flags),
-        }
 
-
-def _check_budgets(**budgets) -> None:
-    """Iteration budgets are positive integers; a float or a bool would pass
-    a bare ``< 1`` test and then fail (or silently count) inside ``range``."""
-    for name, value in budgets.items():
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < 1:
-            raise ValueError(f"{name} must be positive, got {value}")
+def _check_counts(low: int, /, **counts) -> None:
+    """Counts (iteration budgets, starts, samples) are integers >= ``low``; a
+    float or a bool would pass a bare ``< low`` test and then fail (or
+    silently count) inside ``range``."""
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _attach_errors(result: ReconResult, x_true) -> ReconResult:
@@ -200,20 +181,12 @@ def lifted_linear(frame: Frame, y, x_true=None) -> ReconResult:
 
 @dataclass
 class PhaseLiftOptions:
-    lambda0: Optional[float] = None  # auto: 0.1 ||y||_2
-    lambda_decay: float = 0.3
-    lambda_min: float = 0.0
     fit: str = "l2"  # "l2" | "l1_reweighted"
-    max_outer: int = 26  # 25 decays by 0.3 pass 1e-13 lambda0; the 26th stage runs at lambda_min
+    max_outer: int = 26  # 25 decays by LAMBDA_DECAY pass 1e-13 LAMBDA0; the 26th stage runs at 0
     inner_max: int = 400
 
     def __post_init__(self):
-        if not (0.0 < self.lambda_decay < 1.0):
-            raise ValueError("lambda_decay must lie in (0, 1)")
-        _check_budgets(max_outer=self.max_outer, inner_max=self.inner_max)
-        _check_lambda(lambda_min=self.lambda_min)
-        if self.lambda0 is not None:
-            _check_lambda(lambda0=self.lambda0)
+        _check_counts(1, max_outer=self.max_outer, inner_max=self.inner_max)
         if self.fit not in ("l2", "l1_reweighted"):
             raise ValueError(f"unknown fit mode {self.fit!r}")
 
@@ -271,10 +244,12 @@ def phaselift(frame: Frame, y, opts: PhaseLiftOptions | None = None, x_true=None
 
     Solves min_{X >= 0} sum_k w_k (A(X) - y)_k^2 + lambda trace(X) with FISTA
     steps (gradient of the smooth part, then eigenvalue shrink-and-clip), and
-    geometric continuation of lambda down to ``lambda_min`` (a final stage at
-    lambda_min itself).  The gradient step Y - grad/L is one affine map on
-    vec(Y), precomputed once per weight vector: once per solve for fit "l2",
-    whose weights are all ones, and once per stage for "l1_reweighted".
+    geometric continuation of lambda: LAMBDA0 ||y||_2 at first (1 at y = 0),
+    shrunk by LAMBDA_DECAY per stage, and a final stage at lambda = 0 once
+    it falls below 1e-13 max(LAMBDA0 ||y||_2, 1).  The gradient step
+    Y - grad/L is one affine map on vec(Y), precomputed once per weight
+    vector: once per solve for fit "l2", whose weights are all ones, and once
+    per stage for "l1_reweighted".
     The loop keeps Y and the iterates as flat vec vectors, so a step is one
     n^2 x n^2 product and one direct LAPACK eigensolve (``_psd_trace_prox``);
     ``_step_operator`` checks once per weight vector that every such step
@@ -290,11 +265,11 @@ def phaselift(frame: Frame, y, opts: PhaseLiftOptions | None = None, x_true=None
     square root of the principal eigenvalue.
 
     A stage stops when its step satisfies ||X_new - X_prev||_F <=
-    s * max(1, ||X_new||_F).  The final stage (the lambda_min stage, or the
+    s * max(1, ||X_new||_F).  The final stage (the lambda = 0 stage, or the
     last one ``max_outer`` allows) uses s = PHASELIFT_TOL; every earlier
     stage only warm-starts the next, so it uses the looser s =
     sqrt(PHASELIFT_TOL) (inexact continuation).  ``converged`` means the
-    lambda_min stage met PHASELIFT_TOL.  ``diagnostics["stage_iterations"]``
+    lambda = 0 stage met PHASELIFT_TOL.  ``diagnostics["stage_iterations"]``
     lists the FISTA steps of each stage, and each solve logs them at DEBUG
     level on the "framepr" logger.
     """
@@ -302,16 +277,14 @@ def phaselift(frame: Frame, y, opts: PhaseLiftOptions | None = None, x_true=None
     y = _values(frame, y)
     n, m = frame.n, frame.m
     y_norm = float(np.linalg.norm(y))
-    lam0 = opts.lambda0 if opts.lambda0 is not None else 0.1 * y_norm
+    lam0 = LAMBDA0 * y_norm
     delta = L1_DELTA * (y_norm / m if y_norm > 0.0 else 1.0)
     w = np.ones(m)
     X = np.zeros(n * n, dtype=complex)  # vec(X), as are Y and each step's X_new
-    lam_reg = lam0
+    lam_reg = lam0 if y_norm > 0.0 else 1.0  # at y = 0 any positive shrink gives X = 0
     trace_log: list[float] = []
     stage_iterations: list[int] = []
     converged = False
-    if y_norm == 0.0 and lam0 == 0.0:
-        lam_reg = 1.0  # pure feasibility at y = 0; any positive shrink gives X = 0
     L, H, c = _step_operator(frame, w, y)
     heevd = _eig_routine(c.dtype)
     for outer in range(opts.max_outer):
@@ -320,7 +293,7 @@ def phaselift(frame: Frame, y, opts: PhaseLiftOptions | None = None, x_true=None
             w = 1.0 / np.maximum(np.abs(r), delta)
             L, H, c = _step_operator(frame, w, y)
         shrink = lam_reg / L
-        final = lam_reg <= opts.lambda_min or outer == opts.max_outer - 1
+        final = lam_reg == 0.0 or outer == opts.max_outer - 1
         stage_tol_sq = (PHASELIFT_TOL if final else math.sqrt(PHASELIFT_TOL)) ** 2
         Y = X
         t_m = 1.0
@@ -340,12 +313,12 @@ def phaselift(frame: Frame, y, opts: PhaseLiftOptions | None = None, x_true=None
         stage_iterations.append(steps)
         r = lifted_map(frame, X.reshape(n, n)) - y
         trace_log.append(float(np.linalg.norm(r)))
-        if lam_reg <= opts.lambda_min:
+        if lam_reg == 0.0:
             converged = bool(met_tol)
             break
-        lam_reg = max(lam_reg * opts.lambda_decay, opts.lambda_min)
+        lam_reg *= LAMBDA_DECAY
         if lam_reg < 1e-13 * max(lam0, 1.0):
-            lam_reg = opts.lambda_min
+            lam_reg = 0.0
     iterations = sum(stage_iterations)
     logger.debug(
         "phaselift n=%d m=%d fit=%s: %d steps over %d stages %s, final lambda %.3g, converged %s",
@@ -384,7 +357,7 @@ class GSOptions:
     x0: Optional[np.ndarray] = None  # overrides the spectral start
 
     def __post_init__(self):
-        _check_budgets(max_iter=self.max_iter)
+        _check_counts(1, max_iter=self.max_iter)
         _check_start(self.x0)
 
 
@@ -436,7 +409,7 @@ def gerchberg_saxton(frame: Frame, y, opts: GSOptions | None = None, x_true=None
     result = ReconResult(
         x_hat=best_x,
         iterations=it,
-        residual=float(np.linalg.norm(intensity_map(frame, best_x).values - y)),
+        residual=float(np.linalg.norm(intensity_map(frame, best_x) - y)),
         converged=stop_reason == "tol",
         stop_reason=stop_reason,
         trace=trace_log,
@@ -501,7 +474,7 @@ class WirtingerOptions:
     x0: Optional[np.ndarray] = None  # overrides the spectral start
 
     def __post_init__(self):
-        _check_budgets(max_iter=self.max_iter)
+        _check_counts(1, max_iter=self.max_iter)
         _check_start(self.x0)
 
 
@@ -565,7 +538,7 @@ def wirtinger_flow(frame: Frame, y, opts: WirtingerOptions | None = None, x_true
     if norm0_sq == 0.0:
         result = ReconResult(
             x_hat=x, iterations=0,
-            residual=float(np.linalg.norm(intensity_map(frame, x).values - y)),
+            residual=float(np.linalg.norm(intensity_map(frame, x) - y)),
             converged=False, stop_reason="degenerate", trace=[],
             diagnostics={"note": "zero initialization"},
         )
@@ -598,7 +571,7 @@ def wirtinger_flow(frame: Frame, y, opts: WirtingerOptions | None = None, x_true
     result = ReconResult(
         x_hat=x,
         iterations=it,
-        residual=float(np.linalg.norm(intensity_map(frame, x).values - y)),
+        residual=float(np.linalg.norm(intensity_map(frame, x) - y)),
         converged=converged,
         stop_reason="tol" if converged else "max_iter",
         trace=trace_log,
@@ -617,8 +590,9 @@ class IRLSOptions:
     x0: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        _check_lambda(lambda_min=self.lambda_min)
-        _check_budgets(max_outer=self.max_outer)
+        if not 0.0 <= self.lambda_min < math.inf:  # NaN fails the test
+            raise ValueError(f"lambda_min must be a finite non-negative number, got {self.lambda_min!r}")
+        _check_counts(1, max_outer=self.max_outer)
         _check_start(self.x0)
 
 

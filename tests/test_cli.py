@@ -155,7 +155,11 @@ def test_exit_code_config_error(tmp_path):
     [
         {"name": "wirtinger_flow", "options": {"max_iter": 0}},
         {"name": "phaselift", "options": {"bogus": 1}},
-        {"name": "wirtinger_flow", "options": {"mu_max": 0.1}},  # a fixed constant
+        # fixed constants
+        {"name": "wirtinger_flow", "options": {"mu_max": 0.1}},
+        {"name": "phaselift", "options": {"lambda0": 1.0}},
+        {"name": "phaselift", "options": {"lambda_decay": 0.5}},
+        {"name": "phaselift", "options": {"lambda_min": 0.0}},
     ],
 )
 def test_exit_code_bad_solver_options(tmp_path, alg):
@@ -208,7 +212,7 @@ def test_exit_code_bad_solver_options(tmp_path, alg):
         ("recon", {"options": {"partition_cap": 24}}),
         ("recon", {"algorithms": [{"name": "irls", "options": {"cg_tol": 1e-12}}]}),
         # Python's json reads NaN, so a config file can carry one
-        ("recon", {"algorithms": [{"name": "phaselift", "options": {"lambda_min": float("nan")}}]}),
+        ("recon", {"algorithms": [{"name": "irls", "options": {"lambda_min": float("nan")}}]}),
         ("recon", {"trails": 5}),
         ("recon", None),  # the whole file is a JSON list
         ("recon", {"frame": {"ensemble": "gaussian", "n": 2, "m": 6, "sede": 4}}),

@@ -42,20 +42,20 @@ def test_awgn_vanishing_noise_returns_intensities(rng):
     x = random_complex(rng, 3)
     model = NoiseModel(kind="awgn", sigma=1e-300, seed=0)
     np.testing.assert_array_equal(
-        simulate_measurements(frame, x, model).values, intensity_map(frame, x).values
+        simulate_measurements(frame, x, model), intensity_map(frame, x)
     )
 
 
 def test_awgn_sample_mean(rng):
     frame = random_frame(2, 50, "gaussian", seed=2)
     x = random_complex(rng, 2)
-    beta = intensity_map(frame, x).values
+    beta = intensity_map(frame, x)
     sigma = 0.3
     draws = 2000  # 1e5 scalar samples in total
     acc = np.zeros(frame.m)
     for i in range(draws):
         model = NoiseModel(kind="awgn", sigma=sigma, seed=[7, i])
-        acc += simulate_measurements(frame, x, model).values - beta
+        acc += simulate_measurements(frame, x, model) - beta
     mean = acc.sum() / (draws * frame.m)
     assert abs(mean) <= 3.0 * sigma / np.sqrt(draws * frame.m)
 
@@ -68,7 +68,7 @@ def test_coefficient_noise_zero_signal_mean():
     draws = 2000
     for i in range(draws):
         model = NoiseModel(kind="coefficient", rho=rho, seed=[8, i])
-        acc += simulate_measurements(frame, np.zeros(2), model).values.mean()
+        acc += simulate_measurements(frame, np.zeros(2), model).mean()
     mean = acc / draws
     # Var(|mu|^2) = rho^4; 4-sigma band for the mean of draws * m samples
     assert abs(mean - rho**2) <= 4.0 * rho**2 / np.sqrt(draws * frame.m)
@@ -87,8 +87,8 @@ def test_simulation_deterministic():
     frame = random_frame(2, 5, "gaussian", seed=4)
     x = np.array([1.0, 1j])
     model = NoiseModel(kind="coefficient", rho=0.5, seed=123)
-    y1 = simulate_measurements(frame, x, model).values
-    y2 = simulate_measurements(frame, x, model).values
+    y1 = simulate_measurements(frame, x, model)
+    y2 = simulate_measurements(frame, x, model)
     np.testing.assert_array_equal(y1, y2)
 
 

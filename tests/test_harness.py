@@ -89,14 +89,16 @@ def test_load_config_defaults():
         {"options": {"samples": 1}},
         # solver parameters that are fixed constants, not options
         {"algorithms": [{"name": "phaselift", "options": {"l1_delta": 0.05}}]},
+        {"algorithms": [{"name": "phaselift", "options": {"lambda0": 1.0}}]},
+        {"algorithms": [{"name": "phaselift", "options": {"lambda_decay": 0.5}}]},
+        {"algorithms": [{"name": "phaselift", "options": {"lambda_min": 0.0}}]},
         {"algorithms": [{"name": "gerchberg_saxton", "options": {"tol": 1e-10}}]},
         {"algorithms": [{"name": "wirtinger_flow", "options": {"tau0": 100.0}}]},
         {"algorithms": [{"name": "irls", "options": {"gamma": 0.9}}]},
         {"algorithms": [{"name": "irls", "options": {"cg_tol": 1e-12}}]},
         # regularization weights are finite, as JSON NaN would otherwise pass
-        {"algorithms": [{"name": "phaselift", "options": {"lambda_min": float("nan")}}]},
-        {"algorithms": [{"name": "phaselift", "options": {"lambda0": float("inf")}}]},
         {"algorithms": [{"name": "irls", "options": {"lambda_min": float("nan")}}]},
+        {"algorithms": [{"name": "irls", "options": {"lambda_min": float("inf")}}]},
         # top-level keys outside the schema are misspellings, not extensions
         {"trails": 5},
         {"sed": 4},
@@ -200,7 +202,7 @@ def test_reconstruct_report_structure():
 
 @pytest.mark.parametrize("name", sorted(recon.SOLVERS))
 def test_default_reconstruct_report_serializes(name):
-    # a default PhaseLift solve ends in its lambda_min stage, whose converged
+    # a default PhaseLift solve ends in its lambda = 0 stage, whose converged
     # flag must be a Python bool for the report to be written
     cfg = dict(BASE, frame={"ensemble": "gaussian", "n": 3, "m": 18, "seed": 1}, trials=1,
                algorithms=[{"name": name}])

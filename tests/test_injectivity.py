@@ -32,6 +32,7 @@ from framepr import (
 )
 from framepr import injectivity
 from framepr.frames import rng_from_seed
+from framepr.harness import TASK_OPTIONS
 from framepr.injectivity import (
     SPAN_TOL,
     _bipartition_scan,
@@ -88,8 +89,8 @@ def test_real_repeated_direction_witness():
     cert = check_retrievable_real(frame)
     assert cert.verdict == "not_retrievable"
     x, y = cert.witness
-    ax = magnitude_map(frame, x).values
-    ay = magnitude_map(frame, y).values
+    ax = magnitude_map(frame, x)
+    ay = magnitude_map(frame, y)
     np.testing.assert_allclose(ax, ay, atol=1e-13)
     np.testing.assert_allclose(np.sort(ax), [1.0, 1.0, 1.0], atol=1e-12)
     assert quotient_distance(x, y) > 1e-6
@@ -110,7 +111,7 @@ def test_ambiguous_pair_standard_basis():
     np.testing.assert_allclose(np.abs(x), [1.0, 1.0], atol=1e-14)
     np.testing.assert_allclose(np.abs(y), [1.0, 1.0], atol=1e-14)
     np.testing.assert_allclose(
-        magnitude_map(frame, x).values, magnitude_map(frame, y).values, atol=1e-13
+        magnitude_map(frame, x), magnitude_map(frame, y), atol=1e-13
     )
     assert quotient_distance(x, y) > 1e-6
 
@@ -135,7 +136,7 @@ def test_real_verdict_equals_full_spark(n):
         cert2 = check_retrievable_real(broken)
         assert cert2.verdict == "not_retrievable"
         x, y = cert2.witness
-        diff = magnitude_map(broken, x).values - magnitude_map(broken, y).values
+        diff = magnitude_map(broken, x) - magnitude_map(broken, y)
         assert np.max(np.abs(diff)) <= 1e-12
         assert quotient_distance(x, y) > 1e-6
 
@@ -160,7 +161,7 @@ def test_real_witness_check_is_scale_free():
     cert = check_retrievable_real(broken)
     assert cert.verdict == "not_retrievable"
     x, y = cert.witness
-    ax, ay = magnitude_map(broken, x).values, magnitude_map(broken, y).values
+    ax, ay = magnitude_map(broken, x), magnitude_map(broken, y)
     assert np.max(np.abs(ax - ay)) <= 1e-12 * np.max(ax)
 
 
@@ -371,7 +372,7 @@ def test_certify_real_frame_in_complex_space():
     cert = certify_retrievable_complex(frame, seed=5)
     assert cert.verdict == "not_retrievable"
     x, y = cert.witness
-    diff = magnitude_map(frame, x).values - magnitude_map(frame, y).values
+    diff = magnitude_map(frame, x) - magnitude_map(frame, y)
     assert np.max(np.abs(diff)) <= 1e-12
     assert quotient_distance(x, y) > 1e-6
 
@@ -400,7 +401,7 @@ def test_certify_kernel_witness(frame):
     assert cert.net_points is None and cert.epsilon_final is None
     x, y = cert.witness
     assert injectivity._verify_witness(frame, x, y)
-    ax, ay = magnitude_map(frame, x).values, magnitude_map(frame, y).values
+    ax, ay = magnitude_map(frame, x), magnitude_map(frame, y)
     assert np.max(np.abs(ax - ay)) <= 1e-12 * np.max(ax)
 
 
@@ -448,10 +449,9 @@ def test_certify_dimension_cap():
 def test_certificate_json_roundtrip():
     frame = random_frame(2, 8, "gaussian", seed=7)
     cert = certify_retrievable_complex(frame, seed=7)
-    text = cert.to_json()
     import json
 
-    data = json.loads(text)
+    data = json.loads(json.dumps(cert.to_dict()))
     assert data["verdict"] == "retrievable"
     assert data["a0_lower"] == cert.a0_lower
     assert data["net_points"] == cert.net_points
@@ -605,6 +605,24 @@ def test_global_bounds_rejects_non_retrievable():
         stability_bounds_real(make_frame(np.eye(2)), n_starts=4)
 
 
+def test_start_and_sample_counts_are_integers_above_the_config_floor():
+    # the floors are those of the config's task options: n_starts >= 0 and
+    # samples >= 2; a negative, fractional or boolean count used to run as
+    # if it were another count, or fail inside numpy
+    calls = (
+        ("n_starts", lambda v: fourth_moment_max(TRIPLE, n_starts=v)),
+        ("n_starts", lambda v: stability_bounds_real(TRIPLE, n_starts=v)),
+        ("samples", lambda v: sampled_stability_bounds(TRIPLE, samples=v)),
+    )
+    for name, call in calls:
+        low = TASK_OPTIONS[name][1]
+        for bad in (low - 1, low - 3, low + 0.5, True, np.float64(low)):
+            with pytest.raises(ValueError, match=name):
+                call(bad)
+        call(low)
+        call(np.int64(low))
+
+
 def test_b0_orthonormal_basis_real():
     # max of sum <x, e_k>^4 over the unit sphere is 1, at a basis vector
     basis = make_frame(np.eye(3))
@@ -672,7 +690,7 @@ def test_local_bounds_ratio_sandwich(rng):
         if d1 < 1e-12:
             continue
         num = np.linalg.norm(
-            intensity_map(frame, x).values - intensity_map(frame, y).values
+            intensity_map(frame, x) - intensity_map(frame, y)
         ) ** 2
         ratio = num / d1**2
         assert rec["a"] * 0.95 - 1e-12 <= ratio <= rec["b"] * 1.05 + 1e-12
@@ -705,7 +723,7 @@ def test_sampled_bounds_expose_non_retrievable():
     # the known ambiguous pair achieves ratio zero exactly
     x = np.array([1.0 + 1.0j, 1.0 - 1.0j]) / 2.0
     y = x.conj()
-    num = np.linalg.norm(magnitude_map(basis, x).values - magnitude_map(basis, y).values)
+    num = np.linalg.norm(magnitude_map(basis, x) - magnitude_map(basis, y))
     assert num == 0.0 and quotient_distance(x, y) > 1e-6
 
 

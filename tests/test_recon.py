@@ -69,7 +69,7 @@ def test_lifted_linear_exact_recovery():
 def test_lifted_linear_measurement_consistency():
     frame = random_frame(3, 12, "gaussian", seed=3)
     x = unit_signal(3, 3)
-    y = intensity_map(frame, x).values
+    y = intensity_map(frame, x)
     result = lifted_linear(frame, y)
     np.testing.assert_allclose(lifted_map(frame, result.X_hat), y, atol=1e-10)
 
@@ -115,12 +115,13 @@ def test_phaselift_zero_measurements():
 
 @pytest.mark.parametrize("inner_max", [1, 2])
 def test_phaselift_converged_on_last_allowed_step(inner_max):
-    # y = 0: every step is 0, so each stage meets the step tolerance on its
-    # first step, which with inner_max=1 is also its last allowed one
+    # y = 0: every step is 0, so each of the default schedule's 26 stages
+    # (trace weight 1, decayed below 1e-13, then 0) meets the step tolerance
+    # on its first step, which with inner_max=1 is also its last allowed one
     frame = random_frame(3, 12, "gaussian", seed=6)
-    opts = PhaseLiftOptions(lambda0=1.0, lambda_min=0.5, lambda_decay=0.5, inner_max=inner_max)
-    result = phaselift(frame, np.zeros(12), opts)
-    assert result.iterations == 2
+    result = phaselift(frame, np.zeros(12), PhaseLiftOptions(inner_max=inner_max))
+    assert result.diagnostics["stage_iterations"] == [1] * 26
+    assert result.diagnostics["lambda_final"] == 0.0
     assert result.converged
 
 
@@ -128,7 +129,7 @@ def _phaselift_reference(frame, y, opts):
     """PhaseLift with the lifted map and its adjoint applied on every step;
     returns (X_hat, steps per stage, converged, trace length)."""
     n, m = frame.n, frame.m
-    lam0 = opts.lambda0 if opts.lambda0 is not None else 0.1 * float(np.linalg.norm(y))
+    lam0 = recon.LAMBDA0 * float(np.linalg.norm(y))
     w = np.ones(m)
     X = np.zeros((n, n), dtype=complex)
     delta = recon.L1_DELTA * np.linalg.norm(y) / m
@@ -138,9 +139,9 @@ def _phaselift_reference(frame, y, opts):
         if opts.fit == "l1_reweighted" and outer > 0:
             w = 1.0 / np.maximum(np.abs(lifted_map(frame, X) - y), delta)
         L = 2.0 * float(np.linalg.eigvalsh(frame.lifted_gram * np.sqrt(np.outer(w, w)))[-1])
-        # warm-start stages stop at sqrt(tol); the lambda_min stage, or the
+        # warm-start stages stop at sqrt(tol); the lambda = 0 stage, or the
         # last one max_outer allows, runs to tol
-        final = lam_reg <= opts.lambda_min or outer == opts.max_outer - 1
+        final = lam_reg == 0.0 or outer == opts.max_outer - 1
         stage_tol = tol if final else max(tol, np.sqrt(tol))
         Y, t_m, X_prev = X, 1.0, X
         stage_steps.append(0)
@@ -161,17 +162,17 @@ def _phaselift_reference(frame, y, opts):
             if met_tol:
                 break
         trace_len += 1
-        if lam_reg <= opts.lambda_min:
+        if lam_reg == 0.0:
             converged = met_tol
             break
-        lam_reg = max(lam_reg * opts.lambda_decay, opts.lambda_min)
+        lam_reg *= recon.LAMBDA_DECAY
         if lam_reg < 1e-13 * max(lam0, 1.0):
-            lam_reg = opts.lambda_min
+            lam_reg = 0.0
     return X, stage_steps, converged, trace_len
 
 
 # the truncated schedule is the one the acceptance CLI config runs: it never
-# reaches lambda_min, so its 8th stage is the one that runs to tol
+# reaches lambda = 0, so its 8th stage is the one that runs to tol
 _REFERENCE_CASES = [(3, 14, 0), (3, 18, 1), (4, 24, 2), (5, 30, 3)]
 _TRUNCATED = {"max_outer": 8, "inner_max": 100}
 
@@ -186,7 +187,7 @@ _TRUNCATED = {"max_outer": 8, "inner_max": 100}
 def test_phaselift_matches_per_step_reference(fit, n, m, seed, schedule):
     frame = random_frame(n, m, "gaussian", seed=[130, seed])
     x = unit_signal(n, seed)
-    y = intensity_map(frame, x).values
+    y = intensity_map(frame, x)
     if fit == "l1_reweighted":
         y = y + 0.01 * rng_from_seed([131, seed]).normal(size=m)
     opts = PhaseLiftOptions(fit=fit, **schedule)
@@ -203,7 +204,7 @@ def test_phaselift_matches_per_step_reference(fit, n, m, seed, schedule):
 
 
 def test_phaselift_default_noiseless_solves_converge():
-    # the default schedule reaches its lambda_min stage, which meets the
+    # the default schedule reaches its lambda = 0 stage, which meets the
     # tolerance; plain_fista_steps is the same solve with FISTA momentum that
     # never restarts, and the gradient restart needs under half of it;
     # all_stages_to_tol_steps is the restarted solve with every stage run to
@@ -219,7 +220,7 @@ def test_phaselift_default_noiseless_solves_converge():
         assert result.converged
         assert result.d2_error <= 1e-7
         assert len(result.trace) == opts.max_outer
-        assert result.diagnostics["lambda_final"] == opts.lambda_min
+        assert result.diagnostics["lambda_final"] == 0.0
         assert result.iterations < plain_fista_steps / 2
         assert result.iterations < all_stages_to_tol_steps / 2
 
@@ -237,15 +238,15 @@ def test_phaselift_reports_steps_per_stage(caplog):
     records = [r.getMessage() for r in caplog.records if r.name == "framepr"]
     assert len(records) == 1
     assert str(stages) in records[0] and f"{result.iterations} steps" in records[0]
-    assert "stage_iterations" not in result.to_dict()
 
 
 def test_phaselift_lambda_final_is_last_stage():
     frame = random_frame(3, 12, "gaussian", seed=6)
     y = intensity_map(frame, unit_signal(3, 6))
-    result = phaselift(frame, y, PhaseLiftOptions(lambda0=1.0, lambda_decay=0.5, max_outer=3))
+    result = phaselift(frame, y, PhaseLiftOptions(max_outer=3))
     assert len(result.trace) == 3
-    assert result.diagnostics["lambda_final"] == 0.25
+    lam0 = recon.LAMBDA0 * float(np.linalg.norm(y))
+    assert result.diagnostics["lambda_final"] == lam0 * recon.LAMBDA_DECAY * recon.LAMBDA_DECAY
 
 
 def test_phaselift_lifted_map_calls_per_stage(monkeypatch):
@@ -301,7 +302,7 @@ def _fake_frame(frame, rows):
 
 def test_step_operator_checks_self_adjointness_once_per_weight_vector():
     frame = random_frame(3, 12, "gaussian", seed=5)
-    y = intensity_map(frame, unit_signal(3, 5)).values
+    y = intensity_map(frame, unit_signal(3, 5))
     w = np.ones(12)
     L, H, c = recon._step_operator(frame, w, y)
     # H maps Hermitian matrices to Hermitian ones, and c is Hermitian
@@ -333,7 +334,7 @@ def test_phaselift_builds_step_operator_once_per_weight_vector(monkeypatch, fit)
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: calls.append(1) or eigvalsh(*a))
     frame = random_frame(4, 24, "gaussian", seed=5)
     x = unit_signal(4, 5)
-    y = intensity_map(frame, x).values + 0.01 * rng_from_seed([142, 4]).normal(size=24)
+    y = intensity_map(frame, x) + 0.01 * rng_from_seed([142, 4]).normal(size=24)
     result = phaselift(frame, y, PhaseLiftOptions(fit=fit))
     stages = len(result.diagnostics["stage_iterations"])
     assert stages > 1
@@ -347,7 +348,7 @@ def test_phaselift_l1_noisy_solves_converge(n, seed):
     m = 5 * n
     frame = random_frame(n, m, "gaussian", seed=[140, n, seed])
     x = unit_signal(n, seed)
-    y = intensity_map(frame, x).values + 0.01 * rng_from_seed([141, n, seed]).normal(size=m)
+    y = intensity_map(frame, x) + 0.01 * rng_from_seed([141, n, seed]).normal(size=m)
     opts = PhaseLiftOptions(fit="l1_reweighted")
     result = phaselift(frame, y, opts, x_true=x)
     assert result.converged
@@ -358,7 +359,7 @@ def test_phaselift_l1_noisy_solves_converge(n, seed):
 def test_phaselift_l1_mode_runs_and_fits():
     frame = random_frame(3, 18, "gaussian", seed=7)
     x = unit_signal(3, 7)
-    y = intensity_map(frame, x).values.copy()
+    y = intensity_map(frame, x)
     rng = rng_from_seed(8)
     noise = rng.normal(size=18)
     noise *= 0.2 / np.abs(noise).sum()
@@ -389,7 +390,7 @@ def test_gs_zero_measurements():
 
 def test_gs_negative_entries_rectified():
     frame = random_frame(2, 6, "gaussian", seed=11)
-    y = intensity_map(frame, unit_signal(2, 11)).values.copy()
+    y = intensity_map(frame, unit_signal(2, 11))
     y[0] = -0.5  # noisy entry below zero
     result = gerchberg_saxton(frame, y, GSOptions(x0=unit_signal(2, 12)))
     assert np.isfinite(result.residual)
@@ -429,9 +430,9 @@ def test_gs_matches_reference_with_one_analysis_per_sweep(sigma, max_iter, monke
     frame = random_frame(4, 24, "gaussian", seed=20)
     x = unit_signal(4, 20)
     if sigma is None:
-        y = intensity_map(frame, x).values
+        y = intensity_map(frame, x)
     else:
-        y = sigma * rng_from_seed(3).normal(size=24) + (sigma > 0) * intensity_map(frame, x).values
+        y = sigma * rng_from_seed(3).normal(size=24) + (sigma > 0) * intensity_map(frame, x)
     x0 = spectral_init(frame, intensity_map(frame, x), mode="wf").x0
     x_ref, iterations, stop, trace = _gs_reference(frame, y, x0, max_iter)
     calls = []
@@ -484,7 +485,7 @@ def test_spectral_init_energy_scale():
 
 def test_spectral_init_nonpositive_sentinel():
     frame = make_frame(np.eye(2))
-    y = -intensity_map(frame, np.eye(2, dtype=complex)[0]).values
+    y = -intensity_map(frame, np.eye(2, dtype=complex)[0])
     init = spectral_init(frame, y, mode="irls")
     assert init.a1 <= 0.0
     np.testing.assert_array_equal(init.x0, np.zeros(2, dtype=complex))
@@ -504,7 +505,7 @@ def test_spectral_init_matches_dense_eigh():
     # top algebraic eigenpair
     frame = random_frame(4, 24, "gaussian", seed=23)
     y = simulate_measurements(frame, unit_signal(4, 23), NoiseModel(kind="awgn", sigma=4.0, seed=24))
-    w, vecs = np.linalg.eigh(lifted_map_adjoint(frame, y.values))
+    w, vecs = np.linalg.eigh(lifted_map_adjoint(frame, y))
     assert w[0] < 0.0 < w[-1]
     init = spectral_init(frame, y, mode="wf")
     assert init.a1 == pytest.approx(w[-1], rel=1e-12)
@@ -539,7 +540,7 @@ def test_wirtinger_noisy_stops_on_tol_with_nonincreasing_misfit():
         assert len(result.trace) == result.iterations
         assert np.all(np.diff(result.trace) <= 0.0)
         c = frame.vectors.conj() @ result.x_hat
-        g = frame.vectors.T @ (((c * c.conj()).real - np.maximum(y.values, 0.0)) * c) / frame.m
+        g = frame.vectors.T @ (((c * c.conj()).real - np.maximum(y, 0.0)) * c) / frame.m
         x0 = spectral_init(frame, y, mode="wf").x0
         assert np.linalg.norm(g) <= recon.WF_TOL * np.linalg.norm(x0) ** 3
 
@@ -585,7 +586,7 @@ def test_wirtinger_direction_matches_finite_differences():
     m = frame.m
     rng = rng_from_seed(16)
     x_true = unit_signal(3, 15)
-    y = intensity_map(frame, x_true).values
+    y = intensity_map(frame, x_true)
 
     def f(xi):
         c = frame.vectors.conj() @ (xi[:3] + 1j * xi[3:])
@@ -648,7 +649,7 @@ def test_irls_noiseless_residual():
 def _noisy_irls_problem():
     frame = random_frame(8, 64, "gaussian", seed=23)
     x = unit_signal(8, 23)
-    y = intensity_map(frame, x).values + 0.01 * rng_from_seed([23, 1]).normal(size=64)
+    y = intensity_map(frame, x) + 0.01 * rng_from_seed([23, 1]).normal(size=64)
     return frame, x, y
 
 
@@ -726,7 +727,7 @@ def _irls_reference_case(n, sigma, start, lambda_frac, seed, max_outer):
     fraction of a1."""
     frame = random_frame(n, 8 * n, "gaussian", seed=[210, n, seed])
     x = unit_signal(n, 210 + seed)
-    y = intensity_map(frame, x).values
+    y = intensity_map(frame, x)
     if sigma:
         y = y + sigma * rng_from_seed([211, n, seed]).normal(size=8 * n)
     x0 = None
@@ -803,10 +804,10 @@ def test_irls_objective_identity(rng):
     frame = random_frame(3, 9, "gaussian", seed=19)
     u = rng.normal(size=3) + 1j * rng.normal(size=3)
     v = rng.normal(size=3) + 1j * rng.normal(size=3)
-    y = intensity_map(frame, unit_signal(3, 19)).values
+    y = intensity_map(frame, unit_signal(3, 19))
     # J(x, x; lam, 0) = ||beta(x) - y||^2 + 2 lam ||x||^2
     lhs = irls_objective(frame, u, u, 0.7, 0.0, y)
-    rhs = float(np.sum((intensity_map(frame, u).values - y) ** 2)) + 1.4 * float(
+    rhs = float(np.sum((intensity_map(frame, u) - y) ** 2)) + 1.4 * float(
         np.vdot(u, u).real
     )
     assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -925,17 +926,6 @@ def test_phase_covariance(rotate):
     assert quotient_distance(r_ir.x_hat, r_ir_rot.x_hat) <= 1e-6
 
 
-def test_result_serialization():
-    frame = random_frame(2, 6, "gaussian", seed=21)
-    x = unit_signal(2, 21)
-    result = lifted_linear(frame, intensity_map(frame, x), x_true=x)
-    data = result.to_dict()
-    assert data["converged"] is True
-    assert len(data["x_hat"]) == 2 and len(data["x_hat"][0]) == 2
-    assert data["d2_error"] == result.d2_error
-    assert data["stop_reason"] == "tol"
-
-
 # options that end each solver on its budget before any tolerance test holds
 _ONE_STEP = {
     "phaselift": {"max_outer": 1},
@@ -962,7 +952,7 @@ def _stop_cases():
     """(solver name, frame, y, options or None) covering every stop reason."""
     frame = random_frame(3, 12, "gaussian", seed=6)
     x = unit_signal(3, 6)
-    exact = intensity_map(frame, x).values
+    exact = intensity_map(frame, x)
     noisy = exact + 0.05 * rng_from_seed(3).normal(size=12)
     cases = []
     for name, cls in sorted(recon.SOLVERS.items()):
@@ -991,7 +981,7 @@ def test_converged_means_stop_reason_tol_in_every_solver():
 def test_gerchberg_saxton_stop_reasons():
     frame = random_frame(4, 24, "gaussian", seed=20)
     x = unit_signal(4, 20)
-    noisy = intensity_map(frame, x).values + 0.05 * rng_from_seed(3).normal(size=24)
+    noisy = intensity_map(frame, x) + 0.05 * rng_from_seed(3).normal(size=24)
     stalled = gerchberg_saxton(frame, noisy)
     assert stalled.stop_reason == "stagnation" and not stalled.converged
     assert stalled.iterations < GSOptions().max_iter
@@ -1033,7 +1023,7 @@ def test_solvers_reject_non_finite_measurements(name, start, bad):
     # a NaN or inf once reached LAPACK as a misleading NoConvergence, or, with
     # an explicit start, ran GS and WF to max_iter on NaN iterates
     frame = random_frame(3, 12, "gaussian", seed=1)
-    y = intensity_map(frame, unit_signal(3, 1)).values.copy()
+    y = intensity_map(frame, unit_signal(3, 1))
     y[[4, 9]] = bad
     cls = recon.SOLVERS[name]
     if start and cls is not None and "x0" in cls.__dataclass_fields__:
