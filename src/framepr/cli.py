@@ -20,6 +20,7 @@ from .harness import (
     TASK_OPTIONS,
     Report,
     build_frame,
+    dump_json,
     load_report,
     run_experiment,
     write_csv,
@@ -86,7 +87,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=1, sort_keys=True)
+    text = dump_json(payload)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")

@@ -62,6 +62,12 @@ class Frame:
         return self.field == "real"
 
     @cached_property
+    def conj_vectors(self) -> np.ndarray:
+        """conj(vectors), shape (m, n): ``conj_vectors @ x`` is the vector of
+        frame coefficients <x, f_k> (``analysis``)."""
+        return _read_only(self.vectors.conj())
+
+    @cached_property
     def realified_rows(self) -> np.ndarray:
         """[phi; J phi], shape (2m, 2n): rows phi_k = [Re f_k, Im f_k], then
         rows J phi_k = [-Im f_k, Re f_k].  ``realified_rows @ realify(x)`` is
@@ -82,15 +88,14 @@ class Frame:
     @cached_property
     def lifted_gram(self) -> np.ndarray:
         """Gram matrix |<f_k, f_j>|^2 of the rank-one forms f_k f_k*, shape (m, m)."""
-        V = self.vectors
-        return _read_only(np.abs(V.conj() @ V.T) ** 2)
+        return _read_only(np.abs(self.conj_vectors @ self.vectors.T) ** 2)
 
     @cached_property
     def lifted_rows(self) -> np.ndarray:
         """Rows vec(conj(f_k) f_k^T), shape (m, n^2): the lifted map as one
         matrix, trace(f_k f_k* X) = (lifted_rows @ X.ravel())[k]."""
-        V = self.vectors
-        return _read_only((V.conj()[:, :, None] * V[:, None, :]).reshape(self.m, -1))
+        V, Vc = self.vectors, self.conj_vectors
+        return _read_only((Vc[:, :, None] * V[:, None, :]).reshape(self.m, -1))
 
     @cached_property
     def lifted_inverse(self) -> tuple[int, np.ndarray]:
@@ -134,7 +139,7 @@ def analysis(frame: Frame, x) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     if x.shape != (frame.n,):
         raise DimensionMismatch(f"expected vector of length {frame.n}, got {x.shape}")
-    return frame.vectors.conj() @ x
+    return frame.conj_vectors @ x
 
 
 def synthesis(frame: Frame, c) -> np.ndarray:

@@ -17,6 +17,7 @@ from .errors import IndefiniteOperator, NoConvergence, NotHermitian
 
 DEFAULT_TOL = 1e-12
 DEFAULT_RANK_TOL = 1e-10
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -149,6 +150,15 @@ def pseudo_inverse(M: np.ndarray) -> np.ndarray:
     return hermitian_eig(M).pseudo_inverse()
 
 
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm(v) of a 1-D float or complex vector, the same sums and
+    square root bit for bit, without its per-call dispatch."""
+    if v.dtype.kind == "c":
+        re, im = v.real, v.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(v.dot(v))
+
+
 def cg_solve(
     apply_A: Callable[[np.ndarray], np.ndarray],
     b: np.ndarray,
@@ -168,9 +178,8 @@ def cg_solve(
         max_iter = 10 * n
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=b.dtype)
     r = b - apply_A(x)
-    bnorm = np.linalg.norm(b)
-    target = tol * max(bnorm, np.finfo(float).tiny)
-    if np.linalg.norm(r) <= target:
+    target = tol * max(_norm(b), _TINY)
+    if _norm(r) <= target:
         return x, True, 0
     p = r.copy()
     rs = np.vdot(r, r).real
@@ -181,7 +190,7 @@ def cg_solve(
             raise IndefiniteOperator("negative curvature direction encountered")
         if curv <= 0.0:
             # numerically flat direction; cannot make further progress
-            return x, np.linalg.norm(b - apply_A(x)) <= target, it
+            return x, _norm(b - apply_A(x)) <= target, it
         alpha = rs / curv
         x = x + alpha * p
         r = r - alpha * Ap
@@ -190,7 +199,7 @@ def cg_solve(
             return x, True, it
         p = r + (rs_new / rs) * p
         rs = rs_new
-    return x, np.linalg.norm(b - apply_A(x)) <= target, max_iter
+    return x, _norm(b - apply_A(x)) <= target, max_iter
 
 
 def power_method(

@@ -27,7 +27,7 @@ from .errors import (
     NotHermitian,
 )
 from .frames import Frame, analysis, intensity_map, synthesis
-from .lifting import coefficient_columns, complexify, lifted_map, lifted_map_adjoint, realify
+from .lifting import complexify, lifted_map, lifted_map_adjoint, realify
 from .linalg import (
     DEFAULT_TOL,
     _defect_within,
@@ -271,12 +271,17 @@ def phaselift(frame: Frame, y, opts: PhaseLiftOptions | None = None, x_true=None
     sqrt(PHASELIFT_TOL) (inexact continuation).  ``converged`` means the
     lambda = 0 stage met PHASELIFT_TOL.  ``diagnostics["stage_iterations"]``
     lists the FISTA steps of each stage, and each solve logs them at DEBUG
-    level on the "framepr" logger.
+    level on the "framepr" logger.  Measurements whose 2-norm overflows
+    float64 raise NonFiniteMeasurement.
     """
     opts = opts or PhaseLiftOptions()
     y = _values(frame, y)
     n, m = frame.n, frame.m
-    y_norm = float(np.linalg.norm(y))
+    with np.errstate(over="ignore"):  # an overflowing norm is refused just below
+        y_norm = float(np.linalg.norm(y))
+    if not math.isfinite(y_norm):
+        raise NonFiniteMeasurement(
+            f"the 2-norm of the measurements overflows (largest |y_k| is {np.abs(y).max():.3g})")
     lam0 = LAMBDA0 * y_norm
     delta = L1_DELTA * (y_norm / m if y_norm > 0.0 else 1.0)
     w = np.ones(m)
@@ -443,7 +448,7 @@ def spectral_init(frame: Frame, y, mode: str = "wf") -> SpectralInit:
     dec = hermitian_eig(lifted_map_adjoint(frame, y))
     a1 = float(dec.eigenvalues[0])
     e1 = dec.eigenvectors[:, 0]
-    c = V.conj() @ e1
+    c = frame.conj_vectors @ e1
     # an exact eigenvector can be orthogonal to some f_k (a repeated
     # orthonormal basis makes it so), and neither the WF gradient nor the IRLS
     # update then moves the iterate off the set where those <x, f_k> stay 0;
@@ -629,8 +634,9 @@ def irls(frame: Frame, y, opts: IRLSOptions | None = None, x_true=None) -> Recon
     coefficients (p, q) = (phi xi_u, J phi xi_u) of the new iterate with one
     product with ``Frame.realified_rows``, and carries them and the
     intensity residual p^2 + q^2 - y into the next step, which builds Z from
-    them (``coefficient_columns``) and the three logged criterion values
-    from the carried residuals.  Both weights start at IRLS_RHO a1, floored
+    them (the columns ``coefficient_columns`` gives, written into buffers
+    the solve reuses) and the three logged criterion values from the carried
+    residuals.  Both weights start at IRLS_RHO a1, floored
     at ``lambda_min`` and IRLS_MU_MIN, and decay by IRLS_GAMMA per step down
     to those floors.
     The loop stops on a misfit below IRLS_EPS ||y||^2 (``stop_reason``
@@ -661,6 +667,13 @@ def irls(frame: Frame, y, opts: IRLSOptions | None = None, x_true=None) -> Recon
     mu = max(IRLS_RHO * init.a1, IRLS_MU_MIN)
     m, d = frame.m, 2 * frame.n
     rows = frame.realified_rows
+    # Z = coefficient_columns(frame, p, q) = phi^T p + (J phi)^T q and the
+    # normal matrix are rebuilt in these buffers on every step; Z is stored
+    # column-major, as phi^T is, which keeps the BLAS products' bits
+    phi_t, jphi_t = frame.phi.T, frame.jphi.T
+    Z, Zq = np.empty((m, d)).T, np.empty((m, d)).T
+    A, rhs = np.empty((d, d)), np.empty(d)
+    A_diag = A.reshape(-1)[:: d + 1]
     best_val = np.inf
     best_log: list[float] = []
     trace_log: list[float] = []
@@ -671,27 +684,34 @@ def irls(frame: Frame, y, opts: IRLSOptions | None = None, x_true=None) -> Recon
     # the iterate xi carries its frame coefficients as pq = [Re c; Im c] and
     # its intensity residual r = |c|^2 - y from the u-step that produced it
     xi = best_xi = realify(init.x0 if opts.x0 is None else _start(frame, opts.x0))
-    pq = rows @ xi
-    r = pq[:m] ** 2 + pq[m:] ** 2 - y
-    xx = xi @ xi
+    pq = np.dot(rows, xi)
+    sq = pq * pq
+    r = sq[:m] + sq[m:] - y
+    xx = xi.dot(xi)
     for it in range(1, opts.max_outer + 1):
-        Z = coefficient_columns(frame, pq[:m], pq[m:])
-        A = Z @ Z.T
-        A.flat[:: d + 1] += lam + mu
-        rhs = Z @ y + mu * xi
+        np.multiply(phi_t, pq[:m], out=Z)
+        np.multiply(jphi_t, pq[m:], out=Zq)
+        Z += Zq
+        np.dot(Z, Z.T, out=A)
+        A_diag += lam + mu
+        np.dot(Z, y, out=rhs)
+        rhs += mu * xi
         xi_u, ok, n_cg = cg_solve(
             A.__matmul__, rhs, tol=IRLS_CG_TOL, max_iter=20 * d, x0=spd_solve(A, rhs)
         )
         cg_ok = cg_ok and ok
-        pq_u = rows @ xi_u
-        r_u = pq_u[:m] ** 2 + pq_u[m:] ** 2 - y
-        r_cross = pq_u[:m] * pq[:m] + pq_u[m:] * pq[m:] - y
-        uu = xi_u @ xi_u
+        pq_u = np.dot(rows, xi_u)
+        sq, cross = pq_u * pq_u, pq_u * pq
+        r_u = sq[:m] + sq[m:]
+        r_u -= y
+        r_cross = cross[:m] + cross[m:]
+        r_cross -= y
+        uu = xi_u.dot(xi_u)
         step = xi_u - xi
         # irls_objective at (x, x), (u, x) and (u, u), from the residuals
-        sub_before = float(r @ r + 2.0 * lam * xx)
-        sub_after = float(r_cross @ r_cross + lam * uu + mu * (step @ step) + lam * xx)
-        misfit = float(r_u @ r_u)
+        sub_before = float(r.dot(r) + 2.0 * lam * xx)
+        sub_after = float(r_cross.dot(r_cross) + lam * uu + mu * step.dot(step) + lam * xx)
+        misfit = float(r_u.dot(r_u))
         outer_log.append(
             {"lam": lam, "mu": mu, "J_sub_before": sub_before, "J_sub_after": sub_after,
              "J_misfit": misfit, "cg_iterations": n_cg}

@@ -39,3 +39,22 @@ def _targets():
 def test_tracer_target_is_library_callable(target):
     mod, fn = target.split(".")
     assert callable(getattr(importlib.import_module(f"framepr.{mod}"), fn, None)), target
+
+
+@pytest.mark.parametrize("name", sorted(_load("workloads").WORKLOADS))
+def test_traced_unit_calls_the_dominant_function(name, tmp_path):
+    # a traced benchmark run fails when its workload's dominant function is
+    # never called, or when a library alias escapes the tracer's patching
+    import framepr
+    import framepr.cli  # noqa: F401  (traced, and run by the sweep workload)
+
+    spans, workloads = _load("spans"), _load("workloads")
+    wl = workloads.WORKLOADS[name](framepr, 1, str(tmp_path / "work"))
+    try:
+        with spans.Tracer(framepr) as tr:
+            unit = wl.run(0)
+    finally:
+        wl.close()
+    assert tr.unpatched == []
+    assert tr.calls[wl.dominant] > 0, wl.dominant
+    assert wl.check([unit]) == []

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from framepr import cli, load_frame, run_experiment
+from framepr.harness import load_report
 from framepr.cli import main
 
 
@@ -141,6 +142,13 @@ def test_sweep_csv(tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[0].startswith("algorithm,")
     assert len(lines) == 3
+    # the report is one line of compact JSON holding the in-process report's data
+    text = rep_path.read_text()
+    assert text.count("\n") == 1 and text.endswith("}\n")
+    loaded = load_report(rep_path)
+    assert json.loads(text) == loaded.to_dict()
+    config = dict(json.loads(cfg_path.read_text()), task="sweep")
+    assert loaded.deterministic_digest() == run_experiment(config).deterministic_digest()
 
 
 def test_exit_code_config_error(tmp_path):

@@ -42,6 +42,16 @@ def test_analysis_matches_elementwise(rng):
     np.testing.assert_allclose(analysis(frame, x), direct, atol=1e-14)
 
 
+@pytest.mark.parametrize("ensemble", ["gaussian", "real_gaussian"])
+def test_analysis_is_the_conjugate_product_bit_for_bit(rng, ensemble):
+    # analysis multiplies by the cached conj(V); the product keeps its bits
+    for n, m in ((1, 3), (3, 7), (8, 64)):
+        frame = random_frame(n, m, ensemble, seed=n + m)
+        for scale in (1e-150, 1.0, 1e150):
+            x = scale * random_complex(rng, n)
+            np.testing.assert_array_equal(analysis(frame, x), frame.vectors.conj() @ x)
+
+
 def test_analysis_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         analysis(TRIPLE, [1, 0, 0])
@@ -243,6 +253,7 @@ def test_cached_frame_operators(monkeypatch):
     np.testing.assert_array_equal(frame.phi, np.concatenate([V.real, V.imag], axis=1))
     np.testing.assert_array_equal(frame.jphi, np.concatenate([-V.imag, V.real], axis=1))
     np.testing.assert_array_equal(frame.realified_rows, np.concatenate([frame.phi, frame.jphi]))
+    np.testing.assert_array_equal(frame.conj_vectors, V.conj())
     rank, pinv = frame.lifted_inverse
     assert rank == np.linalg.matrix_rank(G) == 9
     np.testing.assert_allclose(pinv, np.linalg.pinv(G), atol=1e-10)
@@ -250,9 +261,10 @@ def test_cached_frame_operators(monkeypatch):
     rows = np.array([np.outer(f.conj(), f).ravel() for f in V])
     np.testing.assert_array_equal(frame.lifted_rows, rows)
     assert frame.lifted_rows.shape == (10, 9)
-    for name in ("realified_rows", "phi", "jphi", "lifted_gram", "lifted_rows"):
+    names = ("conj_vectors", "realified_rows", "phi", "jphi", "lifted_gram", "lifted_rows")
+    for name in names:
         assert getattr(frame, name) is getattr(frame, name)
-    cached = (frame.realified_rows, frame.phi, frame.jphi, frame.lifted_gram, frame.lifted_rows)
+    cached = tuple(getattr(frame, name) for name in names)
     for value in (*cached, pinv):
         assert not value.flags.writeable
         with pytest.raises(ValueError):

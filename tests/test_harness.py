@@ -68,6 +68,9 @@ def test_load_config_defaults():
         {"options": {"budget": True}},
         {"task": "sweep", "sweep": {"parameter": "sigma", "values": [True]}},
         {"algorithms": [{"name": "phaselift", "options": {"max_outer": True, "inner_max": True}}]},
+        # values json cannot write once escaped as a bare TypeError
+        {"frame": {"ensemble": "gaussian", "n": np.int64(2), "m": 6}},
+        {"seed": np.int64(3)},
         {"algorithms": [{"name": "wirtinger_flow", "options": {"max_iter": True}}]},
         {"algorithms": [{"name": "irls", "options": {"max_outer": True}}]},
         # iteration budgets are integers: range() would reject a float later
@@ -214,6 +217,24 @@ def test_default_reconstruct_report_serializes(name):
     assert len(report.deterministic_digest()) == 64
 
 
+def test_aggregate_quantiles_match_two_quantile_calls():
+    # compute_aggregates takes q05 and q95 from one np.quantile call; each
+    # must keep the bits of its own call
+    rng = np.random.default_rng(25)
+    records = []
+    for g in range(300):
+        size = int(rng.integers(1, 61))
+        d2 = 10.0 ** rng.uniform(-16, 3, size=size) * rng.choice([1.0, 0.0], size=size, p=[0.95, 0.05])
+        records += [{"algorithm": f"a{g}", "d2_rel": float(v), "residual": 0.0, "iterations": 1}
+                    for v in d2]
+    aggregates = compute_aggregates(records, 1e-5)
+    for g in range(300):
+        d2 = np.array([r["d2_rel"] for r in records if r["algorithm"] == f"a{g}"])
+        entry = aggregates[f"a{g}"]
+        assert entry["d2_rel_q05"] == float(np.quantile(d2, 0.05))
+        assert entry["d2_rel_q95"] == float(np.quantile(d2, 0.95))
+
+
 def test_aggregates_recomputable():
     report = run_experiment(BASE)
     recomputed = compute_aggregates(report.records, report.config["success_threshold"])
@@ -337,9 +358,17 @@ def test_report_json_roundtrip(tmp_path):
     report = run_experiment(BASE)
     path = tmp_path / "report.json"
     report.save(path)
+    # one compact line, holding the data of the indented encoding reports had
+    indented = json.dumps(report.to_dict(), indent=1, sort_keys=True)
+    text = path.read_text()
+    assert text == report.to_json() + "\n" and text.count("\n") == 1
+    assert json.loads(text) == json.loads(indented)
     loaded = load_report(path)
     assert loaded.deterministic_digest() == report.deterministic_digest()
     assert report_from_dict(report.to_dict()).aggregates == report.aggregates
+    # an indented report file loads to the same digest
+    path.write_text(indented)
+    assert load_report(path).deterministic_digest() == report.deterministic_digest()
 
 
 def test_write_csv_quoting(tmp_path):

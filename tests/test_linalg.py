@@ -179,6 +179,41 @@ def test_cg_matches_dense_solve(rng):
     np.testing.assert_allclose(x, np.linalg.solve(A, b), atol=1e-8)
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_cg_early_exit_returns_a_fresh_copy_of_the_start(rng, dtype):
+    B = rng.normal(size=(6, 6))
+    A = B @ B.T + np.eye(6)
+    b = rng.normal(size=6).astype(dtype)
+    x0 = np.linalg.solve(A, b)
+    x, ok, iters = cg_solve(lambda v: A @ v, b, tol=1e-8, x0=x0)
+    assert (ok, iters) == (True, 0)
+    assert x is not x0 and not np.shares_memory(x, x0)
+    np.testing.assert_array_equal(x, x0)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_cg_accepts_the_start_exactly_when_the_norm_reference_does(rng, dtype):
+    # the residual test on the start, written with np.linalg.norm and a
+    # per-call np.finfo; the tolerances sit one ulp around the residual ratio,
+    # so any change in the bits of either side flips some decision
+    decided = set()
+    for trial in range(200):
+        n = int(rng.integers(1, 20))
+        B = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if dtype is complex else 0)
+        A = B @ B.conj().T + np.eye(n)
+        b = (10.0 ** rng.uniform(-150, 150)) * rng.normal(size=n).astype(dtype)
+        if dtype is complex:
+            b = b + 1j * b[::-1]
+        x0 = np.linalg.solve(A, b) * (1 + 10.0 ** rng.uniform(-16, -2))
+        ratio = np.linalg.norm(b - A @ x0) / np.linalg.norm(b)
+        for tol in (np.nextafter(ratio, 0), ratio, np.nextafter(ratio, np.inf)):
+            accept = np.linalg.norm(b - A @ x0) <= tol * max(np.linalg.norm(b), np.finfo(float).tiny)
+            _, _, iters = cg_solve(lambda v: A @ v, b, tol=tol, max_iter=1, x0=x0)
+            assert (iters == 0) == accept, (trial, tol)
+            decided.add(bool(accept))
+    assert decided == {True, False}
+
+
 def test_spd_solve_matches_dense_solve(rng):
     for n in (1, 4, 16):
         B = rng.normal(size=(n, 3 * n))

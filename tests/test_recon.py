@@ -113,6 +113,17 @@ def test_phaselift_zero_measurements():
     np.testing.assert_allclose(result.x_hat, np.zeros(3), atol=1e-5)
 
 
+@pytest.mark.parametrize("fit", ["l2", "l1_reweighted"])
+def test_phaselift_refuses_measurements_whose_norm_overflows(fit):
+    # every entry is finite, but ||y||_2 is inf; the step offset then held
+    # inf/NaN and the solve raised a misleading NotHermitian
+    frame = random_frame(3, 12, "gaussian", seed=6)
+    y = 1e200 * intensity_map(frame, unit_signal(3, 1))
+    assert np.isfinite(y).all()
+    with pytest.raises(NonFiniteMeasurement, match="2-norm of the measurements overflows"):
+        phaselift(frame, y, PhaseLiftOptions(fit=fit))
+
+
 @pytest.mark.parametrize("inner_max", [1, 2])
 def test_phaselift_converged_on_last_allowed_step(inner_max):
     # y = 0: every step is 0, so each of the default schedule's 26 stages
