@@ -40,7 +40,6 @@ from .injectivity import (
 )
 ARTIFACT_VERSION = "0.1.0"
 SCHEMA_VERSION = 1
-NONDETERMINISTIC_KEYS = ("timestamp", "wall_time_s")
 
 _TASKS = ("certify", "bounds", "crlb", "reconstruct", "sweep")
 _NOISE_PARAMETER = {"awgn": "sigma", "coefficient": "rho"}  # noise kind -> parameter of its level
@@ -52,6 +51,8 @@ TASK_OPTIONS = {"budget": (4_000_000, 1), "n_starts": (64, 0), "samples": (2000,
 # the parameter of its kind
 _SECTION_KEYS = {
     "frame": {"inline": ("inline",), "file": ("file",), "ensemble": ("ensemble", "n", "m", "seed")},
+    "inline": ("n", "m", "field", "vectors"),  # the keys frames.frame_to_dict writes
+    "algorithm": ("name", "options"),
     "noise": {"none": ("kind",), **{kind: ("kind", level) for kind, level in _NOISE_PARAMETER.items()}},
     "signal": ("kind", "norm"),
     "sweep": ("parameter", "values"),
@@ -89,6 +90,8 @@ def _frame_source(spec) -> str:
         raise ConfigError(f"a frame section is an object naming exactly one of {'/'.join(_SECTION_KEYS['frame'])}")
     source = sources[0]
     _check_section(f"frame {source}", spec, _SECTION_KEYS["frame"][source])
+    if source == "inline":
+        _check_section("inline frame", spec["inline"], _SECTION_KEYS["inline"])
     if source == "ensemble":
         if spec["ensemble"] not in ENSEMBLES:
             raise ConfigError(f"unknown ensemble {spec['ensemble']!r}; known: {', '.join(ENSEMBLES)}")
@@ -169,6 +172,7 @@ def load_config(source) -> dict:
     if not isinstance(cfg["algorithms"], list) or not all(isinstance(a, dict) for a in cfg["algorithms"]):
         raise ConfigError("algorithms must be a list of objects with a 'name'")
     for alg in cfg["algorithms"]:
+        _check_section("algorithm", alg, _SECTION_KEYS["algorithm"])
         name = alg.get("name")
         if not isinstance(name, str) or name not in recon.SOLVERS:
             raise ConfigError(f"unknown algorithm {name!r}")
@@ -263,19 +267,17 @@ class Report:
         return compute_aggregates(self.records, threshold) == self.aggregates
 
     def deterministic_digest(self) -> str:
-        """SHA-256 of the canonical JSON with wall-clock fields removed."""
-        payload = _strip_volatile(self.to_dict())
+        """SHA-256 of the canonical JSON without the wall-clock fields: the
+        top-level timestamp and each record's wall_time_s.  No other key of
+        a report framepr writes is either name, since ``load_config``
+        refuses unknown keys in every config section the report echoes."""
+        payload = self.to_dict()
+        del payload["timestamp"]
+        payload["records"] = [{k: v for k, v in rec.items() if k != "wall_time_s"}
+                              for rec in self.records]
         return hashlib.sha256(
             json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
         ).hexdigest()
-
-
-def _strip_volatile(obj):
-    if isinstance(obj, dict):
-        return {k: _strip_volatile(v) for k, v in obj.items() if k not in NONDETERMINISTIC_KEYS}
-    if isinstance(obj, list):
-        return [_strip_volatile(v) for v in obj]
-    return obj
 
 
 def _is_record(rec) -> bool:

@@ -70,7 +70,8 @@ def _hermitian_defect(M: np.ndarray, tol: float) -> np.ndarray:
     ``_defect_within(D, M, tol)`` fails, so also on NaN or inf entries."""
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NotHermitian(f"expected a square matrix, got shape {M.shape}")
-    D = M - M.conj().T
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which the check refuses
+        D = M - M.conj().T
     if not _defect_within(D, M, tol):
         raise NotHermitian("matrix is not self-adjoint within tolerance, or not finite")
     return D

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -138,6 +139,10 @@ def test_load_config_defaults():
         {"frame": {"ensemble": "bogus", "n": 2, "m": 6}},
         # an explicit start is finite (JSON NaN parses to a float nan)
         {"algorithms": [{"name": "irls", "options": {"x0": json.loads("[NaN, 1.0]")}}]},
+        # the echoed algorithm entries and inline frames hold no keys of their
+        # own, so the wall-clock names appear only where a report writes them
+        {"algorithms": [{"name": "lifted_linear", "timestamp": "2026-01-01T00:00:00"}]},
+        {"frame": {"inline": {"n": 1, "m": 2, "vectors": [[[1, 0]], [[0, 1]]], "wall_time_s": 0.5}}},
     ],
 )
 def test_load_config_rejects(patch):
@@ -251,6 +256,49 @@ def test_single_thread_bitwise_determinism():
     for rec in d1["records"] + d2["records"]:
         rec.pop("wall_time_s")
     assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
+
+
+def _digest_stripping_every_level(report):
+    """The digest with "timestamp" and "wall_time_s" removed wherever they
+    occur: the reference for the two-level strip of deterministic_digest."""
+    def strip(obj):
+        if isinstance(obj, dict):
+            return {k: strip(v) for k, v in obj.items() if k not in ("timestamp", "wall_time_s")}
+        if isinstance(obj, list):
+            return [strip(v) for v in obj]
+        return obj
+
+    payload = json.dumps(strip(report.to_dict()), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+_REAL_TRIPLE = {"n": 2, "m": 3, "field": "real",
+                "vectors": [[[1, 0], [0, 0]], [[0, 0], [1, 0]], [[1, 0], [1, 0]]]}
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [
+        {"algorithms": [{"name": "lifted_linear"}, {"name": "irls", "options": {"max_outer": 5}}]},
+        {"task": "sweep", "noise": {"kind": "awgn"}, "sweep": {"parameter": "sigma", "values": [0.01, 0.1]}},
+        {"task": "crlb", "noise": {"kind": "coefficient"}, "sweep": {"parameter": "rho", "values": [0.05]}},
+        {"task": "certify", "frame": {"ensemble": "gaussian", "n": 2, "m": 8, "seed": 1}},
+        {"task": "certify", "frame": {"inline": _REAL_TRIPLE}},
+        {"task": "bounds", "frame": {"inline": _REAL_TRIPLE}, "options": {"samples": 50, "n_starts": 2}},
+        {"task": "bounds", "options": {"samples": 50, "n_starts": 2}},
+    ],
+    ids=["reconstruct", "sweep", "crlb", "certify_complex", "certify_real", "bounds_real", "bounds_complex"],
+)
+def test_digest_matches_a_strip_of_every_level(patch):
+    report = run_experiment(dict(BASE, **patch))
+    assert report.deterministic_digest() == _digest_stripping_every_level(report)
+    loaded = report_from_dict(json.loads(report.to_json()))
+    assert loaded.deterministic_digest() == _digest_stripping_every_level(loaded)
+    # and the digest ignores the wall-clock fields
+    report.timestamp = "1970-01-01T00:00:00"
+    for rec in report.records:
+        rec["wall_time_s"] = -1.0
+    assert report.deterministic_digest() == loaded.deterministic_digest()
 
 
 def test_config_echo_roundtrip():

@@ -308,17 +308,24 @@ def _unscreened_scan(frame, net):
 
 
 # random_frame(2, 3) gets within 4e-13 lambda_1 of lambda_3 = 0 on this net;
-# the SIC frame has a double root 1/3 at every point, so every row is rechecked
+# the SIC frame has a double root 1/3 at every point, so every row is rechecked;
+# at n = 3 no screen runs and every chunk is solved exactly
 @pytest.mark.parametrize(
     "frame",
-    [random_frame(2, 8, "gaussian", seed=4), random_frame(2, 3, seed=0), _tetrahedral_sic()],
-    ids=["gaussian_m8", "m3", "sic"],
+    [random_frame(2, 8, "gaussian", seed=4), random_frame(2, 3, seed=0), _tetrahedral_sic(),
+     random_frame(3, 12, "gaussian", seed=2)],
+    ids=["gaussian_m8", "m3", "sic", "n3_m12"],
 )
 @pytest.mark.parametrize("chunk", [None, 4096])
 def test_scan_net_matches_unscreened_scan(frame, chunk, monkeypatch):
     if chunk is not None:
         monkeypatch.setattr(injectivity, "_SCAN_CHUNK", chunk)
-    net = bloch_fibonacci_net(65536 + 777, seed=[2, 1])  # the last chunk is partial
+    if frame.n == 2:
+        net = bloch_fibonacci_net(65536 + 777, seed=[2, 1])
+    else:
+        net = sphere_net(6, 1 << 16, seed=[2, 1])[:40_000]
+    # several chunks, the last one partial (8e6 / (m d) rows exceed the chunk)
+    assert net.shape[0] > injectivity._SCAN_CHUNK and net.shape[0] % injectivity._SCAN_CHUNK
     lam3, lam1 = _scan_net(frame.phi, frame.jphi, net)
     ref3, ref1 = _unscreened_scan(frame, net)
     assert lam3 == ref3 and lam1 == ref1
@@ -566,6 +573,16 @@ def test_bloch_net_matches_one_shot_formula(n_points, seed):
     assert net.shape == ref.shape
     # bitwise, sign of zero included
     assert net.tobytes() == ref.tobytes()
+    # row i realifies (cos(t/2), sin(t/2) e^{i phi}): a unit vector whose
+    # Bloch point has height cos(t) = z_i and longitude phi_i
+    i = np.arange(net.shape[0])
+    u = net[:, :2] + 1j * net[:, 2:]
+    np.testing.assert_allclose(np.linalg.norm(u, axis=1), 1.0, rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(u[:, 0].imag, 0.0)
+    np.testing.assert_allclose(np.abs(u[:, 0]) ** 2 - np.abs(u[:, 1]) ** 2,
+                               1.0 - (2.0 * i + 1.0) / net.shape[0], rtol=0, atol=1e-15)
+    phi = i * (np.pi * (3.0 - np.sqrt(5.0))) + 0.61803398875 * (seed if np.isscalar(seed) else sum(seed))
+    np.testing.assert_allclose(np.abs(u[:, 1] - np.abs(u[:, 1]) * np.exp(1j * phi)), 0.0, rtol=0, atol=1e-15)
 
 
 def test_bloch_net_memory():

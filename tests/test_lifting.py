@@ -149,6 +149,65 @@ def test_rank_one_diff_spectrum_canonical():
     assert z.norm1 == z.norm2 == z.norm_inf == 0.0
 
 
+def _spectrum_reference(x, y):
+    """(a_plus, a_minus, norm1, norm2, norm_inf) of x x* - y y*, from a
+    50-digit eigensolve of the matrix built from the float inputs."""
+    mp = pytest.importorskip("mpmath").mp
+    mp.dps = 50
+    X = [mp.mpc(complex(v)) for v in x]
+    Y = [mp.mpc(complex(v)) for v in y]
+    n = len(X)
+    M = mp.matrix(n, n)
+    for i in range(n):
+        for j in range(n):
+            M[i, j] = X[i] * mp.conj(X[j]) - Y[i] * mp.conj(Y[j])
+    lam = mp.eighe(M, eigvals_only=True)
+    a_plus, a_minus = max(lam[n - 1], 0), min(lam[0], 0)
+    return [float(v) for v in (a_plus, a_minus, a_plus - a_minus,
+                               mp.sqrt(a_plus**2 + a_minus**2), max(a_plus, -a_minus))]
+
+
+@pytest.mark.parametrize("rotate", [False, True])
+@pytest.mark.parametrize("sep", [1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1.0])
+def test_rank_one_diff_spectrum_matches_high_precision(rng, sep, rotate):
+    # y a distance sep from the phase orbit of x: the closed forms in floating
+    # point cancel there (a d1 of 1e-7 read exactly 0)
+    for n in (1, 2, 4, 8):
+        x = random_complex(rng, n)
+        y = x + sep * random_complex(rng, n)
+        if rotate:
+            y = y * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        s = rank_one_diff_spectrum(x, y)
+        got = [s.a_plus, s.a_minus, s.norm1, s.norm2, s.norm_inf]
+        for g, r in zip(got, _spectrum_reference(x, y)):
+            # abs: the reference's own rounding where an eigenvalue is 0
+            assert g == pytest.approx(r, rel=1e-12, abs=1e-40)
+
+
+def test_rank_one_diff_spectrum_resolves_a_small_d1():
+    # ||x||^2 = 6 at n = 4 and a d1 of about 1.1e-7, which once read 0
+    x = np.array([1.0, 1.0 + 1.0j, 1.0j, 1.0 - 1.0j])
+    y = x + 2.5e-8 * np.array([0.0, 1.0, 0.0, 0.0])
+    ref = _spectrum_reference(x, y)
+    assert 1e-7 < ref[2] < 1.5e-7
+    s = rank_one_diff_spectrum(x, y)
+    assert s.norm1 == pytest.approx(ref[2], rel=1e-12)
+    assert s.a_minus == pytest.approx(ref[1], rel=1e-12)
+
+
+def test_rank_one_diff_spectrum_extreme_inputs():
+    s = rank_one_diff_spectrum([np.nan, 1.0], [1.0, 0.0])
+    assert all(np.isnan([s.a_plus, s.a_minus, s.norm1, s.norm2, s.norm_inf]))
+    # eigenvalues beyond the float range overflow to infinities of their sign
+    s = rank_one_diff_spectrum([1e200, 0.0], [1e-3, 3e200])
+    assert (s.a_plus, s.a_minus, s.norm1) == (np.inf, -np.inf, np.inf)
+    # while a finite one beside them keeps its value
+    s = rank_one_diff_spectrum([1e200, 1.0], [1.0, 1.0])
+    assert s.a_plus == np.inf and s.a_minus == pytest.approx(-1.0, rel=1e-15)
+    with pytest.raises(DimensionMismatch):
+        rank_one_diff_spectrum([1.0, 0.0], [1.0])
+
+
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_rank_one_diff_spectrum_vs_eigensolver(rng, n):
     for _ in range(30):
