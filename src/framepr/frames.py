@@ -18,7 +18,7 @@ from math import comb
 import numpy as np
 
 from .errors import CombinatorialBudgetExceeded, DimensionMismatch, RankDeficient
-from .linalg import hermitian_eig, hermitian_part
+from .linalg import hermitian_eig, hermitian_part, rank_one_coordinates
 
 #: counter-based 64-bit generator used for every seeded draw in the package
 RNG_NAME = "philox"
@@ -86,23 +86,17 @@ class Frame:
         return self.realified_rows[self.m :]
 
     @cached_property
-    def lifted_gram(self) -> np.ndarray:
-        """Gram matrix |<f_k, f_j>|^2 of the rank-one forms f_k f_k*, shape (m, m)."""
-        return _read_only(np.abs(self.conj_vectors @ self.vectors.T) ** 2)
+    def hermitian_lift(self) -> np.ndarray:
+        """M, real (m, n^2): row k holds the coordinates of f_k f_k* in
+        ``linalg.hermitian_basis(n)``, so the lifted map X -> (trace(f_k f_k* X))_k
+        is M z for the coordinates z of X's Hermitian part."""
+        return _read_only(rank_one_coordinates(self.vectors))
 
     @cached_property
-    def lifted_rows(self) -> np.ndarray:
-        """Rows vec(conj(f_k) f_k^T), shape (m, n^2): the lifted map as one
-        matrix, trace(f_k f_k* X) = (lifted_rows @ X.ravel())[k]."""
-        V, Vc = self.vectors, self.conj_vectors
-        return _read_only((Vc[:, :, None] * V[:, None, :]).reshape(self.m, -1))
-
-    @cached_property
-    def lifted_inverse(self) -> tuple[int, np.ndarray]:
-        """(rank, Moore-Penrose inverse) of ``lifted_gram`` from one
-        eigendecomposition; the inverse is the lifted left inverse."""
-        dec = hermitian_eig(self.lifted_gram)
-        return dec.rank(), _read_only(dec.pseudo_inverse())
+    def hermitian_lift_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(u, s, vh) = np.linalg.svd(hermitian_lift) with full matrices, so
+        vh has n^2 rows and spans the kernel also when m < n^2."""
+        return tuple(_read_only(a) for a in np.linalg.svd(self.hermitian_lift))
 
     @cached_property
     def dual(self) -> "Frame":

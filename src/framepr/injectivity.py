@@ -41,6 +41,7 @@ from .lifting import (
     normalized_gradient_gram,
     realify,
 )
+from .linalg import hermitian_basis, rank_one_coordinates
 from .metrics import quotient_distance
 from .recon import _check_counts
 
@@ -419,17 +420,10 @@ def bloch_fibonacci_net(n_points: int, seed: int = 0) -> np.ndarray:
 
 
 def _lifted_rows(rows: np.ndarray) -> np.ndarray:
-    """Real coordinates of u u* for each realified unit row u.
-
-    Columns are |u_i|^2, then sqrt(2) Re and sqrt(2) Im of u_i conj(u_j) for
-    i < j, so <L(u), L(v)> = <u u*, v v*>_F = |<u, v>|^2 and
-    ||L(u) - L(v)||^2 = 2 - 2 |<u, v>|^2 for unit u, v.
-    """
+    """``rank_one_coordinates`` of each realified unit row u, so
+    ||L(u) - L(v)||^2 = 2 - 2 |<u, v>|^2 for unit u, v."""
     n = rows.shape[1] // 2
-    u = rows[:, :n] + 1j * rows[:, n:]
-    i, j = np.triu_indices(n, k=1)
-    cross = np.sqrt(2.0) * u[:, i] * u[:, j].conj()
-    return np.concatenate([np.abs(u) ** 2, cross.real, cross.imag], axis=1)
+    return rank_one_coordinates(rows[:, :n] + 1j * rows[:, n:])
 
 
 def quotient_covering_radius(
@@ -543,7 +537,7 @@ def _scan_net(phi: np.ndarray, jphi: np.ndarray, net: np.ndarray):
 
 def _kernel_witness(frame: Frame):
     """Candidate pair from a rank-2 element of the lifted map's kernel, read
-    by one SVD on an orthonormal basis of the Hermitian matrices, or None.
+    from the cached SVD of ``Frame.hermitian_lift``, or None.
 
     Such an element lambda_+ e_+ e_+* + lambda_- e_- e_-* gives the pair
     (sqrt(lambda_+) e_+, sqrt(-lambda_-) e_-) for ``_verify_witness`` to
@@ -552,14 +546,9 @@ def _kernel_witness(frame: Frame):
     root t of the cubic det(H + t K), or H itself if det K = 0.
     """
     n = frame.n
-    # E_aa, (E_ab + E_ba) / sqrt 2 for a < b and i (E_ab - E_ba) / sqrt 2 for a > b
-    a, b = np.divmod(np.arange(n * n), n)
-    c = np.where(a < b, np.sqrt(0.5), np.where(a > b, 1j * np.sqrt(0.5), 0.5))[:, None, None]
-    E = np.eye(n * n).reshape(n * n, n, n)
-    basis = c * E + c.conj() * E.transpose(0, 2, 1)
-    M = (frame.lifted_rows @ basis.reshape(n * n, n * n).T).real
-    _, s, vh = np.linalg.svd(M)
-    kernel = [np.tensordot(h, basis, 1) for h in vh[int(np.sum(s > _span_cutoff(M))) :]]
+    _, s, vh = frame.hermitian_lift_svd
+    rows = vh[int(np.sum(s > SPAN_TOL * s[0])) :]
+    kernel = [A.reshape(n, n) for A in rows @ hermitian_basis(n)]
     if not kernel:
         return None
     G = kernel[0]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, OddDimension
 from .frames import Frame, analysis
-from .linalg import hermitian_part
+from .linalg import hermitian_basis
 
 ZERO_TOL = 1e-12  # relative threshold of the zero-measurement rule (_gradient_terms)
 
@@ -85,38 +85,36 @@ class S11Spectrum:
 
 
 def sym_outer_spectrum(u, v) -> S11Spectrum:
-    """Eigenvalues and p-norms of sym_outer(u, v) without any eigensolve."""
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    ip = np.vdot(v, u)  # <u, v> under the first-linear convention
-    re, im = ip.real, ip.imag
-    nu2 = np.vdot(u, u).real
-    nv2 = np.vdot(v, v).real
-    disc = np.sqrt(max(nu2 * nv2 - im * im, 0.0))
-    a_plus = 0.5 * (re + disc)
-    a_minus = 0.5 * (re - disc)
-    norm2 = np.sqrt(max(0.5 * (nu2 * nv2 + re * re - im * im), 0.0))
-    return S11Spectrum(
-        a_plus=float(a_plus),
-        a_minus=float(a_minus),
-        norm1=float(disc),
-        norm2=float(norm2),
-        norm_inf=float(0.5 * (abs(re) + disc)),
-    )
+    """Eigenvalues and p-norms of sym_outer(u, v) without any eigensolve.
+
+    sym_outer(u, v) = x x* - y y* for x = (u + v) / 2 and y = (u - v) / 2.
+    Its discriminant ||u||^2 ||v||^2 - (Im <u, v>)^2 cancels near u = i t v,
+    so it is formed exactly, as in ``rank_one_diff_spectrum``.
+    """
+    return _exact_s11_spectrum(u, v, sym=True)
 
 
 def rank_one_diff_spectrum(x, y) -> S11Spectrum:
     """Eigenvalues and p-norms of x x* - y y* in closed form.
 
-    With A = ||x||^2 - ||y||^2 and G = ||x||^2 ||y||^2 - |<x, y>|^2 >= 0 the
-    eigenvalues are (A +- d) / 2 with d = sqrt(A^2 + 4 G) = norm1, their
-    product is -G, and the squared Frobenius norm is A^2 + 2 G.  Near the
-    phase orbit of y, A and G cancel catastrophically in floating point (a
-    d1 of 1.1e-7 at ||x||^2 = 6 read 0), so both are formed exactly: every
-    finite float is an integer over a power of two, and Python integers
-    carry the sums.  Each output is then rounded once: the eigenvalue of
-    larger modulus from (|A| + d) / 2, the other from the product -G.
-    Non-finite input gives NaN throughout.
+    Near the phase orbit of y, the closed form cancels catastrophically in
+    floating point (a d1 of 1.1e-7 at ||x||^2 = 6 read 0), so it is formed
+    exactly (``_exact_s11_spectrum``).
+    """
+    return _exact_s11_spectrum(x, y, sym=False)
+
+
+def _exact_s11_spectrum(x, y, sym: bool) -> S11Spectrum:
+    """Spectrum of x x* - y y*, or of sym_outer(x, y) when ``sym``.
+
+    With G = ||x||^2 ||y||^2 - |<x, y>|^2 >= 0 and A = ||x||^2 - ||y||^2 the
+    eigenvalues of x x* - y y* are (A +- d) / 2 with d = sqrt(A^2 + 4 G) =
+    norm1, their product is -G, and the squared Frobenius norm is A^2 + 2 G;
+    those of sym_outer(x, y) follow from A = 2 Re <x, y> over a doubled
+    scale.  A and G are formed exactly: every finite float is an integer over
+    a power of two, and Python integers carry the sums.  Each output is then
+    rounded once: the eigenvalue of larger modulus from (|A| + d) / 2, the
+    other from the product -G.  Non-finite input gives NaN throughout.
     """
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
@@ -135,12 +133,11 @@ def rank_one_diff_spectrum(x, y) -> S11Spectrum:
     def dot(a, b):
         return sum(map(operator.mul, a, b))
 
-    nx2, ny2 = dot(xs, xs), dot(ys, ys)
-    A = nx2 - ny2
-    G = nx2 * ny2 - dot(xs, ys) ** 2 - dot(xs, jys) ** 2
-    # A carries den^2, G den^4; square roots keep 64 guard bits below the
-    # final rounding
-    scale = den * den
+    nx2, ny2, re = dot(xs, xs), dot(ys, ys), dot(xs, ys)
+    G = nx2 * ny2 - re * re - dot(xs, jys) ** 2
+    # A and d carry scale, G scale^2; square roots keep 64 guard bits below
+    # the final rounding
+    A, scale = (2 * re, 2 * den * den) if sym else (nx2 - ny2, den * den)
     root = math.isqrt((A * A + 4 * G) << 128)
     big = (abs(A) << 64) + root  # (|A| + d) / 2 = big / (scale 2^65)
     far = _quotient(big, scale << 65)  # the eigenvalue of larger modulus
@@ -169,19 +166,23 @@ def lifted_map(frame: Frame, X) -> np.ndarray:
     """Measurements of a self-adjoint matrix: k-th entry trace(f_k f_k* X).
 
     Linear in X; on X = x x* it reproduces the intensity measurements of x.
+    A non-Hermitian X is measured through its Hermitian part: the product
+    of ``Frame.hermitian_lift`` with z = Re(conj(U) vec X).
     """
     X = np.asarray(X, dtype=complex)
     if X.shape != (frame.n, frame.n):
         raise DimensionMismatch(f"expected ({frame.n},{frame.n}) matrix, got {X.shape}")
-    return (frame.lifted_rows @ X.ravel()).real
+    # Re(conj(U) x) = Re(U conj(x)), without a conjugated copy of U
+    return frame.hermitian_lift @ (hermitian_basis(frame.n) @ X.ravel().conj()).real
 
 
 def lifted_map_adjoint(frame: Frame, w) -> np.ndarray:
-    """Adjoint of lifted_map: sum_k w_k f_k f_k* (self-adjoint for real w)."""
+    """Adjoint of lifted_map: sum_k w_k f_k f_k*, Hermitian by construction
+    as U^T (M^T w) for real w."""
     w = np.asarray(w, dtype=float)
     if w.shape != (frame.m,):
         raise DimensionMismatch(f"expected length-{frame.m} weights, got {w.shape}")
-    return hermitian_part((w @ frame.lifted_rows).conj().reshape(frame.n, frame.n))
+    return (hermitian_basis(frame.n).T @ (frame.hermitian_lift.T @ w)).reshape(frame.n, frame.n)
 
 
 def weighted_frame_operator(frame: Frame, x) -> np.ndarray:

@@ -31,19 +31,11 @@ class EigDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def _kept(self) -> np.ndarray:
-        lam = self.eigenvalues
-        cutoff = DEFAULT_RANK_TOL * np.max(np.abs(lam)) if lam.size else 0.0
-        return np.abs(lam) > cutoff
-
-    def rank(self) -> int:
-        """Number of eigenvalues with |lam| > DEFAULT_RANK_TOL * max|lam|."""
-        return int(np.sum(self._kept()))
-
     def pseudo_inverse(self) -> np.ndarray:
         """Moore-Penrose inverse; eigenvalues with |lam| <= DEFAULT_RANK_TOL * max|lam| count as zero."""
         lam = self.eigenvalues
-        inv = np.where(self._kept(), 1.0 / np.where(lam == 0, 1.0, lam), 0.0)
+        cutoff = DEFAULT_RANK_TOL * np.max(np.abs(lam)) if lam.size else 0.0
+        inv = np.where(np.abs(lam) > cutoff, 1.0 / np.where(lam == 0, 1.0, lam), 0.0)
         out = (self.eigenvectors * inv) @ self.eigenvectors.conj().T
         return hermitian_part(out)
 
@@ -54,25 +46,49 @@ def hermitian_part(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.conj().T)
 
 
-def _defect_within(D: np.ndarray, M: np.ndarray, tol: float) -> bool:
-    """Whether ||D|| <= tol * max(||M||, 1) (Frobenius; the squares are
-    compared).  A NaN or infinite ||D||, which any non-finite entry of M
-    gives when D is a defect of M, fails."""
-    defect = np.vdot(D, D).real
-    # ||M|| is only needed when the defect exceeds the floor tol * 1
-    return defect <= tol * tol or (
-        math.isfinite(defect) and defect <= tol * tol * np.vdot(M, M).real
-    )
+def rank_one_coordinates(u: np.ndarray) -> np.ndarray:
+    """Coordinates of u u* in ``hermitian_basis`` for each row u of a (k, n)
+    complex array, shape (k, n^2): |u_a|^2, then sqrt(2) Re and sqrt(2) Im
+    of u_a conj(u_b) for a < b, so <L(u), L(v)> = <u u*, v v*>_F = |<u, v>|^2.
+    """
+    a, b = np.triu_indices(u.shape[1], k=1)
+    cross = np.sqrt(2.0) * u[:, a] * u[:, b].conj()
+    return np.concatenate([np.abs(u) ** 2, cross.real, cross.imag], axis=1)
+
+
+@functools.cache
+def hermitian_basis(n: int) -> np.ndarray:
+    """U, complex (n^2, n^2) and read-only: row r is vec(B_r) for the
+    orthonormal basis of the n x n Hermitian matrices in the coordinate order
+    of ``rank_one_coordinates``: E_aa, then (E_ab + E_ba) / sqrt 2, then
+    i (E_ab - E_ba) / sqrt 2 for a < b.
+
+    z = Re(conj(U) vec X) holds the coordinates of X's Hermitian part, with
+    ||z|| = ||X||_F for Hermitian X, and vec X = U^T z is exactly Hermitian
+    for every real z.
+    """
+    a, b = np.triu_indices(n, k=1)
+    E = np.eye(n * n).reshape(n, n, n * n)  # E[a, b] = vec(E_ab)
+    diag = E[np.arange(n), np.arange(n)]
+    re, im = np.sqrt(0.5) * (E[a, b] + E[b, a]), np.sqrt(0.5) * 1j * (E[a, b] - E[b, a])
+    U = np.concatenate([diag, re, im])
+    U.setflags(write=False)
+    return U
 
 
 def _hermitian_defect(M: np.ndarray, tol: float) -> np.ndarray:
     """D = M - M*, after raising NotHermitian when M is not square or when
-    ``_defect_within(D, M, tol)`` fails, so also on NaN or inf entries."""
+    ||D|| > tol * max(||M||, 1) (Frobenius; the squares are compared).  A
+    NaN or infinite entry of M gives a NaN or infinite ||D||, which fails."""
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NotHermitian(f"expected a square matrix, got shape {M.shape}")
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which the check refuses
         D = M - M.conj().T
-    if not _defect_within(D, M, tol):
+    defect = np.vdot(D, D).real
+    # ||M|| is only needed when the defect exceeds the floor tol * 1
+    if not (defect <= tol * tol or (
+        math.isfinite(defect) and defect <= tol * tol * np.vdot(M, M).real
+    )):
         raise NotHermitian("matrix is not self-adjoint within tolerance, or not finite")
     return D
 

@@ -24,15 +24,14 @@ from .errors import (
     InsufficientRedundancy,
     NoConvergence,
     NonFiniteMeasurement,
-    NotHermitian,
 )
 from .frames import Frame, analysis, intensity_map, synthesis
 from .lifting import complexify, lifted_map, lifted_map_adjoint, realify
 from .linalg import (
-    DEFAULT_TOL,
-    _defect_within,
+    DEFAULT_RANK_TOL,
     _eig_routine,
     cg_solve,
+    hermitian_basis,
     hermitian_eig,
     spd_solve,
 )
@@ -135,9 +134,11 @@ def _attach_errors(result: ReconResult, x_true) -> ReconResult:
 def lifted_linear(frame: Frame, y, x_true=None) -> ReconResult:
     """Invert the measurements linearly on the space of self-adjoint matrices.
 
-    Requires the rank-one forms f_k f_k* to span that space (m >= n^2 and full
-    Gram rank); the minimum-Frobenius-norm matrix estimate is assembled from
-    the dual forms, and two vector estimates are read off its top eigenpair:
+    Requires the rank-one forms f_k f_k* to span that space: n^2 squared
+    singular values of ``Frame.hermitian_lift`` above DEFAULT_RANK_TOL times
+    the largest, the rank rule of the Gram M M^T.  The minimum-norm
+    least-squares matrix estimate is solved on that lift's cached SVD, and
+    two vector estimates are read off its top eigenpair:
     the least-squares scale sqrt(lambda1) and the gap scale
     sqrt(lambda1 - lambda2).  The gap-scaled estimate varies Lipschitz-
     continuously with y and is returned as ``x_hat``.  When the top
@@ -146,13 +147,14 @@ def lifted_linear(frame: Frame, y, x_true=None) -> ReconResult:
     ``converged`` False; otherwise the solve reports "tol".
     """
     y = _values(frame, y)
-    rank, gram_pinv = frame.lifted_inverse
+    u, s, vh = frame.hermitian_lift_svd
+    rank = int(np.sum(s * s > DEFAULT_RANK_TOL * s[0] * s[0]))
     if rank < frame.n**2:
         raise InsufficientRedundancy(
             f"rank-one forms span {rank} < n^2 = {frame.n ** 2} dimensions"
         )
-    weights = gram_pinv @ y
-    X = lifted_map_adjoint(frame, weights)
+    z = vh[:rank].T @ ((u[:, :rank].T @ y) / s[:rank])
+    X = (hermitian_basis(frame.n).T @ z).reshape(frame.n, frame.n)
     dec = hermitian_eig(X)
     lam = dec.eigenvalues
     lam1 = float(lam[0])
@@ -192,30 +194,22 @@ class PhaseLiftOptions:
 
 
 def _step_operator(frame: Frame, w: np.ndarray, y: np.ndarray):
-    """(L, H, c) of the weighted gradient step: L = 2 lambda_max(W^1/2 G W^1/2)
-    is the step's Lipschitz constant and Y - (2/L) A*(w (A(Y) - y)) =
-    H vec(Y) + c.
+    """(L, H, c) of the weighted gradient step: with M = ``hermitian_lift``
+    and K = M^T W M, L = 2 lambda_max(K) is the step's Lipschitz constant
+    and Y - (2/L) A*(w (A(Y) - y)) = H vec(Y) + c.
 
-    NotHermitian is raised unless H maps Hermitian matrices to Hermitian
-    matrices and c is Hermitian, each within DEFAULT_TOL as in
-    ``hermitian_eig``.  With P the vec transpose (P vec(X) = vec(X^T)), H
-    preserves the Hermitian matrices exactly when H = conj(P H P).  Every
-    step input H vec(Y) + c then is Hermitian, so the FISTA loop factors it
-    without a check of its own.
+    H = U^T (I - (2/L) K) conj(U) and c = U^T ((2/L) M^T W y) for the basis
+    U = ``hermitian_basis(n)``: c is Hermitian and H maps Hermitian
+    matrices to Hermitian matrices by construction, so the FISTA loop
+    factors every step input without a check.
     """
-    n = frame.n
-    A = frame.lifted_rows
-    L = 2.0 * float(np.linalg.eigvalsh(frame.lifted_gram * np.sqrt(np.outer(w, w)))[-1])
-    L = max(L, np.finfo(float).tiny)
-    AwT = A.conj().T * ((2.0 / L) * w)
-    H = np.eye(n * n) - AwT @ A
-    c = AwT @ y
-    C = c.reshape(n, n)
-    perm = np.arange(n * n).reshape(n, n).T.ravel()
-    if not _defect_within(C - C.conj().T, C, DEFAULT_TOL):
-        raise NotHermitian("step offset c is not Hermitian within tolerance")
-    if not _defect_within(H - H[np.ix_(perm, perm)].conj(), H, DEFAULT_TOL):
-        raise NotHermitian("step operator does not map Hermitian matrices to Hermitian matrices")
+    M = frame.hermitian_lift
+    MW = M.T * w
+    K = MW @ M
+    L = max(2.0 * float(np.linalg.eigvalsh(K)[-1]), np.finfo(float).tiny)
+    U = hermitian_basis(frame.n)
+    H = U.T @ (np.eye(K.shape[0]) - (2.0 / L) * K) @ U.conj()
+    c = U.T @ ((2.0 / L) * (MW @ y))
     return L, H, c
 
 
@@ -225,8 +219,8 @@ def _psd_trace_prox(z: np.ndarray, shrink: float, heevd) -> np.ndarray:
 
     ``heevd`` is LAPACK's ?heevd, called on the lower triangle of z viewed
     as n x n, as ``hermitian_eig`` calls it, but without that function's
-    Hermitian check (``_step_operator`` guarantees it), symmetrization and
-    spectrum reversal; raises NoConvergence when LAPACK reports failure.
+    Hermitian check (``_step_operator`` builds z Hermitian), symmetrization
+    and spectrum reversal; raises NoConvergence when LAPACK reports failure.
     """
     n = math.isqrt(z.shape[0])
     lam, V, info = heevd(z.reshape(n, n), lower=1)
@@ -252,8 +246,8 @@ def phaselift(frame: Frame, y, opts: PhaseLiftOptions | None = None, x_true=None
     per stage for "l1_reweighted".
     The loop keeps Y and the iterates as flat vec vectors, so a step is one
     n^2 x n^2 product and one direct LAPACK eigensolve (``_psd_trace_prox``);
-    ``_step_operator`` checks once per weight vector that every such step
-    input is Hermitian.
+    ``_step_operator`` builds H and c so that every such step input is
+    Hermitian.
     The momentum uses the gradient restart of O'Donoghue and Candes: when
     <Y - X_new, X_new - X_prev> > 0 the momentum points uphill, so t falls
     back to 1 and the next step starts from X_new.

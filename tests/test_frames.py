@@ -248,27 +248,36 @@ def test_cached_frame_operators(monkeypatch):
     assert len(calls) == 1
     np.testing.assert_array_equal(frame.dual.vectors, fresh_dual(frame).vectors)
 
-    G = np.abs(V.conj() @ V.T) ** 2
-    np.testing.assert_array_equal(frame.lifted_gram, G)
     np.testing.assert_array_equal(frame.phi, np.concatenate([V.real, V.imag], axis=1))
     np.testing.assert_array_equal(frame.jphi, np.concatenate([-V.imag, V.real], axis=1))
     np.testing.assert_array_equal(frame.realified_rows, np.concatenate([frame.phi, frame.jphi]))
     np.testing.assert_array_equal(frame.conj_vectors, V.conj())
-    rank, pinv = frame.lifted_inverse
-    assert rank == np.linalg.matrix_rank(G) == 9
-    np.testing.assert_allclose(pinv, np.linalg.pinv(G), atol=1e-10)
-    assert frame.lifted_inverse[1] is pinv
-    rows = np.array([np.outer(f.conj(), f).ravel() for f in V])
-    np.testing.assert_array_equal(frame.lifted_rows, rows)
-    assert frame.lifted_rows.shape == (10, 9)
-    names = ("conj_vectors", "realified_rows", "phi", "jphi", "lifted_gram", "lifted_rows")
+    # row k of the lift holds the coordinates of f_k f_k*, so its Gram is
+    # |<f_k, f_j>|^2
+    M = frame.hermitian_lift
+    assert M.shape == (10, 9) and M.dtype == float
+    np.testing.assert_allclose(M @ M.T, np.abs(V.conj() @ V.T) ** 2, rtol=1e-13)
+    u, s, vh = frame.hermitian_lift_svd
+    assert (u.shape, s.shape, vh.shape) == ((10, 10), (9,), (9, 9))
+    np.testing.assert_allclose((u[:, :9] * s) @ vh, M, atol=1e-13 * s[0])
+    names = ("conj_vectors", "realified_rows", "phi", "jphi", "hermitian_lift", "hermitian_lift_svd")
     for name in names:
         assert getattr(frame, name) is getattr(frame, name)
-    cached = tuple(getattr(frame, name) for name in names)
-    for value in (*cached, pinv):
+    cached = tuple(getattr(frame, name) for name in names[:-1]) + frame.hermitian_lift_svd
+    for value in cached:
         assert not value.flags.writeable
         with pytest.raises(ValueError):
-            value[0, 0] = 0.0
+            value[(0,) * value.ndim] = 0.0
+
+
+def test_hermitian_lift_svd_spans_the_kernel_below_n_squared():
+    # m = 5 < n^2 = 9: the full SVD's vh still has n^2 rows, and its last
+    # n^2 - m rows span the lifted map's kernel
+    frame = random_frame(3, 5, "gaussian", seed=3)
+    u, s, vh = frame.hermitian_lift_svd
+    assert (u.shape, s.shape, vh.shape) == ((5, 5), (5,), (9, 9))
+    np.testing.assert_allclose(vh @ vh.T, np.eye(9), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(frame.hermitian_lift @ vh[5:].T, 0.0, rtol=0, atol=1e-13 * s[0])
 
 
 def test_complex_codec_roundtrip(rng):

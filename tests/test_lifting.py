@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -26,7 +27,8 @@ from framepr import (
     weighted_frame_operator,
 )
 from framepr.lifting import coefficient_columns
-from conftest import random_complex
+from framepr.linalg import hermitian_part
+from conftest import random_complex, random_hermitian
 
 
 def test_realify_roundtrip(rng):
@@ -149,10 +151,11 @@ def test_rank_one_diff_spectrum_canonical():
     assert z.norm1 == z.norm2 == z.norm_inf == 0.0
 
 
-def _spectrum_reference(x, y):
-    """(a_plus, a_minus, norm1, norm2, norm_inf) of x x* - y y*, from a
-    50-digit eigensolve of the matrix built from the float inputs."""
-    mp = pytest.importorskip("mpmath").mp
+def _spectrum_reference(x, y, sym=False):
+    """(a_plus, a_minus, norm1, norm2, norm_inf) of x x* - y y*, or of
+    (x y* + y x*) / 2 with ``sym``, from a 50-digit eigensolve of the matrix
+    built from the float inputs."""
+    mp = mpmath.mp
     mp.dps = 50
     X = [mp.mpc(complex(v)) for v in x]
     Y = [mp.mpc(complex(v)) for v in y]
@@ -160,11 +163,27 @@ def _spectrum_reference(x, y):
     M = mp.matrix(n, n)
     for i in range(n):
         for j in range(n):
-            M[i, j] = X[i] * mp.conj(X[j]) - Y[i] * mp.conj(Y[j])
+            if sym:
+                M[i, j] = (X[i] * mp.conj(Y[j]) + Y[i] * mp.conj(X[j])) / 2
+            else:
+                M[i, j] = X[i] * mp.conj(X[j]) - Y[i] * mp.conj(Y[j])
     lam = mp.eighe(M, eigvals_only=True)
     a_plus, a_minus = max(lam[n - 1], 0), min(lam[0], 0)
     return [float(v) for v in (a_plus, a_minus, a_plus - a_minus,
                                mp.sqrt(a_plus**2 + a_minus**2), max(a_plus, -a_minus))]
+
+
+@pytest.mark.parametrize("sep", [1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1.0])
+def test_sym_outer_spectrum_matches_high_precision(rng, sep):
+    # u a distance sep from i v, where ||u||^2 ||v||^2 - (Im <u, v>)^2
+    # cancels in floating point
+    for n in (1, 2, 4, 8):
+        v = random_complex(rng, n)
+        u = 1j * v + sep * random_complex(rng, n)
+        s = sym_outer_spectrum(u, v)
+        got = [s.a_plus, s.a_minus, s.norm1, s.norm2, s.norm_inf]
+        for g, r in zip(got, _spectrum_reference(u, v, sym=True)):
+            assert g == pytest.approx(r, rel=1e-10, abs=1e-40)
 
 
 @pytest.mark.parametrize("rotate", [False, True])
@@ -259,6 +278,28 @@ def test_lifted_map_linearity(rng):
     lhs = lifted_map(frame, 2.0 * X - 0.7 * Y)
     rhs = 2.0 * lifted_map(frame, X) - 0.7 * lifted_map(frame, Y)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12 * max(1, np.abs(rhs).max()))
+
+
+def test_lifted_map_measures_the_hermitian_part(rng):
+    frame = random_frame(3, 7, "gaussian", seed=23)
+    V = frame.vectors
+    X = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    expected = np.einsum("ki,ij,kj->k", V.conj(), X, V).real
+    tol = 1e-13 * np.abs(expected).max()
+    np.testing.assert_allclose(lifted_map(frame, X), expected, rtol=0, atol=tol)
+    np.testing.assert_allclose(lifted_map(frame, X), lifted_map(frame, hermitian_part(X)), rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("n, m", [(2, 3), (3, 12), (4, 24)])
+def test_hermitian_lift_adjoint_identities(rng, n, m):
+    # <M z, w> = <z, M^T w>, and so <A(X), w> = <X, A*(w)>_F
+    frame = random_frame(n, m, "gaussian", seed=[27, n])
+    M = frame.hermitian_lift
+    z, w = rng.normal(size=n * n), rng.normal(size=m)
+    assert (M @ z) @ w == pytest.approx(z @ (M.T @ w), rel=1e-12)
+    X = random_hermitian(rng, n)
+    lhs = lifted_map(frame, X) @ w
+    assert lhs == pytest.approx(np.vdot(X, lifted_map_adjoint(frame, w)).real, rel=1e-12)
 
 
 @pytest.mark.parametrize("n, m", [(1, 3), (3, 7), (4, 24), (5, 30)])

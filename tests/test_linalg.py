@@ -11,7 +11,7 @@ from framepr import (
     power_method,
     pseudo_inverse,
 )
-from framepr.linalg import DEFAULT_TOL, spd_solve
+from framepr.linalg import DEFAULT_TOL, hermitian_basis, rank_one_coordinates, spd_solve
 from conftest import random_complex, random_hermitian, random_unitary
 
 
@@ -287,3 +287,26 @@ def test_eig_rejects_non_finite_entries(bad, where):
         hermitian_eig(M)
     with pytest.raises(NotHermitian):
         power_method(M)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_hermitian_basis_coordinates_are_an_isometry(rng, n):
+    U = hermitian_basis(n)
+    assert U.shape == (n * n, n * n) and not U.flags.writeable
+    assert hermitian_basis(n) is U
+    np.testing.assert_allclose(U @ U.conj().T, np.eye(n * n), rtol=0, atol=1e-15)
+    # the coordinates of a Hermitian X keep its norm and give X back
+    X = random_hermitian(rng, n)
+    z = (U.conj() @ X.ravel()).real
+    assert np.linalg.norm(z) == pytest.approx(np.linalg.norm(X), rel=1e-14)
+    np.testing.assert_allclose((U.T @ z).reshape(n, n), X, rtol=0, atol=1e-14 * np.linalg.norm(X))
+    # any real coordinates give an exactly Hermitian matrix
+    Z = (U.T @ rng.normal(size=n * n)).reshape(n, n)
+    np.testing.assert_array_equal(Z, Z.conj().T)
+    # rank_one_coordinates(u) are the coordinates of u u*, so their inner
+    # products are |<u, v>|^2
+    u = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
+    C = rank_one_coordinates(u)
+    outer = np.einsum("ka,kb->kab", u, u.conj()).reshape(4, n * n)
+    np.testing.assert_allclose(C, (outer @ U.conj().T).real, rtol=0, atol=1e-14 * np.abs(C).max())
+    np.testing.assert_allclose(C @ C.T, np.abs(u.conj() @ u.T) ** 2, rtol=1e-13)
