@@ -94,9 +94,12 @@ class Frame:
 
     @cached_property
     def hermitian_lift_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(u, s, vh) = np.linalg.svd(hermitian_lift) with full matrices, so
-        vh has n^2 rows and spans the kernel also when m < n^2."""
-        return tuple(_read_only(a) for a in np.linalg.svd(self.hermitian_lift))
+        """(u, s, vh) = np.linalg.svd(hermitian_lift), with full matrices only
+        when m < n^2: vh always has n^2 rows, so it spans the kernel also
+        below n^2, and u is (m, min(m, n^2))."""
+        m, n_sq = self.hermitian_lift.shape
+        svd = np.linalg.svd(self.hermitian_lift, full_matrices=m < n_sq)
+        return tuple(_read_only(a) for a in svd)
 
     @cached_property
     def dual(self) -> "Frame":

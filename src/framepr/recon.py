@@ -2,7 +2,8 @@
 
 Five solvers: exact linear inversion on the lifted matrix space, a
 trace-regularized PSD least-squares relaxation (PhaseLift-style, solved by
-proximal gradient with continuation), Gerchberg-Saxton alternating
+proximal gradient with continuation, or in one warm-started stage when the
+lifted map is injective and the fit is l2), Gerchberg-Saxton alternating
 projections, Wirtinger flow (the intensity-misfit gradient taken along
 conjugate directions with an exact line search), and iterated regularized
 least squares on a bilinear criterion.  All are deterministic given their
@@ -131,6 +132,20 @@ def _attach_errors(result: ReconResult, x_true) -> ReconResult:
 # lifted linear inversion
 # ---------------------------------------------------------------------------
 
+def _lifted_least_squares(frame: Frame, y: np.ndarray) -> tuple[int, Optional[np.ndarray]]:
+    """(rank, z): the rank of ``Frame.hermitian_lift`` M, counting the
+    singular values whose squares exceed DEFAULT_RANK_TOL times the largest
+    (the eigenvalue rule of the Gram M M^T), and, when that rank is n^2, the
+    coordinates z in ``hermitian_basis(n)`` of the least-squares solution of
+    M z = y, solved on the cached SVD; z is None below n^2, where the lifted
+    map is not injective."""
+    u, s, vh = frame.hermitian_lift_svd
+    rank = int(np.sum(s * s > DEFAULT_RANK_TOL * s[0] * s[0]))
+    if rank < frame.n**2:
+        return rank, None
+    return rank, vh[:rank].T @ ((u[:, :rank].T @ y) / s[:rank])
+
+
 def lifted_linear(frame: Frame, y, x_true=None) -> ReconResult:
     """Invert the measurements linearly on the space of self-adjoint matrices.
 
@@ -147,13 +162,11 @@ def lifted_linear(frame: Frame, y, x_true=None) -> ReconResult:
     ``converged`` False; otherwise the solve reports "tol".
     """
     y = _values(frame, y)
-    u, s, vh = frame.hermitian_lift_svd
-    rank = int(np.sum(s * s > DEFAULT_RANK_TOL * s[0] * s[0]))
-    if rank < frame.n**2:
+    rank, z = _lifted_least_squares(frame, y)
+    if z is None:
         raise InsufficientRedundancy(
             f"rank-one forms span {rank} < n^2 = {frame.n ** 2} dimensions"
         )
-    z = vh[:rank].T @ ((u[:, :rank].T @ y) / s[:rank])
     X = (hermitian_basis(frame.n).T @ z).reshape(frame.n, frame.n)
     dec = hermitian_eig(X)
     lam = dec.eigenvalues
@@ -258,15 +271,29 @@ def phaselift(frame: Frame, y, opts: PhaseLiftOptions | None = None, x_true=None
     alone.  The vector estimate is the principal eigenvector scaled by the
     square root of the principal eigenvalue.
 
+    When the fit is "l2" and the lifted map is injective
+    (``Frame.hermitian_lift`` has rank n^2 by the rule of ``lifted_linear``,
+    so m >= n^2), the objective is strongly convex at every lambda >= 0 and
+    each stage has one minimizer, so continuation has nothing to choose.
+    The solve then runs one stage alone, at the lambda of the schedule's
+    last stage (0 for the default ``max_outer``, LAMBDA0 ||y||_2
+    LAMBDA_DECAY^(max_outer - 1) for a truncated schedule that stops short
+    of 0).  It starts from the PSD part of the least-squares solution on the
+    cached SVD (the eigenvalues of ``lifted_linear``'s matrix clipped at 0)
+    and may spend the whole solve's budget, ``max_outer * inner_max``
+    steps.  ``stage_iterations`` and ``trace`` then hold one entry, and a
+    noiseless solve stops on its first step.  Fit "l1_reweighted", and "l2"
+    with m < n^2, run the continuation.
+
     A stage stops when its step satisfies ||X_new - X_prev||_F <=
     s * max(1, ||X_new||_F).  The final stage (the lambda = 0 stage, or the
     last one ``max_outer`` allows) uses s = PHASELIFT_TOL; every earlier
     stage only warm-starts the next, so it uses the looser s =
     sqrt(PHASELIFT_TOL) (inexact continuation).  ``converged`` means the
-    lambda = 0 stage met PHASELIFT_TOL.  ``diagnostics["stage_iterations"]``
-    lists the FISTA steps of each stage, and each solve logs them at DEBUG
-    level on the "framepr" logger.  Measurements whose 2-norm overflows
-    float64 raise NonFiniteMeasurement.
+    last stage ran at lambda = 0 and met PHASELIFT_TOL.
+    ``diagnostics["stage_iterations"]`` lists the FISTA steps of each stage,
+    and each solve logs them at DEBUG level on the "framepr" logger.
+    Measurements whose 2-norm overflows float64 raise NonFiniteMeasurement.
     """
     opts = opts or PhaseLiftOptions()
     y = _values(frame, y)
@@ -278,25 +305,36 @@ def phaselift(frame: Frame, y, opts: PhaseLiftOptions | None = None, x_true=None
             f"the 2-norm of the measurements overflows (largest |y_k| is {np.abs(y).max():.3g})")
     lam0 = LAMBDA0 * y_norm
     delta = L1_DELTA * (y_norm / m if y_norm > 0.0 else 1.0)
+    lam_reg = lam0 if y_norm > 0.0 else 1.0  # at y = 0 any positive shrink gives X = 0
+    schedule = [lam_reg]
+    while len(schedule) < opts.max_outer and lam_reg > 0.0:
+        lam_reg *= LAMBDA_DECAY
+        if lam_reg < 1e-13 * max(lam0, 1.0):
+            lam_reg = 0.0
+        schedule.append(lam_reg)
     w = np.ones(m)
     X = np.zeros(n * n, dtype=complex)  # vec(X), as are Y and each step's X_new
-    lam_reg = lam0 if y_norm > 0.0 else 1.0  # at y = 0 any positive shrink gives X = 0
+    budget = opts.inner_max
     trace_log: list[float] = []
     stage_iterations: list[int] = []
-    converged = False
     L, H, c = _step_operator(frame, w, y)
     heevd = _eig_routine(c.dtype)
-    for outer in range(opts.max_outer):
-        lam_stage = lam_reg
+    if opts.fit == "l2":
+        _, z = _lifted_least_squares(frame, y)
+        if z is not None:  # one minimizer per trace weight: run the last stage alone
+            schedule = schedule[-1:]
+            budget = opts.max_outer * opts.inner_max
+            X = _psd_trace_prox(hermitian_basis(n).T @ z, 0.0, heevd)
+    for outer, lam_reg in enumerate(schedule):
         if opts.fit == "l1_reweighted" and outer > 0:
             w = 1.0 / np.maximum(np.abs(r), delta)
             L, H, c = _step_operator(frame, w, y)
         shrink = lam_reg / L
-        final = lam_reg == 0.0 or outer == opts.max_outer - 1
+        final = outer == len(schedule) - 1
         stage_tol_sq = (PHASELIFT_TOL if final else math.sqrt(PHASELIFT_TOL)) ** 2
         Y = X
         t_m = 1.0
-        for steps in range(1, opts.inner_max + 1):
+        for steps in range(1, budget + 1):
             X_new = _psd_trace_prox(np.dot(H, Y) + c, shrink, heevd)
             D = X_new - X
             if np.vdot(Y - X_new, D).real > 0.0:
@@ -312,16 +350,11 @@ def phaselift(frame: Frame, y, opts: PhaseLiftOptions | None = None, x_true=None
         stage_iterations.append(steps)
         r = lifted_map(frame, X.reshape(n, n)) - y
         trace_log.append(float(np.linalg.norm(r)))
-        if lam_reg == 0.0:
-            converged = bool(met_tol)
-            break
-        lam_reg *= LAMBDA_DECAY
-        if lam_reg < 1e-13 * max(lam0, 1.0):
-            lam_reg = 0.0
+    converged = lam_reg == 0.0 and bool(met_tol)
     iterations = sum(stage_iterations)
     logger.debug(
         "phaselift n=%d m=%d fit=%s: %d steps over %d stages %s, final lambda %.3g, converged %s",
-        n, m, opts.fit, iterations, len(stage_iterations), stage_iterations, lam_stage, converged,
+        n, m, opts.fit, iterations, len(stage_iterations), stage_iterations, lam_reg, converged,
     )
     X = X.reshape(n, n)
     dec = hermitian_eig(X)
@@ -339,7 +372,7 @@ def phaselift(frame: Frame, y, opts: PhaseLiftOptions | None = None, x_true=None
         trace=trace_log,
         diagnostics={
             "rank_one_gap": rank_one_gap,
-            "lambda_final": lam_stage,
+            "lambda_final": lam_reg,
             "stage_iterations": stage_iterations,
         },
     )

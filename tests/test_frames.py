@@ -258,8 +258,9 @@ def test_cached_frame_operators(monkeypatch):
     assert M.shape == (10, 9) and M.dtype == float
     np.testing.assert_allclose(M @ M.T, np.abs(V.conj() @ V.T) ** 2, rtol=1e-13)
     u, s, vh = frame.hermitian_lift_svd
-    assert (u.shape, s.shape, vh.shape) == ((10, 10), (9,), (9, 9))
-    np.testing.assert_allclose((u[:, :9] * s) @ vh, M, atol=1e-13 * s[0])
+    # m = 10 >= n^2 = 9: the thin SVD, whose u has n^2 columns
+    assert (u.shape, s.shape, vh.shape) == ((10, 9), (9,), (9, 9))
+    np.testing.assert_allclose((u * s) @ vh, M, atol=1e-13 * s[0])
     names = ("conj_vectors", "realified_rows", "phi", "jphi", "hermitian_lift", "hermitian_lift_svd")
     for name in names:
         assert getattr(frame, name) is getattr(frame, name)

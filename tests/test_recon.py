@@ -125,9 +125,10 @@ def test_phaselift_refuses_measurements_whose_norm_overflows(fit):
 def test_phaselift_converged_on_last_allowed_step(inner_max):
     # y = 0: every step is 0, so each of the default schedule's 26 stages
     # (trace weight 1, decayed below 1e-13, then 0) meets the step tolerance
-    # on its first step, which with inner_max=1 is also its last allowed one
-    frame = random_frame(3, 12, "gaussian", seed=6)
-    result = phaselift(frame, np.zeros(12), PhaseLiftOptions(inner_max=inner_max))
+    # on its first step, which with inner_max=1 is also its last allowed one;
+    # m = 8 < n^2, so the lifted map is not injective and continuation runs
+    frame = random_frame(3, 8, "gaussian", seed=6)
+    result = phaselift(frame, np.zeros(8), PhaseLiftOptions(inner_max=inner_max))
     assert result.diagnostics["stage_iterations"] == [1] * 26
     assert result.diagnostics["lambda_final"] == 0.0
     assert result.converged
@@ -135,25 +136,41 @@ def test_phaselift_converged_on_last_allowed_step(inner_max):
 
 def _phaselift_reference(frame, y, opts):
     """PhaseLift with the lifted map and its adjoint applied on every step;
-    returns (X_hat, steps per stage, converged, trace length)."""
+    returns (X_hat, steps per stage, converged, trace length).
+
+    When the lifted map is injective and the fit is l2, each trace weight
+    has one minimizer, so only the schedule's last stage runs: from the PSD
+    part of the least-squares solution, with the whole solve's step budget.
+    """
     n, m = frame.n, frame.m
     lam0 = recon.LAMBDA0 * float(np.linalg.norm(y))
+    schedule = [lam0]
+    while len(schedule) < opts.max_outer and schedule[-1] > 0.0:
+        lam = schedule[-1] * recon.LAMBDA_DECAY
+        schedule.append(0.0 if lam < 1e-13 * max(lam0, 1.0) else lam)
     w = np.ones(m)
     X = np.zeros((n, n), dtype=complex)
+    budget = opts.inner_max
+    z, _, rank, _ = np.linalg.lstsq(frame.hermitian_lift, y, rcond=None)
+    if opts.fit == "l2" and rank == n * n:
+        schedule, budget = schedule[-1:], opts.max_outer * opts.inner_max
+        basis = [B.reshape(n, n) for B in linalg.hermitian_basis(n)]
+        ev, vecs = np.linalg.eigh(sum(zr * B for zr, B in zip(z, basis)))
+        X = (vecs * np.maximum(ev, 0.0)) @ vecs.conj().T
     delta = recon.L1_DELTA * np.linalg.norm(y) / m
-    lam_reg, trace_len, stage_steps, converged = lam0, 0, [], False
+    trace_len, stage_steps = 0, []
     tol = recon.PHASELIFT_TOL
-    for outer in range(opts.max_outer):
+    for outer, lam_reg in enumerate(schedule):
         if opts.fit == "l1_reweighted" and outer > 0:
             w = 1.0 / np.maximum(np.abs(lifted_map(frame, X) - y), delta)
         L = 2.0 * np.linalg.norm(np.sqrt(w)[:, None] * frame.hermitian_lift, 2) ** 2
         # warm-start stages stop at sqrt(tol); the lambda = 0 stage, or the
         # last one max_outer allows, runs to tol
-        final = lam_reg == 0.0 or outer == opts.max_outer - 1
+        final = outer == len(schedule) - 1
         stage_tol = tol if final else max(tol, np.sqrt(tol))
         Y, t_m, X_prev = X, 1.0, X
         stage_steps.append(0)
-        for _ in range(opts.inner_max):
+        for _ in range(budget):
             grad = 2.0 * lifted_map_adjoint(frame, w * (lifted_map(frame, Y) - y))
             Z = Y - grad / L
             ev, vecs = np.linalg.eigh(0.5 * (Z + Z.conj().T))
@@ -170,18 +187,14 @@ def _phaselift_reference(frame, y, opts):
             if met_tol:
                 break
         trace_len += 1
-        if lam_reg == 0.0:
-            converged = met_tol
-            break
-        lam_reg *= recon.LAMBDA_DECAY
-        if lam_reg < 1e-13 * max(lam0, 1.0):
-            lam_reg = 0.0
-    return X, stage_steps, converged, trace_len
+    return X, stage_steps, lam_reg == 0.0 and met_tol, trace_len
 
 
 # the truncated schedule is the one the acceptance CLI config runs: it never
-# reaches lambda = 0, so its 8th stage is the one that runs to tol
-_REFERENCE_CASES = [(3, 14, 0), (3, 18, 1), (4, 24, 2), (5, 30, 3)]
+# reaches lambda = 0, so its 8th stage is the one that runs to tol; the
+# first four frames have m > n^2 (one l2 stage), the last two m < n^2
+# (l2 continuation)
+_REFERENCE_CASES = [(3, 14, 0), (3, 18, 1), (4, 24, 2), (5, 30, 3), (3, 8, 4), (4, 12, 5)]
 _TRUNCATED = {"max_outer": 8, "inner_max": 100}
 
 
@@ -211,19 +224,56 @@ def test_phaselift_matches_per_step_reference(fit, n, m, seed, schedule):
     assert len(result.trace) == trace_len
 
 
+@pytest.mark.parametrize("n, m", [(3, 9), (4, 16), (4, 24), (5, 30)])
+def test_phaselift_injective_l2_noiseless_solves_take_one_step(n, m):
+    # the lifted map is injective, so the least-squares start is already xx*
+    # and the one l2 stage, at lambda = 0, meets the tolerance on its first step
+    frame = random_frame(n, m, "gaussian", seed=[150, n, m])
+    x = unit_signal(n, m)
+    result = phaselift(frame, intensity_map(frame, x), x_true=x)
+    assert result.diagnostics["stage_iterations"] == [1] and len(result.trace) == 1
+    assert result.diagnostics["lambda_final"] == 0.0
+    assert result.converged and result.stop_reason == "tol"
+    assert result.d2_error <= 1e-12
+
+
+def test_phaselift_injective_l2_stage_fits_no_worse_than_continuation(monkeypatch):
+    # near m = n^2 the l2 objective is strongly convex but badly conditioned;
+    # the one warm-started stage must fit at least as well as the 26-stage
+    # continuation (the same solver with the least-squares solve hidden) and
+    # converge on at least as many solves
+    converged = reference_converged = 0
+    for n, m in [(3, 9), (4, 16), (4, 17), (4, 20), (5, 25)]:
+        for sigma in (0.0, 0.01, 0.05):
+            for seed in range(10):
+                frame = random_frame(n, m, "gaussian", seed=[151, n, m, seed])
+                y = intensity_map(frame, unit_signal(n, seed))
+                y = y + sigma * rng_from_seed([152, n, m, seed]).normal(size=m)
+                result = phaselift(frame, y)
+                with monkeypatch.context() as patch:
+                    patch.setattr(recon, "_lifted_least_squares", lambda frame, y: (0, None))
+                    reference = phaselift(frame, y)
+                assert len(result.trace) == 1 < len(reference.trace)
+                assert result.residual**2 <= reference.residual**2 * (1.0 + 1e-9), (n, m, sigma, seed)
+                converged += result.converged
+                reference_converged += reference.converged
+    assert converged >= reference_converged
+
+
 def test_phaselift_default_noiseless_solves_converge():
-    # the default schedule reaches its lambda = 0 stage, which meets the
-    # tolerance; plain_fista_steps is the same solve with FISTA momentum that
-    # never restarts, and the gradient restart needs under half of it;
-    # all_stages_to_tol_steps is the restarted solve with every stage run to
-    # tol, and stopping the warm-start stages at sqrt(tol) needs under half
-    # of that
+    # at m = 24 < n^2 the default schedule runs all its stages and reaches
+    # its lambda = 0 stage, which meets the tolerance; plain_fista_steps is
+    # the same solve with FISTA momentum that never restarts, and the
+    # gradient restart needs under half of it; all_stages_to_tol_steps is
+    # the restarted solve with every stage run to tol, and stopping the
+    # warm-start stages at sqrt(tol) needs under half of that (both
+    # measured with stage budgets large enough that every stage meets tol)
     opts = PhaseLiftOptions()
     for seed, (plain_fista_steps, all_stages_to_tol_steps) in enumerate(
-        ((3038, 1025), (3731, 1428), (3119, 1088), (3490, 1223))
+        ((905, 1560), (1018, 1819), (1251, 1778), (2398, 2745))
     ):
-        frame = random_frame(4, 24, "gaussian", seed=[132, seed])
-        x = unit_signal(4, seed)
+        frame = random_frame(5, 24, "gaussian", seed=[132, seed])
+        x = unit_signal(5, seed)
         result = phaselift(frame, intensity_map(frame, x), x_true=x)
         assert result.converged
         assert result.d2_error <= 1e-7
@@ -234,7 +284,8 @@ def test_phaselift_default_noiseless_solves_converge():
 
 
 def test_phaselift_reports_steps_per_stage(caplog):
-    frame = random_frame(3, 12, "gaussian", seed=6)
+    # m = 8 < n^2, so the l2 solve runs every stage of its schedule
+    frame = random_frame(3, 8, "gaussian", seed=6)
     y = intensity_map(frame, unit_signal(3, 6))
     opts = PhaseLiftOptions(max_outer=5)
     with caplog.at_level("DEBUG", logger="framepr"):
@@ -249,7 +300,8 @@ def test_phaselift_reports_steps_per_stage(caplog):
 
 
 def test_phaselift_lambda_final_is_last_stage():
-    frame = random_frame(3, 12, "gaussian", seed=6)
+    # m = 8 < n^2: continuation runs, so the third stage is the last
+    frame = random_frame(3, 8, "gaussian", seed=6)
     y = intensity_map(frame, unit_signal(3, 6))
     result = phaselift(frame, y, PhaseLiftOptions(max_outer=3))
     assert len(result.trace) == 3
@@ -258,14 +310,15 @@ def test_phaselift_lambda_final_is_last_stage():
 
 
 def test_phaselift_lifted_map_calls_per_stage(monkeypatch):
-    # the inner steps run on the per-stage affine map, never the lifted map
+    # the inner steps run on the per-stage affine map, never the lifted map;
+    # m = 15 < n^2, so all 26 stages run
     import framepr.recon as recon_mod
 
     calls = []
     for name in ("lifted_map", "lifted_map_adjoint"):
         fn = getattr(recon_mod, name)
         monkeypatch.setattr(recon_mod, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
-    frame = random_frame(4, 24, "gaussian", seed=5)
+    frame = random_frame(4, 15, "gaussian", seed=5)
     result = phaselift(frame, intensity_map(frame, unit_signal(4, 5)))
     opts = PhaseLiftOptions()
     assert result.iterations > 10 * (opts.max_outer + 2)
@@ -274,16 +327,17 @@ def test_phaselift_lifted_map_calls_per_stage(monkeypatch):
 
 def test_phaselift_steps_bypass_hermitian_eig(monkeypatch):
     # the FISTA steps call LAPACK directly; hermitian_eig only reads the
-    # estimate off the final X
+    # estimate off the final X (m = 15 < n^2, so continuation runs)
     calls = []
     monkeypatch.setattr(recon, "hermitian_eig", lambda M: calls.append(1) or linalg.hermitian_eig(M))
-    frame = random_frame(4, 24, "gaussian", seed=5)
+    frame = random_frame(4, 15, "gaussian", seed=5)
     result = phaselift(frame, intensity_map(frame, unit_signal(4, 5)))
     assert result.converged and result.iterations > 100
     assert len(calls) == 1
 
 
 def test_phaselift_eigensolver_failure_inside_the_loop_raises(monkeypatch):
+    # m = 15 < n^2: the solve starts from 0, so every eigensolve is a step
     calls = []
 
     def failing_routine(dtype):
@@ -297,7 +351,7 @@ def test_phaselift_eigensolver_failure_inside_the_loop_raises(monkeypatch):
         return routine
 
     monkeypatch.setattr(recon, "_eig_routine", failing_routine)
-    frame = random_frame(4, 24, "gaussian", seed=5)
+    frame = random_frame(4, 15, "gaussian", seed=5)
     with pytest.raises(NoConvergence, match="info=2"):
         phaselift(frame, intensity_map(frame, unit_signal(4, 5)))
     assert len(calls) == 5
@@ -322,13 +376,14 @@ def test_step_operator_maps_hermitian_matrices_to_hermitian_matrices():
 @pytest.mark.parametrize("fit", ["l2", "l1_reweighted"])
 def test_phaselift_builds_step_operator_once_per_weight_vector(monkeypatch, fit):
     # L (one eigvalsh), H and c depend only on the weights: l2's are all ones
-    # for the whole solve, l1_reweighted's change at every stage
+    # for the whole solve, l1_reweighted's change at every stage (m = 15 < n^2,
+    # so the l2 solve also runs several stages)
     calls = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: calls.append(1) or eigvalsh(*a))
-    frame = random_frame(4, 24, "gaussian", seed=5)
+    frame = random_frame(4, 15, "gaussian", seed=5)
     x = unit_signal(4, 5)
-    y = intensity_map(frame, x) + 0.01 * rng_from_seed([142, 4]).normal(size=24)
+    y = intensity_map(frame, x) + 0.01 * rng_from_seed([142, 4]).normal(size=15)
     result = phaselift(frame, y, PhaseLiftOptions(fit=fit))
     stages = len(result.diagnostics["stage_iterations"])
     assert stages > 1
