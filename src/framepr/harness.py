@@ -44,8 +44,14 @@ SCHEMA_VERSION = 1
 _TASKS = ("certify", "bounds", "crlb", "reconstruct", "sweep")
 _NOISE_PARAMETER = {"awgn": "sigma", "coefficient": "rho"}  # noise kind -> parameter of its level
 _SUCCESS_THRESHOLD = 1e-5  # default largest d2_rel that counts as a success
-# the options of the certify and bounds tasks, all integers: (default, smallest accepted value)
-TASK_OPTIONS = {"budget": (4_000_000, 1), "n_starts": (64, 0), "samples": (2000, 2)}
+# the options of the certify and bounds tasks, all integers: (default, smallest
+# and largest accepted value); a budget of net points costs 32 bytes each, and
+# sampled bounds hold several (samples, m) complex arrays
+TASK_OPTIONS = {
+    "budget": (4_000_000, 1, 32_000_000),
+    "n_starts": (64, 0, math.inf),
+    "samples": (2000, 2, 1_000_000),
+}
 # the keys each config section may hold; a frame section names exactly one
 # source, and only an ensemble takes further keys; a noise section holds only
 # the parameter of its kind
@@ -155,10 +161,10 @@ def load_config(source) -> dict:
     _check_section("noise", noise, _SECTION_KEYS["noise"][kind])
     if not _whole(cfg["trials"]) or cfg["trials"] < 1:
         raise ConfigError(f"trials must be an integer >= 1, got {cfg['trials']!r}")
-    for key, (default, low) in TASK_OPTIONS.items():
+    for key, (default, low, high) in TASK_OPTIONS.items():
         value = cfg["options"].get(key, default)
-        if not _whole(value) or value < low:
-            raise ConfigError(f"options.{key} must be an integer >= {low}, got {value!r}")
+        if not _whole(value) or not low <= value <= high:
+            raise ConfigError(f"options.{key} must be an integer from {low} to {high}, got {value!r}")
     seed = cfg["seed"]
     if not _whole(seed) or seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
@@ -479,7 +485,7 @@ def run_experiment(config) -> Report:
     report = Report(config=cfg, task=cfg["task"])
     report.timestamp = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
 
-    opts = {key: cfg["options"].get(key, default) for key, (default, _) in TASK_OPTIONS.items()}
+    opts = {key: cfg["options"].get(key, default) for key, (default, *_) in TASK_OPTIONS.items()}
     if cfg["task"] == "certify":
         if frame.is_real:
             cert = check_retrievable_real(frame)

@@ -3,10 +3,12 @@
 Real frames are decided exactly by a branch-and-bound search over the
 bipartitions of the frame, which also yields an ambiguous-pair witness when
 the frame fails.  A complex frame fails iff the kernel of its lifted map
-holds a rank-2 matrix x x* - y y*, found for n <= 3 by linear algebra;
-otherwise its margin is certified by lower-bounding the second-smallest
-eigenvalue of the gradient Gram operator over a net of the unit sphere,
-with a Weyl perturbation argument extending the bound to the whole sphere.
+holds a rank-2 matrix x x* - y y*, sought first by linear algebra at every
+n.  Otherwise, for n <= N_CAP (2), the margin is certified by
+lower-bounding the second-smallest eigenvalue of the gradient Gram operator
+over two nets of the unit sphere, with a Weyl perturbation argument
+extending the bound to the whole sphere; larger n is "undecided", because
+the covering law asks for nets of 10^9 points and more there.
 
 The eigenvalue map xi -> lambda_{2n-1}(gradient_gram(xi)) is exactly invariant
 under the phase orbit xi -> cos(t) xi + sin(t) J xi, so the net only needs to
@@ -50,9 +52,8 @@ _SCAN_CHUNK = 1 << 13  # rows per chunk of the net scan
 _PARTITION_BLOCK = 1 << 17  # nodes per block of the bipartition search
 _INCUMBENT_NODES = 16  # lowest-bound nodes per block completed into leaves
 _NET_BLOCK = 1 << 14  # rows per block while a Bloch net is built
-_MAX_ROUNDS = 16  # net refinements before a complex certificate is undecided
 _N_PROBES = 768  # random probes per covering-radius estimate
-N_CAP = 3  # largest ambient dimension certify_retrievable_complex attempts
+N_CAP = 2  # largest ambient dimension certify_retrievable_complex scans nets at
 PARTITION_CAP = 24  # largest frame size the bipartition search accepts
 # realified (-conj z_2, conj z_1) = xi @ _PERP for xi = realify(z_1, z_2)
 _PERP = np.array([[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0],
@@ -377,7 +378,7 @@ def sphere_net(dim: int, n_points: int, seed: int = 0) -> np.ndarray:
     Scrambled Sobol points mapped through the normal quantile and normalized;
     the point count is rounded up to a power of two for balance.
     """
-    # imported here: only complex nets at n >= 3 need it, and scipy.stats is
+    # imported here: only complex nets at n = 1 need it, and scipy.stats is
     # slow to import
     from scipy.stats import qmc
 
@@ -566,39 +567,29 @@ def certify_retrievable_complex(
     budget: int = 4_000_000,
     seed: int = 0,
 ) -> PRCertificate:
-    """Decide complex phase retrievability; n > N_CAP is "undecided".
+    """Decide complex phase retrievability: a kernel witness at every n,
+    then two nets for n <= N_CAP; larger n without a witness is "undecided".
 
     A frame fails iff its lifted kernel holds a rank-2 matrix ("Saving
     phase", Bandeira-Cahill-Mixon-Nelson): when the pair of
     ``_kernel_witness`` passes ``_verify_witness``, the verdict is
-    "not_retrievable" with no net tested.  Otherwise each round evaluates the
-    second-smallest eigenvalue of the gradient Gram on a deterministic net,
-    sets the candidate margin to half the minimum, and stops when twice the
-    global-spectral-bound times the net covering radius falls below the
-    margin (Weyl perturbation argument); else the target radius is halved
-    for a larger net.  The global spectral bound starts at B max_k ||f_k||^2
-    and is tightened each round by the sound update b <- min(b, max_net
-    lambda_1 + 2 b eps).  Budget exhaustion or _MAX_ROUNDS rounds yield
-    "undecided".  Covering radii use _N_PROBES probes; ``budget`` must be an
-    integer >= 1.
+    "not_retrievable" with no net tested.  Otherwise each of two rounds
+    evaluates the second-smallest eigenvalue of the gradient Gram on a
+    deterministic net and certifies half its minimum when twice the global
+    spectral bound times the net covering radius eps is at most that margin
+    (Weyl perturbation argument).  Round 0's 1024-point net calibrates the
+    covering law eps ~ coef / N^(1/(2n-2)), which sizes round 1's net for the
+    radius the margin needs, at most half round 0's, capped at ``budget``
+    points.  The global spectral bound starts at B max_k ||f_k||^2 and is
+    tightened each round by the sound update b <- min(b, max_net lambda_1 +
+    2 b eps).  If round 1 fails too, its net minimum less the Weyl slack is
+    the margin when positive, else the verdict is "undecided".  Covering
+    radii use _N_PROBES probes; ``budget`` must be an integer >= 1.
     """
     _check_counts(1, budget=budget)
     n = frame.n
-    if n > N_CAP:
-        return PRCertificate(
-            verdict="undecided",
-            seed=seed,
-            notes=f"ambient dimension {n} above cap {N_CAP}",
-        )
-    d = 2 * n
     _, B = frame_bounds(frame)
     b0 = B * float(np.max(np.linalg.norm(frame.vectors, axis=1) ** 2))
-    quotient_dim = max(2 * n - 2, 1)
-
-    def make_net(count, rnd):
-        if n == 2:
-            return bloch_fibonacci_net(count, seed=[seed, rnd])
-        return sphere_net(d, count, seed=[seed, rnd])
 
     def stop(verdict, **fields):
         return PRCertificate(verdict=verdict, nets_tested=nets, b0_bound=b0, seed=seed, **fields)
@@ -607,18 +598,20 @@ def certify_retrievable_complex(
     pair = _kernel_witness(frame)
     if pair is not None and _verify_witness(frame, *pair):
         return stop("not_retrievable", witness=pair, notes="rank-2 element of the lifted kernel")
-    eps_target = np.inf  # the first failing round sets it to half the net's radius
+    if n > N_CAP:
+        return stop("undecided", notes=f"ambient dimension {n} above cap {N_CAP}")
+    quotient_dim = max(2 * n - 2, 1)
     n_points = 1024
-    coef = None  # covering-law coefficient eps ~ coef / N^(1/quotient_dim); round 0 measures it
-    at_cap = False
-    for rnd in range(_MAX_ROUNDS):
-        net = make_net(n_points, rnd)
+    for rnd in range(2):
+        if n == 2:
+            net = bloch_fibonacci_net(n_points, seed=[seed, rnd])
+        else:
+            net = sphere_net(2 * n, n_points, seed=[seed, rnd])
         n_built = net.shape[0]
         lam3_min, lam1_max = _scan_net(frame.phi, frame.jphi, net)
         nets += 1
         if n_built <= (1 << 18):
             eps_hat = quotient_covering_radius(net, n_probes=_N_PROBES, seed=seed + rnd)
-            coef = eps_hat * n_built ** (1.0 / quotient_dim)
         else:
             # the lattice covering radius follows coef / N^(1/dim) closely;
             # beyond the measurement size, extrapolate with a safety margin
@@ -629,24 +622,21 @@ def certify_retrievable_complex(
         a0 = 0.5 * lam3_min
         if a0 > 0.0 and 2.0 * b0 * eps_hat <= a0:
             return stop("retrievable", a0_lower=a0, epsilon_final=eps_hat, net_points=n_built)
-        salvage = lam3_min - 2.0 * b0 * eps_hat
-        if at_cap and salvage > 0.0:
-            # budget-capped fallback: a thinner but still positive certified
-            # margin (Weyl slack subtracted directly from the net minimum)
-            return stop(
-                "retrievable", a0_lower=salvage, epsilon_final=eps_hat, net_points=n_built,
-                notes="margin from budget-capped net (below the half-minimum rule)",
-            )
-        if at_cap:
-            return stop("undecided", net_points=n_built, notes="net budget exhausted")
-        eps_target = min(eps_target, eps_hat) * 0.5
-        needed = a0 / (2.0 * b0) if a0 > 0 else eps_target
-        goal = max(min(eps_target, needed), 1e-12)
-        n_points = int(max(1.3 * (coef / goal) ** quotient_dim, 2 * n_built))
-        if n_points > budget:
-            n_points = budget
-            at_cap = True
-    return stop("undecided", notes="round budget exhausted")
+        if rnd == 0:
+            # calibrate the covering law eps ~ coef / N^(1/quotient_dim) and
+            # size the last net for the radius the margin needs
+            coef = eps_hat * n_built ** (1.0 / quotient_dim)
+            goal = max(min(0.5 * eps_hat, a0 / (2.0 * b0) if a0 > 0 else np.inf), 1e-12)
+            n_points = min(int(max(1.3 * (coef / goal) ** quotient_dim, 2 * n_built)), budget)
+    salvage = lam3_min - 2.0 * b0 * eps_hat
+    if salvage > 0.0:
+        # a thinner but still positive certified margin (Weyl slack
+        # subtracted directly from the net minimum)
+        return stop(
+            "retrievable", a0_lower=salvage, epsilon_final=eps_hat, net_points=n_built,
+            notes="margin from the last net (below the half-minimum rule)",
+        )
+    return stop("undecided", net_points=n_built, notes="net budget exhausted")
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Distances on the phase quotient space (x identified with e^{i phi} x).
 
-Two families: the phase-minimized Euclidean distance quotient_distance and
-the matrix-norm distance outer_distance between the lifted outer products,
-both in closed form (the latter for p in {1, 2, inf}).
+Two families: the phase-minimized Euclidean distance quotient_distance,
+from the phase-aligned difference, and the matrix-norm distance
+outer_distance between the lifted outer products, in closed form for p in
+{1, 2, inf}.
 """
 
 from __future__ import annotations
@@ -24,18 +25,12 @@ def _check_pair(x, y):
 def quotient_distance(x, y) -> float:
     """min over phases of ||x - e^{i phi} y||_2.
 
-    Uses the closed form sqrt(||x||^2 + ||y||^2 - 2 |<x, y>|), or the aligned
-    difference where that form cancels.
+    Aligns y to x by the phase of <x, y> and differences the vectors; the
+    closed form sqrt(||x||^2 + ||y||^2 - 2 |<x, y>|) would cancel
+    catastrophically for nearby classes.
     """
     x, y = _check_pair(x, y)
-    nx2 = np.vdot(x, x).real
-    ny2 = np.vdot(y, y).real
     ip = np.vdot(y, x)  # <x, y>
-    d2sq = max(nx2 + ny2 - 2.0 * abs(ip), 0.0)
-    if d2sq > 64.0 * np.finfo(float).eps * (nx2 + ny2):
-        return float(np.sqrt(d2sq))
-    # the closed form cancels catastrophically near zero; align the phase
-    # explicitly and difference the vectors instead
     phase = 1.0 if ip == 0 else ip / abs(ip)
     return float(np.linalg.norm(x - phase * y))
 

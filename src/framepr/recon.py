@@ -95,21 +95,24 @@ class ReconResult:
     ``stop_reason`` says why the solver stopped: "tol" (its tolerance test
     held), "max_iter" (its budget ran out), "stagnation" (it stopped
     improving) or "degenerate" (a zero start, a nonpositive top eigenvalue
-    or a tied one, so it returned a fallback estimate).  In every solver
-    ``converged`` is True exactly when ``stop_reason`` is "tol".
+    or a tied one, so it returned a fallback estimate).  ``converged`` is a
+    read-only property: ``stop_reason == "tol"``.
     """
 
     x_hat: np.ndarray
     X_hat: Optional[np.ndarray] = None
     iterations: int = 0
     residual: float = np.nan
-    converged: bool = False
     trace: Optional[list] = None
     d2_error: Optional[float] = None
     d1_error: Optional[float] = None
     flags: list = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
     stop_reason: Optional[str] = None
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "tol"
 
 
 def _check_counts(low: int, /, **counts) -> None:
@@ -182,7 +185,6 @@ def lifted_linear(frame: Frame, y, x_true=None) -> ReconResult:
         X_hat=X,
         iterations=1,
         residual=float(np.linalg.norm(lifted_map(frame, X) - y)),
-        converged=not tie,
         stop_reason="degenerate" if tie else "tol",
         flags=["tie_top_eigenvalue"] if tie else [],
         diagnostics={"x_ls": x_ls, "x_lip": x_lip, "lambda1": lam1, "lambda2": lam2},
@@ -367,7 +369,6 @@ def phaselift(frame: Frame, y, opts: PhaseLiftOptions | None = None, x_true=None
         X_hat=X,
         iterations=iterations,
         residual=trace_log[-1],
-        converged=converged,
         stop_reason="tol" if converged else "max_iter",
         trace=trace_log,
         diagnostics={
@@ -442,7 +443,6 @@ def gerchberg_saxton(frame: Frame, y, opts: GSOptions | None = None, x_true=None
         x_hat=best_x,
         iterations=it,
         residual=float(np.linalg.norm(intensity_map(frame, best_x) - y)),
-        converged=stop_reason == "tol",
         stop_reason=stop_reason,
         trace=trace_log,
         diagnostics={"best_iteration": best_it, "magnitude_residual": best_res},
@@ -571,12 +571,12 @@ def wirtinger_flow(frame: Frame, y, opts: WirtingerOptions | None = None, x_true
         result = ReconResult(
             x_hat=x, iterations=0,
             residual=float(np.linalg.norm(intensity_map(frame, x) - y)),
-            converged=False, stop_reason="degenerate", trace=[],
+            stop_reason="degenerate", trace=[],
             diagnostics={"note": "zero initialization"},
         )
         return _attach_errors(result, x_true)
     trace_log: list[float] = []
-    converged = False
+    stop_reason = "max_iter"
     it = 0
     gscale = max(norm0_sq ** 1.5, np.finfo(float).tiny)
     c = analysis(frame, x)
@@ -589,7 +589,7 @@ def wirtinger_flow(frame: Frame, y, opts: WirtingerOptions | None = None, x_true
         gg = float(np.vdot(g, g).real)
         trace_log.append(float(np.linalg.norm(misfit)))
         if math.sqrt(gg) <= WF_TOL * gscale:
-            converged = True
+            stop_reason = "tol"
             break
         beta = max(0.0, (gg - float(np.vdot(g_prev, g).real)) / gg_prev)
         p = beta * p - g
@@ -604,8 +604,7 @@ def wirtinger_flow(frame: Frame, y, opts: WirtingerOptions | None = None, x_true
         x_hat=x,
         iterations=it,
         residual=float(np.linalg.norm(intensity_map(frame, x) - y)),
-        converged=converged,
-        stop_reason="tol" if converged else "max_iter",
+        stop_reason=stop_reason,
         trace=trace_log,
     )
     return _attach_errors(result, x_true)
@@ -684,7 +683,6 @@ def irls(frame: Frame, y, opts: IRLSOptions | None = None, x_true=None) -> Recon
             x_hat=np.zeros(frame.n, dtype=complex),
             iterations=0,
             residual=float(np.linalg.norm(y)),
-            converged=False,
             stop_reason="degenerate",
             flags=["nonpositive_top_eigenvalue"],
             diagnostics={"a1": init.a1},
@@ -764,7 +762,6 @@ def irls(frame: Frame, y, opts: IRLSOptions | None = None, x_true=None) -> Recon
         x_hat=complexify(best_xi),
         iterations=it,
         residual=float(np.sqrt(best_val)),
-        converged=stop_reason == "tol",
         stop_reason=stop_reason,
         trace=trace_log,
         flags=[] if cg_ok else ["cg_tolerance_missed"],

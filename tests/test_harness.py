@@ -14,7 +14,7 @@ from framepr import (
     write_csv,
 )
 from framepr import recon
-from framepr.harness import build_frame, load_report, report_from_dict
+from framepr.harness import TASK_OPTIONS, build_frame, load_report, report_from_dict
 
 BASE = {
     "task": "reconstruct",
@@ -143,6 +143,11 @@ def test_load_config_defaults():
         # own, so the wall-clock names appear only where a report writes them
         {"algorithms": [{"name": "lifted_linear", "timestamp": "2026-01-01T00:00:00"}]},
         {"frame": {"inline": {"n": 1, "m": 2, "vectors": [[[1, 0]], [[0, 1]]], "wall_time_s": 0.5}}},
+        # budget and samples have an upper bound too: a budget of 10^9 would
+        # ask for a 32 GB net
+        {"options": {"budget": 10**9}},
+        {"options": {"budget": TASK_OPTIONS["budget"][2] + 1}},
+        {"options": {"samples": TASK_OPTIONS["samples"][2] + 1}},
     ],
 )
 def test_load_config_rejects(patch):

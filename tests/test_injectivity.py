@@ -1,5 +1,6 @@
 import logging
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -413,12 +414,43 @@ def test_certify_kernel_witness(frame):
 
 
 # generic frames at m >= 4n - 4 are retrievable: at m = 8 the kernel is one
-# rank-3 element, and at m = 24 it is trivial, so the nets decide
+# rank-3 element, and at m = 24 it is trivial, so no witness is found; at
+# n = 3 > N_CAP no net is tried either
 @pytest.mark.parametrize("frame", [random_frame(3, 8, seed=k) for k in range(4)]
                          + [random_frame(3, 24, seed=0)])
 def test_certify_kernel_rule_spares_retrievable_frames(frame):
     cert = certify_retrievable_complex(frame, budget=2048)
-    assert cert.verdict != "not_retrievable" and cert.nets_tested >= 1
+    assert cert.verdict == "undecided" and cert.nets_tested == 0
+
+
+# nets that could certify n = 3 would need 10^9 points and more, so such a
+# frame without a kernel witness is undecided at once
+@pytest.mark.parametrize("m", [12, 16, 24])
+def test_certify_n3_is_undecided_at_once(m):
+    frame = random_frame(3, m, seed=0)
+    start = time.perf_counter()
+    cert = certify_retrievable_complex(frame)
+    elapsed = time.perf_counter() - start
+    assert cert.verdict == "undecided" and cert.nets_tested == 0
+    assert cert.net_points is None and cert.a0_lower is None
+    assert elapsed < 0.05
+
+
+# the acceptance fixture frames 0-4 certify in their second net; the pinned
+# margins and net sizes guard the calibration net and the sizing law
+@pytest.mark.parametrize("seed, a0_lower, net_points", [
+    (0, 0.20953401631252036, 90822),
+    (1, 0.17937029778168395, 63778),
+    (2, 0.3219890896357118, 144658),
+    (3, 0.2997233310576414, 47951),
+    (4, 0.5407261493267104, 17696),
+])
+def test_certify_fixture_frames_are_pinned(seed, a0_lower, net_points):
+    frame = random_frame(2, 8, "gaussian", seed=seed)
+    cert = certify_retrievable_complex(frame, seed=seed, budget=16_000_000)
+    assert cert.verdict == "retrievable" and cert.nets_tested == 2
+    assert cert.net_points == net_points
+    assert cert.a0_lower == pytest.approx(a0_lower, rel=1e-9, abs=0.0)
 
 
 def test_certify_minimal_redundancy_frame():

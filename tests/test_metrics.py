@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -29,6 +30,26 @@ def test_quotient_distance_matches_grid(rng):
     for _ in range(10):
         x, y = random_complex(rng, 3), random_complex(rng, 3)
         assert quotient_distance(x, y) == pytest.approx(grid_min(x, y), abs=1e-6)
+
+
+@pytest.mark.parametrize("sep", [1e-1, 1e-3, 1e-6])
+def test_quotient_distance_matches_high_precision(rng, sep):
+    # y a relative distance sep from the phase orbit of x, at a random phase.
+    # Aligning y rounds each entry by about eps ||y||, so the relative error
+    # grows like eps / sep; the closed form sqrt(||x||^2 + ||y||^2 - 2 |<x, y>|)
+    # loses eps / sep^2 instead
+    worst = 0.0
+    for _ in range(40):
+        x, w = random_complex(rng, 4), random_complex(rng, 4)
+        y = x + sep * np.linalg.norm(x) / np.linalg.norm(w) * w
+        y = y * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        with mpmath.workdps(60):
+            X = [mpmath.mpc(complex(v)) for v in x]
+            Y = [mpmath.mpc(complex(v)) for v in y]
+            ip = abs(mpmath.fsum(a * mpmath.conj(b) for a, b in zip(X, Y)))
+            ref = mpmath.sqrt(mpmath.fsum(abs(a) ** 2 for a in X + Y) - 2 * ip)
+            worst = max(worst, float(abs(quotient_distance(x, y) - ref) / ref))
+    assert worst <= 1e-15 / sep
 
 
 def test_outer_distance_examples():

@@ -1023,6 +1023,8 @@ def test_converged_means_stop_reason_tol_in_every_solver():
         args = () if opts is None else (opts,)
         result = getattr(recon, name)(frame, y, *args)
         assert result.converged == (result.stop_reason == "tol"), (name, result.stop_reason)
+        with pytest.raises(AttributeError):
+            result.converged = not result.converged
         reasons.add(result.stop_reason)
     assert reasons == {"tol", "max_iter", "stagnation", "degenerate"}
 
