@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """All five reconstruction algorithms on one instance.
 
-Lifted linear inversion needs m >= n^2 and is exact without noise; the
-trace-regularized PSD relaxation works from m ~ a few n; Gerchberg-Saxton is
-cheap but guarantee-free; Wirtinger flow and the regularized least-squares
-iteration both start from the spectral initializer and polish to machine
-precision on well-posed instances.
+Lifted linear inversion needs m >= n^2 and is exact without noise; the PSD
+least-squares relaxation (PhaseLift without a trace term) works from m ~ a
+few n; Gerchberg-Saxton is cheap but guarantee-free; Wirtinger flow and the
+regularized least-squares iteration both start from the spectral initializer
+and polish to machine precision on well-posed instances.
 """
 import numpy as np
 

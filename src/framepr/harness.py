@@ -45,11 +45,12 @@ _TASKS = ("certify", "bounds", "crlb", "reconstruct", "sweep")
 _NOISE_PARAMETER = {"awgn": "sigma", "coefficient": "rho"}  # noise kind -> parameter of its level
 _SUCCESS_THRESHOLD = 1e-5  # default largest d2_rel that counts as a success
 # the options of the certify and bounds tasks, all integers: (default, smallest
-# and largest accepted value); a budget of net points costs 32 bytes each, and
-# sampled bounds hold several (samples, m) complex arrays
+# and largest accepted value); a budget of net points costs 32 bytes each,
+# a multistart start up to 400 projected-gradient steps, and sampled bounds
+# hold several (samples, m) complex arrays
 TASK_OPTIONS = {
     "budget": (4_000_000, 1, 32_000_000),
-    "n_starts": (64, 0, math.inf),
+    "n_starts": (64, 0, 10_000),
     "samples": (2000, 2, 1_000_000),
 }
 # the keys each config section may hold; a frame section names exactly one

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, fields
+from itertools import chain
 from math import ceil, log2
 
 import numpy as np
@@ -653,11 +654,8 @@ def _multistart_extremum(value_grad, dim, n_starts, seed, maximize, iters=400, t
     ``value_grad(x) -> (value, grad)``; returns (best value, best point).
     """
     rng = rng_from_seed([seed, 0x73706872])
-    starts = [rng.normal(size=dim) for _ in range(n_starts)]
-    for k in range(dim):
-        e = np.zeros(dim)
-        e[k] = 1.0
-        starts.append(e)
+    # random starts are drawn one at a time, then the coordinate axes
+    starts = chain((rng.normal(size=dim) for _ in range(n_starts)), np.eye(dim))
     sign = -1.0 if maximize else 1.0
     best_val, best_x = np.inf, None
     for s in starts:

@@ -1,12 +1,11 @@
 """Reconstruction of x (up to global phase) from intensity measurements.
 
-Five solvers: exact linear inversion on the lifted matrix space, a
-trace-regularized PSD least-squares relaxation (PhaseLift-style, solved by
-proximal gradient with continuation, or in one warm-started stage when the
-lifted map is injective and the fit is l2), Gerchberg-Saxton alternating
-projections, Wirtinger flow (the intensity-misfit gradient taken along
-conjugate directions with an exact line search), and iterated regularized
-least squares on a bilinear criterion.  All are deterministic given their
+Five solvers: exact linear inversion on the lifted matrix space, a PSD
+least-squares relaxation (PhaseLift-style, solved by projected gradient
+warm-started from the lifted least-squares solution), Gerchberg-Saxton
+alternating projections, Wirtinger flow (the intensity-misfit gradient taken
+along conjugate directions with an exact line search), and iterated
+regularized least squares on a bilinear criterion.  All are deterministic given their
 options; estimates are defined up to a global phase, so errors are reported
 with the phase-quotient metrics.
 """
@@ -41,9 +40,7 @@ from .metrics import outer_distance, quotient_distance
 _TIE_TOL = 1e-12
 
 # fixed solver parameters, one set per solver; no caller tunes them
-PHASELIFT_TOL = 1e-10  # FISTA step test of the final stage
-LAMBDA0 = 0.1  # PhaseLift's first trace weight, in units of ||y||_2
-LAMBDA_DECAY = 0.3  # per-stage decay of PhaseLift's trace weight
+PHASELIFT_TOL = 1e-10  # relative FISTA step test of the final stage
 L1_DELTA = 3e-2  # l1 weight floor, in units of ||y||_2 / m
 GS_TOL = 1e-12  # relative residual change that stops Gerchberg-Saxton
 WF_TOL = 1e-9  # relative gradient norm that stops Wirtinger flow
@@ -135,17 +132,15 @@ def _attach_errors(result: ReconResult, x_true) -> ReconResult:
 # lifted linear inversion
 # ---------------------------------------------------------------------------
 
-def _lifted_least_squares(frame: Frame, y: np.ndarray) -> tuple[int, Optional[np.ndarray]]:
+def _lifted_least_squares(frame: Frame, y: np.ndarray) -> tuple[int, np.ndarray]:
     """(rank, z): the rank of ``Frame.hermitian_lift`` M, counting the
     singular values whose squares exceed DEFAULT_RANK_TOL times the largest
-    (the eigenvalue rule of the Gram M M^T), and, when that rank is n^2, the
-    coordinates z in ``hermitian_basis(n)`` of the least-squares solution of
-    M z = y, solved on the cached SVD; z is None below n^2, where the lifted
-    map is not injective."""
+    (the eigenvalue rule of the Gram M M^T), and the coordinates z in
+    ``hermitian_basis(n)`` of the minimum-norm least-squares solution of
+    M z = y on those singular values, solved on the cached SVD.  The lifted
+    map is injective exactly when the rank is n^2."""
     u, s, vh = frame.hermitian_lift_svd
     rank = int(np.sum(s * s > DEFAULT_RANK_TOL * s[0] * s[0]))
-    if rank < frame.n**2:
-        return rank, None
     return rank, vh[:rank].T @ ((u[:, :rank].T @ y) / s[:rank])
 
 
@@ -160,13 +155,14 @@ def lifted_linear(frame: Frame, y, x_true=None) -> ReconResult:
     the least-squares scale sqrt(lambda1) and the gap scale
     sqrt(lambda1 - lambda2).  The gap-scaled estimate varies Lipschitz-
     continuously with y and is returned as ``x_hat``.  When the top
-    eigenvalue is tied (no gap), ``x_hat`` falls back to 0, flagged
-    "tie_top_eigenvalue", with ``stop_reason`` "degenerate" and
-    ``converged`` False; otherwise the solve reports "tol".
+    eigenvalue is tied (a gap of at most 1e-12 |lambda1|, a relative test,
+    so scaling y by a power of two scales every output exactly), ``x_hat``
+    falls back to 0, flagged "tie_top_eigenvalue", with ``stop_reason``
+    "degenerate" and ``converged`` False; otherwise the solve reports "tol".
     """
     y = _values(frame, y)
     rank, z = _lifted_least_squares(frame, y)
-    if z is None:
+    if rank < frame.n**2:
         raise InsufficientRedundancy(
             f"rank-one forms span {rank} < n^2 = {frame.n ** 2} dimensions"
         )
@@ -178,7 +174,7 @@ def lifted_linear(frame: Frame, y, x_true=None) -> ReconResult:
     e1 = dec.eigenvectors[:, 0]
     x_ls = np.sqrt(max(lam1, 0.0)) * e1
     gap = lam1 - lam2
-    tie = gap <= _TIE_TOL * max(abs(lam1), 1.0)
+    tie = gap <= _TIE_TOL * abs(lam1)
     x_lip = np.zeros(frame.n, dtype=complex) if tie else np.sqrt(gap) * e1
     result = ReconResult(
         x_hat=x_lip,
@@ -193,13 +189,13 @@ def lifted_linear(frame: Frame, y, x_true=None) -> ReconResult:
 
 
 # ---------------------------------------------------------------------------
-# trace-regularized PSD least squares (PhaseLift relaxation)
+# PSD least squares (PhaseLift relaxation)
 # ---------------------------------------------------------------------------
 
 @dataclass
 class PhaseLiftOptions:
     fit: str = "l2"  # "l2" | "l1_reweighted"
-    max_outer: int = 26  # 25 decays by LAMBDA_DECAY pass 1e-13 LAMBDA0; the 26th stage runs at 0
+    max_outer: int = 26  # l1 reweighting stages; l2 runs one stage of max_outer * inner_max steps
     inner_max: int = 400
 
     def __post_init__(self):
@@ -228,9 +224,9 @@ def _step_operator(frame: Frame, w: np.ndarray, y: np.ndarray):
     return L, H, c
 
 
-def _psd_trace_prox(z: np.ndarray, shrink: float, heevd) -> np.ndarray:
-    """vec of the prox of shrink * trace + PSD indicator at the Hermitian
-    matrix with vec z: eigenvalues shrunk by ``shrink`` and clipped at 0.
+def _psd_projection(z: np.ndarray, heevd) -> np.ndarray:
+    """vec of the projection onto the PSD cone of the Hermitian matrix with
+    vec z: its eigenvalues clipped at 0.
 
     ``heevd`` is LAPACK's ?heevd, called on the lower triangle of z viewed
     as n x n, as ``hermitian_eig`` calls it, but without that function's
@@ -241,7 +237,6 @@ def _psd_trace_prox(z: np.ndarray, shrink: float, heevd) -> np.ndarray:
     lam, V, info = heevd(z.reshape(n, n), lower=1)
     if info != 0:
         raise NoConvergence(f"LAPACK {heevd.__name__} failed with info={info}")
-    lam -= shrink
     np.maximum(lam, 0.0, out=lam)
     # np.dot rather than @ here and for H vec(Y): the same BLAS call without
     # matmul's dispatch, which at n = 4 cost 6% of a step (2-vCPU Xeon)
@@ -249,50 +244,40 @@ def _psd_trace_prox(z: np.ndarray, shrink: float, heevd) -> np.ndarray:
 
 
 def phaselift(frame: Frame, y, opts: PhaseLiftOptions | None = None, x_true=None) -> ReconResult:
-    """Trace-regularized PSD recovery of the lifted matrix by proximal gradient.
+    """PSD least-squares recovery of the lifted matrix by projected gradient.
 
-    Solves min_{X >= 0} sum_k w_k (A(X) - y)_k^2 + lambda trace(X) with FISTA
-    steps (gradient of the smooth part, then eigenvalue shrink-and-clip), and
-    geometric continuation of lambda: LAMBDA0 ||y||_2 at first (1 at y = 0),
-    shrunk by LAMBDA_DECAY per stage, and a final stage at lambda = 0 once
-    it falls below 1e-13 max(LAMBDA0 ||y||_2, 1).  The gradient step
-    Y - grad/L is one affine map on vec(Y), precomputed once per weight
-    vector: once per solve for fit "l2", whose weights are all ones, and once
-    per stage for "l1_reweighted".
-    The loop keeps Y and the iterates as flat vec vectors, so a step is one
-    n^2 x n^2 product and one direct LAPACK eigensolve (``_psd_trace_prox``);
-    ``_step_operator`` builds H and c so that every such step input is
-    Hermitian.
+    Solves min_{X >= 0} sum_k w_k (A(X) - y)_k^2 with FISTA steps (gradient
+    of the fit, then projection onto the PSD cone by clipping eigenvalues at
+    0).  There is no trace term: once m is a small multiple of n the PSD
+    constraint alone singles out xx* (Candes and Li 2014; Demanet and Hand
+    2014).  Every solve starts from the PSD part of the minimum-norm
+    least-squares solution on the cached SVD (``_lifted_least_squares``), at
+    every m; when the lifted map is injective and y is noiseless, that start
+    is already xx* and the solve stops on its first step.
+    The gradient step Y - grad/L is one affine map on vec(Y), precomputed
+    once per weight vector (``_step_operator``).  The loop keeps Y and the
+    iterates as flat vec vectors, so a step is one n^2 x n^2 product and one
+    direct LAPACK eigensolve (``_psd_projection``); H and c are built so that
+    every such step input is Hermitian.
     The momentum uses the gradient restart of O'Donoghue and Candes: when
     <Y - X_new, X_new - X_prev> > 0 the momentum points uphill, so t falls
     back to 1 and the next step starts from X_new.
-    fit "l1_reweighted" re-derives the weights from the residuals between
-    stages, w_k = 1 / max(|r_k|, delta), approximating an l1 data fit; the
-    floor is relative, delta = L1_DELTA * ||y||_2 / m (L1_DELTA itself when
-    y = 0), so no weight outgrows the data scale and sets the step size
-    alone.  The vector estimate is the principal eigenvector scaled by the
-    square root of the principal eigenvalue.
 
-    When the fit is "l2" and the lifted map is injective
-    (``Frame.hermitian_lift`` has rank n^2 by the rule of ``lifted_linear``,
-    so m >= n^2), the objective is strongly convex at every lambda >= 0 and
-    each stage has one minimizer, so continuation has nothing to choose.
-    The solve then runs one stage alone, at the lambda of the schedule's
-    last stage (0 for the default ``max_outer``, LAMBDA0 ||y||_2
-    LAMBDA_DECAY^(max_outer - 1) for a truncated schedule that stops short
-    of 0).  It starts from the PSD part of the least-squares solution on the
-    cached SVD (the eigenvalues of ``lifted_linear``'s matrix clipped at 0)
-    and may spend the whole solve's budget, ``max_outer * inner_max``
-    steps.  ``stage_iterations`` and ``trace`` then hold one entry, and a
-    noiseless solve stops on its first step.  Fit "l1_reweighted", and "l2"
-    with m < n^2, run the continuation.
+    Fit "l2" (all weights 1) runs one stage that may spend the whole budget,
+    ``max_outer * inner_max`` steps.  Fit "l1_reweighted" runs ``max_outer``
+    stages of up to ``inner_max`` steps and re-derives the weights from the
+    residuals between stages, w_k = 1 / max(|r_k|, delta), approximating an
+    l1 data fit; the floor is relative, delta = L1_DELTA * ||y||_2 / m
+    (L1_DELTA itself when y = 0), so no weight outgrows the data scale and
+    sets the step size alone.  The vector estimate is the principal
+    eigenvector scaled by the square root of the principal eigenvalue.
 
-    A stage stops when its step satisfies ||X_new - X_prev||_F <=
-    s * max(1, ||X_new||_F).  The final stage (the lambda = 0 stage, or the
-    last one ``max_outer`` allows) uses s = PHASELIFT_TOL; every earlier
-    stage only warm-starts the next, so it uses the looser s =
-    sqrt(PHASELIFT_TOL) (inexact continuation).  ``converged`` means the
-    last stage ran at lambda = 0 and met PHASELIFT_TOL.
+    A stage stops when its step satisfies ||X_new - X_prev||_F <= s
+    ||X_new||_F.  The last stage uses s = PHASELIFT_TOL; an earlier l1 stage
+    only warm-starts the next, so it uses the looser s = sqrt(PHASELIFT_TOL).
+    ``converged`` means the last stage met PHASELIFT_TOL.  No test or floor
+    has units, so scaling y by a power of two scales X_hat by the same
+    factor and leaves the steps and the stop reason unchanged.
     ``diagnostics["stage_iterations"]`` lists the FISTA steps of each stage,
     and each solve logs them at DEBUG level on the "framepr" logger.
     Measurements whose 2-norm overflows float64 raise NonFiniteMeasurement.
@@ -305,39 +290,25 @@ def phaselift(frame: Frame, y, opts: PhaseLiftOptions | None = None, x_true=None
     if not math.isfinite(y_norm):
         raise NonFiniteMeasurement(
             f"the 2-norm of the measurements overflows (largest |y_k| is {np.abs(y).max():.3g})")
-    lam0 = LAMBDA0 * y_norm
     delta = L1_DELTA * (y_norm / m if y_norm > 0.0 else 1.0)
-    lam_reg = lam0 if y_norm > 0.0 else 1.0  # at y = 0 any positive shrink gives X = 0
-    schedule = [lam_reg]
-    while len(schedule) < opts.max_outer and lam_reg > 0.0:
-        lam_reg *= LAMBDA_DECAY
-        if lam_reg < 1e-13 * max(lam0, 1.0):
-            lam_reg = 0.0
-        schedule.append(lam_reg)
-    w = np.ones(m)
-    X = np.zeros(n * n, dtype=complex)  # vec(X), as are Y and each step's X_new
-    budget = opts.inner_max
+    if opts.fit == "l2":
+        stages, budget = 1, opts.max_outer * opts.inner_max
+    else:
+        stages, budget = opts.max_outer, opts.inner_max
     trace_log: list[float] = []
     stage_iterations: list[int] = []
-    L, H, c = _step_operator(frame, w, y)
+    _, H, c = _step_operator(frame, np.ones(m), y)
     heevd = _eig_routine(c.dtype)
-    if opts.fit == "l2":
-        _, z = _lifted_least_squares(frame, y)
-        if z is not None:  # one minimizer per trace weight: run the last stage alone
-            schedule = schedule[-1:]
-            budget = opts.max_outer * opts.inner_max
-            X = _psd_trace_prox(hermitian_basis(n).T @ z, 0.0, heevd)
-    for outer, lam_reg in enumerate(schedule):
-        if opts.fit == "l1_reweighted" and outer > 0:
-            w = 1.0 / np.maximum(np.abs(r), delta)
-            L, H, c = _step_operator(frame, w, y)
-        shrink = lam_reg / L
-        final = outer == len(schedule) - 1
-        stage_tol_sq = (PHASELIFT_TOL if final else math.sqrt(PHASELIFT_TOL)) ** 2
+    # vec(X), as are Y and each step's X_new
+    X = _psd_projection(hermitian_basis(n).T @ _lifted_least_squares(frame, y)[1], heevd)
+    for stage in range(stages):
+        if stage > 0:
+            _, H, c = _step_operator(frame, 1.0 / np.maximum(np.abs(r), delta), y)
+        stage_tol_sq = (PHASELIFT_TOL if stage == stages - 1 else math.sqrt(PHASELIFT_TOL)) ** 2
         Y = X
         t_m = 1.0
         for steps in range(1, budget + 1):
-            X_new = _psd_trace_prox(np.dot(H, Y) + c, shrink, heevd)
+            X_new = _psd_projection(np.dot(H, Y) + c, heevd)
             D = X_new - X
             if np.vdot(Y - X_new, D).real > 0.0:
                 t_new, Y = 1.0, X_new
@@ -346,17 +317,17 @@ def phaselift(frame: Frame, y, opts: PhaseLiftOptions | None = None, x_true=None
                 Y = X_new + ((t_m - 1.0) / t_new) * D
             step_sq = np.vdot(D, D).real
             X, t_m = X_new, t_new
-            met_tol = step_sq <= stage_tol_sq * max(1.0, np.vdot(X, X).real)
+            met_tol = step_sq <= stage_tol_sq * np.vdot(X, X).real
             if met_tol:
                 break
         stage_iterations.append(steps)
         r = lifted_map(frame, X.reshape(n, n)) - y
         trace_log.append(float(np.linalg.norm(r)))
-    converged = lam_reg == 0.0 and bool(met_tol)
+    converged = bool(met_tol)
     iterations = sum(stage_iterations)
     logger.debug(
-        "phaselift n=%d m=%d fit=%s: %d steps over %d stages %s, final lambda %.3g, converged %s",
-        n, m, opts.fit, iterations, len(stage_iterations), stage_iterations, lam_reg, converged,
+        "phaselift n=%d m=%d fit=%s: %d steps over %d stages %s, converged %s",
+        n, m, opts.fit, iterations, len(stage_iterations), stage_iterations, converged,
     )
     X = X.reshape(n, n)
     dec = hermitian_eig(X)
@@ -371,11 +342,7 @@ def phaselift(frame: Frame, y, opts: PhaseLiftOptions | None = None, x_true=None
         residual=trace_log[-1],
         stop_reason="tol" if converged else "max_iter",
         trace=trace_log,
-        diagnostics={
-            "rank_one_gap": rank_one_gap,
-            "lambda_final": lam_reg,
-            "stage_iterations": stage_iterations,
-        },
+        diagnostics={"rank_one_gap": rank_one_gap, "stage_iterations": stage_iterations},
     )
     return _attach_errors(result, x_true)
 

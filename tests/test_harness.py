@@ -148,6 +148,9 @@ def test_load_config_defaults():
         {"options": {"budget": 10**9}},
         {"options": {"budget": TASK_OPTIONS["budget"][2] + 1}},
         {"options": {"samples": TASK_OPTIONS["samples"][2] + 1}},
+        # and n_starts: each start runs up to 400 projected-gradient steps
+        {"options": {"n_starts": 10**9}},
+        {"options": {"n_starts": TASK_OPTIONS["n_starts"][2] + 1}},
     ],
 )
 def test_load_config_rejects(patch):
