@@ -109,12 +109,56 @@ def _frame_source(spec) -> str:
     return source
 
 
-def _not_json(value):
-    raise ConfigError(f"config value {value!r} of type {type(value).__name__} is not JSON data")
+def _json_key(key) -> str:
+    """A dict key as json.dumps writes it."""
+    if isinstance(key, str):
+        return str.__str__(key)
+    if isinstance(key, float):
+        text = float.__repr__(key)
+        return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
+    if key is True or key is False or key is None:
+        return json.dumps(key)
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise ConfigError(f"config key {key!r} of type {type(key).__name__} is not JSON data")
+
+
+def _json_copy(value, open_ids: set):
+    """json.loads(json.dumps(value)) in one pass: str, int and float
+    subclasses become plain values, tuples lists, and dict keys strings; any
+    other type, or a list or dict inside itself (its id is in ``open_ids``
+    while it is being copied), is a ConfigError."""
+    kind = type(value)
+    if kind is float or kind is str or kind is int or kind is bool or value is None:
+        return value
+    if isinstance(value, (list, tuple)) and value and type(value[0]) is float:
+        try:  # the bulk of a config: the [re, im] entries of an inline frame
+            return list(map(float.__float__, value))
+        except TypeError:  # not all floats
+            pass
+    if isinstance(value, (list, tuple, dict)):
+        if id(value) in open_ids:
+            raise ConfigError("config is not JSON data: it contains itself")
+        open_ids.add(id(value))
+        if isinstance(value, dict):
+            out = {_json_key(key): _json_copy(item, open_ids) for key, item in value.items()}
+        else:
+            out = [_json_copy(item, open_ids) for item in value]
+        open_ids.remove(id(value))
+        return out
+    if isinstance(value, str):
+        return str.__str__(value)
+    if isinstance(value, float):
+        return float.__float__(value)
+    if isinstance(value, int):
+        return int.__int__(value)
+    raise ConfigError(f"config value {value!r} of type {kind.__name__} is not JSON data")
 
 
 def load_config(source) -> dict:
-    """Normalize and validate a config (dict or path to a JSON file)."""
+    """Normalize and validate a config (dict or path to a JSON file).  A dict
+    is deep-copied and JSON-normalized in one pass, with the result of
+    json.loads(json.dumps(source))."""
     if isinstance(source, (str, bytes)):
         try:
             with open(source) as fh:
@@ -122,10 +166,7 @@ def load_config(source) -> dict:
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
     elif isinstance(source, dict):
-        try:
-            raw = json.loads(json.dumps(source, default=_not_json))  # deep copy, JSON-normalized
-        except (TypeError, ValueError) as exc:  # a key json cannot write, or a cycle
-            raise ConfigError(f"config is not JSON data: {exc}") from exc
+        raw = _json_copy(source, set())
     else:
         raise ConfigError(f"config must be a dict or a path, got {type(source)!r}")
     if not isinstance(raw, dict):
@@ -365,7 +406,8 @@ def _sweep_noise(cfg: dict, value) -> dict:
 
 
 def _solver_options(name: str, options: dict):
-    """Options object for solver ``name`` (None when it takes no options)."""
+    """Options object for solver ``name`` (None when it takes no options).
+    No solver changes its options, so one object serves every trial."""
     options = options or {}
     if not isinstance(options, dict):
         raise TypeError(f"options of {name} must be an object, got {type(options).__name__}")
@@ -389,13 +431,17 @@ def run_reconstruction(frame: Frame, y, name: str, options, x_true=None):
     return solver(frame, y, options, x_true=x_true)
 
 
-def _reconstruct_trial(cfg: dict, frame: Frame, x, noise: dict, stem: list, trial: int) -> list:
-    """Measure x once and run every configured algorithm on it, one record
+def _solvers(cfg: dict) -> list:
+    """(name, options object) of each configured algorithm, in config order."""
+    return [(alg["name"], _solver_options(alg["name"], alg.get("options"))) for alg in cfg["algorithms"]]
+
+
+def _reconstruct_trial(solvers: list, frame: Frame, x, noise: dict, stem: list, trial: int) -> list:
+    """Measure x once and run every solver of ``_solvers`` on it, one record
     each.  The noise seed is ``stem`` extended by 1."""
     y = _measure(frame, x, noise, [*stem, 1])
     records = []
-    for alg in cfg["algorithms"]:
-        name = alg["name"]
+    for name, options in solvers:
         t0 = time.perf_counter()
         rec = {
             "trial": trial,
@@ -403,7 +449,6 @@ def _reconstruct_trial(cfg: dict, frame: Frame, x, noise: dict, stem: list, tria
             "noise": noise,
         }
         try:
-            options = _solver_options(name, alg.get("options"))
             result = run_reconstruction(frame, y, name, options, x_true=x)
             xnorm = float(np.linalg.norm(x))
             rec.update(
@@ -423,9 +468,42 @@ def _reconstruct_trial(cfg: dict, frame: Frame, x, noise: dict, stem: list, tria
     return records
 
 
+def _mean(values: np.ndarray) -> float:
+    """np.mean of a 1-D float array: the pairwise np.add.reduce, over n."""
+    return float(np.add.reduce(values)) / len(values)
+
+
+def _order_statistics(values: list) -> tuple:
+    """(median, q05, q95) of a non-empty list of floats with the bits of
+    np.median and np.quantile(method="linear"), without their wrappers.
+
+    Quantile q sits at v = (n - 1) q between the sorted values a = s[i] and
+    b = s[i + 1], i = floor(v), g = v - i, and is b - (b - a)(1 - g) when
+    g >= 0.5, else a + (b - a) g; a single value is its own neighbour with
+    g = 1, so an infinite one gives NaN, as in numpy.  The median is numpy's
+    mean of the middle one or two values: np.add.reduce starts from +0.0,
+    hence the + 0.0.  A NaN anywhere makes every statistic NaN."""
+    if any(map(math.isnan, values)):
+        return math.nan, math.nan, math.nan
+    s = sorted(values)
+    n = len(s)
+    half = n // 2
+    median = s[half] + 0.0 if n % 2 else (s[half - 1] + s[half] + 0.0) / 2
+    quantiles = []
+    for q in (0.05, 0.95):
+        v = (n - 1) * q
+        i = int(v)
+        a, b, g = (s[i], s[i + 1], v - i) if n > 1 else (s[0], s[0], 1.0)
+        diff = b - a
+        quantiles.append(b - diff * (1 - g) if g >= 0.5 else a + diff * g)
+    return median, *quantiles
+
+
 def compute_aggregates(records: list, threshold: float) -> dict:
     """Pure aggregation over reconstruction records; exact recomputation of a
-    report's aggregates must reproduce this output bit for bit."""
+    report's aggregates must reproduce this output bit for bit.  The means,
+    median and q05/q95 follow np.mean, np.median and np.quantile's "linear"
+    rule bit for bit, so reports from earlier versions still verify."""
     groups: dict = {}
     for rec in records:
         key = rec["algorithm"]
@@ -444,26 +522,26 @@ def compute_aggregates(records: list, threshold: float) -> dict:
             d2 = np.array([r["d2_rel"] for r in recs], dtype=float)
             res = np.array([r["residual"] for r in recs], dtype=float)
             iters = np.array([r["iterations"] for r in recs], dtype=float)
-            q05, q95 = np.quantile(d2, [0.05, 0.95])
+            median, q05, q95 = _order_statistics(d2.tolist())
             entry.update(
-                d2_rel_mean=float(np.mean(d2)),
-                d2_rel_median=float(np.median(d2)),
-                d2_rel_q05=float(q05),
-                d2_rel_q95=float(q95),
-                success_rate=float(np.mean(d2 <= threshold)),
-                residual_mean=float(np.mean(res)),
-                iterations_mean=float(np.mean(iters)),
+                d2_rel_mean=_mean(d2),
+                d2_rel_median=median,
+                d2_rel_q05=q05,
+                d2_rel_q95=q95,
+                success_rate=np.count_nonzero(d2 <= threshold) / len(recs),
+                residual_mean=_mean(res),
+                iterations_mean=_mean(iters),
             )
         out[key] = entry
     return out
 
 
-def _run_trials(cfg: dict, frame: Frame, noise: dict, sweep_value=None) -> list:
+def _run_trials(cfg: dict, solvers: list, frame: Frame, noise: dict, sweep_value=None) -> list:
     master = cfg["seed"]
     records = []
     for t in range(cfg["trials"]):
         x = _draw_signal(frame, cfg["signal"], [master, t, 0])
-        for rec in _reconstruct_trial(cfg, frame, x, noise, [master, t], t):
+        for rec in _reconstruct_trial(solvers, frame, x, noise, [master, t], t):
             if sweep_value is not None:
                 rec["sweep_value"] = sweep_value
             records.append(rec)
@@ -510,13 +588,14 @@ def run_experiment(config) -> Report:
         return report
 
     if cfg["task"] == "reconstruct":
-        report.records = _run_trials(cfg, frame, cfg["noise"])
+        report.records = _run_trials(cfg, _solvers(cfg), frame, cfg["noise"])
         report.aggregates = compute_aggregates(report.records, cfg["success_threshold"])
         return report
 
     if cfg["task"] == "sweep":
+        solvers = _solvers(cfg)
         for value in cfg["sweep"]["values"]:
-            report.records.extend(_run_trials(cfg, frame, _sweep_noise(cfg, value), sweep_value=value))
+            report.records.extend(_run_trials(cfg, solvers, frame, _sweep_noise(cfg, value), sweep_value=value))
         report.aggregates = compute_aggregates(report.records, cfg["success_threshold"])
         report.tables = _sweep_table(report.aggregates)
         return report
@@ -559,6 +638,7 @@ def crlb_reference_curve(cfg: dict, frame: Frame) -> list:
     config as ``load_config`` returns it.
     """
     fisher = fisher_awgn if cfg["sweep"]["parameter"] == "sigma" else fisher_coefficient_noise
+    solvers = _solvers(cfg)
     master = cfg["seed"]
     x = _draw_signal(frame, cfg["signal"], [master, 917, 0])
     rows = []
@@ -570,12 +650,12 @@ def crlb_reference_curve(cfg: dict, frame: Frame) -> list:
             "trials": cfg["trials"],
         }
         noise = _sweep_noise(cfg, value)
-        trials = [_reconstruct_trial(cfg, frame, x, noise, [master, iv, t], t)
+        trials = [_reconstruct_trial(solvers, frame, x, noise, [master, iv, t], t)
                   for t in range(cfg["trials"])]
-        for alg, recs in zip(cfg["algorithms"], zip(*trials)):
+        for (name, _), recs in zip(solvers, zip(*trials)):
             sq_errors = [rec["d2_error"] ** 2 for rec in recs if "error" not in rec]
-            row[f"mse_{alg['name']}"] = float(np.mean(sq_errors)) if sq_errors else None
-            row[f"failed_{alg['name']}"] = len(recs) - len(sq_errors)
+            row[f"mse_{name}"] = float(np.mean(sq_errors)) if sq_errors else None
+            row[f"failed_{name}"] = len(recs) - len(sq_errors)
         rows.append(row)
     return rows
 

@@ -51,9 +51,18 @@ def rank_one_coordinates(u: np.ndarray) -> np.ndarray:
     complex array, shape (k, n^2): |u_a|^2, then sqrt(2) Re and sqrt(2) Im
     of u_a conj(u_b) for a < b, so <L(u), L(v)> = <u u*, v v*>_F = |<u, v>|^2.
     """
-    a, b = np.triu_indices(u.shape[1], k=1)
+    a, b = _upper_pairs(u.shape[1])
     cross = np.sqrt(2.0) * u[:, a] * u[:, b].conj()
     return np.concatenate([np.abs(u) ** 2, cross.real, cross.imag], axis=1)
+
+
+@functools.cache
+def _upper_pairs(n: int) -> tuple:
+    """Read-only index arrays (a, b) of the pairs a < b, as np.triu_indices(n, k=1)."""
+    pairs = np.triu_indices(n, k=1)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
 
 
 @functools.cache
@@ -67,7 +76,7 @@ def hermitian_basis(n: int) -> np.ndarray:
     ||z|| = ||X||_F for Hermitian X, and vec X = U^T z is exactly Hermitian
     for every real z.
     """
-    a, b = np.triu_indices(n, k=1)
+    a, b = _upper_pairs(n)
     E = np.eye(n * n).reshape(n, n, n * n)  # E[a, b] = vec(E_ab)
     diag = E[np.arange(n), np.arange(n)]
     re, im = np.sqrt(0.5) * (E[a, b] + E[b, a]), np.sqrt(0.5) * 1j * (E[a, b] - E[b, a])

@@ -119,6 +119,17 @@ def test_report_detects_tampered_aggregates(tmp_path):
     assert run_cli("report", str(rep_path)) == 3  # component failure
 
 
+def test_report_written_by_an_earlier_version_still_verifies(capsys):
+    # an indented sweep report of demo 07, written before reports were compact
+    # and before the aggregates stopped calling np.quantile and np.median
+    path = pathlib.Path(__file__).resolve().parent / "data" / "demo_report.json"
+    assert run_cli("report", str(path), "--digest") == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "aggregates verified over 60 records",
+        "526a4801550f9003800880242406bd5ca9fd6260046ebaec2291459a94833496",
+    ]
+
+
 def test_sweep_csv(tmp_path):
     frame_path = tmp_path / "frame.json"
     run_cli("frame", "gen", "--n", "2", "--m", "6", "--seed", "3", "--out", str(frame_path))

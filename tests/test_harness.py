@@ -172,6 +172,97 @@ def test_load_config_rejects_non_object_file(tmp_path):
         load_config(str(path))
 
 
+class _Count(int):
+    pass
+
+
+def _same_json(a, b) -> bool:
+    """Equal values of the same types, dict keys in the same order, NaN equal to NaN."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_same_json(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same_json, a, b))
+    return a == b or (a != a and b != b)
+
+
+_INLINE_MIXED = {"n": 2, "m": 4, "field": "complex",
+                "vectors": [([1.0, 0.0], (0.0, 0.5)), [[0.0, 1.0], [np.float64(2.0), -0.0]],
+                            [[1, 0], [0, 1]], [[float("nan"), 0.0], [0.25, np.float64("inf")]]]}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        BASE,
+        dict(BASE, trials=_Count(2), seed=_Count(4), algorithms=({"name": "lifted_linear"},)),
+        dict(BASE, frame={"inline": _INLINE_MIXED}),
+        dict(BASE, task="sweep", noise={"kind": "awgn"},
+             sweep={"parameter": "sigma", "values": (np.float64(0.01), 0.1, 1)}),
+        dict(BASE, success_threshold=np.float64(1e-3), signal={"kind": "gaussian", "norm": np.float64(2.0)},
+             algorithms=[{"name": "irls", "options": {"max_outer": _Count(5), "x0": (1.0, np.float64(0.5))}}]),
+    ],
+    ids=["base", "int_subclass_and_tuple", "inline_tuples_numpy_floats_nan", "sweep_tuple", "numpy_floats"],
+)
+def test_load_config_copies_like_a_json_round_trip(config):
+    cfg = load_config(config)
+    raw = json.loads(json.dumps(config))
+    assert _same_json({key: cfg[key] for key in raw}, raw)
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [
+        {"seed": np.int64(3)},
+        {"frame": {"inline": dict(_INLINE_MIXED, m=np.int64(4))}},
+        {"algorithms": [{"name": "irls", "options": {"x0": [1.0, np.float32(0.5)]}}]},
+        {"sweep": {"parameter": "sigma", "values": {0.1, 0.2}}},
+        {"signal": {"kind": b"gaussian"}},
+        {"signal": {"kind": "gaussian", (1, 2): 3}},
+        {"algorithms": [{"name": "lifted_linear", "options": {"x": 1j}}]},
+    ],
+)
+def test_load_config_refuses_what_json_cannot_write(patch):
+    with pytest.raises(ConfigError, match="not JSON data"):
+        load_config(dict(BASE, **patch))
+
+
+def test_load_config_refuses_a_config_inside_itself():
+    config = dict(BASE, algorithms=[{"name": "lifted_linear"}])
+    config["algorithms"][0]["options"] = config
+    with pytest.raises(ConfigError, match="not JSON data"):
+        load_config(config)
+    loop = [1.0]
+    loop.append(loop)
+    with pytest.raises(ConfigError, match="not JSON data"):
+        load_config(dict(BASE, frame={"inline": dict(_INLINE_MIXED, vectors=loop)}))
+    shared = {"name": "lifted_linear"}  # repeated, not nested: JSON writes it twice
+    assert load_config(dict(BASE, algorithms=[shared]))["algorithms"] == [shared]
+
+
+def test_report_config_shares_nothing_with_the_callers_config():
+    inline = {"n": 2, "m": 4, "field": "complex",
+              "vectors": [[[1.0, 0.0], [0.0, 0.5]], [[0.0, 1.0], [2.0, 0.0]], [[1, 0], [0, 1]], [[0.5, 0.0], [0.25, 1.0]]]}
+    config = dict(BASE, frame={"inline": inline},
+                  algorithms=[{"name": "irls", "options": {"max_outer": 5, "x0": [1.0, 0.5]}}])
+    report = run_experiment(config)
+    echo = report.to_json()
+
+    def containers(value):
+        if isinstance(value, (dict, list)):
+            yield id(value)
+            for item in value.values() if isinstance(value, dict) else value:
+                yield from containers(item)
+
+    assert not set(containers(config)) & set(containers(report.config))
+    config["frame"]["inline"]["vectors"][0][0][0] = 7.0
+    config["algorithms"][0]["options"]["x0"].append(2.0)
+    config["algorithms"].append({"name": "lifted_linear"})
+    config["seed"] = 12
+    assert report.to_json() == echo
+
+
 def test_build_frame_sources(tmp_path):
     frame = random_frame(2, 5, "gaussian", seed=9)
     path = tmp_path / "f.json"
@@ -246,6 +337,90 @@ def test_aggregate_quantiles_match_two_quantile_calls():
         entry = aggregates[f"a{g}"]
         assert entry["d2_rel_q05"] == float(np.quantile(d2, 0.05))
         assert entry["d2_rel_q95"] == float(np.quantile(d2, 0.95))
+
+
+def _numpy_aggregates(records: list, threshold: float) -> dict:
+    """compute_aggregates as it was written with numpy's order-statistic
+    and mean functions: the reference the exact rewrite must reproduce."""
+    groups: dict = {}
+    for rec in records:
+        key = rec["algorithm"]
+        if rec.get("sweep_value") is not None:
+            key = f"{rec['algorithm']}@{rec['sweep_value']}"
+        group = groups.setdefault(key, {"errors": 0, "records": []})
+        if "error" in rec:
+            group["errors"] += 1
+        else:
+            group["records"].append(rec)
+    out = {}
+    for key, group in sorted(groups.items()):
+        recs = group["records"]
+        entry = {"count": len(recs), "errors": group["errors"]}
+        if recs:
+            d2 = np.array([r["d2_rel"] for r in recs], dtype=float)
+            res = np.array([r["residual"] for r in recs], dtype=float)
+            iters = np.array([r["iterations"] for r in recs], dtype=float)
+            q05, q95 = np.quantile(d2, [0.05, 0.95])
+            entry.update(
+                d2_rel_mean=float(np.mean(d2)),
+                d2_rel_median=float(np.median(d2)),
+                d2_rel_q05=float(q05),
+                d2_rel_q95=float(q95),
+                success_rate=float(np.mean(d2 <= threshold)),
+                residual_mean=float(np.mean(res)),
+                iterations_mean=float(np.mean(iters)),
+            )
+        out[key] = entry
+    return out
+
+
+def _bits(aggregates: dict) -> dict:
+    """Each value with its type and, for a float, its bit pattern (every NaN alike)."""
+    def bits(value):
+        if isinstance(value, float):
+            return "nan" if value != value else value.hex() + repr(np.copysign(1.0, value))
+        return type(value).__name__, value
+    return {key: {name: bits(value) for name, value in entry.items()} for key, entry in aggregates.items()}
+
+
+def _group_values(rng, size: int, kind: int) -> np.ndarray:
+    """d2_rel values of one group: spread from 1e-16 to 1e3, then (by kind)
+    ties, zeros, or NaN and infinities at random places."""
+    values = 10.0 ** rng.uniform(-16, 3, size=size)
+    if kind == 1:  # ties: a few distinct values, repeated
+        values = rng.choice(values[: max(1, size // 5)], size=size)
+    elif kind == 2:
+        values[rng.random(size) < 0.3] = 0.0
+    elif kind == 3:
+        for _ in range(int(rng.integers(1, 4))):
+            values[rng.integers(size)] = rng.choice([np.inf, -np.inf, 0.0])
+    elif kind == 4:
+        values[rng.integers(size)] = np.nan
+    return values
+
+
+def test_aggregates_match_the_numpy_reference_bit_for_bit():
+    # group sizes 1-300 cross numpy's pairwise-sum blocks at 8 and 128
+    rng = np.random.default_rng(31)
+    for size in range(1, 301):
+        records = []
+        for kind in range(5):
+            records += [{"algorithm": "a", "sweep_value": kind, "d2_rel": float(v),
+                         "residual": float(r), "iterations": int(k)}
+                        for v, r, k in zip(_group_values(rng, size, kind), 10.0 ** rng.uniform(-8, 2, size),
+                                           rng.integers(0, 500, size))]
+        records.append({"algorithm": "b", "error": "NoConvergence: x"})
+        threshold = float(10.0 ** rng.uniform(-12, 2))
+        with np.errstate(invalid="ignore"):  # inf - inf in a mean or interpolation
+            assert _bits(compute_aggregates(records, threshold)) == _bits(_numpy_aggregates(records, threshold)), size
+
+
+@pytest.mark.parametrize("values", [[-0.0], [-0.0, -0.0], [np.inf], [-np.inf], [np.inf, np.inf],
+                                    [-np.inf, np.inf], [np.nan], [5e-324, -1e-323], [-5e-324, -5e-324, 0.0]])
+def test_aggregates_match_the_numpy_reference_at_signed_zeros_and_infinities(values):
+    records = [{"algorithm": "a", "d2_rel": v, "residual": 1.0, "iterations": 1} for v in values]
+    with np.errstate(invalid="ignore"):
+        assert _bits(compute_aggregates(records, 1.0)) == _bits(_numpy_aggregates(records, 1.0))
 
 
 def test_aggregates_recomputable():
