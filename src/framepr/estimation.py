@@ -15,6 +15,7 @@ relative error gate; small arguments use a series.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,10 +58,10 @@ _GK_ERROR = _GK_WEIGHTS - np.concatenate([_GAUSS_W[:-1], _GAUSS_W[::-1]])
 
 
 def _check_positive(**values) -> None:
-    """Raise ValueError unless every value is a finite number > 0 (NaN fails
-    both comparisons)."""
+    """Raise ValueError unless every value is a number in (0, max float]; NaN
+    fails both comparisons, an int beyond every float the second."""
     for name, value in values.items():
-        if value is None or not 0.0 < value < np.inf:
+        if value is None or not 0.0 < value <= sys.float_info.max:
             raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -77,7 +78,7 @@ def _whole(value) -> bool:
 
 
 def _positive(value) -> bool:
-    return _number(value) and 0 < value < math.inf
+    return _number(value) and 0 < value <= sys.float_info.max  # JSON ints can exceed every float
 
 
 def _check_section(name: str, section, allowed) -> None:

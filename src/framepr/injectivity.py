@@ -4,11 +4,10 @@ Real frames are decided exactly by a branch-and-bound search over the
 bipartitions of the frame, which also yields an ambiguous-pair witness when
 the frame fails.  A complex frame fails iff the kernel of its lifted map
 holds a rank-2 matrix x x* - y y*, sought first by linear algebra at every
-n.  Otherwise, for n <= N_CAP (2), the margin is certified by
-lower-bounding the second-smallest eigenvalue of the gradient Gram operator
-over two nets of the unit sphere, with a Weyl perturbation argument
-extending the bound to the whole sphere; larger n is "undecided", because
-the covering law asks for nets of 10^9 points and more there.
+n.  Otherwise the margin, the least second-smallest eigenvalue of the
+gradient Gram operator, is certified in closed form at n = 1, and at
+n = N_CAP = 2 as a net minimum less a Weyl perturbation term; larger n is
+"undecided", because the covering law asks for nets of 10^9 points there.
 
 The eigenvalue map xi -> lambda_{2n-1}(gradient_gram(xi)) is exactly invariant
 under the phase orbit xi -> cos(t) xi + sin(t) J xi, so the net only needs to
@@ -68,8 +67,9 @@ class PRCertificate:
     """Outcome of a phase-retrievability decision procedure.
 
     verdict "retrievable" carries a strictly positive certified margin
-    ``a0_lower`` (partition margin for real frames, net-certified eigenvalue
-    bound for complex frames).  verdict "not_retrievable" carries a verified
+    ``a0_lower`` (partition margin for real frames; for complex frames a
+    lower bound on min_xi lambda_{2n-1}(R(xi)), with ``b0_bound`` an upper
+    bound on lambda_1(R)).  verdict "not_retrievable" carries a verified
     ambiguous pair ``witness = (x, y)`` with equal magnitude measurements and
     distinct phase classes, from a failing bipartition (real frames) or the
     lifted kernel (complex frames).  verdict "undecided" carries neither.
@@ -379,8 +379,8 @@ def sphere_net(dim: int, n_points: int, seed: int = 0) -> np.ndarray:
     Scrambled Sobol points mapped through the normal quantile and normalized;
     the point count is rounded up to a power of two for balance.
     """
-    # imported here: only complex nets at n = 1 need it, and scipy.stats is
-    # slow to import
+    # imported here: no certificate calls this, and scipy.stats is slow to
+    # import
     from scipy.stats import qmc
 
     n_points = max(int(n_points), 2)
@@ -504,33 +504,30 @@ def _screen_n2(phi: np.ndarray, jphi: np.ndarray, Xi: np.ndarray):
 
 
 def _scan_net(phi: np.ndarray, jphi: np.ndarray, net: np.ndarray):
-    """Batched eigenvalues of the gradient Gram over net points.
+    """Batched eigenvalues of the gradient Gram over the rows of an n = 2 net.
 
     Returns (min second-smallest, max largest), exactly as one
     ``_gram_eigs`` pass over the whole net would give them.
 
-    For n = 2 each chunk is first screened in closed form: J xi lies in the
-    kernel of R(xi), so lambda_3 and lambda_1 are the extreme eigenvalues of
-    the 3x3 Gram built by ``_screen_n2``.  The screen errs by at most
-    about 4e-14 lambda_1 on generic frames and 6e-9 lambda_1 near a double
-    root (the tetrahedral SIC frame).  Only the rows whose screened lambda_3
-    lies within tau = 1e-6 (chunk max screened lambda_1) of the chunk
-    minimum, or whose screened lambda_1 lies within tau of the chunk
-    maximum, are evaluated by ``_gram_eigs``.  As tau exceeds twice the
-    screen error, every row whose exact value attains the chunk extremum is
-    among them, so the result equals the unscreened scan bit for bit.
+    Each chunk is first screened in closed form: J xi lies in the kernel of
+    R(xi), so lambda_3 and lambda_1 are the extreme eigenvalues of the 3x3
+    Gram built by ``_screen_n2``.  The screen errs by at most about
+    4e-14 lambda_1 on generic frames and 6e-9 lambda_1 near a double root
+    (the tetrahedral SIC frame).  Only the rows whose screened lambda_3 lies
+    within tau = 1e-6 (chunk max screened lambda_1) of the chunk minimum, or
+    whose screened lambda_1 lies within tau of the chunk maximum, are
+    evaluated by ``_gram_eigs``.  As tau exceeds twice the screen error,
+    every row whose exact value attains the chunk extremum is among them, so
+    the result equals the unscreened scan bit for bit.
     """
-    d = net.shape[1]
-    m = phi.shape[0]
-    chunk = max(4096, min(_SCAN_CHUNK, int(8e6 / max(m * d, 1))))
+    chunk = max(4096, min(_SCAN_CHUNK, int(2e6 / phi.shape[0])))
     lam3_min = np.inf
     lam1_max = 0.0
     for start in range(0, net.shape[0], chunk):
         Xi = net[start : start + chunk]
-        if d == 4:
-            lo, hi = _screen_n2(phi, jphi, Xi)
-            tau = 1e-6 * hi.max()
-            Xi = Xi[(lo <= lo.min() + tau) | (hi >= hi.max() - tau)]
+        lo, hi = _screen_n2(phi, jphi, Xi)
+        tau = 1e-6 * hi.max()
+        Xi = Xi[(lo <= lo.min() + tau) | (hi >= hi.max() - tau)]
         lam3, lam1 = _gram_eigs(phi, jphi, Xi)
         lam3_min = min(lam3_min, float(lam3.min()))
         lam1_max = max(lam1_max, float(lam1.max()))
@@ -568,24 +565,26 @@ def certify_retrievable_complex(
     budget: int = 4_000_000,
     seed: int = 0,
 ) -> PRCertificate:
-    """Decide complex phase retrievability: a kernel witness at every n,
-    then two nets for n <= N_CAP; larger n without a witness is "undecided".
+    """Decide complex phase retrievability: a kernel witness at every n, then
+    a closed form at n = 1, two nets at n = 2, and "undecided" above.
 
     A frame fails iff its lifted kernel holds a rank-2 matrix ("Saving
     phase", Bandeira-Cahill-Mixon-Nelson): when the pair of
     ``_kernel_witness`` passes ``_verify_witness``, the verdict is
-    "not_retrievable" with no net tested.  Otherwise each of two rounds
-    evaluates the second-smallest eigenvalue of the gradient Gram on a
-    deterministic net and certifies half its minimum when twice the global
-    spectral bound times the net covering radius eps is at most that margin
-    (Weyl perturbation argument).  Round 0's 1024-point net calibrates the
-    covering law eps ~ coef / N^(1/(2n-2)), which sizes round 1's net for the
-    radius the margin needs, at most half round 0's, capped at ``budget``
-    points.  The global spectral bound starts at B max_k ||f_k||^2 and is
-    tightened each round by the sound update b <- min(b, max_net lambda_1 +
-    2 b eps).  If round 1 fails too, its net minimum less the Weyl slack is
-    the margin when positive, else the verdict is "undecided".  Covering
-    radii use _N_PROBES probes; ``budget`` must be an integer >= 1.
+    "not_retrievable" with no net tested.  At n = 1, R(xi) = S xi xi^T on
+    the unit circle, so a0 = b0 = S = sum_k |f_k|^4; the computed S errs by
+    less than (m + 5) eps S when it lies in [2^-970, inf), and ``a0_lower``
+    and ``b0_bound`` are S less and plus that allowance.  At n = 2 each of
+    two rounds takes lam3_min, the least second-smallest eigenvalue of the
+    gradient Gram over a net of covering radius eps, and reports the Weyl
+    margin lam3_min - 2 b0 eps.  Round 0's 1024-point net certifies only a
+    margin of at least half lam3_min; otherwise it calibrates the covering
+    law eps ~ coef / sqrt(N), which sizes round 1's net for that margin (at
+    most half round 0's radius, at most ``budget`` points).  Round 1
+    certifies any positive margin, else the verdict is "undecided".  b0
+    starts at B max_k ||f_k||^2 and is tightened each round by the sound
+    update b <- min(b, max_net lambda_1 + 2 b eps).  Covering radii use
+    _N_PROBES probes; ``budget`` must be an integer >= 1.
     """
     _check_counts(1, budget=budget)
     n = frame.n
@@ -598,45 +597,47 @@ def certify_retrievable_complex(
     nets = 0
     pair = _kernel_witness(frame)
     if pair is not None and _verify_witness(frame, *pair):
+        logger.debug("complex certificate n=%d m=%d: verified kernel witness", n, frame.m)
         return stop("not_retrievable", witness=pair, notes="rank-2 element of the lifted kernel")
+    if n == 1:
+        s = float(np.sum(np.abs(frame.vectors) ** 4))
+        logger.debug("complex certificate n=1 m=%d: sum |f_k|^4 = %.6g", frame.m, s)
+        if not 2.0**-970 <= s < np.inf:  # tiny / eps: underflow stays far below the allowance
+            return stop("undecided", notes="sum |f_k|^4 outside the certified float range")
+        slack = (frame.m + 5) * float(np.finfo(float).eps) * s
+        b0 = s + slack
+        return stop("retrievable", a0_lower=s - slack, notes="closed form at n = 1")
     if n > N_CAP:
         return stop("undecided", notes=f"ambient dimension {n} above cap {N_CAP}")
-    quotient_dim = max(2 * n - 2, 1)
     n_points = 1024
     for rnd in range(2):
-        if n == 2:
-            net = bloch_fibonacci_net(n_points, seed=[seed, rnd])
-        else:
-            net = sphere_net(2 * n, n_points, seed=[seed, rnd])
+        net = bloch_fibonacci_net(n_points, seed=[seed, rnd])
         n_built = net.shape[0]
         lam3_min, lam1_max = _scan_net(frame.phi, frame.jphi, net)
         nets += 1
         if n_built <= (1 << 18):
             eps_hat = quotient_covering_radius(net, n_probes=_N_PROBES, seed=seed + rnd)
         else:
-            # the lattice covering radius follows coef / N^(1/dim) closely;
+            # the lattice covering radius follows coef / sqrt(N) closely;
             # beyond the measurement size, extrapolate with a safety margin
-            eps_hat = 1.1 * coef / n_built ** (1.0 / quotient_dim)
+            eps_hat = 1.1 * coef / n_built ** 0.5
         if 2.0 * eps_hat < 1.0:
             for _ in range(4):
                 b0 = min(b0, lam1_max + 2.0 * b0 * eps_hat)
-        a0 = 0.5 * lam3_min
-        if a0 > 0.0 and 2.0 * b0 * eps_hat <= a0:
-            return stop("retrievable", a0_lower=a0, epsilon_final=eps_hat, net_points=n_built)
-        if rnd == 0:
-            # calibrate the covering law eps ~ coef / N^(1/quotient_dim) and
-            # size the last net for the radius the margin needs
-            coef = eps_hat * n_built ** (1.0 / quotient_dim)
-            goal = max(min(0.5 * eps_hat, a0 / (2.0 * b0) if a0 > 0 else np.inf), 1e-12)
-            n_points = min(int(max(1.3 * (coef / goal) ** quotient_dim, 2 * n_built)), budget)
-    salvage = lam3_min - 2.0 * b0 * eps_hat
-    if salvage > 0.0:
-        # a thinner but still positive certified margin (Weyl slack
-        # subtracted directly from the net minimum)
-        return stop(
-            "retrievable", a0_lower=salvage, epsilon_final=eps_hat, net_points=n_built,
-            notes="margin from the last net (below the half-minimum rule)",
+        weyl = 2.0 * b0 * eps_hat
+        margin = lam3_min - weyl
+        logger.debug(
+            "complex net round %d: %d points, eps %.4g, lam3_min %.6g, b0 %.6g, margin %.6g",
+            rnd, n_built, eps_hat, lam3_min, b0, margin,
         )
+        if margin > 0.0 and (rnd == 1 or weyl <= 0.5 * lam3_min):
+            return stop("retrievable", a0_lower=margin, epsilon_final=eps_hat, net_points=n_built)
+        if rnd == 0:
+            # calibrate the covering law eps ~ coef / sqrt(N) and size the
+            # last net for the radius a margin of half lam3_min needs
+            coef = eps_hat * n_built ** 0.5
+            goal = max(min(0.5 * eps_hat, lam3_min / (4.0 * b0) if lam3_min > 0 else np.inf), 1e-12)
+            n_points = min(int(max(1.3 * (coef / goal) ** 2, 2 * n_built)), budget)
     return stop("undecided", net_points=n_built, notes="net budget exhausted")
 
 

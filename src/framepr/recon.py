@@ -35,7 +35,7 @@ from .linalg import (
     hermitian_eig,
     spd_solve,
 )
-from .metrics import outer_distance, quotient_distance
+from .metrics import _distances
 
 _TIE_TOL = 1e-12
 
@@ -123,8 +123,7 @@ def _check_counts(low: int, /, **counts) -> None:
 
 def _attach_errors(result: ReconResult, x_true) -> ReconResult:
     if x_true is not None:
-        result.d2_error = quotient_distance(result.x_hat, x_true)
-        result.d1_error = outer_distance(result.x_hat, x_true, 1)
+        result.d2_error, result.d1_error = _distances(result.x_hat, x_true)
     return result
 
 
@@ -450,9 +449,7 @@ def spectral_init(frame: Frame, y, mode: str = "wf") -> SpectralInit:
     push = V[np.abs(c) <= _TIE_TOL * np.linalg.norm(V, axis=1)].sum(axis=0)
     start = e1 + _TIE_TOL / np.linalg.norm(push) * push if np.linalg.norm(push) > 0.0 else e1
     if mode == "wf":
-        total = float(np.sum(np.linalg.norm(V, axis=1) ** 2))
-        scale = np.sqrt(max(frame.n * float(np.sum(y)) / total, 0.0))
-        x0 = scale * start
+        x0 = _energy_norm(frame, y) * start
     elif mode == "irls":
         if a1 <= 0.0:
             return SpectralInit(a1=a1, e1=e1, x0=np.zeros(frame.n, dtype=complex))
@@ -461,6 +458,12 @@ def spectral_init(frame: Frame, y, mode: str = "wf") -> SpectralInit:
     else:
         raise ValueError(f"unknown spectral_init mode {mode!r}")
     return SpectralInit(a1=a1, e1=e1, x0=x0)
+
+
+def _energy_norm(frame: Frame, y: np.ndarray) -> float:
+    """Norm of the spectral start "wf": sqrt(n sum_k y_k / sum_k ||f_k||^2)."""
+    total = float(np.sum(np.linalg.norm(frame.vectors, axis=1) ** 2))
+    return math.sqrt(max(frame.n * float(np.sum(y)) / total, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -525,16 +528,16 @@ def wirtinger_flow(frame: Frame, y, opts: WirtingerOptions | None = None, x_true
     frame coefficients of x, d those of p, a = 2 Re(c conj d) and b = |d|^2
     (``_quartic_step``); then x <- x + t p and c <- c + t d, so a step costs
     one gradient and one analysis, and the misfit never increases (up to
-    rounding).  Stops when ||g|| <= WF_TOL ||x0||^3 (``stop_reason`` "tol")
-    or at the iteration cap ("max_iter"); a zero start returns at once
-    ("degenerate", not ``converged``).
+    rounding).  Stops on "tol" when ||g|| <= WF_TOL ||x_s||^3, x_s the
+    spectral start whatever the start, and x fits y better than x = 0, a
+    critical point where a start near 0 passes that test; else on
+    "max_iter".  A zero start returns at once ("degenerate", not converged).
     """
     opts = opts or WirtingerOptions()
     y = np.maximum(_values(frame, y), 0.0)
     m = frame.m
     x = spectral_init(frame, y, mode="wf").x0 if opts.x0 is None else _start(frame, opts.x0)
-    norm0_sq = float(np.vdot(x, x).real)
-    if norm0_sq == 0.0:
+    if float(np.vdot(x, x).real) == 0.0:
         result = ReconResult(
             x_hat=x, iterations=0,
             residual=float(np.linalg.norm(intensity_map(frame, x) - y)),
@@ -545,7 +548,8 @@ def wirtinger_flow(frame: Frame, y, opts: WirtingerOptions | None = None, x_true
     trace_log: list[float] = []
     stop_reason = "max_iter"
     it = 0
-    gscale = max(norm0_sq ** 1.5, np.finfo(float).tiny)
+    gscale = max(_energy_norm(frame, y) ** 3, np.finfo(float).tiny)
+    y_norm = float(np.linalg.norm(y))
     c = analysis(frame, x)
     # an infinite previous norm makes beta 0, so the first direction is -g
     p = g_prev = np.zeros_like(x)
@@ -555,7 +559,7 @@ def wirtinger_flow(frame: Frame, y, opts: WirtingerOptions | None = None, x_true
         g = synthesis(frame, misfit * c) / m
         gg = float(np.vdot(g, g).real)
         trace_log.append(float(np.linalg.norm(misfit)))
-        if math.sqrt(gg) <= WF_TOL * gscale:
+        if math.sqrt(gg) <= WF_TOL * gscale and trace_log[-1] < y_norm:
             stop_reason = "tol"
             break
         beta = max(0.0, (gg - float(np.vdot(g_prev, g).real)) / gg_prev)

@@ -241,6 +241,12 @@ def test_exit_code_bad_solver_options(tmp_path, alg):
         ("recon", {"algorithms": [{"name": "lifted_linear"}, {"name": "lifted_linear"}]}),
         # a frame header that disagrees with its vector table
         ("recon", {"frame": {"inline": {"n": 2, "m": 3, "vectors": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}}}),
+        # JSON integers beyond every float compare below infinity
+        ("recon", {"success_threshold": 10**400}),
+        ("recon", {"signal": {"kind": "gaussian", "norm": 10**400}}),
+        ("sweep", {"sweep": {"parameter": "sigma", "values": [0.1, 10**400]}}),
+        ("recon", {"noise": {"kind": "awgn", "sigma": 10**400}}),
+        ("recon", {"noise": {"kind": "coefficient", "rho": 10**400}}),
     ],
 )
 def test_exit_code_bad_config_values(tmp_path, verb, patch):
@@ -392,13 +398,15 @@ def test_cached_parser_parses_each_call_independently(monkeypatch):
 
 def test_import_leaves_slow_scipy_modules_unloaded():
     # scipy.stats, scipy.optimize and scipy.integrate take most of a cold
-    # import; only sphere_net loads scipy.stats, and no framepr path loads
-    # the other two
+    # import; only sphere_net loads scipy.stats, and no certificate or other
+    # framepr path calls it or loads the other two
     root = pathlib.Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     code = (
         "import sys, framepr, framepr.cli; "
+        "[framepr.certify_retrievable_complex(framepr.random_frame(n, 4 * n, seed=0), budget=4096) "
+        "for n in (1, 2)]; "
         "print(sorted(m for m in ('scipy.stats', 'scipy.optimize', 'scipy.integrate') "
         "if m in sys.modules))"
     )

@@ -390,7 +390,8 @@ def test_crlb_upper_bound_orthogonal_anchor():
         crlb_upper_bound(frame, e[0], e[1], 0.5, 1.0)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0,
+                                 pytest.param(10**400, id="int_beyond_float")])
 def test_noise_and_bound_parameters_are_finite_and_positive(bad):
     frame = random_frame(2, 6, seed=1)
     x = np.array([1.0, 0.5j])

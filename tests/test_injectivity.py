@@ -3,6 +3,7 @@ import re
 import time
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -309,22 +310,17 @@ def _unscreened_scan(frame, net):
 
 
 # random_frame(2, 3) gets within 4e-13 lambda_1 of lambda_3 = 0 on this net;
-# the SIC frame has a double root 1/3 at every point, so every row is rechecked;
-# at n = 3 no screen runs and every chunk is solved exactly
+# the SIC frame has a double root 1/3 at every point, so every row is rechecked
 @pytest.mark.parametrize(
     "frame",
-    [random_frame(2, 8, "gaussian", seed=4), random_frame(2, 3, seed=0), _tetrahedral_sic(),
-     random_frame(3, 12, "gaussian", seed=2)],
-    ids=["gaussian_m8", "m3", "sic", "n3_m12"],
+    [random_frame(2, 8, "gaussian", seed=4), random_frame(2, 3, seed=0), _tetrahedral_sic()],
+    ids=["gaussian_m8", "m3", "sic"],
 )
 @pytest.mark.parametrize("chunk", [None, 4096])
 def test_scan_net_matches_unscreened_scan(frame, chunk, monkeypatch):
     if chunk is not None:
         monkeypatch.setattr(injectivity, "_SCAN_CHUNK", chunk)
-    if frame.n == 2:
-        net = bloch_fibonacci_net(65536 + 777, seed=[2, 1])
-    else:
-        net = sphere_net(6, 1 << 16, seed=[2, 1])[:40_000]
+    net = bloch_fibonacci_net(65536 + 777, seed=[2, 1])
     # several chunks, the last one partial (8e6 / (m d) rows exceed the chunk)
     assert net.shape[0] > injectivity._SCAN_CHUNK and net.shape[0] % injectivity._SCAN_CHUNK
     lam3, lam1 = _scan_net(frame.phi, frame.jphi, net)
@@ -356,9 +352,45 @@ def test_certify_rejects_nonpositive_counts(option, value):
 
 
 def test_certify_scalar_frame():
+    # at n = 1, a0 = b0 = sum_k |f_k|^4 exactly, less and plus (m + 5) eps
+    # of it for roundoff
     cert = certify_retrievable_complex(make_frame(np.array([[1.0 + 0j]])))
     assert cert.verdict == "retrievable"
-    assert cert.a0_lower == pytest.approx(0.5, abs=1e-9)
+    assert cert.a0_lower == pytest.approx(1.0, abs=1e-14) and cert.a0_lower < 1.0
+    assert cert.nets_tested == 0 and cert.net_points is None
+
+
+@pytest.mark.parametrize("m", [1, 3, 40])
+def test_certify_n1_closed_form_brackets_the_fourth_moment(m, monkeypatch):
+    V = rng_from_seed([m, 0x6E31]).normal(size=(m, 2)) @ [1.0, 1j]
+    frame = make_frame(V[:, None], field="complex")
+    with mpmath.workdps(60):
+        exact = mpmath.fsum((mpmath.mpf(v.real) ** 2 + mpmath.mpf(v.imag) ** 2) ** 2 for v in V)
+    for net in ("bloch_fibonacci_net", "sphere_net", "_scan_net"):
+        monkeypatch.setattr(injectivity, net, None)  # no net is built or scanned
+    cert = certify_retrievable_complex(frame, seed=m)
+    allowance = (m + 5) * np.finfo(float).eps * float(exact)
+    assert cert.verdict == "retrievable" and cert.nets_tested == 0
+    assert cert.a0_lower <= exact <= cert.b0_bound
+    assert exact - cert.a0_lower <= 2 * allowance and cert.b0_bound - exact <= 2 * allowance
+
+
+def test_certify_logs_each_round_and_the_outcome(caplog):
+    frames = [random_frame(2, 8, "gaussian", seed=3), make_frame(np.array([[1.0 + 0j]])),
+              make_frame(np.array([[1, 0], [0, 1], [1, 1]], dtype=complex), field="complex")]
+    with caplog.at_level(logging.DEBUG, logger="framepr"):
+        certs = [certify_retrievable_complex(frame, seed=3) for frame in frames]
+    messages = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+    rounds = [msg for msg in messages if msg.startswith("complex net round")]
+    assert len(rounds) == certs[0].nets_tested == 2
+    fields = re.findall(r"(\d+) points, eps (\S+), lam3_min (\S+), b0 (\S+), margin (\S+)", rounds[1])
+    points, eps, lam3, b0, margin = fields[0]
+    assert int(points) == certs[0].net_points
+    assert float(margin) == pytest.approx(certs[0].a0_lower, rel=1e-5)
+    assert float(lam3) - 2.0 * float(b0) * float(eps) == pytest.approx(float(margin), rel=1e-3)
+    assert sum("n=1 m=1: sum |f_k|^4 = 1" in msg for msg in messages) == 1
+    assert certs[2].verdict == "not_retrievable"
+    assert sum("verified kernel witness" in msg for msg in messages) == 1
 
 
 def test_certify_gaussian_frame_sound():
@@ -437,20 +469,27 @@ def test_certify_n3_is_undecided_at_once(m):
 
 
 # the acceptance fixture frames 0-4 certify in their second net; the pinned
-# margins and net sizes guard the calibration net and the sizing law
-@pytest.mark.parametrize("seed, a0_lower, net_points", [
+# Weyl margins and net sizes guard the calibration net and the sizing law.
+# The second net is sized for a margin of at least half its minimum
+# lam3_min, and the middle column pins that half: a floor for the margin
+_WEYL_MARGINS = [0.2559590858164621, 0.21655223807773105, 0.3874574564899139,
+                 0.35936067966480695, 0.6477805748969072]
+
+
+@pytest.mark.parametrize("seed, half_minimum, net_points", [
     (0, 0.20953401631252036, 90822),
     (1, 0.17937029778168395, 63778),
     (2, 0.3219890896357118, 144658),
     (3, 0.2997233310576414, 47951),
     (4, 0.5407261493267104, 17696),
 ])
-def test_certify_fixture_frames_are_pinned(seed, a0_lower, net_points):
+def test_certify_fixture_frames_are_pinned(seed, half_minimum, net_points):
     frame = random_frame(2, 8, "gaussian", seed=seed)
     cert = certify_retrievable_complex(frame, seed=seed, budget=16_000_000)
     assert cert.verdict == "retrievable" and cert.nets_tested == 2
     assert cert.net_points == net_points
-    assert cert.a0_lower == pytest.approx(a0_lower, rel=1e-9, abs=0.0)
+    assert cert.a0_lower == pytest.approx(_WEYL_MARGINS[seed], rel=1e-9, abs=0.0)
+    assert cert.a0_lower >= half_minimum
 
 
 def test_certify_minimal_redundancy_frame():

@@ -32,12 +32,13 @@ def test_quotient_distance_matches_grid(rng):
         assert quotient_distance(x, y) == pytest.approx(grid_min(x, y), abs=1e-6)
 
 
-@pytest.mark.parametrize("sep", [1e-1, 1e-3, 1e-6])
+@pytest.mark.parametrize("sep", [1e-1, 1e-3, 1e-6, 1e-9, 1e-12, 1e-14])
 def test_quotient_distance_matches_high_precision(rng, sep):
     # y a relative distance sep from the phase orbit of x, at a random phase.
-    # Aligning y rounds each entry by about eps ||y||, so the relative error
-    # grows like eps / sep; the closed form sqrt(||x||^2 + ||y||^2 - 2 |<x, y>|)
-    # loses eps / sep^2 instead
+    # d2 is ||x x* - y y*||_1, formed exactly, over a sum of positive terms,
+    # so it keeps a few eps at every separation; aligning y would round each
+    # entry by about eps ||y|| and lose eps / sep, and the closed form
+    # sqrt(||x||^2 + ||y||^2 - 2 |<x, y>|) eps / sep^2
     worst = 0.0
     for _ in range(40):
         x, w = random_complex(rng, 4), random_complex(rng, 4)
@@ -49,7 +50,12 @@ def test_quotient_distance_matches_high_precision(rng, sep):
             ip = abs(mpmath.fsum(a * mpmath.conj(b) for a, b in zip(X, Y)))
             ref = mpmath.sqrt(mpmath.fsum(abs(a) ** 2 for a in X + Y) - 2 * ip)
             worst = max(worst, float(abs(quotient_distance(x, y) - ref) / ref))
-    assert worst <= 1e-15 / sep
+    assert worst <= 1e-15
+
+
+def test_quotient_distance_of_zero_vectors():
+    assert quotient_distance(np.zeros(3), np.zeros(3)) == 0.0
+    assert quotient_distance([0.0, 3j], np.zeros(2)) == 3.0
 
 
 def test_outer_distance_examples():

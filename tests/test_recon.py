@@ -575,9 +575,30 @@ def test_wirtinger_noisy_stops_on_tol_with_nonincreasing_misfit():
         assert len(result.trace) == result.iterations
         assert np.all(np.diff(result.trace) <= 0.0)
         c = frame.vectors.conj() @ result.x_hat
-        g = frame.vectors.T @ (((c * c.conj()).real - np.maximum(y, 0.0)) * c) / frame.m
-        x0 = spectral_init(frame, y, mode="wf").x0
-        assert np.linalg.norm(g) <= recon.WF_TOL * np.linalg.norm(x0) ** 3
+        y_plus = np.maximum(y, 0.0)
+        scale = recon._energy_norm(frame, y_plus)
+        assert scale == pytest.approx(np.linalg.norm(spectral_init(frame, y_plus).x0), rel=1e-14)
+        g = frame.vectors.T @ (((c * c.conj()).real - y_plus) * c) / frame.m
+        assert np.linalg.norm(g) <= recon.WF_TOL * scale**3
+
+
+def test_wirtinger_stop_scale_comes_from_y_not_the_start():
+    # a small explicit start used to set the gradient test's scale ||x0||^3 and
+    # ran the whole budget at residual 1e-14; the scale is now the norm of
+    # the energy-matched start, so every start stops on "tol".  Starts within
+    # about 1e-9 of that norm from the critical point x = 0 pass the
+    # gradient test there, and the misfit condition sends them on
+    frame = random_frame(3, 12, seed=1)
+    x = unit_signal(3, 1)
+    y = intensity_map(frame, x)
+    for x0 in (None, 1e-3 * np.ones(3), 1e-20 * np.ones(3), 1e-80 * np.ones(3)):
+        result = wirtinger_flow(frame, y, WirtingerOptions(x0=x0, max_iter=3000), x_true=x)
+        assert result.stop_reason == "tol" and result.iterations < 300
+        assert result.d2_error <= 1e-6
+    # y = 0 gives a zero scale: an explicit start shrinks toward 0 and never
+    # claims convergence
+    result = wirtinger_flow(frame, np.zeros(12), WirtingerOptions(x0=np.ones(3), max_iter=50))
+    assert result.stop_reason == "max_iter" and np.linalg.norm(result.x_hat) < 0.1
 
 
 def _quartic(r, a, b, t):
