@@ -198,7 +198,8 @@ def cg_solve(
     ``||A x - b|| <= tol * ||b||`` was reached within the budget.  A direction
     of strictly negative curvature raises IndefiniteOperator.
     """
-    b = np.asarray(b, dtype=float if not np.iscomplexobj(b) else complex)
+    if type(b) is not np.ndarray or b.dtype not in (np.float64, np.complex128):
+        b = np.asarray(b, dtype=float if not np.iscomplexobj(b) else complex)
     n = b.shape[0]
     if max_iter is None:
         max_iter = 10 * n

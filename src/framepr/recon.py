@@ -25,7 +25,7 @@ from .errors import (
     NoConvergence,
     NonFiniteMeasurement,
 )
-from .frames import Frame, analysis, intensity_map, synthesis
+from .frames import Frame, analysis, intensity_map
 from .lifting import complexify, lifted_map, lifted_map_adjoint, realify
 from .linalg import (
     DEFAULT_RANK_TOL,
@@ -370,16 +370,17 @@ def gerchberg_saxton(frame: Frame, y, opts: GSOptions | None = None, x_true=None
     once, for both the residual and the next sweep.  Convergence is not
     guaranteed; the best iterate by magnitude residual is returned.  The loop
     stops with ``stop_reason`` "tol" when that residual falls to
-    GS_TOL max(||sqrt(y)||, 1), the only stop that sets ``converged``;
-    "stagnation" when it changes by less than GS_TOL relative between
-    sweeps; and "max_iter" otherwise.  Negative measurements are clamped to
-    zero.
+    GS_TOL ||sqrt(y)||, the only stop that sets ``converged``; "stagnation"
+    when it changes by less than GS_TOL relative between sweeps; and
+    "max_iter" otherwise.  Neither test has units, so scaling y by 4^k scales
+    x_hat by 2^k and leaves the sweeps and the stop reason unchanged.
+    Negative measurements are clamped to zero.
     """
     opts = opts or GSOptions()
     x = spectral_init(frame, y, mode="wf").x0 if opts.x0 is None else _start(frame, opts.x0)
     y = np.maximum(_values(frame, y), 0.0)
     r = np.sqrt(y)
-    duals = frame.dual
+    duals_t = frame.dual.vectors.T
     best_res = np.inf
     best_x = x
     best_it = 0
@@ -387,14 +388,17 @@ def gerchberg_saxton(frame: Frame, y, opts: GSOptions | None = None, x_true=None
     prev_res = None
     stop_reason = "max_iter"
     it = 0
-    floor = GS_TOL * max(float(np.linalg.norm(r)), 1.0)
+    floor = GS_TOL * math.sqrt(r.dot(r))
     c = analysis(frame, x)
     for it in range(1, opts.max_iter + 1):
         absc = np.abs(c)
-        d = np.where(absc > 0.0, r * c / np.where(absc > 0.0, absc, 1.0), r)
-        x = synthesis(duals, d)
+        # r c / |c|, and r itself (phase 1) where c = 0
+        d = r.astype(complex)
+        np.divide(r * c, absc, out=d, where=absc > 0.0)
+        x = duals_t @ d
         c = analysis(frame, x)
-        res = float(np.linalg.norm(np.abs(c) - r))
+        e = np.abs(c) - r
+        res = math.sqrt(e.dot(e))  # np.linalg.norm's own sum
         trace_log.append(res)
         if res < best_res:
             best_res, best_x, best_it = res, x, it
@@ -504,16 +508,15 @@ def _quartic_step(r: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     disc = 0.25 * Q * Q + P * P * P / 27.0
     if disc >= 0.0:
         A = -math.copysign(math.cbrt(0.5 * abs(Q) + math.sqrt(disc)), Q)
-        roots = [A - P / (3.0 * A) if A != 0.0 else 0.0]
-    else:
-        rad = math.sqrt(-P / 3.0)
-        theta = math.acos(max(-1.0, min(1.0, -0.5 * Q / rad**3)))
-        roots = [2.0 * rad * math.cos((theta - 2.0 * math.pi * k) / 3.0) for k in range(3)]
+        return (A - P / (3.0 * A) if A != 0.0 else 0.0) - shift
+    rad = math.sqrt(-P / 3.0)
+    theta = math.acos(max(-1.0, min(1.0, -0.5 * Q / rad**3)))
 
     def phi(t: float) -> float:  # phi(t) - phi(0)
         return t * (2.0 * s_ra + t * (s_aa + 2.0 * s_rb + t * (2.0 * s_ab + t * s_bb)))
 
-    return min((u - shift for u in roots), key=phi)
+    return min((2.0 * rad * math.cos((theta - 2.0 * math.pi * k) / 3.0) - shift
+                for k in range(3)), key=phi)
 
 
 def wirtinger_flow(frame: Frame, y, opts: WirtingerOptions | None = None, x_true=None) -> ReconResult:
@@ -550,15 +553,17 @@ def wirtinger_flow(frame: Frame, y, opts: WirtingerOptions | None = None, x_true
     it = 0
     gscale = max(_energy_norm(frame, y) ** 3, np.finfo(float).tiny)
     y_norm = float(np.linalg.norm(y))
-    c = analysis(frame, x)
+    # analysis and synthesis as bare products
+    conj_v, v_t = frame.conj_vectors, frame.vectors.T
+    c = conj_v @ x
     # an infinite previous norm makes beta 0, so the first direction is -g
     p = g_prev = np.zeros_like(x)
     gg_prev = math.inf
     for it in range(1, opts.max_iter + 1):
         misfit = (c * c.conj()).real - y
-        g = synthesis(frame, misfit * c) / m
+        g = v_t @ (misfit * c) / m
         gg = float(np.vdot(g, g).real)
-        trace_log.append(float(np.linalg.norm(misfit)))
+        trace_log.append(math.sqrt(misfit.dot(misfit)))
         if math.sqrt(gg) <= WF_TOL * gscale and trace_log[-1] < y_norm:
             stop_reason = "tol"
             break
@@ -566,7 +571,7 @@ def wirtinger_flow(frame: Frame, y, opts: WirtingerOptions | None = None, x_true
         p = beta * p - g
         if np.vdot(p, g).real >= 0.0:
             p = -g
-        d = analysis(frame, p)
+        d = conj_v @ p
         t = _quartic_step(misfit, 2.0 * (c * d.conj()).real, (d * d.conj()).real)
         x = x + t * p
         c = c + t * d
@@ -664,10 +669,11 @@ def irls(frame: Frame, y, opts: IRLSOptions | None = None, x_true=None) -> Recon
     m, d = frame.m, 2 * frame.n
     rows = frame.realified_rows
     # Z = coefficient_columns(frame, p, q) = phi^T p + (J phi)^T q and the
-    # normal matrix are rebuilt in these buffers on every step; Z is stored
+    # normal matrix are rebuilt in these buffers on every step, Z as the sum
+    # of the two column blocks of W = rows^T diag(pq); Z is stored
     # column-major, as phi^T is, which keeps the BLAS products' bits
-    phi_t, jphi_t = frame.phi.T, frame.jphi.T
-    Z, Zq = np.empty((m, d)).T, np.empty((m, d)).T
+    rows_t = rows.T
+    W, Z = np.empty((2 * m, d)).T, np.empty((m, d)).T
     A, rhs = np.empty((d, d)), np.empty(d)
     A_diag = A.reshape(-1)[:: d + 1]
     best_val = np.inf
@@ -683,11 +689,10 @@ def irls(frame: Frame, y, opts: IRLSOptions | None = None, x_true=None) -> Recon
     pq = np.dot(rows, xi)
     sq = pq * pq
     r = sq[:m] + sq[m:] - y
-    xx = xi.dot(xi)
+    rr, xx = r.dot(r), xi.dot(xi)
     for it in range(1, opts.max_outer + 1):
-        np.multiply(phi_t, pq[:m], out=Z)
-        np.multiply(jphi_t, pq[m:], out=Zq)
-        Z += Zq
+        np.multiply(rows_t, pq, out=W)
+        np.add(W[:, :m], W[:, m:], out=Z)
         np.dot(Z, Z.T, out=A)
         A_diag += lam + mu
         np.dot(Z, y, out=rhs)
@@ -704,8 +709,9 @@ def irls(frame: Frame, y, opts: IRLSOptions | None = None, x_true=None) -> Recon
         r_cross -= y
         uu = xi_u.dot(xi_u)
         step = xi_u - xi
-        # irls_objective at (x, x), (u, x) and (u, u), from the residuals
-        sub_before = float(r.dot(r) + 2.0 * lam * xx)
+        # irls_objective at (x, x), (u, x) and (u, u), from the residuals;
+        # r.r is the previous step's misfit
+        sub_before = float(rr + 2.0 * lam * xx)
         sub_after = float(r_cross.dot(r_cross) + lam * uu + mu * step.dot(step) + lam * xx)
         misfit = float(r_u.dot(r_u))
         outer_log.append(
@@ -714,7 +720,7 @@ def irls(frame: Frame, y, opts: IRLSOptions | None = None, x_true=None) -> Recon
         )
         trace_log.append(misfit)
         xi_prev = xi
-        xi, pq, r, xx = xi_u, pq_u, r_u, uu
+        xi, pq, rr, xx = xi_u, pq_u, misfit, uu
         if misfit < best_val:
             best_val = misfit
             best_xi = xi

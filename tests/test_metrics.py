@@ -5,8 +5,10 @@ import pytest
 from framepr import (
     hermitian_eig,
     lift_outer,
+    metrics,
     outer_distance,
     quotient_distance,
+    rank_one_diff_spectrum,
 )
 from conftest import random_complex
 
@@ -56,6 +58,35 @@ def test_quotient_distance_matches_high_precision(rng, sep):
 def test_quotient_distance_of_zero_vectors():
     assert quotient_distance(np.zeros(3), np.zeros(3)) == 0.0
     assert quotient_distance([0.0, 3j], np.zeros(2)) == 3.0
+
+
+@pytest.mark.parametrize("x, y, d2, d1", [
+    # ||x||^2 overflows: unscaled, the quotient is inf / inf = NaN
+    ([1e160, 2e160j], [3e160, 1e160], 2.7908596254688306e160, np.inf),
+    # ||x||^2 underflows to 0: unscaled, d2 is 0 for two distinct classes
+    ([1e-170, 2e-170j], [3e-170, 1e-170], 2.7908596254688304e-170, 0.0),
+])
+def test_quotient_distance_of_huge_and_tiny_vectors(x, y, d2, d1):
+    # d2 is exact on the pair scaled by a power of two into the float range,
+    # whichever power it is; d1 = ||xx* - yy*||_1 itself leaves that range
+    assert quotient_distance(x, y) == d2
+    assert metrics._distances(x, y) == (d2, d1)
+    for k in (-600, -530, 530):
+        s = 2.0**k
+        if 2.0**-500 < (s * abs(x[0])) ** 2 < 2.0**500:
+            assert quotient_distance(s * np.array(x), s * np.array(y)) / s == d2
+
+
+def test_quotient_distance_keeps_its_bits_inside_the_float_range(rng):
+    # the rescaling only runs when the sum under the root leaves
+    # [2^-500, 2^500]; elsewhere d2 and d1 are the unscaled formula's bits
+    for k in range(40):
+        n = 1 + k % 5
+        x = random_complex(rng, n) * 10.0 ** rng.uniform(-70, 70)
+        y = random_complex(rng, n) * 10.0 ** rng.uniform(-70, 70)
+        norm1 = rank_one_diff_spectrum(x, y).norm1
+        den = np.sqrt(np.vdot(x, x).real + np.vdot(y, y).real + 2.0 * abs(np.vdot(y, x)))
+        assert metrics._distances(x, y) == (float(norm1 / den), norm1)
 
 
 def test_outer_distance_examples():

@@ -1,3 +1,8 @@
+import hashlib
+import json
+import math
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -435,7 +440,7 @@ def _gs_reference(frame, y, x0, max_iter):
     """Gerchberg-Saxton analyzing each sweep's start and result separately;
     returns (x_hat, iterations, stop_reason, trace)."""
     r = np.sqrt(np.maximum(np.asarray(y, dtype=float), 0.0))
-    floor = recon.GS_TOL * max(float(np.linalg.norm(r)), 1.0)
+    floor = recon.GS_TOL * float(np.linalg.norm(r))
     x, best_res, best_x, trace, prev, stop = x0, np.inf, x0, [], None, "max_iter"
     for it in range(1, max_iter + 1):
         c = frame.vectors.conj() @ x
@@ -605,11 +610,40 @@ def _quartic(r, a, b, t):
     return float(np.sum((r + a * t + b * t * t) ** 2))
 
 
+def _quartic_step_over_root_list(r, a, b):
+    """The closed form as a min over a list of real roots, the single root
+    of the one-root case included; returns (t, number of roots)."""
+    s_bb = float(b @ b)
+    if s_bb == 0.0:
+        return 0.0, 0
+    s_ab, s_aa, s_rb, s_ra = float(a @ b), float(a @ a), float(r @ b), float(r @ a)
+    e2 = 1.5 * s_ab / s_bb
+    e1 = 0.5 * (s_aa + 2.0 * s_rb) / s_bb
+    e0 = 0.5 * s_ra / s_bb
+    shift = e2 / 3.0
+    P = e1 - e2 * shift
+    Q = shift * (2.0 * shift * shift - e1) + e0
+    disc = 0.25 * Q * Q + P * P * P / 27.0
+    if disc >= 0.0:
+        A = -math.copysign(math.cbrt(0.5 * abs(Q) + math.sqrt(disc)), Q)
+        roots = [A - P / (3.0 * A) if A != 0.0 else 0.0]
+    else:
+        rad = math.sqrt(-P / 3.0)
+        theta = math.acos(max(-1.0, min(1.0, -0.5 * Q / rad**3)))
+        roots = [2.0 * rad * math.cos((theta - 2.0 * math.pi * k) / 3.0) for k in range(3)]
+
+    def phi(t):
+        return t * (2.0 * s_ra + t * (s_aa + 2.0 * s_rb + t * (2.0 * s_ab + t * s_bb)))
+
+    return min((u - shift for u in roots), key=phi), len(roots)
+
+
 def test_quartic_step_is_the_global_line_minimizer():
     # the closed form against np.roots of phi' and a dense grid, over draws
     # whose phi' has one real root and draws (r << 0, a double well) with
     # three; in some of the latter phi'(0) < 0 and still the deeper well lies
-    # at t < 0
+    # at t < 0.  Each t is also, bit for bit, the min over a root list that
+    # the one-root case returns without building
     rng = rng_from_seed(40)
     kinds = {"one": 0, "three": 0, "descent_but_negative": 0}
     for k in range(300):
@@ -618,6 +652,7 @@ def test_quartic_step_is_the_global_line_minimizer():
         a = rng.normal(size=m) * (0.2 if k % 2 else 1.0)
         b = rng.random(m)
         t = recon._quartic_step(r, a, b)
+        assert t == _quartic_step_over_root_list(r, a, b)[0]
         cubic = [4.0 * b @ b, 6.0 * a @ b, 2.0 * (a @ a + 2.0 * r @ b), 2.0 * r @ a]
         crit = np.roots(cubic)
         crit = crit[np.abs(crit.imag) <= 1e-7 * (1.0 + np.abs(crit))].real
@@ -633,6 +668,13 @@ def test_quartic_step_is_the_global_line_minimizer():
     assert all(count > 0 for count in kinds.values()), kinds
     # b = 0 forces a = 0 along a Wirtinger line, so phi is constant there
     assert recon._quartic_step(np.ones(3), np.zeros(3), np.zeros(3)) == 0.0
+    # A = 0, a triple root: phi = (r0 + a0 t + t^2)^2 + r1^2 with moments
+    # that make P = Q = 0 exactly, at t = 0 and at t = -1
+    for r, a, b, t in [([1.0, 0.0], [0.0, 0.0], [0.0, 1.0], 0.0),
+                       ([1.0, 5.0], [2.0, 0.0], [1.0, 0.0], -1.0)]:
+        r, a, b = np.array(r), np.array(a), np.array(b)
+        assert _quartic_step_over_root_list(r, a, b) == (t, 1)
+        assert recon._quartic_step(r, a, b) == t
 
 
 def test_wirtinger_direction_matches_finite_differences():
@@ -959,6 +1001,43 @@ def test_irls_noiseless_solves_still_stop_on_tolerance(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# pinned outputs of the vector solvers
+# ---------------------------------------------------------------------------
+
+_PINS = pathlib.Path(__file__).parent / "data" / "vector_solver_pins.json"
+
+
+def _sha256(values) -> str:
+    return hashlib.sha256(np.ascontiguousarray(values, dtype=float).tobytes()).hexdigest()
+
+
+def test_vector_solvers_match_pinned_outputs():
+    # every GS, WF and IRLS solve of a noisy n = 8, m = 64 panel (awgn sigma
+    # 0.005, 0.01 and 0.02, three unit signals, default options) against
+    # recorded outputs: iterations, stop reason, residual, the trace and
+    # IRLS's criterion log (by SHA-256 of their float64 bytes) and x_hat, all
+    # bit for bit, so a rewrite of the steps that changes any floating-point
+    # operation shows here
+    pins = json.loads(_PINS.read_text())
+    assert len(pins) == 27
+    frame = random_frame(8, 64, "gaussian", seed=[8, 64])
+    for pin in pins:
+        s, sigma = pin["signal"], pin["sigma"]
+        noise = rng_from_seed([301, s, int(sigma * 1000)]).normal(size=64)
+        y = intensity_map(frame, unit_signal(8, 300 + s)) + sigma * noise
+        result = getattr(recon, pin["solver"])(frame, y)
+        case = (pin["solver"], s, sigma)
+        assert (result.iterations, result.stop_reason) == (pin["iterations"], pin["stop_reason"]), case
+        assert result.residual == pin["residual"], case
+        assert _sha256(result.trace) == pin["trace_sha256"], case
+        assert result.x_hat.tolist() == [complex(re, im) for re, im in pin["x_hat"]], case
+        if "outer_log_sha256" in pin:
+            log = [[e["J_sub_before"], e["J_sub_after"], e["J_misfit"]]
+                   for e in result.diagnostics["outer_log"]]
+            assert _sha256(log) == pin["outer_log_sha256"], case
+
+
+# ---------------------------------------------------------------------------
 # phase covariance across solvers
 # ---------------------------------------------------------------------------
 
@@ -983,18 +1062,22 @@ def test_phase_covariance(rotate):
 
 
 def test_lifted_solvers_are_scale_equivariant():
-    # no tolerance or floor of lifted_linear or PhaseLift has units, so
-    # scaling y by 4^k scales X_hat by 4^k and x_hat by 2^k exactly, and
-    # leaves the steps and the stop reason unchanged, down to 2^-120 and up
-    # to 2^120; PhaseLift runs below (m = 8) and above (m = 12) n^2 = 9
+    # no tolerance or floor of lifted_linear, PhaseLift or Gerchberg-Saxton
+    # has units, so scaling y by 4^k scales X_hat by 4^k and x_hat by 2^k
+    # exactly, and leaves the steps and the stop reason unchanged, down to
+    # 2^-120 and up to 2^120; PhaseLift runs below (m = 8) and above (m = 12)
+    # n^2 = 9, and GS also at n = 4, m = 32
     def solves(frame, y):
-        yield "lifted_linear", lifted_linear(frame, y) if frame.m >= 9 else None
-        for fit in ("l2", "l1_reweighted"):
-            yield fit, phaselift(frame, y, PhaseLiftOptions(fit=fit))
+        if frame.n == 3:
+            yield "lifted_linear", lifted_linear(frame, y) if frame.m >= 9 else None
+            for fit in ("l2", "l1_reweighted"):
+                yield fit, phaselift(frame, y, PhaseLiftOptions(fit=fit))
+        yield "gerchberg_saxton", gerchberg_saxton(frame, y)
 
-    for m in (8, 12):
-        frame = random_frame(3, m, "gaussian", seed=[160, m])
-        exact = intensity_map(frame, unit_signal(3, m))
+    frames = [random_frame(3, m, "gaussian", seed=[160, m]) for m in (8, 12)]
+    for frame in frames + [random_frame(4, 32, "gaussian", seed=3)]:
+        n, m = frame.n, frame.m
+        exact = intensity_map(frame, unit_signal(n, m))
         for y in (exact, exact + 0.01 * rng_from_seed([161, m]).normal(size=m)):
             base = dict(solves(frame, y))
             for k in (-60, -40, -20, -4, 4, 20, 40, 60):
@@ -1002,7 +1085,8 @@ def test_lifted_solvers_are_scale_equivariant():
                     ref = base[name]
                     if ref is None:
                         continue
-                    assert np.array_equal(result.X_hat, 4.0**k * ref.X_hat), (name, m, k)
+                    if ref.X_hat is not None:
+                        assert np.array_equal(result.X_hat, 4.0**k * ref.X_hat), (name, m, k)
                     assert np.array_equal(result.x_hat, 2.0**k * ref.x_hat), (name, m, k)
                     assert result.stop_reason == ref.stop_reason, (name, m, k)
                     assert result.iterations == ref.iterations, (name, m, k)
