@@ -80,7 +80,6 @@ from .metrics import outer_distance, quotient_distance
 from .injectivity import (
     BoundsReport,
     PRCertificate,
-    ambiguous_pair_real,
     certify_retrievable_complex,
     check_retrievable_real,
     fourth_moment_max,

@@ -54,6 +54,17 @@ TASK_OPTIONS = {
     "n_starts": (64, 0, 10_000),
     "samples": (2000, 2, 1_000_000),
 }
+# the largest value of each other count a config sets, checked before
+# anything is built, with the cost it limits
+COUNT_CAPS = {
+    "n": 64,  # an ensemble's dimension: the lifted solvers and certificates
+    "m": 4096,  # hold its m x n^2 lift and that lift's SVD, 8 m n^2 bytes each
+    "trials": 10_000,  # per noise level: one solve and one record per algorithm each
+    "sweep.values": 100,  # noise levels, each a full set of trials
+    "max_iter": 100_000,  # Gerchberg-Saxton and Wirtinger steps, one trace entry each
+    "max_outer": 10_000,  # IRLS steps (one log entry each) or PhaseLift stages
+    "inner_max": 10_000,  # PhaseLift steps per stage; an l2 solve runs max_outer * inner_max
+}
 # the keys each config section may hold; a frame section names exactly one
 # source, and only an ensemble takes further keys; a noise section holds only
 # the parameter of its kind
@@ -92,7 +103,7 @@ def _check_section(name: str, section, allowed) -> None:
 def _frame_source(spec) -> str:
     """The one source a config 'frame' section names, after checking its keys,
     that an ensemble is one of ``ENSEMBLES`` and that its n, m and seed are
-    integers, 1 <= n <= m, seed >= 0."""
+    integers, 1 <= n <= m, seed >= 0, and n and m within ``COUNT_CAPS``."""
     sources = [key for key in _SECTION_KEYS["frame"] if key in spec] if isinstance(spec, dict) else []
     if len(sources) != 1:
         raise ConfigError(f"a frame section is an object naming exactly one of {'/'.join(_SECTION_KEYS['frame'])}")
@@ -104,9 +115,10 @@ def _frame_source(spec) -> str:
         if spec["ensemble"] not in ENSEMBLES:
             raise ConfigError(f"unknown ensemble {spec['ensemble']!r}; known: {', '.join(ENSEMBLES)}")
         n, m, seed = spec.get("n"), spec.get("m"), spec.get("seed", 0)
-        if not all(map(_whole, (n, m, seed))) or not 1 <= n <= m or seed < 0:
-            raise ConfigError(f"an ensemble needs integers 1 <= n <= m and seed >= 0, "
-                              f"got n={n!r} m={m!r} seed={seed!r}")
+        if (not all(map(_whole, (n, m, seed))) or not 1 <= n <= min(m, COUNT_CAPS["n"])
+                or m > COUNT_CAPS["m"] or seed < 0):
+            raise ConfigError(f"an ensemble needs integers 1 <= n <= m, n <= {COUNT_CAPS['n']}, m <= "
+                              f"{COUNT_CAPS['m']} and seed >= 0, got n={n!r} m={m!r} seed={seed!r}")
     return source
 
 
@@ -202,8 +214,8 @@ def load_config(source) -> dict:
     if not isinstance(kind, str) or kind not in _SECTION_KEYS["noise"]:
         raise ConfigError(f"unknown noise kind {kind!r}")
     _check_section("noise", noise, _SECTION_KEYS["noise"][kind])
-    if not _whole(cfg["trials"]) or cfg["trials"] < 1:
-        raise ConfigError(f"trials must be an integer >= 1, got {cfg['trials']!r}")
+    if not _whole(cfg["trials"]) or not 1 <= cfg["trials"] <= COUNT_CAPS["trials"]:
+        raise ConfigError(f"trials must be an integer from 1 to {COUNT_CAPS['trials']}, got {cfg['trials']!r}")
     for key, (default, low, high) in TASK_OPTIONS.items():
         value = cfg["options"].get(key, default)
         if not _whole(value) or not low <= value <= high:
@@ -229,6 +241,9 @@ def load_config(source) -> dict:
             _solver_options(name, alg.get("options"))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad options for {name}: {exc}") from exc
+        for key, value in (alg.get("options") or {}).items():
+            if key in COUNT_CAPS and value > COUNT_CAPS[key]:
+                raise ConfigError(f"{name} option {key} must be at most {COUNT_CAPS[key]}, got {value!r}")
     names = [alg["name"] for alg in cfg["algorithms"]]
     if len(set(names)) < len(names):
         raise ConfigError(f"algorithms repeats a name, so its records would merge into one group: {names}")
@@ -246,6 +261,8 @@ def load_config(source) -> dict:
         values = sweep.get("values")
         if not isinstance(values, list) or not values or not all(map(_positive, values)):
             raise ConfigError(f"sweep.values must be a non-empty list of positive numbers, got {values!r}")
+        if len(values) > COUNT_CAPS["sweep.values"]:
+            raise ConfigError(f"sweep.values holds {len(values)} levels, more than {COUNT_CAPS['sweep.values']}")
         if len(set(values)) < len(values):
             raise ConfigError(f"sweep.values repeats a value, so its seeded trials would rerun: {values!r}")
     elif cfg["task"] == "reconstruct" and level and not _positive(cfg["noise"].get(level)):

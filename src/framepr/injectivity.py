@@ -36,13 +36,7 @@ from scipy.special import ndtri
 
 from .errors import BudgetExceeded, InvalidPartition, NotPhaseRetrievable
 from .frames import Frame, encode_complex, frame_bounds, magnitude_map, rng_from_seed
-from .lifting import (
-    _gradient_terms,
-    gradient_gram,
-    measurement_forms,
-    normalized_gradient_gram,
-    realify,
-)
+from .lifting import _gradient_terms, _normalized_gram, gradient_gram, measurement_forms, realify
 from .linalg import hermitian_basis, rank_one_coordinates
 from .metrics import quotient_distance
 from .recon import _check_counts
@@ -55,6 +49,8 @@ _NET_BLOCK = 1 << 14  # rows per block while a Bloch net is built
 _N_PROBES = 768  # random probes per covering-radius estimate
 N_CAP = 2  # largest ambient dimension certify_retrievable_complex scans nets at
 PARTITION_CAP = 24  # largest frame size the bipartition search accepts
+_MULTISTART_ITERS = 400  # projected-gradient steps per multistart start
+_MULTISTART_TOL = 1e-10  # relative tangent-gradient norm that ends a start
 # realified (-conj z_2, conj z_1) = xi @ _PERP for xi = realify(z_1, z_2)
 _PERP = np.array([[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0],
                   [0.0, 0.0, 0.0, -1.0], [0.0, 0.0, 1.0, 0.0]])
@@ -109,14 +105,7 @@ class BoundsReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "A0": self.A0,
-            "B0": self.B0,
-            "a0": self.a0,
-            "b0": self.b0,
-            "empirical": self.empirical,
-            "details": self.details,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def min_measurement_count(n: int) -> int:
@@ -141,10 +130,13 @@ def min_measurement_count(n: int) -> int:
 def _bipartition_scan(frame: Frame):
     """Branch and bound over the 2^(m-1) unordered bipartitions of the frame.
 
-    Returns (A0, fail_subset) where A0 is the minimum over partitions of the
-    sum of the two lower frame bounds, and fail_subset is an index list for
-    the first partition (in mask order) where neither side spans (None when
-    every partition has a spanning side).
+    Returns (A0, fail_subset, null_dirs) where A0 is the minimum over
+    partitions of the sum of the two lower frame bounds, fail_subset is an
+    index list for the first partition (in mask order) where neither side
+    spans, and null_dirs is the pair (u, v) that proved it: the unit null
+    directions ``_null_direction`` gives for that side and its complement at
+    the span cutoff SPAN_TOL ||V||_2.  Both are None when every partition
+    has a spanning side.
 
     Search.  Vector 0 always sits on the complement side; bit k-1 of a mask
     puts vector k in I.  Vectors are assigned in a fixed search order:
@@ -189,7 +181,7 @@ def _bipartition_scan(frame: Frame):
     O = np.einsum("ki,kj->kij", V, V)
     S_total = O.sum(axis=0)
     smax = np.linalg.norm(V, 2)
-    cutoff = _span_cutoff(V)
+    cutoff = SPAN_TOL * max(smax, np.finfo(float).tiny)  # largest singular value that counts as 0
     eps = np.finfo(float).eps
     # Gram eigenvalues only resolve zeros to ~eps * ||S||, far above the
     # squared singular-value threshold; screen loosely here and confirm
@@ -202,12 +194,12 @@ def _bipartition_scan(frame: Frame):
         return np.linalg.eigvalsh(S)[:, 0]
 
     A0 = np.inf  # also the incumbent: the smallest leaf sum evaluated so far
-    fail_mask = None  # smallest confirmed failing mask so far
+    fail_mask = fail_subset = null_dirs = None  # smallest confirmed failing mask so far
     leaves = 0
     pruned = 0
 
     def evaluate(masks):
-        nonlocal A0, fail_mask, leaves
+        nonlocal A0, fail_mask, fail_subset, null_dirs, leaves
         leaves += masks.size
         bits = ((masks[:, None] >> shifts) & 1).astype(float)  # indices 1..m-1
         inc = np.concatenate([np.zeros((bits.shape[0], 1)), bits], axis=1)
@@ -221,9 +213,10 @@ def _bipartition_scan(frame: Frame):
         for mask in np.sort(cands).tolist():
             subset = [k + 1 for k in range(m - 1) if (mask >> k) & 1]
             comp = [k for k in range(m) if k not in subset]
-            if (_null_direction(V[subset], n, cutoff) is not None
-                    and _null_direction(V[comp], n, cutoff) is not None):
-                fail_mask = mask
+            u = _null_direction(V[subset], n, cutoff)
+            v = None if u is None else _null_direction(V[comp], n, cutoff)
+            if v is not None:
+                fail_mask, fail_subset, null_dirs = mask, subset, (u, v)
                 break
 
     # search order; masks keep the original bit of every vector
@@ -287,14 +280,7 @@ def _bipartition_scan(frame: Frame):
         "bipartition scan m=%d n=%d: %d leaves evaluated, %d nodes pruned, %d partitions",
         m, n, leaves, pruned, 1 << (m - 1),
     )
-    if fail_mask is None:
-        return A0, None
-    return A0, [k + 1 for k in range(m - 1) if (fail_mask >> k) & 1]
-
-
-def _span_cutoff(V: np.ndarray) -> float:
-    """Largest singular value that counts as zero in a span test on frame V."""
-    return SPAN_TOL * max(np.linalg.norm(V, 2), np.finfo(float).tiny)
+    return A0, fail_subset, null_dirs
 
 
 def _null_direction(rows: np.ndarray, n: int, cutoff: float):
@@ -306,29 +292,6 @@ def _null_direction(rows: np.ndarray, n: int, cutoff: float):
     if s.size >= n and s[-1] > cutoff:
         return None
     return vh[-1].real
-
-
-def ambiguous_pair_real(frame: Frame, subset) -> tuple[np.ndarray, np.ndarray]:
-    """Ambiguous pair (x, y) = (u + v, u - v) from a failing bipartition.
-
-    ``subset`` indexes one side of the partition; u is a unit null direction
-    of that side's span and v of the complement's, at the span cutoff of the
-    bipartition search.  The construction makes both magnitude measurement
-    vectors equal while keeping the phase classes distinct.
-    """
-    if not frame.is_real:
-        raise InvalidPartition("ambiguous pair construction applies to real frames")
-    V = frame.vectors.real
-    subset = sorted(set(int(k) for k in subset))
-    comp = [k for k in range(frame.m) if k not in subset]
-    cutoff = _span_cutoff(V)
-    u = _null_direction(V[subset], frame.n, cutoff)
-    v = _null_direction(V[comp], frame.n, cutoff)
-    if u is None or v is None:
-        raise InvalidPartition("one side of the partition spans the space")
-    x = (u + v).astype(complex)
-    y = (u - v).astype(complex)
-    return x, y
 
 
 def _verify_witness(frame: Frame, x, y) -> bool:
@@ -350,19 +313,23 @@ def check_retrievable_real(frame: Frame) -> PRCertificate:
     bounds.  The search prunes a set of partitions only when a lower bound
     proves that none of them is the minimiser or a failing partition (see
     ``_bipartition_scan``), so the margin and the witness equal those of an
-    exhaustive scan.  A failing partition gives "not_retrievable" only if its
-    pair passes ``_verify_witness``, else "undecided".  Frames of more than
-    PARTITION_CAP vectors raise BudgetExceeded.
+    exhaustive scan.  A failing partition with null directions u and v of
+    its two sides gives the pair (x, y) = (u + v, u - v), whose magnitude
+    measurements agree while the phase classes differ; the verdict is
+    "not_retrievable" only if the pair passes ``_verify_witness``, else
+    "undecided".  Frames of more than PARTITION_CAP vectors raise
+    BudgetExceeded.
     """
     if not frame.is_real:
         raise InvalidPartition("check_retrievable_real requires a real-tagged frame")
-    A0, fail_subset = _bipartition_scan(frame)
+    A0, fail_subset, null_dirs = _bipartition_scan(frame)
     if fail_subset is None and A0 > 0.0:
         return PRCertificate(verdict="retrievable", a0_lower=A0)
     if fail_subset is None:
         # numerically zero margin without an explicit failing mask
         return PRCertificate(verdict="undecided", notes="zero partition margin")
-    x, y = ambiguous_pair_real(frame, fail_subset)
+    u, v = null_dirs
+    x, y = (u + v).astype(complex), (u - v).astype(complex)
     notes = f"failing partition subset {fail_subset}"
     if not _verify_witness(frame, x, y):
         return PRCertificate(verdict="undecided", notes=notes + " without a verified pair")
@@ -440,8 +407,9 @@ def quotient_covering_radius(
     is 2 - 2 |<u, v>|^2, so a k-d tree over the lifted net returns each
     probe's nearest phase class.  The estimate is inflated by a small safety
     factor; the probes are sampled, so it remains a sampled estimate, not a
-    proof.
+    proof.  ``n_probes`` must be an integer >= 1.
     """
+    _check_counts(1, n_probes=n_probes)
     d = net.shape[1]
     n = d // 2
     rng = rng_from_seed([seed, 0x636F7665])
@@ -461,16 +429,6 @@ def quotient_covering_radius(
     # the probe max is a lower estimate of the true covering radius; the
     # inflation absorbs the sampling gap observed against dense probe sets
     return 1.12 * eps
-
-
-def _gram_eigs(phi: np.ndarray, jphi: np.ndarray, Xi: np.ndarray):
-    """Second-smallest and largest eigenvalue of the gradient Gram at each row
-    of Xi, from the Gram matrices W^T W and a batched ``eigvalsh``."""
-    P = Xi @ phi.T
-    Q = Xi @ jphi.T
-    W = P[:, :, None] * phi[None] + Q[:, :, None] * jphi[None]
-    ev = np.linalg.eigvalsh(W.transpose(0, 2, 1) @ W)
-    return ev[:, 1], ev[:, -1]
 
 
 def _screen_n2(phi: np.ndarray, jphi: np.ndarray, Xi: np.ndarray):
@@ -503,11 +461,11 @@ def _screen_n2(phi: np.ndarray, jphi: np.ndarray, Xi: np.ndarray):
     return mean + 2.0 * r * np.cos(t + 2.0 * np.pi / 3.0), mean + 2.0 * r * np.cos(t)
 
 
-def _scan_net(phi: np.ndarray, jphi: np.ndarray, net: np.ndarray):
+def _scan_net(frame: Frame, net: np.ndarray):
     """Batched eigenvalues of the gradient Gram over the rows of an n = 2 net.
 
-    Returns (min second-smallest, max largest), exactly as one
-    ``_gram_eigs`` pass over the whole net would give them.
+    Returns (min second-smallest, max largest), exactly as one batched
+    ``eigvalsh`` of ``gradient_gram`` over the whole net would give them.
 
     Each chunk is first screened in closed form: J xi lies in the kernel of
     R(xi), so lambda_3 and lambda_1 are the extreme eigenvalues of the 3x3
@@ -516,21 +474,21 @@ def _scan_net(phi: np.ndarray, jphi: np.ndarray, net: np.ndarray):
     (the tetrahedral SIC frame).  Only the rows whose screened lambda_3 lies
     within tau = 1e-6 (chunk max screened lambda_1) of the chunk minimum, or
     whose screened lambda_1 lies within tau of the chunk maximum, are
-    evaluated by ``_gram_eigs``.  As tau exceeds twice the screen error,
+    evaluated by that eigensolve.  As tau exceeds twice the screen error,
     every row whose exact value attains the chunk extremum is among them, so
     the result equals the unscreened scan bit for bit.
     """
-    chunk = max(4096, min(_SCAN_CHUNK, int(2e6 / phi.shape[0])))
+    chunk = max(4096, min(_SCAN_CHUNK, int(2e6 / frame.m)))
     lam3_min = np.inf
     lam1_max = 0.0
     for start in range(0, net.shape[0], chunk):
         Xi = net[start : start + chunk]
-        lo, hi = _screen_n2(phi, jphi, Xi)
+        lo, hi = _screen_n2(frame.phi, frame.jphi, Xi)
         tau = 1e-6 * hi.max()
-        Xi = Xi[(lo <= lo.min() + tau) | (hi >= hi.max() - tau)]
-        lam3, lam1 = _gram_eigs(phi, jphi, Xi)
-        lam3_min = min(lam3_min, float(lam3.min()))
-        lam1_max = max(lam1_max, float(lam1.max()))
+        near = (lo <= lo.min() + tau) | (hi >= hi.max() - tau)
+        ev = np.linalg.eigvalsh(gradient_gram(frame, Xi[near]))
+        lam3_min = min(lam3_min, float(ev[:, 1].min()))
+        lam1_max = max(lam1_max, float(ev[:, -1].max()))
     return lam3_min, lam1_max
 
 
@@ -613,7 +571,7 @@ def certify_retrievable_complex(
     for rnd in range(2):
         net = bloch_fibonacci_net(n_points, seed=[seed, rnd])
         n_built = net.shape[0]
-        lam3_min, lam1_max = _scan_net(frame.phi, frame.jphi, net)
+        lam3_min, lam1_max = _scan_net(frame, net)
         nets += 1
         if n_built <= (1 << 18):
             eps_hat = quotient_covering_radius(net, n_probes=_N_PROBES, seed=seed + rnd)
@@ -645,47 +603,41 @@ def certify_retrievable_complex(
 # stability bounds
 # ---------------------------------------------------------------------------
 
-def _project_sphere(x):
-    return x / np.linalg.norm(x)
-
-
-def _multistart_extremum(value_grad, dim, n_starts, seed, maximize, iters=400, tol=1e-10):
+def _multistart_extremum(value_grad, dim, n_starts, seed, maximize):
     """Projected-gradient multistart over the unit sphere of R^dim.
 
-    ``value_grad(x) -> (value, grad)``; returns (best value, best point).
+    ``value_grad(x) -> (value, grad)``; returns the best value.
     """
     rng = rng_from_seed([seed, 0x73706872])
     # random starts are drawn one at a time, then the coordinate axes
     starts = chain((rng.normal(size=dim) for _ in range(n_starts)), np.eye(dim))
     sign = -1.0 if maximize else 1.0
-    best_val, best_x = np.inf, None
+    best_val = np.inf
     for s in starts:
-        x = _project_sphere(s)
+        x = s / np.linalg.norm(s)
         val, grad = value_grad(x)
         val *= sign
         step = 0.5
-        for _ in range(iters):
+        for _ in range(_MULTISTART_ITERS):
             g = sign * grad
             g_tan = g - (g @ x) * x
             gnorm = np.linalg.norm(g_tan)
-            if gnorm <= tol * max(abs(val), 1.0):
+            if gnorm <= _MULTISTART_TOL * max(abs(val), 1.0):
                 break
-            improved = False
             while step > 1e-14:
-                x_new = _project_sphere(x - step * g_tan)
+                x_new = x - step * g_tan
+                x_new /= np.linalg.norm(x_new)
                 val_new, grad_new = value_grad(x_new)
                 val_new *= sign
                 if val_new < val - 1e-14 * abs(val):
                     x, val, grad = x_new, val_new, grad_new
                     step *= 1.3
-                    improved = True
                     break
                 step *= 0.5
-            if not improved:
+            else:  # no step size improved on val
                 break
-        if val < best_val:
-            best_val, best_x = val, x
-    return sign * best_val, best_x
+        best_val = min(best_val, val)
+    return sign * best_val
 
 
 def fourth_moment_max(frame: Frame, n_starts: int = 64, seed: int = 0) -> float:
@@ -703,8 +655,7 @@ def fourth_moment_max(frame: Frame, n_starts: int = 64, seed: int = 0) -> float:
             c = V @ x
             return float(np.sum(c**4)), 4.0 * (V.T @ (c**3))
 
-        val, _ = _multistart_extremum(value_grad, frame.n, n_starts, seed, maximize=True)
-        return val
+        return _multistart_extremum(value_grad, frame.n, n_starts, seed, maximize=True)
 
     phi, jphi = frame.phi, frame.jphi
 
@@ -715,8 +666,7 @@ def fourth_moment_max(frame: Frame, n_starts: int = 64, seed: int = 0) -> float:
         grad = 4.0 * (phi.T @ (s * p) + jphi.T @ (s * q))
         return float(np.sum(s * s)), grad
 
-    val, _ = _multistart_extremum(value_grad, 2 * frame.n, n_starts, seed, maximize=True)
-    return val
+    return _multistart_extremum(value_grad, 2 * frame.n, n_starts, seed, maximize=True)
 
 
 def _min_weighted_operator_eig(frame: Frame, n_starts: int, seed: int):
@@ -754,7 +704,7 @@ def stability_bounds_real(
     if cert.verdict != "retrievable":
         raise NotPhaseRetrievable(f"frame is not certified phase retrievable: {cert.verdict}")
     A, B = frame_bounds(frame)
-    a0, _ = _min_weighted_operator_eig(frame, n_starts, seed)
+    a0 = _min_weighted_operator_eig(frame, n_starts, seed)
     b0 = fourth_moment_max(frame, n_starts, seed)
     return BoundsReport(
         A0=cert.a0_lower,
@@ -776,9 +726,10 @@ def local_stability_bounds(frame: Frame, z) -> dict:
     """
     xi = realify(z)
     nz2 = float(xi @ xi)
-    zero_set = np.flatnonzero(_gradient_terms(frame, xi)[2])
+    Z, s, zero = _gradient_terms(frame, xi)
+    zero_set = np.flatnonzero(zero)
     correction = measurement_forms(frame)[zero_set].sum(axis=0)
-    S_plain = normalized_gradient_gram(frame, xi)
+    S_plain = _normalized_gram(Z, s, zero)
     ev_corr = np.linalg.eigvalsh(S_plain + correction)
     record = {
         "A_tilde": float(ev_corr[1]),
@@ -787,7 +738,7 @@ def local_stability_bounds(frame: Frame, z) -> dict:
     }
     if nz2 > 0.0:
         ev_plain = np.linalg.eigvalsh(S_plain)
-        ev_R = np.linalg.eigvalsh(gradient_gram(frame, xi))
+        ev_R = np.linalg.eigvalsh(Z @ Z.T)
         record.update(
             A=float(ev_plain[1]),
             a=float(ev_R[1] / nz2),

@@ -193,35 +193,30 @@ def weighted_frame_operator(frame: Frame, x) -> np.ndarray:
 
 
 def gradient_columns(frame: Frame, xi) -> np.ndarray:
-    """Matrix with columns Phi_k xi, shape (2n, m).
+    """Matrix with columns Phi_k xi, shape (2n, m), at a point xi of shape
+    (2n,); at the rows of a batch of shape (k, 2n), their stack (k, 2n, m).
 
     Column k is half the gradient of xi -> <Phi_k xi, xi>, the k-th intensity
-    measurement in realified coordinates.
+    measurement in realified coordinates: p_k phi_k + q_k J phi_k, where
+    p = phi xi and q = J phi xi are the real and imaginary parts of <x, f_k>.
     """
     xi = np.asarray(xi, dtype=float)
     d = 2 * frame.n
-    if xi.shape != (d,):
-        raise DimensionMismatch(f"expected length-{d} vector, got {xi.shape}")
-    return coefficient_columns(frame, frame.phi @ xi, frame.jphi @ xi)
-
-
-def coefficient_columns(frame: Frame, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """``gradient_columns`` at the point whose frame coefficients are p + iq.
-
-    Column k is Phi_k xi = p_k phi_k + q_k J phi_k, where p = phi xi and
-    q = J phi xi are the real and imaginary parts of <x, f_k>; a solver that
-    already holds them skips the two products with the realified rows.
-    """
-    return (frame.phi.T * p) + (frame.jphi.T * q)
+    if xi.ndim not in (1, 2) or xi.shape[-1] != d:
+        raise DimensionMismatch(f"expected shape ({d},) or (k, {d}), got {xi.shape}")
+    p = xi @ frame.phi.T
+    q = xi @ frame.jphi.T
+    return frame.phi.T * p[..., None, :] + frame.jphi.T * q[..., None, :]
 
 
 def gradient_gram(frame: Frame, xi) -> np.ndarray:
-    """Gram matrix of the measurement gradients: sum_k Phi_k xi xi^T Phi_k.
+    """Gram matrix of the measurement gradients: sum_k Phi_k xi xi^T Phi_k,
+    at a point or at each row of a batch, as in ``gradient_columns``.
 
     Equal to Z Z^T for Z = gradient_columns(frame, xi); J xi lies in its kernel.
     """
     Z = gradient_columns(frame, xi)
-    return Z @ Z.T
+    return Z @ np.swapaxes(Z, -1, -2)
 
 
 def _gradient_terms(frame: Frame, xi: np.ndarray):
@@ -230,10 +225,19 @@ def _gradient_terms(frame: Frame, xi: np.ndarray):
     s_k = <Phi_k xi, xi> = |<x, f_k>|^2; measurement k counts as zero at xi
     when s_k <= ZERO_TOL * ||f_k||^2 * ||xi||^2 (Phi_k xi = 0 up to roundoff).
     """
+    if xi.ndim != 1:
+        raise DimensionMismatch(f"expected one point of shape ({2 * frame.n},), got {xi.shape}")
     Z = gradient_columns(frame, xi)
     s = Z.T @ xi
     scale = np.linalg.norm(frame.vectors, axis=1) ** 2 * float(xi @ xi)
     return Z, s, s <= ZERO_TOL * np.maximum(scale, np.finfo(float).tiny)
+
+
+def _normalized_gram(Z: np.ndarray, s: np.ndarray, zero: np.ndarray) -> np.ndarray:
+    """sum over the nonzero measurements k of Z_k Z_k^T / s_k, from the
+    terms of ``_gradient_terms``; 0 when every measurement is zero."""
+    Zk = Z[:, ~zero] / np.sqrt(s[~zero])
+    return Zk @ Zk.T
 
 
 def normalized_gradient_gram(frame: Frame, xi) -> np.ndarray:
@@ -241,13 +245,7 @@ def normalized_gradient_gram(frame: Frame, xi) -> np.ndarray:
 
     Terms of measurements that are numerically zero at xi are excluded.
     """
-    xi = np.asarray(xi, dtype=float)
-    Z, s, zero = _gradient_terms(frame, xi)
-    keep = ~zero
-    if not np.any(keep):
-        return np.zeros((xi.shape[0], xi.shape[0]))
-    Zk = Z[:, keep] / np.sqrt(s[keep])
-    return Zk @ Zk.T
+    return _normalized_gram(*_gradient_terms(frame, np.asarray(xi, dtype=float)))
 
 
 def lift_outer(x) -> np.ndarray:

@@ -31,14 +31,6 @@ class EigDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def pseudo_inverse(self) -> np.ndarray:
-        """Moore-Penrose inverse; eigenvalues with |lam| <= DEFAULT_RANK_TOL * max|lam| count as zero."""
-        lam = self.eigenvalues
-        cutoff = DEFAULT_RANK_TOL * np.max(np.abs(lam)) if lam.size else 0.0
-        inv = np.where(np.abs(lam) > cutoff, 1.0 / np.where(lam == 0, 1.0, lam), 0.0)
-        out = (self.eigenvectors * inv) @ self.eigenvectors.conj().T
-        return hermitian_part(out)
-
 
 def hermitian_part(M: np.ndarray) -> np.ndarray:
     """(M + M*)/2, absorbing roundoff asymmetry."""
@@ -173,7 +165,11 @@ def pseudo_inverse(M: np.ndarray) -> np.ndarray:
 
     Eigenvalues with |lam| <= DEFAULT_RANK_TOL * max|lam| are treated as zero.
     """
-    return hermitian_eig(M).pseudo_inverse()
+    dec = hermitian_eig(M)
+    lam = dec.eigenvalues
+    cutoff = DEFAULT_RANK_TOL * np.max(np.abs(lam)) if lam.size else 0.0
+    inv = np.where(np.abs(lam) > cutoff, 1.0 / np.where(lam == 0, 1.0, lam), 0.0)
+    return hermitian_part((dec.eigenvectors * inv) @ dec.eigenvectors.conj().T)
 
 
 def _norm(v: np.ndarray) -> float:

@@ -174,15 +174,14 @@ def lifted_linear(frame: Frame, y, x_true=None) -> ReconResult:
     x_ls = np.sqrt(max(lam1, 0.0)) * e1
     gap = lam1 - lam2
     tie = gap <= _TIE_TOL * abs(lam1)
-    x_lip = np.zeros(frame.n, dtype=complex) if tie else np.sqrt(gap) * e1
     result = ReconResult(
-        x_hat=x_lip,
+        x_hat=np.zeros(frame.n, dtype=complex) if tie else np.sqrt(gap) * e1,
         X_hat=X,
         iterations=1,
         residual=float(np.linalg.norm(lifted_map(frame, X) - y)),
         stop_reason="degenerate" if tie else "tol",
         flags=["tie_top_eigenvalue"] if tie else [],
-        diagnostics={"x_ls": x_ls, "x_lip": x_lip, "lambda1": lam1, "lambda2": lam2},
+        diagnostics={"x_ls": x_ls},
     )
     return _attach_errors(result, x_true)
 
@@ -383,7 +382,6 @@ def gerchberg_saxton(frame: Frame, y, opts: GSOptions | None = None, x_true=None
     duals_t = frame.dual.vectors.T
     best_res = np.inf
     best_x = x
-    best_it = 0
     trace_log: list[float] = []
     prev_res = None
     stop_reason = "max_iter"
@@ -401,7 +399,7 @@ def gerchberg_saxton(frame: Frame, y, opts: GSOptions | None = None, x_true=None
         res = math.sqrt(e.dot(e))  # np.linalg.norm's own sum
         trace_log.append(res)
         if res < best_res:
-            best_res, best_x, best_it = res, x, it
+            best_res, best_x = res, x
         if res <= floor:
             stop_reason = "tol"
             break
@@ -415,7 +413,7 @@ def gerchberg_saxton(frame: Frame, y, opts: GSOptions | None = None, x_true=None
         residual=float(np.linalg.norm(intensity_map(frame, best_x) - y)),
         stop_reason=stop_reason,
         trace=trace_log,
-        diagnostics={"best_iteration": best_it, "magnitude_residual": best_res},
+        diagnostics={"magnitude_residual": best_res},
     )
     return _attach_errors(result, x_true)
 
@@ -545,7 +543,6 @@ def wirtinger_flow(frame: Frame, y, opts: WirtingerOptions | None = None, x_true
             x_hat=x, iterations=0,
             residual=float(np.linalg.norm(intensity_map(frame, x) - y)),
             stop_reason="degenerate", trace=[],
-            diagnostics={"note": "zero initialization"},
         )
         return _attach_errors(result, x_true)
     trace_log: list[float] = []
@@ -636,9 +633,9 @@ def irls(frame: Frame, y, opts: IRLSOptions | None = None, x_true=None) -> Recon
     coefficients (p, q) = (phi xi_u, J phi xi_u) of the new iterate with one
     product with ``Frame.realified_rows``, and carries them and the
     intensity residual p^2 + q^2 - y into the next step, which builds Z from
-    them (the columns ``coefficient_columns`` gives, written into buffers
-    the solve reuses) and the three logged criterion values from the carried
-    residuals.  Both weights start at IRLS_RHO a1, floored
+    them (the columns ``gradient_columns`` gives, p_k phi_k + q_k J phi_k,
+    written into buffers the solve reuses) and the three logged criterion
+    values from the carried residuals.  Both weights start at IRLS_RHO a1, floored
     at ``lambda_min`` and IRLS_MU_MIN, and decay by IRLS_GAMMA per step down
     to those floors.
     The loop stops on a misfit below IRLS_EPS ||y||^2 (``stop_reason``
@@ -661,14 +658,13 @@ def irls(frame: Frame, y, opts: IRLSOptions | None = None, x_true=None) -> Recon
             residual=float(np.linalg.norm(y)),
             stop_reason="degenerate",
             flags=["nonpositive_top_eigenvalue"],
-            diagnostics={"a1": init.a1},
         )
         return _attach_errors(result, x_true)
     lam = max(IRLS_RHO * init.a1, opts.lambda_min)
     mu = max(IRLS_RHO * init.a1, IRLS_MU_MIN)
     m, d = frame.m, 2 * frame.n
     rows = frame.realified_rows
-    # Z = coefficient_columns(frame, p, q) = phi^T p + (J phi)^T q and the
+    # Z = gradient_columns(frame, xi) = phi^T p + (J phi)^T q and the
     # normal matrix are rebuilt in these buffers on every step, Z as the sum
     # of the two column blocks of W = rows^T diag(pq); Z is stored
     # column-major, as phi^T is, which keeps the BLAS products' bits
@@ -745,7 +741,6 @@ def irls(frame: Frame, y, opts: IRLSOptions | None = None, x_true=None) -> Recon
         diagnostics={
             "outer_log": outer_log,
             "final_pair": (complexify(xi), complexify(xi_prev)),
-            "a1": init.a1,
             "best_misfit": best_val,
         },
     )

@@ -275,6 +275,8 @@ def test_exit_code_bad_config_values(tmp_path, verb, patch):
         ("bounds", "{path}", "--samples", "0"),
         ("bounds", "{path}", "--starts", "-1"),
         ("frame", "gen", "--n", "3", "--m", "2", "--out", "{path}"),
+        # refused before the 728 TiB frame is allocated
+        ("frame", "gen", "--n", "10000000", "--m", "10000000", "--out", "{path}"),
     ],
 )
 def test_exit_code_out_of_range_options(tmp_path, argv):

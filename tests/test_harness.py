@@ -13,8 +13,8 @@ from framepr import (
     random_frame,
     write_csv,
 )
-from framepr import recon
-from framepr.harness import TASK_OPTIONS, build_frame, load_report, report_from_dict
+from framepr import cli, recon
+from framepr.harness import COUNT_CAPS, TASK_OPTIONS, build_frame, load_report, report_from_dict
 
 BASE = {
     "task": "reconstruct",
@@ -158,6 +158,35 @@ def test_load_config_rejects(patch):
     cfg.update(patch)
     with pytest.raises(ConfigError):
         load_config(cfg)
+
+
+def _with_count(key: str, value: int) -> dict:
+    """BASE with the count ``key`` of ``COUNT_CAPS`` set to ``value``."""
+    cfg = dict(BASE)
+    if key in ("n", "m"):
+        n, m = (value, COUNT_CAPS["m"]) if key == "n" else (2, value)
+        cfg["frame"] = {"ensemble": "gaussian", "n": n, "m": m}
+    elif key == "trials":
+        cfg["trials"] = value
+    elif key == "sweep.values":
+        cfg.update(task="sweep", noise={"kind": "awgn"},
+                   sweep={"parameter": "sigma", "values": [0.01 * (k + 1) for k in range(value)]})
+    else:
+        solver = {"max_iter": "gerchberg_saxton", "max_outer": "irls", "inner_max": "phaselift"}[key]
+        cfg["algorithms"] = [{"name": solver, "options": {key: value}}]
+    return cfg
+
+
+@pytest.mark.parametrize("key", sorted(COUNT_CAPS))
+def test_every_count_is_capped(key, tmp_path):
+    cap = COUNT_CAPS[key]
+    load_config(_with_count(key, cap))
+    cfg = _with_count(key, cap + 1)
+    with pytest.raises(ConfigError, match=str(cap)):
+        load_config(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["sweep" if cfg["task"] == "sweep" else "recon", "--config", str(path)]) == 2
 
 
 def test_load_config_accepts_option_lower_bounds():

@@ -9,9 +9,7 @@ import pytest
 
 from framepr import (
     BudgetExceeded,
-    InvalidPartition,
     NotPhaseRetrievable,
-    ambiguous_pair_real,
     apply_complex_structure,
     certify_retrievable_complex,
     check_retrievable_real,
@@ -108,19 +106,16 @@ def test_real_partition_cap():
 
 def test_ambiguous_pair_standard_basis():
     frame = make_frame(np.eye(2))
-    x, y = ambiguous_pair_real(frame, [0])
-    # u is orthogonal to e1, v to e2; the pair is (u+v, u-v) up to signs
+    cert = check_retrievable_real(frame)
+    assert cert.verdict == "not_retrievable" and cert.notes == "failing partition subset [1]"
+    x, y = cert.witness
+    # u is orthogonal to e2, v to e1; the pair is (u+v, u-v) up to signs
     np.testing.assert_allclose(np.abs(x), [1.0, 1.0], atol=1e-14)
     np.testing.assert_allclose(np.abs(y), [1.0, 1.0], atol=1e-14)
     np.testing.assert_allclose(
         magnitude_map(frame, x), magnitude_map(frame, y), atol=1e-13
     )
     assert quotient_distance(x, y) > 1e-6
-
-
-def test_ambiguous_pair_rejects_spanning_side():
-    with pytest.raises(InvalidPartition):
-        ambiguous_pair_real(TRIPLE, [0, 1])  # {e1, e2} spans R^2
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -245,7 +240,7 @@ def test_bipartition_search_matches_exhaustive_scan(equivalence_cases, block, mo
     if block is not None:
         monkeypatch.setattr(injectivity, "_PARTITION_BLOCK", block)
     for frame, (ref_A0, ref_subset) in equivalence_cases:
-        A0, fail_subset = _bipartition_scan(frame)
+        A0, fail_subset, _ = _bipartition_scan(frame)
         tol = 1e-12 * max(abs(ref_A0), np.finfo(float).tiny)
         assert abs(A0 - ref_A0) <= tol, (frame.n, frame.m)
         assert fail_subset == ref_subset, (frame.n, frame.m)
@@ -259,7 +254,7 @@ def test_bipartition_search_memory_and_pruning(caplog):
     tracemalloc.start()
     try:
         with caplog.at_level(logging.DEBUG, logger="framepr"):
-            A0, fail_subset = _bipartition_scan(frame)
+            A0, fail_subset, _ = _bipartition_scan(frame)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -323,7 +318,7 @@ def test_scan_net_matches_unscreened_scan(frame, chunk, monkeypatch):
     net = bloch_fibonacci_net(65536 + 777, seed=[2, 1])
     # several chunks, the last one partial (8e6 / (m d) rows exceed the chunk)
     assert net.shape[0] > injectivity._SCAN_CHUNK and net.shape[0] % injectivity._SCAN_CHUNK
-    lam3, lam1 = _scan_net(frame.phi, frame.jphi, net)
+    lam3, lam1 = _scan_net(frame, net)
     ref3, ref1 = _unscreened_scan(frame, net)
     assert lam3 == ref3 and lam1 == ref1
 
@@ -593,6 +588,13 @@ def test_covering_radius_scalar_net_is_zero():
     net = sphere_net(2, 64, seed=0)
     assert quotient_covering_radius(net, n_probes=768, seed=5) < 1e-7
     assert _dense_covering_radius(net, 768, 5) < 1e-7
+
+
+@pytest.mark.parametrize("value", [0, -5, 2.5, True])
+def test_covering_radius_rejects_nonpositive_probe_counts(value):
+    # n_probes = 0 used to fail inside numpy's max over an empty array
+    with pytest.raises(ValueError, match="n_probes"):
+        quotient_covering_radius(bloch_fibonacci_net(64), n_probes=value)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

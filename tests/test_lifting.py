@@ -26,7 +26,6 @@ from framepr import (
     sym_outer_spectrum,
     weighted_frame_operator,
 )
-from framepr.lifting import coefficient_columns
 from framepr.linalg import hermitian_part
 from conftest import random_complex, random_hermitian
 
@@ -378,7 +377,8 @@ def test_gradient_gram_factorization_and_kernel(rng):
         assert np.linalg.norm(R @ apply_complex_structure(xi)) < 1e-12 * scale
 
 
-def test_coefficient_columns_match_gradient_columns(rng):
+def test_gradient_columns_from_realified_coefficients(rng):
+    # IRLS builds Z from pq = realified_rows @ xi as phi^T p + (J phi)^T q
     frame = random_frame(3, 8, "gaussian", seed=27)
     m = frame.m
     for _ in range(5):
@@ -388,8 +388,44 @@ def test_coefficient_columns_match_gradient_columns(rng):
         # the stacked rows give [Re c; Im c] in one product
         np.testing.assert_allclose(pq, np.concatenate([c.real, c.imag]), atol=1e-12)
         np.testing.assert_allclose(
-            coefficient_columns(frame, pq[:m], pq[m:]), gradient_columns(frame, xi), atol=1e-12
+            frame.phi.T * pq[:m] + frame.jphi.T * pq[m:], gradient_columns(frame, xi), atol=1e-12
         )
+
+
+@pytest.mark.parametrize("n,m", [(1, 3), (2, 8), (3, 12), (5, 40)])
+def test_batched_gradient_gram_equals_stacked_points(n, m, rng):
+    # on small integers every product and sum is exact, so the batch must
+    # reproduce each point bit for bit
+    V = rng.integers(1, 4, size=(m, n)) * rng.choice([-1, 1], size=(m, n))
+    frame = make_frame(V + 1j * rng.integers(-3, 4, size=(m, n)))
+    Xi = rng.integers(-3, 4, size=(7, 2 * n)).astype(float)
+    Z = gradient_columns(frame, Xi)
+    R = gradient_gram(frame, Xi)
+    assert Z.shape == (7, 2 * n, m) and R.shape == (7, 2 * n, 2 * n)
+    for k, xi in enumerate(Xi):
+        np.testing.assert_array_equal(Z[k], gradient_columns(frame, xi))
+        np.testing.assert_array_equal(R[k], gradient_gram(frame, xi))
+    # on general floats a batch takes its coefficients from one matrix
+    # product and a point from a matrix-vector product, whose sums may round
+    # differently: each coefficient p_k = <phi_k, xi> errs by at most
+    # 2n eps |phi_k| |xi|
+    frame = random_frame(n, m, "gaussian", seed=m)
+    Xi = rng.normal(size=(7, 2 * n))
+    R = gradient_gram(frame, Xi)
+    for k, xi in enumerate(Xi):
+        single = gradient_gram(frame, xi)
+        bound = 8 * n * np.finfo(float).eps * np.linalg.norm(frame.vectors) ** 4 * (xi @ xi)
+        np.testing.assert_allclose(R[k], single, rtol=0, atol=bound)
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (5,), (2, 3), (4, 1), (1, 2, 4)])
+def test_gradient_columns_reject_other_shapes(shape):
+    frame = random_frame(2, 8, "gaussian", seed=0)  # points have shape (4,) or (k, 4)
+    for build in (gradient_columns, gradient_gram, normalized_gradient_gram):
+        with pytest.raises(DimensionMismatch):
+            build(frame, np.zeros(shape))
+    with pytest.raises(DimensionMismatch):  # it takes one point only
+        normalized_gradient_gram(frame, np.zeros((2, 4)))
 
 
 def test_normalized_gradient_gram_quadratic_form(rng):

@@ -56,7 +56,7 @@ def test_lifted_linear_scalar_example():
     result = lifted_linear(frame, np.array([4.0, 4.0]))
     assert result.X_hat[0, 0].real == pytest.approx(4.0, abs=1e-12)
     np.testing.assert_allclose(result.diagnostics["x_ls"], [2.0], atol=1e-12)
-    np.testing.assert_allclose(result.diagnostics["x_lip"], [2.0], atol=1e-12)
+    np.testing.assert_allclose(result.x_hat, [2.0], atol=1e-12)
 
 
 def test_lifted_linear_exact_recovery():
