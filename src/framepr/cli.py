@@ -17,7 +17,6 @@ import sys
 from .errors import BudgetExceeded, ConfigError, FramePRError
 from .frames import is_full_spark, save_frame
 from .harness import (
-    TASK_OPTIONS,
     Report,
     build_frame,
     dump_json,
@@ -57,13 +56,13 @@ def _parser() -> argparse.ArgumentParser:
     check.add_argument("--certify", action="store_true",
                        help="run the retrievability decision procedure")
     check.add_argument("--seed", type=int, default=0)
-    check.add_argument("--budget", type=int, default=TASK_OPTIONS["budget"][0])
+    check.add_argument("--budget", type=int)
     check.add_argument("--out", default=None, help="write the certificate JSON here")
 
     bounds = sub.add_parser("bounds", help="stability bounds for a frame")
     bounds.add_argument("path")
-    bounds.add_argument("--samples", type=int, default=TASK_OPTIONS["samples"][0])
-    bounds.add_argument("--starts", type=int, default=TASK_OPTIONS["n_starts"][0])
+    bounds.add_argument("--samples", type=int)
+    bounds.add_argument("--starts", type=int)
     bounds.add_argument("--seed", type=int, default=0)
     bounds.add_argument("--out", default=None)
 
@@ -95,6 +94,11 @@ def _emit(payload: dict, out: str | None) -> None:
         print(text)
 
 
+def _given(**options) -> dict:
+    """The task options given on the command line; the others take the library's defaults."""
+    return {key: value for key, value in options.items() if value is not None}
+
+
 def _cmd_frame(args) -> int:
     if args.frame_verb == "gen":
         frame = build_frame({"ensemble": args.ensemble, "n": args.n, "m": args.m, "seed": args.seed})
@@ -105,7 +109,7 @@ def _cmd_frame(args) -> int:
     payload = {"n": frame.n, "m": frame.m, "field": frame.field, "valid": True}
     if args.certify:
         config = {"task": "certify", "frame": {"file": args.path}, "seed": args.seed,
-                  "options": {"budget": args.budget}}
+                  "options": _given(budget=args.budget)}
         payload["certificate"] = run_experiment(config).result
     if args.full_spark:
         payload["full_spark"] = is_full_spark(frame)
@@ -115,7 +119,7 @@ def _cmd_frame(args) -> int:
 
 def _cmd_bounds(args) -> int:
     config = {"task": "bounds", "frame": {"file": args.path}, "seed": args.seed,
-              "options": {"samples": args.samples, "n_starts": args.starts}}
+              "options": _given(samples=args.samples, n_starts=args.starts)}
     _emit(run_experiment(config).to_dict(), args.out)
     return EXIT_OK
 

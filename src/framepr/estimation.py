@@ -15,14 +15,13 @@ relative error gate; small arguments use a series.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
 from .errors import OrthogonalAnchor, QuadratureError, ZeroVector
-from .frames import Frame, analysis, intensity_map, rng_from_seed
+from .frames import Frame, _check_real, analysis, intensity_map, rng_from_seed
 from .lifting import _gradient_terms, apply_complex_structure, gradient_gram, realify
 from .linalg import hermitian_part, pseudo_inverse
 
@@ -57,14 +56,6 @@ _GK_WEIGHTS = np.concatenate([_KRONROD_W[:-1], _KRONROD_W[::-1]])
 _GK_ERROR = _GK_WEIGHTS - np.concatenate([_GAUSS_W[:-1], _GAUSS_W[::-1]])
 
 
-def _check_positive(**values) -> None:
-    """Raise ValueError unless every value is a number in (0, max float]; NaN
-    fails both comparisons, an int beyond every float the second."""
-    for name, value in values.items():
-        if value is None or not 0.0 < value <= sys.float_info.max:
-            raise ValueError(f"{name} must be a finite positive number, got {value!r}")
-
-
 @dataclass(frozen=True)
 class NoiseModel:
     """Seeded measurement noise description.
@@ -81,9 +72,9 @@ class NoiseModel:
 
     def __post_init__(self):
         if self.kind == "awgn":
-            _check_positive(sigma=self.sigma)
+            _check_real("sigma", self.sigma)
         elif self.kind == "coefficient":
-            _check_positive(rho=self.rho)
+            _check_real("rho", self.rho)
         else:
             raise ValueError(f"unknown noise kind {self.kind!r}")
 
@@ -169,6 +160,7 @@ def bessel_ratio_weight(a: float) -> float:
     result agrees with a tight adaptive reference to about 1e-13.  Up to
     a = 1e-4 a second-order series is used, within about 1.2e-11.
     """
+    _check_real("a", a, zero=True)
     return float(_bessel_weights(np.array([a], dtype=float))[0])
 
 
@@ -178,7 +170,7 @@ def bessel_ratio_weight(a: float) -> float:
 
 def fisher_awgn(frame: Frame, x, sigma: float) -> FisherMatrix:
     """(4 / sigma^2) times the gradient Gram of the intensity map at x."""
-    _check_positive(sigma=sigma)
+    _check_real("sigma", sigma)
     mat = (4.0 / sigma**2) * gradient_gram(frame, realify(x))
     return FisherMatrix(matrix=mat, field=frame.field)
 
@@ -192,7 +184,7 @@ def fisher_coefficient_noise(frame: Frame, x, rho: float, form: str = "excess") 
     numerically zero use the continuous-extension weight (and vanish with the
     gradient column).
     """
-    _check_positive(rho=rho)
+    _check_real("rho", rho)
     if form not in ("excess", "weight"):
         raise ValueError(f"unknown form {form!r}")
     Z, s, zero = _gradient_terms(frame, realify(x))
@@ -213,12 +205,11 @@ def fisher_coefficient_noise(frame: Frame, x, rho: float, form: str = "excess") 
 # ---------------------------------------------------------------------------
 
 def _anchor_projection(z0: np.ndarray) -> np.ndarray:
-    """Projection removing the unidentifiable phase direction at anchor z0."""
+    """Projection removing the unidentifiable phase direction at anchor z0,
+    which is nonzero: ``crlb`` refuses a zero anchor, and ``crlb_upper_bound``
+    finds it orthogonal to the signal."""
     psi = realify(z0)
-    nrm = np.linalg.norm(psi)
-    if nrm == 0.0:
-        raise ZeroVector("anchor vector must be nonzero")
-    jpsi = apply_complex_structure(psi / nrm)
+    jpsi = apply_complex_structure(psi / np.linalg.norm(psi))
     return np.eye(psi.shape[0]) - np.outer(jpsi, jpsi)
 
 
@@ -250,7 +241,8 @@ def crlb_upper_bound(frame: Frame, x, z0, sigma: float, a0: float) -> np.ndarray
     (For a unit-norm anchor the scalar reduces to sigma^2 / (4 a0 |<x,z0>|^2);
     the ||z0||^2 factor keeps the bound above the CRLB at every anchor scale.)
     """
-    _check_positive(a0=a0, sigma=sigma)
+    _check_real("a0", a0)
+    _check_real("sigma", sigma)
     x = np.asarray(x, dtype=complex)
     z0 = np.asarray(z0, dtype=complex)
     ip = np.vdot(z0, x)  # <x, z0>

@@ -10,6 +10,7 @@ the second: <x, f> = sum_i x_i conj(f_i).
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -30,6 +31,29 @@ ENSEMBLES = ("gaussian", "uniform_sphere", "real_gaussian")  # random_frame's en
 def rng_from_seed(seed) -> np.random.Generator:
     """Philox counter-based generator; the package-wide reproducibility contract."""
     return np.random.Generator(np.random.Philox(seed))
+
+
+def _is_number(value) -> bool:
+    """Whether ``value`` is an int, float or numpy number; a bool is an int,
+    but JSON true is no count or level."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _check_count(name: str, value, low: int, high: int | None = None) -> None:
+    """The package's one rule for a count (a dimension, budget, start or
+    sample count): an integer from ``low`` to ``high`` (None: no cap)."""
+    if not (_is_number(value) and isinstance(value, (int, np.integer))
+            and low <= value and (high is None or value <= high)):
+        limits = f"{name} >= {low}" if high is None else f"{low} <= {name} <= {high}"
+        raise ValueError(f"need an integer {limits}, got {value!r}")
+
+
+def _check_real(name: str, value, zero: bool = False) -> None:
+    """The package's one rule for a level or constant (sigma, rho, a0, a
+    threshold): a finite real above 0, or at least 0 when ``zero``.  NaN
+    fails every comparison, and an int beyond every float the last."""
+    if not (_is_number(value) and (0 <= value if zero else 0 < value) and value <= sys.float_info.max):
+        raise ValueError(f"{name} must be a finite {'non-negative' if zero else 'positive'} number, got {value!r}")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -212,8 +236,8 @@ def random_frame(n: int, m: int, ensemble: str = "gaussian", seed=0) -> Frame:
     """
     if ensemble not in ENSEMBLES:
         raise ValueError(f"unknown ensemble {ensemble!r}")
-    if n < 1:
-        raise ValueError(f"need dimension n >= 1, got n={n}")
+    _check_count("n", n, 1)
+    _check_count("m", m, 1)
     if m < n:
         raise RankDeficient(f"need m >= n, got m={m}, n={n}")
     rng = rng_from_seed(seed)

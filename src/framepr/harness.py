@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import sys
 import time
 from dataclasses import dataclass, field
 
@@ -25,6 +24,9 @@ from .estimation import NoiseModel, crlb, fisher_awgn, fisher_coefficient_noise,
 from .frames import (
     ENSEMBLES,
     Frame,
+    _check_count,
+    _check_real,
+    _is_number,
     frame_bounds,
     frame_from_dict,
     intensity_map,
@@ -33,6 +35,7 @@ from .frames import (
     rng_from_seed,
 )
 from .injectivity import (
+    _COUNTS,
     certify_retrievable_complex,
     check_retrievable_real,
     fourth_moment_max,
@@ -45,25 +48,13 @@ SCHEMA_VERSION = 1
 _TASKS = ("certify", "bounds", "crlb", "reconstruct", "sweep")
 _NOISE_PARAMETER = {"awgn": "sigma", "coefficient": "rho"}  # noise kind -> parameter of its level
 _SUCCESS_THRESHOLD = 1e-5  # default largest d2_rel that counts as a success
-# the options of the certify and bounds tasks, all integers: (default, smallest
-# and largest accepted value); a budget of net points costs 32 bytes each,
-# a multistart start up to 400 projected-gradient steps, and sampled bounds
-# hold several (samples, m) complex arrays
-TASK_OPTIONS = {
-    "budget": (4_000_000, 1, 32_000_000),
-    "n_starts": (64, 0, 10_000),
-    "samples": (2000, 2, 1_000_000),
-}
-# the largest value of each other count a config sets, checked before
-# anything is built, with the cost it limits
+# the largest value of each count only a config sets (the library caps its own
+# arguments), checked before anything is built, with the cost it limits
 COUNT_CAPS = {
     "n": 64,  # an ensemble's dimension: the lifted solvers and certificates
     "m": 4096,  # hold its m x n^2 lift and that lift's SVD, 8 m n^2 bytes each
     "trials": 10_000,  # per noise level: one solve and one record per algorithm each
     "sweep.values": 100,  # noise levels, each a full set of trials
-    "max_iter": 100_000,  # Gerchberg-Saxton and Wirtinger steps, one trace entry each
-    "max_outer": 10_000,  # IRLS steps (one log entry each) or PhaseLift stages
-    "inner_max": 10_000,  # PhaseLift steps per stage; an l2 solve runs max_outer * inner_max
 }
 # the keys each config section may hold; a frame section names exactly one
 # source, and only an ensemble takes further keys; a noise section holds only
@@ -75,21 +66,8 @@ _SECTION_KEYS = {
     "noise": {"none": ("kind",), **{kind: ("kind", level) for kind, level in _NOISE_PARAMETER.items()}},
     "signal": ("kind", "norm"),
     "sweep": ("parameter", "values"),
-    "options": tuple(TASK_OPTIONS),
+    "options": tuple(_COUNTS),
 }
-
-
-def _number(value) -> bool:
-    # bool is an int subclass, so JSON true would pass as 1
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _whole(value) -> bool:
-    return _number(value) and isinstance(value, int)
-
-
-def _positive(value) -> bool:
-    return _number(value) and 0 < value <= sys.float_info.max  # JSON ints can exceed every float
 
 
 def _check_section(name: str, section, allowed) -> None:
@@ -103,7 +81,8 @@ def _check_section(name: str, section, allowed) -> None:
 def _frame_source(spec) -> str:
     """The one source a config 'frame' section names, after checking its keys,
     that an ensemble is one of ``ENSEMBLES`` and that its n, m and seed are
-    integers, 1 <= n <= m, seed >= 0, and n and m within ``COUNT_CAPS``."""
+    counts (a ValueError otherwise) with 1 <= n <= m, seed >= 0, and n and m
+    within ``COUNT_CAPS``."""
     sources = [key for key in _SECTION_KEYS["frame"] if key in spec] if isinstance(spec, dict) else []
     if len(sources) != 1:
         raise ConfigError(f"a frame section is an object naming exactly one of {'/'.join(_SECTION_KEYS['frame'])}")
@@ -114,11 +93,9 @@ def _frame_source(spec) -> str:
     if source == "ensemble":
         if spec["ensemble"] not in ENSEMBLES:
             raise ConfigError(f"unknown ensemble {spec['ensemble']!r}; known: {', '.join(ENSEMBLES)}")
-        n, m, seed = spec.get("n"), spec.get("m"), spec.get("seed", 0)
-        if (not all(map(_whole, (n, m, seed))) or not 1 <= n <= min(m, COUNT_CAPS["n"])
-                or m > COUNT_CAPS["m"] or seed < 0):
-            raise ConfigError(f"an ensemble needs integers 1 <= n <= m, n <= {COUNT_CAPS['n']}, m <= "
-                              f"{COUNT_CAPS['m']} and seed >= 0, got n={n!r} m={m!r} seed={seed!r}")
+        _check_count("frame.n", spec.get("n"), 1, COUNT_CAPS["n"])
+        _check_count("frame.m", spec.get("m"), spec["n"], COUNT_CAPS["m"])
+        _check_count("frame.seed", spec.get("seed", 0), 0)
     return source
 
 
@@ -171,7 +148,7 @@ def _json_copy(value, open_ids: set):
 def load_config(source) -> dict:
     """Normalize and validate a config (dict or path to a JSON file).  A dict
     is deep-copied and JSON-normalized in one pass, with the result of
-    json.loads(json.dumps(source))."""
+    json.loads(json.dumps(source)).  Every malformed config is a ConfigError."""
     if isinstance(source, (str, bytes)):
         try:
             with open(source) as fh:
@@ -198,6 +175,15 @@ def load_config(source) -> dict:
         "sweep": raw.get("sweep"),
         "options": raw.get("options", {}),
     }
+    try:
+        _check_config(raw, cfg)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+    return cfg
+
+
+def _check_config(raw: dict, cfg: dict) -> None:
+    """``load_config``'s checks; the library's own raise ValueError or TypeError."""
     _check_section("config", raw, [*cfg, "threads"])
     if raw.get("threads", 1) != 1:
         raise ConfigError("threads must be 1: trials run serially in one process")
@@ -214,20 +200,13 @@ def load_config(source) -> dict:
     if not isinstance(kind, str) or kind not in _SECTION_KEYS["noise"]:
         raise ConfigError(f"unknown noise kind {kind!r}")
     _check_section("noise", noise, _SECTION_KEYS["noise"][kind])
-    if not _whole(cfg["trials"]) or not 1 <= cfg["trials"] <= COUNT_CAPS["trials"]:
-        raise ConfigError(f"trials must be an integer from 1 to {COUNT_CAPS['trials']}, got {cfg['trials']!r}")
-    for key, (default, low, high) in TASK_OPTIONS.items():
-        value = cfg["options"].get(key, default)
-        if not _whole(value) or not low <= value <= high:
-            raise ConfigError(f"options.{key} must be an integer from {low} to {high}, got {value!r}")
-    seed = cfg["seed"]
-    if not _whole(seed) or seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
-    if not _positive(cfg["success_threshold"]):
-        raise ConfigError(f"success_threshold must be a positive number, got {cfg['success_threshold']!r}")
-    norm = cfg["signal"].get("norm")
-    if norm is not None and not _positive(norm):
-        raise ConfigError(f"signal.norm must be a positive number, got {norm!r}")
+    _check_count("trials", cfg["trials"], 1, COUNT_CAPS["trials"])
+    for key, value in cfg["options"].items():
+        _check_count(f"options.{key}", value, *_COUNTS[key])
+    _check_count("seed", cfg["seed"], 0)
+    _check_real("success_threshold", cfg["success_threshold"])
+    if cfg["signal"].get("norm") is not None:
+        _check_real("signal.norm", cfg["signal"]["norm"])
     if cfg["signal"].get("kind", "gaussian") != "gaussian":
         raise ConfigError(f"unknown signal kind {cfg['signal']['kind']!r}")
     if not isinstance(cfg["algorithms"], list) or not all(isinstance(a, dict) for a in cfg["algorithms"]):
@@ -237,13 +216,7 @@ def load_config(source) -> dict:
         name = alg.get("name")
         if not isinstance(name, str) or name not in recon.SOLVERS:
             raise ConfigError(f"unknown algorithm {name!r}")
-        try:
-            _solver_options(name, alg.get("options"))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad options for {name}: {exc}") from exc
-        for key, value in (alg.get("options") or {}).items():
-            if key in COUNT_CAPS and value > COUNT_CAPS[key]:
-                raise ConfigError(f"{name} option {key} must be at most {COUNT_CAPS[key]}, got {value!r}")
+        _solver_options(name, alg.get("options"))
     names = [alg["name"] for alg in cfg["algorithms"]]
     if len(set(names)) < len(names):
         raise ConfigError(f"algorithms repeats a name, so its records would merge into one group: {names}")
@@ -259,23 +232,25 @@ def load_config(source) -> dict:
         if sweep["parameter"] in noise:
             raise ConfigError(f"noise.{sweep['parameter']} is the swept parameter; the sweep values replace it")
         values = sweep.get("values")
-        if not isinstance(values, list) or not values or not all(map(_positive, values)):
+        if not isinstance(values, list) or not values:
             raise ConfigError(f"sweep.values must be a non-empty list of positive numbers, got {values!r}")
+        for value in values:
+            _check_real("sweep.values", value)
         if len(values) > COUNT_CAPS["sweep.values"]:
             raise ConfigError(f"sweep.values holds {len(values)} levels, more than {COUNT_CAPS['sweep.values']}")
         if len(set(values)) < len(values):
             raise ConfigError(f"sweep.values repeats a value, so its seeded trials would rerun: {values!r}")
-    elif cfg["task"] == "reconstruct" and level and not _positive(cfg["noise"].get(level)):
-        raise ConfigError(f"{kind} noise requires a positive {level!r}")
-    return cfg
+    elif cfg["task"] == "reconstruct" and level:
+        _check_real(f"noise.{level}", noise.get(level))
 
 
 def build_frame(spec: dict) -> Frame:
     """Materialize the frame a config 'frame' section names; a section that
     ``_frame_source`` refuses, an unreadable file or a malformed frame
     description is a ConfigError."""
-    source = _frame_source(spec)
+    source = "section"
     try:
+        source = _frame_source(spec)
         if source == "inline":
             return frame_from_dict(spec["inline"])
         if source == "file":
@@ -349,7 +324,7 @@ class Report:
 def _is_record(rec) -> bool:
     """An algorithm name plus an error or the numbers compute_aggregates reads."""
     return isinstance(rec, dict) and isinstance(rec.get("algorithm"), str) and (
-        "error" in rec or all(_number(rec.get(key)) for key in ("d2_rel", "residual", "iterations")))
+        "error" in rec or all(_is_number(rec.get(key)) for key in ("d2_rel", "residual", "iterations")))
 
 
 def report_from_dict(data: dict) -> Report:
@@ -369,8 +344,10 @@ def report_from_dict(data: dict) -> Report:
         artifact_version=data.get("artifact_version", ARTIFACT_VERSION),
         timestamp=data.get("timestamp", ""),
     )
-    if not _positive(report.config.get("success_threshold", _SUCCESS_THRESHOLD)):
-        raise ConfigError("not a report: config.success_threshold is not a positive number")
+    try:
+        _check_real("config.success_threshold", report.config.get("success_threshold", _SUCCESS_THRESHOLD))
+    except ValueError as exc:
+        raise ConfigError(f"not a report: {exc}") from exc
     if not isinstance(report.records, list) or not all(map(_is_record, report.records)):
         raise ConfigError("not a report: a record lacks an algorithm and an error or numeric results")
     if not isinstance(report.aggregates, dict) or not all(isinstance(a, dict) for a in report.aggregates.values()):
@@ -434,10 +411,6 @@ def _solver_options(name: str, options: dict):
         if options:
             raise TypeError(f"{name} takes no options, got {sorted(options)}")
         return None
-    flags = sorted(key for key, value in options.items() if isinstance(value, bool))
-    if flags:
-        # no solver option is boolean, and the dataclasses would read true as 1
-        raise TypeError(f"options {flags} of {name} must be numbers or strings, not booleans")
     return cls(**options)
 
 
@@ -582,12 +555,11 @@ def run_experiment(config) -> Report:
     report = Report(config=cfg, task=cfg["task"])
     report.timestamp = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
 
-    opts = {key: cfg["options"].get(key, default) for key, (default, *_) in TASK_OPTIONS.items()}
     if cfg["task"] == "certify":
         if frame.is_real:
             cert = check_retrievable_real(frame)
         else:
-            cert = certify_retrievable_complex(frame, budget=opts["budget"], seed=cfg["seed"])
+            cert = certify_retrievable_complex(frame, seed=cfg["seed"], **_task_option(cfg, "budget"))
         report.result = cert.to_dict()
         return report
 
@@ -595,12 +567,12 @@ def run_experiment(config) -> Report:
         A, B = frame_bounds(frame)
         out = {"frame_lower_bound": A, "frame_upper_bound": B}
         if frame.is_real:
-            certified = stability_bounds_real(frame, n_starts=opts["n_starts"], seed=cfg["seed"])
+            certified = stability_bounds_real(frame, seed=cfg["seed"], **_task_option(cfg, "n_starts"))
             out["certified"] = certified.to_dict()
         else:
             out["B0"] = B
-            out["b0_multistart"] = fourth_moment_max(frame, n_starts=opts["n_starts"], seed=cfg["seed"])
-        sampled = sampled_stability_bounds(frame, samples=opts["samples"], seed=cfg["seed"])
+            out["b0_multistart"] = fourth_moment_max(frame, seed=cfg["seed"], **_task_option(cfg, "n_starts"))
+        sampled = sampled_stability_bounds(frame, seed=cfg["seed"], **_task_option(cfg, "samples"))
         out["empirical"] = sampled.to_dict()
         report.result = out
         return report
@@ -623,6 +595,11 @@ def run_experiment(config) -> Report:
         return report
 
     raise ConfigError(f"unhandled task {cfg['task']!r}")  # pragma: no cover
+
+
+def _task_option(cfg: dict, name: str) -> dict:
+    """{name: value} if the config sets task option ``name``, else {} for the library's default."""
+    return {name: cfg["options"][name]} if name in cfg["options"] else {}
 
 
 def _sweep_table(aggregates: dict) -> list:

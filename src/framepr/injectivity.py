@@ -6,8 +6,9 @@ the frame fails.  A complex frame fails iff the kernel of its lifted map
 holds a rank-2 matrix x x* - y y*, sought first by linear algebra at every
 n.  Otherwise the margin, the least second-smallest eigenvalue of the
 gradient Gram operator, is certified in closed form at n = 1, and at
-n = N_CAP = 2 as a net minimum less a Weyl perturbation term; larger n is
-"undecided", because the covering law asks for nets of 10^9 points there.
+n = N_CAP = 2 bounded by a net minimum less a Weyl perturbation term, whose
+covering radius is a sampled estimate; larger n is "undecided", because the
+covering law asks for nets of 10^9 points there.
 
 The eigenvalue map xi -> lambda_{2n-1}(gradient_gram(xi)) is exactly invariant
 under the phase orbit xi -> cos(t) xi + sin(t) J xi, so the net only needs to
@@ -35,11 +36,10 @@ from scipy.spatial import KDTree
 from scipy.special import ndtri
 
 from .errors import BudgetExceeded, InvalidPartition, NotPhaseRetrievable
-from .frames import Frame, encode_complex, frame_bounds, magnitude_map, rng_from_seed
+from .frames import Frame, _check_count, encode_complex, frame_bounds, magnitude_map, rng_from_seed
 from .lifting import _gradient_terms, _normalized_gram, gradient_gram, measurement_forms, realify
 from .linalg import hermitian_basis, rank_one_coordinates
 from .metrics import quotient_distance
-from .recon import _check_counts
 
 SPAN_TOL = 1e-10  # relative singular-value threshold for span tests
 _SCAN_CHUNK = 1 << 13  # rows per chunk of the net scan
@@ -51,6 +51,10 @@ N_CAP = 2  # largest ambient dimension certify_retrievable_complex scans nets at
 PARTITION_CAP = 24  # largest frame size the bipartition search accepts
 _MULTISTART_ITERS = 400  # projected-gradient steps per multistart start
 _MULTISTART_TOL = 1e-10  # relative tangent-gradient norm that ends a start
+# the counts the certificates and bounds take, as (smallest, largest): a net
+# point costs 32 bytes, a multistart start up to _MULTISTART_ITERS steps, and
+# sampled bounds hold several (samples, m) complex arrays
+_COUNTS = {"budget": (1, 32_000_000), "n_starts": (0, 10_000), "samples": (2, 1_000_000)}
 # realified (-conj z_2, conj z_1) = xi @ _PERP for xi = realify(z_1, z_2)
 _PERP = np.array([[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0],
                   [0.0, 0.0, 0.0, -1.0], [0.0, 0.0, 1.0, 0.0]])
@@ -111,8 +115,7 @@ class BoundsReport:
 def min_measurement_count(n: int) -> int:
     """Lower bound on the number of vectors any complex phase-retrievable
     frame must have, in terms of the binary expansion of n - 1."""
-    if n < 1:
-        raise ValueError(f"dimension must be positive, got {n}")
+    _check_count("n", n, 1)
     b = bin(n - 1).count("1")
     extra = 0
     if n % 2 == 1:
@@ -346,11 +349,11 @@ def sphere_net(dim: int, n_points: int, seed: int = 0) -> np.ndarray:
     Scrambled Sobol points mapped through the normal quantile and normalized;
     the point count is rounded up to a power of two for balance.
     """
+    _check_count("n_points", n_points, 2)
     # imported here: no certificate calls this, and scipy.stats is slow to
     # import
     from scipy.stats import qmc
 
-    n_points = max(int(n_points), 2)
     k = ceil(log2(n_points))
     sob = qmc.Sobol(d=dim, scramble=True, seed=rng_from_seed(seed))
     u = sob.random_base2(k)
@@ -369,7 +372,7 @@ def bloch_fibonacci_net(n_points: int, seed: int = 0) -> np.ndarray:
     The rows are filled in blocks, so the temporaries stay a few MB however
     large the net.
     """
-    n_points = max(int(n_points), 2)
+    _check_count("n_points", n_points, 2)
     golden = np.pi * (3.0 - np.sqrt(5.0))
     offset = 0.61803398875 * (seed if np.isscalar(seed) else sum(seed))
     out = np.empty((n_points, 4))
@@ -395,25 +398,23 @@ def _lifted_rows(rows: np.ndarray) -> np.ndarray:
     return rank_one_coordinates(rows[:, :n] + 1j * rows[:, n:])
 
 
-def quotient_covering_radius(
-    net: np.ndarray, n_probes: int = 512, seed: int = 0
-) -> float:
+def quotient_covering_radius(net: np.ndarray, seed: int = 0) -> float:
     """Sampled covering radius of a sphere net in the phase-quotient metric.
 
-    Probes are random unit vectors; for each, the distance to the net is
-    min_j sqrt(2 - 2 |<u, v_j>|) over the complexified points (distance to the
-    full phase orbit of v_j, antipodes included).  That minimum is found
-    exactly: the squared Euclidean distance between the lifts u u* and v v*
-    is 2 - 2 |<u, v>|^2, so a k-d tree over the lifted net returns each
-    probe's nearest phase class.  The estimate is inflated by a small safety
-    factor; the probes are sampled, so it remains a sampled estimate, not a
-    proof.  ``n_probes`` must be an integer >= 1.
+    _N_PROBES random unit vectors probe the net; for each, the distance to
+    the net is min_j sqrt(2 - 2 |<u, v_j>|) over the complexified points
+    (distance to the full phase orbit of v_j, antipodes included).  That
+    minimum is found exactly: the squared Euclidean distance between the
+    lifts u u* and v v* is 2 - 2 |<u, v>|^2, so a k-d tree over the lifted
+    net returns each probe's nearest phase class.  The largest probe distance
+    times 1.12 is an estimate, not an upper bound: the exact radius (largest
+    spherical Delaunay circumradius) of the last certificate net of
+    random_frame(2, 8, seed=k), k < 10, exceeds it 8 times, by up to 7.6%.
     """
-    _check_counts(1, n_probes=n_probes)
     d = net.shape[1]
     n = d // 2
     rng = rng_from_seed([seed, 0x636F7665])
-    probes = rng.normal(size=(n_probes, d))
+    probes = rng.normal(size=(_N_PROBES, d))
     probes /= np.linalg.norm(probes, axis=1, keepdims=True)
     # sliding-midpoint splits build faster than median splits, and leaves of
     # 128 points in uncompacted nodes build and query faster than the default
@@ -426,8 +427,8 @@ def quotient_covering_radius(
     im = np.einsum("pd,pd->p", jnear, probes)
     best = re * re + im * im
     eps = float(np.sqrt(np.maximum(2.0 - 2.0 * np.sqrt(best), 0.0)).max())
-    # the probe max is a lower estimate of the true covering radius; the
-    # inflation absorbs the sampling gap observed against dense probe sets
+    # the probe max is a lower estimate of the true covering radius, and the
+    # inflation does not always close the gap (see the docstring)
     return 1.12 * eps
 
 
@@ -540,11 +541,11 @@ def certify_retrievable_complex(
     law eps ~ coef / sqrt(N), which sizes round 1's net for that margin (at
     most half round 0's radius, at most ``budget`` points).  Round 1
     certifies any positive margin, else the verdict is "undecided".  b0
-    starts at B max_k ||f_k||^2 and is tightened each round by the sound
-    update b <- min(b, max_net lambda_1 + 2 b eps).  Covering radii use
-    _N_PROBES probes; ``budget`` must be an integer >= 1.
+    starts at B max_k ||f_k||^2 and is tightened each round by the update
+    b <- min(b, max_net lambda_1 + 2 b eps).  eps is a sampled estimate that
+    can fall below the true radius; ``budget`` is from 1 to 32,000,000.
     """
-    _check_counts(1, budget=budget)
+    _check_count("budget", budget, *_COUNTS["budget"])
     n = frame.n
     _, B = frame_bounds(frame)
     b0 = B * float(np.max(np.linalg.norm(frame.vectors, axis=1) ** 2))
@@ -574,7 +575,7 @@ def certify_retrievable_complex(
         lam3_min, lam1_max = _scan_net(frame, net)
         nets += 1
         if n_built <= (1 << 18):
-            eps_hat = quotient_covering_radius(net, n_probes=_N_PROBES, seed=seed + rnd)
+            eps_hat = quotient_covering_radius(net, seed=seed + rnd)
         else:
             # the lattice covering radius follows coef / sqrt(N) closely;
             # beyond the measurement size, extrapolate with a safety margin
@@ -645,9 +646,9 @@ def fourth_moment_max(frame: Frame, n_starts: int = 64, seed: int = 0) -> float:
 
     Real-tagged frames are optimized over the real sphere, complex frames over
     the realified sphere (the objective is phase-invariant).  ``n_starts``
-    random starts (an integer >= 0) run besides the n or 2n basis vectors.
+    random starts (0 to 10,000) run besides the n or 2n basis vectors.
     """
-    _check_counts(0, n_starts=n_starts)
+    _check_count("n_starts", n_starts, *_COUNTS["n_starts"])
     if frame.is_real:
         V = frame.vectors.real
 
@@ -697,9 +698,9 @@ def stability_bounds_real(
     equals the upper frame bound.  a0 and b0 are sphere extrema found by
     projected-gradient multistart, so a0 (a minimum) is an upper estimate and
     b0 (a maximum) a lower estimate; ``details["numerical"]`` names them.
-    ``n_starts`` is an integer >= 0, as in ``fourth_moment_max``.
+    ``n_starts`` is a count from 0 to 10,000, as in ``fourth_moment_max``.
     """
-    _check_counts(0, n_starts=n_starts)
+    _check_count("n_starts", n_starts, *_COUNTS["n_starts"])
     cert = check_retrievable_real(frame)
     if cert.verdict != "retrievable":
         raise NotPhaseRetrievable(f"frame is not certified phase retrievable: {cert.verdict}")
@@ -754,9 +755,9 @@ def sampled_stability_bounds(frame: Frame, samples: int = 2000, seed: int = 0) -
 
     Draws both independent and perturbative pairs; the reported values are the
     sampled extrema of the defining difference quotients and are flagged
-    non-certified.  ``samples`` must be an integer >= 2.
+    non-certified.  ``samples`` is a count from 2 to 1,000,000.
     """
-    _check_counts(2, samples=samples)
+    _check_count("samples", samples, *_COUNTS["samples"])
     rng = rng_from_seed([seed, 0x73616D70])
     n, m = frame.n, frame.m
     V = frame.vectors

@@ -25,7 +25,7 @@ from .errors import (
     NoConvergence,
     NonFiniteMeasurement,
 )
-from .frames import Frame, analysis, intensity_map
+from .frames import Frame, _check_count, _check_real, analysis, intensity_map
 from .lifting import complexify, lifted_map, lifted_map_adjoint, realify
 from .linalg import (
     DEFAULT_RANK_TOL,
@@ -51,6 +51,8 @@ IRLS_EPS = 1e-10  # misfit stop, in units of ||y||^2
 IRLS_STALL_STEPS = 20  # stagnation window of the best misfit, in steps
 IRLS_STALL_REL = 1e-9  # relative best-misfit gain below which IRLS stalls
 IRLS_CG_TOL = 1e-12  # residual tolerance of the CG check on each u-step
+_STEP_CAP = 100_000  # largest max_iter: GS and Wirtinger steps, one trace entry each
+_STAGE_CAP = 10_000  # largest max_outer (IRLS steps, PhaseLift stages) and inner_max
 
 logger = logging.getLogger("framepr")
 
@@ -69,9 +71,10 @@ def _values(frame: Frame, y) -> np.ndarray:
 
 
 def _check_start(x0) -> None:
-    """An explicit start is finite; a NaN would spend the whole budget."""
-    if x0 is not None and not np.isfinite(np.asarray(x0, dtype=complex)).all():
-        raise ValueError(f"x0 must be finite, got {x0!r}")
+    """An explicit start is a finite array of numbers: a NaN would spend the
+    whole budget, and a bool would start from 1."""
+    if x0 is not None and not (np.asarray(x0).dtype.kind in "iufc" and np.isfinite(x0).all()):
+        raise ValueError(f"x0 must be a finite array of numbers, got {x0!r}")
 
 
 def _start(frame: Frame, x0) -> np.ndarray:
@@ -110,15 +113,6 @@ class ReconResult:
     @property
     def converged(self) -> bool:
         return self.stop_reason == "tol"
-
-
-def _check_counts(low: int, /, **counts) -> None:
-    """Counts (iteration budgets, starts, samples) are integers >= ``low``; a
-    float or a bool would pass a bare ``< low`` test and then fail (or
-    silently count) inside ``range``."""
-    for name, value in counts.items():
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _attach_errors(result: ReconResult, x_true) -> ReconResult:
@@ -197,7 +191,8 @@ class PhaseLiftOptions:
     inner_max: int = 400
 
     def __post_init__(self):
-        _check_counts(1, max_outer=self.max_outer, inner_max=self.inner_max)
+        _check_count("max_outer", self.max_outer, 1, _STAGE_CAP)
+        _check_count("inner_max", self.inner_max, 1, _STAGE_CAP)
         if self.fit not in ("l2", "l1_reweighted"):
             raise ValueError(f"unknown fit mode {self.fit!r}")
 
@@ -355,7 +350,7 @@ class GSOptions:
     x0: Optional[np.ndarray] = None  # overrides the spectral start
 
     def __post_init__(self):
-        _check_counts(1, max_iter=self.max_iter)
+        _check_count("max_iter", self.max_iter, 1, _STEP_CAP)
         _check_start(self.x0)
 
 
@@ -478,7 +473,7 @@ class WirtingerOptions:
     x0: Optional[np.ndarray] = None  # overrides the spectral start
 
     def __post_init__(self):
-        _check_counts(1, max_iter=self.max_iter)
+        _check_count("max_iter", self.max_iter, 1, _STEP_CAP)
         _check_start(self.x0)
 
 
@@ -594,9 +589,8 @@ class IRLSOptions:
     x0: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if not 0.0 <= self.lambda_min < math.inf:  # NaN fails the test
-            raise ValueError(f"lambda_min must be a finite non-negative number, got {self.lambda_min!r}")
-        _check_counts(1, max_outer=self.max_outer)
+        _check_real("lambda_min", self.lambda_min, zero=True)
+        _check_count("max_outer", self.max_outer, 1, _STAGE_CAP)
         _check_start(self.x0)
 
 

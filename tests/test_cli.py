@@ -374,9 +374,9 @@ def test_cached_parser_parses_each_call_independently(monkeypatch):
 
     for name in ("_cmd_frame", "_cmd_bounds", "_cmd_task", "_cmd_report"):
         monkeypatch.setattr(cli, name, record)
-    budget, samples, starts = (cli.TASK_OPTIONS[k][0] for k in ("budget", "samples", "n_starts"))
+    # an option not given is None, so the library's default applies
     check = {"verbose": False, "verb": "frame", "frame_verb": "check", "path": "f.json",
-             "full_spark": False, "certify": False, "seed": 0, "budget": budget, "out": None}
+             "full_spark": False, "certify": False, "seed": 0, "budget": None, "out": None}
     task = {"verbose": False, "config": "c.json", "trials": None, "seed": None,
             "out": None, "csv": None}
     calls = [
@@ -385,7 +385,7 @@ def test_cached_parser_parses_each_call_independently(monkeypatch):
         (["frame", "check", "f.json"], (check,)),
         (["-v", "bounds", "f.json", "--samples", "7"],
          ({"verbose": True, "verb": "bounds", "path": "f.json", "samples": 7,
-           "starts": starts, "seed": 0, "out": None},)),
+           "starts": None, "seed": 0, "out": None},)),
         (["sweep", "--config", "c.json", "--trials", "2", "--seed", "5"],
          ({**task, "verb": "sweep", "trials": 2, "seed": 5}, "sweep")),
         (["recon", "--config", "c.json"], ({**task, "verb": "recon"}, "reconstruct")),

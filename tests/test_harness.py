@@ -13,8 +13,9 @@ from framepr import (
     random_frame,
     write_csv,
 )
-from framepr import cli, recon
-from framepr.harness import COUNT_CAPS, TASK_OPTIONS, build_frame, load_report, report_from_dict
+from framepr import cli, harness, recon
+from framepr.harness import COUNT_CAPS, build_frame, load_report, report_from_dict
+from framepr.injectivity import _COUNTS
 
 BASE = {
     "task": "reconstruct",
@@ -146,11 +147,11 @@ def test_load_config_defaults():
         # budget and samples have an upper bound too: a budget of 10^9 would
         # ask for a 32 GB net
         {"options": {"budget": 10**9}},
-        {"options": {"budget": TASK_OPTIONS["budget"][2] + 1}},
-        {"options": {"samples": TASK_OPTIONS["samples"][2] + 1}},
+        {"options": {"budget": _COUNTS["budget"][1] + 1}},
+        {"options": {"samples": _COUNTS["samples"][1] + 1}},
         # and n_starts: each start runs up to 400 projected-gradient steps
         {"options": {"n_starts": 10**9}},
-        {"options": {"n_starts": TASK_OPTIONS["n_starts"][2] + 1}},
+        {"options": {"n_starts": _COUNTS["n_starts"][1] + 1}},
     ],
 )
 def test_load_config_rejects(patch):
@@ -160,8 +161,15 @@ def test_load_config_rejects(patch):
         load_config(cfg)
 
 
+# every capped count a config sets: those only a config has (COUNT_CAPS), the
+# solver budgets the options classes cap, and the task options the
+# certificates and bounds cap
+_CAPS = {**COUNT_CAPS, "max_iter": recon._STEP_CAP, "max_outer": recon._STAGE_CAP,
+         "inner_max": recon._STAGE_CAP, **{key: high for key, (_, high) in _COUNTS.items()}}
+
+
 def _with_count(key: str, value: int) -> dict:
-    """BASE with the count ``key`` of ``COUNT_CAPS`` set to ``value``."""
+    """BASE with the count ``key`` of ``_CAPS`` set to ``value``."""
     cfg = dict(BASE)
     if key in ("n", "m"):
         n, m = (value, COUNT_CAPS["m"]) if key == "n" else (2, value)
@@ -171,15 +179,17 @@ def _with_count(key: str, value: int) -> dict:
     elif key == "sweep.values":
         cfg.update(task="sweep", noise={"kind": "awgn"},
                    sweep={"parameter": "sigma", "values": [0.01 * (k + 1) for k in range(value)]})
+    elif key in _COUNTS:
+        cfg["options"] = {key: value}
     else:
         solver = {"max_iter": "gerchberg_saxton", "max_outer": "irls", "inner_max": "phaselift"}[key]
         cfg["algorithms"] = [{"name": solver, "options": {key: value}}]
     return cfg
 
 
-@pytest.mark.parametrize("key", sorted(COUNT_CAPS))
+@pytest.mark.parametrize("key", sorted(_CAPS))
 def test_every_count_is_capped(key, tmp_path):
-    cap = COUNT_CAPS[key]
+    cap = _CAPS[key]
     load_config(_with_count(key, cap))
     cfg = _with_count(key, cap + 1)
     with pytest.raises(ConfigError, match=str(cap)):
@@ -680,3 +690,27 @@ def test_crlb_rows_count_failures():
     assert row["failed_lifted_linear"] == 3
     (row,) = run_experiment(dict(cfg, frame=BASE["frame"])).tables
     assert row["failed_lifted_linear"] == 0
+
+
+def test_real_frame_reconstruction_run():
+    # a real frame draws a real signal; its lifted map reaches only the
+    # 6-dimensional real symmetric matrices, so lifted_linear fails every trial
+    cfg = {
+        "task": "reconstruct",
+        "frame": {"ensemble": "real_gaussian", "n": 3, "m": 12, "seed": 1},
+        "trials": 3,
+        "seed": 1,
+        "algorithms": [{"name": "lifted_linear"}, {"name": "gerchberg_saxton"}, {"name": "wirtinger_flow"}],
+    }
+    frame = build_frame(cfg["frame"])
+    assert frame.is_real
+    assert not np.any(harness._draw_signal(frame, {}, [1, 0, 0]).imag)
+    report = run_experiment(cfg)
+    lifted = [rec for rec in report.records if rec["algorithm"] == "lifted_linear"]
+    assert len(lifted) == 3
+    assert all(rec["error"].startswith("InsufficientRedundancy: rank-one forms span 6 < n^2 = 9") for rec in lifted)
+    assert report.aggregates["lifted_linear"] == {"count": 0, "errors": 3}
+    vector = [rec for rec in report.records if rec["algorithm"] != "lifted_linear"]
+    assert len(vector) == 6
+    assert all(np.isfinite([rec["d2_rel"], rec["residual"]]).all() for rec in vector)
+    assert run_experiment(cfg).deterministic_digest() == report.deterministic_digest()

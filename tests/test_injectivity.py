@@ -32,8 +32,9 @@ from framepr import (
 )
 from framepr import injectivity
 from framepr.frames import rng_from_seed
-from framepr.harness import TASK_OPTIONS
 from framepr.injectivity import (
+    _COUNTS,
+    _N_PROBES,
     SPAN_TOL,
     _bipartition_scan,
     _lifted_rows,
@@ -346,6 +347,16 @@ def test_certify_rejects_nonpositive_counts(option, value):
         certify_retrievable_complex(frame, **{option: value})
 
 
+def test_certify_reports_an_exhausted_net_budget():
+    # round 0's 1024-point net leaves a margin below half its minimum, and
+    # the 2048-point budget caps round 1's net short of the law's size
+    cert = certify_retrievable_complex(random_frame(2, 8, seed=5), budget=2048, seed=5)
+    assert cert.verdict == "undecided"
+    assert cert.a0_lower is None
+    assert cert.net_points == 2048 and cert.nets_tested == 2
+    assert cert.notes == "net budget exhausted"
+
+
 def test_certify_scalar_frame():
     # at n = 1, a0 = b0 = sum_k |f_k|^4 exactly, less and plus (m + 5) eps
     # of it for roundoff
@@ -545,17 +556,17 @@ def test_quadratic_form_lower_bound_identity(rng):
         assert lhs >= cert.a0_lower * rhs - 1e-9 * max(1.0, abs(rhs))
 
 
-def _dense_covering_radius(net, n_probes, seed):
+def _dense_covering_radius(net, seed):
     # brute-force reference: every probe against every net point, in row
     # blocks of 4096 (25 MB at 768 probes)
     N, d = net.shape
     n = d // 2
     jnet = np.concatenate([-net[:, n:], net[:, :n]], axis=1)
     rng = rng_from_seed([seed, 0x636F7665])
-    probes = rng.normal(size=(n_probes, d))
+    probes = rng.normal(size=(_N_PROBES, d))
     probes /= np.linalg.norm(probes, axis=1, keepdims=True)
     probes_t = probes.T.copy()
-    best = np.zeros(n_probes)
+    best = np.zeros(_N_PROBES)
     for start in range(0, N, 4096):
         re = net[start : start + 4096] @ probes_t
         im = jnet[start : start + 4096] @ probes_t
@@ -579,22 +590,15 @@ def _dense_covering_radius(net, n_probes, seed):
 )
 def test_covering_radius_matches_dense_search(make_net):
     net = make_net()
-    eps = quotient_covering_radius(net, n_probes=768, seed=5)
-    assert eps == pytest.approx(_dense_covering_radius(net, 768, 5), rel=1e-10)
+    eps = quotient_covering_radius(net, seed=5)
+    assert eps == pytest.approx(_dense_covering_radius(net, 5), rel=1e-10)
 
 
 def test_covering_radius_scalar_net_is_zero():
     # n = 1: every unit vector is one phase class; both sides read sqrt(roundoff)
     net = sphere_net(2, 64, seed=0)
-    assert quotient_covering_radius(net, n_probes=768, seed=5) < 1e-7
-    assert _dense_covering_radius(net, 768, 5) < 1e-7
-
-
-@pytest.mark.parametrize("value", [0, -5, 2.5, True])
-def test_covering_radius_rejects_nonpositive_probe_counts(value):
-    # n_probes = 0 used to fail inside numpy's max over an empty array
-    with pytest.raises(ValueError, match="n_probes"):
-        quotient_covering_radius(bloch_fibonacci_net(64), n_probes=value)
+    assert quotient_covering_radius(net, seed=5) < 1e-7
+    assert _dense_covering_radius(net, 5) < 1e-7
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -614,7 +618,7 @@ def test_covering_radius_memory():
     net = bloch_fibonacci_net(1 << 18, seed=[3, 2])
     tracemalloc.start()
     try:
-        quotient_covering_radius(net, n_probes=768, seed=5)
+        quotient_covering_radius(net, seed=5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -624,7 +628,6 @@ def test_covering_radius_memory():
 def _one_shot_bloch_net(n_points, seed=0):
     # the whole net in one pass over full-length arrays: the reference for
     # the blocked build
-    n_points = max(int(n_points), 2)
     i = np.arange(n_points)
     z = 1.0 - (2.0 * i + 1.0) / n_points
     theta = np.arccos(np.clip(z, -1.0, 1.0))
@@ -638,7 +641,7 @@ def _one_shot_bloch_net(n_points, seed=0):
 
 @pytest.mark.parametrize(
     "n_points,seed",
-    [(0, 0), (2, 0), (3, 4), (1000, 0), (65_536, [3, 1]), (65_537, 7), (200_001, [3, 2])],
+    [(4, 0), (2, 0), (3, 4), (1000, 0), (65_536, [3, 1]), (65_537, 7), (200_001, [3, 2])],
 )
 def test_bloch_net_matches_one_shot_formula(n_points, seed):
     net = bloch_fibonacci_net(n_points, seed=seed)
@@ -656,6 +659,14 @@ def test_bloch_net_matches_one_shot_formula(n_points, seed):
                                1.0 - (2.0 * i + 1.0) / net.shape[0], rtol=0, atol=1e-15)
     phi = i * (np.pi * (3.0 - np.sqrt(5.0))) + 0.61803398875 * (seed if np.isscalar(seed) else sum(seed))
     np.testing.assert_allclose(np.abs(u[:, 1] - np.abs(u[:, 1]) * np.exp(1j * phi)), 0.0, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("value", [0, 1, -5, 2.9, True])
+@pytest.mark.parametrize("net", [bloch_fibonacci_net, lambda points: sphere_net(4, points)], ids=["bloch", "sphere"])
+def test_nets_refuse_point_counts_below_two(net, value):
+    # each of these once built a 2-point net through max(int(n_points), 2)
+    with pytest.raises(ValueError, match="n_points"):
+        net(value)
 
 
 def test_bloch_net_memory():
@@ -705,7 +716,7 @@ def test_start_and_sample_counts_are_integers_above_the_config_floor():
         ("samples", lambda v: sampled_stability_bounds(TRIPLE, samples=v)),
     )
     for name, call in calls:
-        low = TASK_OPTIONS[name][1]
+        low = _COUNTS[name][0]
         for bad in (low - 1, low - 3, low + 0.5, True, np.float64(low)):
             with pytest.raises(ValueError, match=name):
                 call(bad)
