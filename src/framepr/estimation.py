@@ -7,14 +7,17 @@ noise convention is Var(mu_k) = rho^2 total, i.e. rho^2/2 per real component,
 so that E|mu_k|^2 = rho^2 and the SNR argument of the Bessel weights is
 |<x, f_k>|^2 / rho^2.
 
-The Bessel weights of all measurements come from one vectorized pass of a
-fixed Gauss-Kronrod rule (G7/K15, as in QUADPACK's qk15) over the Gaussian
-window of each argument, with the Kronrod-minus-Gauss difference as a
-relative error gate; small arguments use a series.
+The Bessel weights of all measurements come from one vectorized pass per
+regime: moderate arguments integrate the Gaussian window with a fixed
+Gauss-Kronrod rule (G7/K15, as in QUADPACK's qk15), large ones with a
+24-node Gauss-Hermite rule in the window's own variable; a coarser
+companion rule (G7, or 16-node Gauss-Hermite) gates the relative error, and
+small arguments use a series.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +31,11 @@ from .linalg import hermitian_part, pseudo_inverse
 _SMALL_A = 1e-4  # below this, the Bessel weight uses its continuous extension
 _PANELS = 8  # equal G7/K15 panels on each side of the window's peak
 _WEIGHT_RTOL = 1e-10  # relative error gate of the Bessel weights
+# from this argument on, the window lies inside t > 0 out to the outermost
+# Gauss-Hermite node (|x| < 6.02 < sqrt(50)), and the weight takes the
+# Gauss-Hermite rule of the first order, gated by the second
+_HERMITE_A = 50.0
+_HERMITE_ORDERS = (24, 16)
 
 # G7/K15 Gauss-Kronrod rule on [-1, 1] (Piessens et al., QUADPACK, 1983): the
 # nonnegative Kronrod nodes in decreasing order, their Kronrod weights, and the
@@ -107,58 +115,116 @@ def simulate_measurements(frame: Frame, x, model: NoiseModel) -> np.ndarray:
 # the scalar SNR weights
 # ---------------------------------------------------------------------------
 
-def _bessel_weights(a: np.ndarray) -> np.ndarray:
-    """The SNR weight of every entry of the 1-d array ``a`` (all >= 0).
+@functools.cache
+def _hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the ``order``-point Gauss-Hermite rule for the
+    weight exp(-x^2) on the real line, by Golub-Welsch: the nodes are the
+    eigenvalues of the symmetric Jacobi matrix of the Hermite recurrence
+    (off-diagonal sqrt(k/2)), the weights sqrt(pi) times the squared first
+    components of its unit eigenvectors; both symmetrized about 0 and
+    read-only."""
+    off = np.sqrt(np.arange(1, order) / 2.0)
+    x, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    w = np.sqrt(np.pi) * v[0] ** 2
+    rule = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
+    for arr in rule:
+        arr.flags.writeable = False  # cached, and shared by every caller
+    return rule
 
-    The weight is the Bessel-ratio integral
-    (1 / (8 a^3)) * int_0^inf I1(t)^2 / I0(t) * t^3 * exp(-t^2/(4a) - a) dt.
-    Arguments up to _SMALL_A use its second-order series.  The others are
-    integrated over the window [max(0, 2a - 13 sqrt(a)), 2a + 13 sqrt(a)],
-    split at the peak 2a into _PANELS equal panels per side, each with the
-    G7/K15 rule, all arguments and nodes in one array.  Raises
-    QuadratureError when the summed |K15 - G7| difference, relative to the
-    weight, exceeds _WEIGHT_RTOL * max(1, weight).
-    """
-    a = np.asarray(a, dtype=float)
-    if np.any(a < 0):
-        raise ValueError("argument must be nonnegative")
-    w = np.exp(-a) * (2.0 + 4.0 * a * a)  # second-order small-argument series
-    big = a > _SMALL_A
-    if not np.any(big):
-        return w
-    ab = a[big]
-    peak = 2.0 * ab
-    width = 13.0 * np.sqrt(ab)
+
+def _window_integrand(t: np.ndarray) -> np.ndarray:
+    """I1(t)^2/I0(t) * t^3 * e^{-t}, from the exponentially scaled Bessel
+    functions; the window's Gaussian factor multiplies it."""
+    return special.i1e(t) ** 2 / special.i0e(t) * t**3
+
+
+def _panel_weights(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(weights, error bounds) of the arguments ``a`` by the G7/K15 panels:
+    the window [max(0, 2a - 13 sqrt(a)), 2a + 13 sqrt(a)] split at the peak
+    2a into _PANELS equal panels per side, all arguments and nodes in one
+    array, with the summed |K15 - G7| difference as the error bound."""
+    peak = 2.0 * a
+    width = 13.0 * np.sqrt(a)
     lo = np.maximum(0.0, peak - width)
     # (args, side, panel): the panel half-widths and centres
     half = np.stack([peak - lo, width], axis=1)[:, :, None] / (2 * _PANELS)
     centre = np.stack([lo, peak], axis=1)[:, :, None] + half * np.arange(1, 2 * _PANELS, 2)
     t = centre[..., None] + half[..., None] * _GK_NODES
-    # I1(t)^2/I0(t) * t^3 * exp(-t^2/(4a)) * e^{-a}, with the exponentials
-    # combined into the stable window exp(-(t-2a)^2/(4a)); times the panel
-    # half-width, so the rules below need no further scaling
-    at = ab[:, None, None, None]
-    f = special.i1e(t) ** 2 / special.i0e(t) * t**3 * np.exp(-((t - 2.0 * at) ** 2) / (4.0 * at))
+    # the exponentials exp(-t^2/(4a)) e^{-a} e^{t} combined into the stable
+    # window exp(-(t-2a)^2/(4a)); times the panel half-width, so the rules
+    # below need no further scaling
+    at = a[:, None, None, None]
+    f = _window_integrand(t) * np.exp(-((t - 2.0 * at) ** 2) / (4.0 * at))
     f *= half[..., None]
-    norm = 8.0 * ab**3
-    w[big] = (f * _GK_WEIGHTS).sum(axis=-1).sum(axis=(1, 2)) / norm
+    norm = 8.0 * a**3
+    w = (f * _GK_WEIGHTS).sum(axis=-1).sum(axis=(1, 2)) / norm
     err = np.abs((f * _GK_ERROR).sum(axis=-1)).sum(axis=(1, 2)) / norm
-    bad = err > _WEIGHT_RTOL * np.maximum(1.0, w[big])
-    if np.any(bad):
-        k = int(np.flatnonzero(bad)[0])
-        raise QuadratureError(f"window quadrature error {err[k]:.2e} at a={ab[k]}")
+    return w, err
+
+
+def _hermite_weights(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(weights, error bounds) of the arguments ``a`` (all >= _HERMITE_A) by
+    Gauss-Hermite: t = 2a + 2 sqrt(a) x turns the window into exp(-x^2) and
+    the weight into sum_i w_i g(t_i) / (4 a^(5/2)), g the window integrand;
+    the error bound is the difference between the two orders' sums."""
+    root = np.sqrt(a)
+    sums = []
+    for order in _HERMITE_ORDERS:
+        x, wx = _hermite_rule(order)
+        t = 2.0 * a[:, None] + 2.0 * root[:, None] * x
+        # a row-wise sum, not a matrix product, so each weight's bits do not
+        # depend on the other arguments in the pass
+        sums.append((_window_integrand(t) * wx).sum(axis=-1))
+    norm = 4.0 * a**2 * root
+    w = sums[0] / norm
+    return w, np.abs(sums[0] - sums[1]) / norm
+
+
+def _bessel_weights(a: np.ndarray) -> np.ndarray:
+    """The SNR weight of every entry of the 1-d array ``a`` (all >= 0).
+
+    The weight is the Bessel-ratio integral
+    (1 / (8 a^3)) * int_0^inf I1(t)^2 / I0(t) * t^3 * exp(-t^2/(4a) - a) dt.
+    Arguments up to _SMALL_A use its second-order series.  Those below
+    _HERMITE_A are integrated over the window
+    [max(0, 2a - 13 sqrt(a)), 2a + 13 sqrt(a)], split at the peak 2a into
+    _PANELS equal panels per side, each with the G7/K15 rule, and the summed
+    |K15 - G7| difference bounds the error.  From _HERMITE_A on, the window
+    lies inside t > 0 out to every Gauss-Hermite node, and the
+    24-node Gauss-Hermite rule in x = (t - 2a) / (2 sqrt(a)) integrates it,
+    its difference from the 16-node rule bounding the error.  Each regime
+    takes one vectorized pass.  Raises QuadratureError when the error bound,
+    relative to the weight, exceeds _WEIGHT_RTOL * max(1, weight).
+    """
+    a = np.asarray(a, dtype=float)
+    if np.any(a < 0):
+        raise ValueError("argument must be nonnegative")
+    w = np.exp(-a) * (2.0 + 4.0 * a * a)  # second-order small-argument series
+    regimes = ((_SMALL_A < a) & (a < _HERMITE_A), _panel_weights), (a >= _HERMITE_A, _hermite_weights)
+    for part, rule in regimes:
+        if not np.any(part):
+            continue
+        ap = a[part]
+        w[part], err = rule(ap)
+        bad = err > _WEIGHT_RTOL * np.maximum(1.0, w[part])
+        if np.any(bad):
+            k = int(np.flatnonzero(bad)[0])
+            raise QuadratureError(f"window quadrature error {err[k]:.2e} at a={ap[k]}")
     return w
 
 
 def bessel_ratio_weight(a: float) -> float:
     """Scalar SNR weight: the Bessel-ratio integral with Gaussian window.
 
-    Continuous at 0 with value 2; decreases towards 1 for large a.  Computed
-    by the fixed G7/K15 Gauss-Kronrod rule on 8 panels each side of the
-    window's peak; raises QuadratureError unless the summed Kronrod-Gauss
-    difference is within 1e-10 of the weight.  Over a in (1e-4, 1e6] the
-    result agrees with a tight adaptive reference to about 1e-13.  Up to
-    a = 1e-4 a second-order series is used, within about 1.2e-11.
+    Continuous at 0 with value 2; decreases towards 1 for large a.  Below
+    a = 50 it is computed by the fixed G7/K15 Gauss-Kronrod rule on 8 panels
+    each side of the window's peak, and raises QuadratureError unless the
+    summed Kronrod-Gauss difference is within 1e-10 of the weight; from
+    a = 50 on, by the 24-node Gauss-Hermite rule in the window's variable,
+    gated the same way by its difference from the 16-node rule.  Over a in
+    (1e-4, 1e6] the result agrees with a tight adaptive reference to about
+    1e-13.  Up to a = 1e-4 a second-order series is used, within about
+    1.2e-11.
     """
     _check_real("a", a, zero=True)
     return float(_bessel_weights(np.array([a], dtype=float))[0])
@@ -182,7 +248,11 @@ def fisher_coefficient_noise(frame: Frame, x, rho: float, form: str = "excess") 
     column by the excess function over the intensity, form "weight" uses the
     raw weight minus one.  They agree up to roundoff; terms whose intensity is
     numerically zero use the continuous-extension weight (and vanish with the
-    gradient column).
+    gradient column).  The Bessel weights of all the other terms come from
+    ``_bessel_weights``: the G7/K15 panels for SNR arguments a below
+    _HERMITE_A, the Gauss-Hermite rule from there on.  Each term is weighted
+    by w(a) - 1, about 1 / (2a) at large a, so a relative rounding error of
+    the weight reaches that term about 2a times larger.
     """
     _check_real("rho", rho)
     if form not in ("excess", "weight"):

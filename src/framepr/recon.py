@@ -51,6 +51,7 @@ IRLS_EPS = 1e-10  # misfit stop, in units of ||y||^2
 IRLS_STALL_STEPS = 20  # stagnation window of the best misfit, in steps
 IRLS_STALL_REL = 1e-9  # relative best-misfit gain below which IRLS stalls
 IRLS_CG_TOL = 1e-12  # residual tolerance of the CG check on each u-step
+_IRLS_LOG_BLOCK = 64  # IRLS steps per vectorized pass over the criterion log
 _STEP_CAP = 100_000  # largest max_iter: GS and Wirtinger steps, one trace entry each
 _STAGE_CAP = 10_000  # largest max_outer (IRLS steps, PhaseLift stages) and inner_max
 
@@ -383,14 +384,15 @@ def gerchberg_saxton(frame: Frame, y, opts: GSOptions | None = None, x_true=None
     it = 0
     floor = GS_TOL * math.sqrt(r.dot(r))
     c = analysis(frame, x)
+    absc = np.abs(c)
     for it in range(1, opts.max_iter + 1):
-        absc = np.abs(c)
         # r c / |c|, and r itself (phase 1) where c = 0
         d = r.astype(complex)
         np.divide(r * c, absc, out=d, where=absc > 0.0)
         x = duals_t @ d
         c = analysis(frame, x)
-        e = np.abs(c) - r
+        absc = np.abs(c)  # for the residual and the next sweep
+        e = absc - r
         res = math.sqrt(e.dot(e))  # np.linalg.norm's own sum
         trace_log.append(res)
         if res < best_res:
@@ -487,10 +489,10 @@ def _quartic_step(r: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     b = 0 then a = 0 too on the Wirtinger line (|d|^2 = 0 means d = 0), phi
     is constant and t = 0.
     """
-    s_bb = float(b @ b)
+    s_bb = float(b.dot(b))
     if s_bb == 0.0:
         return 0.0
-    s_ab, s_aa, s_rb, s_ra = float(a @ b), float(a @ a), float(r @ b), float(r @ a)
+    s_ab, s_aa, s_rb, s_ra = float(a.dot(b)), float(a.dot(a)), float(r.dot(b)), float(r.dot(a))
     # monic t^3 + e2 t^2 + e1 t + e0, shifted by t = u - e2 / 3 to u^3 + P u + Q
     e2 = 1.5 * s_ab / s_bb
     e1 = 0.5 * (s_aa + 2.0 * s_rb) / s_bb
@@ -611,6 +613,44 @@ def irls_objective(frame: Frame, u, v, lam: float, mu: float, y) -> float:
     )
 
 
+def _row_dots(R: np.ndarray) -> np.ndarray:
+    """r.dot(r) for every row r of the 2-d array R, bit for bit: matmul of a
+    stack of 1 x k rows with k x 1 columns takes the same BLAS dot."""
+    return np.matmul(R[:, None, :], R[:, :, None])[:, 0, 0]
+
+
+def _irls_log(y: np.ndarray, start: tuple, steps: list, misfits: list) -> list[dict]:
+    """The criterion log entries of consecutive IRLS steps.
+
+    ``start`` is (xi, pq, misfit) of the iterate the first step starts at,
+    ``steps`` holds (xi_u, pq_u, lam, mu, cg_iterations) of each step and
+    ``misfits`` each step's misfit.  The three criterion values are
+    ``irls_objective`` at (x, x), (u, x) and (u, u), written through the
+    carried coefficients; each elementwise operation and dot acts on the
+    stacked rows exactly as it would on one step's vectors, so the entries
+    carry the bits a per-step computation gives.
+    """
+    m = y.shape[0]
+    xi0, pq0, rr0 = start
+    xis, pqs, lams, mus, cgs = zip(*steps)
+    X = np.array((xi0, *xis))
+    P = np.array((pq0, *pqs))
+    cross = P[1:] * P[:-1]
+    r_cross = cross[:, :m] + cross[:, m:]
+    r_cross -= y
+    xx = _row_dots(X)
+    lam, mu = np.array(lams, dtype=float), np.array(mus, dtype=float)
+    rr = np.array((rr0, *misfits[:-1]))
+    sub_before = rr + 2.0 * lam * xx[:-1]
+    sub_after = _row_dots(r_cross) + lam * xx[1:] + mu * _row_dots(X[1:] - X[:-1]) + lam * xx[:-1]
+    return [
+        {"lam": lam_k, "mu": mu_k, "J_sub_before": before, "J_sub_after": after,
+         "J_misfit": misfit, "cg_iterations": n_cg}
+        for lam_k, mu_k, before, after, misfit, n_cg
+        in zip(lams, mus, sub_before.tolist(), sub_after.tolist(), misfits, cgs)
+    ]
+
+
 def irls(frame: Frame, y, opts: IRLSOptions | None = None, x_true=None) -> ReconResult:
     """Iterated regularized least squares with geometrically decaying weights.
 
@@ -625,11 +665,15 @@ def irls(frame: Frame, y, opts: IRLSOptions | None = None, x_true=None) -> Recon
     u = v, so each step's subproblem value descends by construction.  The
     loop works in realified coordinates throughout: each step computes the
     coefficients (p, q) = (phi xi_u, J phi xi_u) of the new iterate with one
-    product with ``Frame.realified_rows``, and carries them and the
-    intensity residual p^2 + q^2 - y into the next step, which builds Z from
-    them (the columns ``gradient_columns`` gives, p_k phi_k + q_k J phi_k,
-    written into buffers the solve reuses) and the three logged criterion
-    values from the carried residuals.  Both weights start at IRLS_RHO a1, floored
+    product with ``Frame.realified_rows``, takes the misfit from them, and
+    carries them into the next step, which builds Z from them (the columns
+    ``gradient_columns`` gives, p_k phi_k + q_k J phi_k, written into
+    buffers the solve reuses).  The three criterion values of
+    ``diagnostics["outer_log"]`` never steer the loop, so they are computed
+    after the step loop, in one vectorized pass per block of up to
+    _IRLS_LOG_BLOCK steps, from each step's kept iterate, coefficients and
+    weights; the kept arrays take O(_IRLS_LOG_BLOCK m) memory.  Both weights
+    start at IRLS_RHO a1, floored
     at ``lambda_min`` and IRLS_MU_MIN, and decay by IRLS_GAMMA per step down
     to those floors.
     The loop stops on a misfit below IRLS_EPS ||y||^2 (``stop_reason``
@@ -673,13 +717,15 @@ def irls(frame: Frame, y, opts: IRLSOptions | None = None, x_true=None) -> Recon
     cg_ok = True
     stop_reason = "max_iter"
     it = 0
-    # the iterate xi carries its frame coefficients as pq = [Re c; Im c] and
-    # its intensity residual r = |c|^2 - y from the u-step that produced it
+    apply_A = A.dot  # A is rebuilt in place, so one bound product serves every step
+    # the iterate xi carries its frame coefficients pq = [Re c; Im c] from
+    # the u-step that produced it
     xi = best_xi = realify(init.x0 if opts.x0 is None else _start(frame, opts.x0))
     pq = np.dot(rows, xi)
     sq = pq * pq
     r = sq[:m] + sq[m:] - y
-    rr, xx = r.dot(r), xi.dot(xi)
+    # each block of log entries starts at an iterate: (xi, pq, misfit)
+    block_start, block = (xi, pq, r.dot(r)), []
     for it in range(1, opts.max_outer + 1):
         np.multiply(rows_t, pq, out=W)
         np.add(W[:, :m], W[:, m:], out=Z)
@@ -688,29 +734,21 @@ def irls(frame: Frame, y, opts: IRLSOptions | None = None, x_true=None) -> Recon
         np.dot(Z, y, out=rhs)
         rhs += mu * xi
         xi_u, ok, n_cg = cg_solve(
-            A.__matmul__, rhs, tol=IRLS_CG_TOL, max_iter=20 * d, x0=spd_solve(A, rhs)
+            apply_A, rhs, tol=IRLS_CG_TOL, max_iter=20 * d, x0=spd_solve(A, rhs)
         )
         cg_ok = cg_ok and ok
         pq_u = np.dot(rows, xi_u)
-        sq, cross = pq_u * pq_u, pq_u * pq
+        sq = pq_u * pq_u
         r_u = sq[:m] + sq[m:]
         r_u -= y
-        r_cross = cross[:m] + cross[m:]
-        r_cross -= y
-        uu = xi_u.dot(xi_u)
-        step = xi_u - xi
-        # irls_objective at (x, x), (u, x) and (u, u), from the residuals;
-        # r.r is the previous step's misfit
-        sub_before = float(rr + 2.0 * lam * xx)
-        sub_after = float(r_cross.dot(r_cross) + lam * uu + mu * step.dot(step) + lam * xx)
         misfit = float(r_u.dot(r_u))
-        outer_log.append(
-            {"lam": lam, "mu": mu, "J_sub_before": sub_before, "J_sub_after": sub_after,
-             "J_misfit": misfit, "cg_iterations": n_cg}
-        )
         trace_log.append(misfit)
+        block.append((xi_u, pq_u, lam, mu, n_cg))
         xi_prev = xi
-        xi, pq, rr, xx = xi_u, pq_u, misfit, uu
+        xi, pq = xi_u, pq_u
+        if len(block) == _IRLS_LOG_BLOCK:
+            outer_log += _irls_log(y, block_start, block, trace_log[-len(block):])
+            block_start, block = (xi, pq, misfit), []
         if misfit < best_val:
             best_val = misfit
             best_xi = xi
@@ -725,6 +763,8 @@ def irls(frame: Frame, y, opts: IRLSOptions | None = None, x_true=None) -> Recon
             if before - best_val <= IRLS_STALL_REL * before:
                 stop_reason = "stagnation"
                 break
+    if block:
+        outer_log += _irls_log(y, block_start, block, trace_log[-len(block):])
     result = ReconResult(
         x_hat=complexify(best_xi),
         iterations=it,

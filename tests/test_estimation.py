@@ -27,6 +27,7 @@ from framepr import (
     simulate_measurements,
     weighted_frame_operator,
 )
+from framepr import estimation
 from framepr.estimation import _SMALL_A, _bessel_weights
 from conftest import random_complex
 
@@ -178,6 +179,44 @@ def test_weight_gate_rejects_a_coarse_rule(monkeypatch):
         fisher_coefficient_noise(random_frame(2, 6, seed=1), np.array([1.0, 0.5j]), 0.5)
     # the series branch runs no quadrature, so the gate cannot reach it
     assert bessel_ratio_weight(_SMALL_A) == np.exp(-_SMALL_A) * (2.0 + 4.0 * _SMALL_A**2)
+
+
+def test_weight_continuous_across_the_hermite_switch():
+    a_star = estimation._HERMITE_A
+    below, above = _bessel_weights(np.array([a_star * (1.0 - 1e-12), a_star * (1.0 + 1e-12)]))
+    assert above == pytest.approx(below, rel=1e-13)
+
+
+def _hermite_frame_case():
+    frame = random_frame(8, 64, seed=3)
+    x = random_complex(np.random.default_rng(3), 8)
+    return frame, x / np.linalg.norm(x), 0.01
+
+
+def test_fisher_hermite_regime_matches_panel_rule(monkeypatch):
+    frame, x, rho = _hermite_frame_case()
+    a = intensity_map(frame, x) / rho**2
+    assert np.all(a >= estimation._HERMITE_A)
+    w = _bessel_weights(a)
+    both = fisher_coefficient_noise(frame, x, rho).matrix
+    monkeypatch.setattr(estimation, "_HERMITE_A", np.inf)
+    w_panels = _bessel_weights(a)
+    panels = fisher_coefficient_noise(frame, x, rho).matrix
+    np.testing.assert_allclose(w, w_panels, rtol=1e-13, atol=0.0)
+    # the matrix is sum_k (4 / rho^4) (w_k - 1) Z_k Z_k^T, and w - 1 is about
+    # 1 / (2a) here, so a change of 1e-13 w_k in each weight moves it by up to
+    # 1e-13 (4 / rho^4) sum_k w_k ||Z_k||^2, far more than 1e-13 of its norm
+    Z = gradient_columns(frame, realify(x))
+    bound = 1e-13 * (4.0 / rho**4) * np.sum(w_panels * np.sum(Z * Z, axis=0))
+    assert np.linalg.norm(both - panels) <= bound
+
+
+def test_weight_gate_rejects_a_coarse_hermite_rule(monkeypatch):
+    # 3- and 2-node rules differ far beyond the gate on the window integrand
+    monkeypatch.setattr(estimation, "_HERMITE_ORDERS", (3, 2))
+    frame, x, rho = _hermite_frame_case()
+    with pytest.raises(QuadratureError):
+        fisher_coefficient_noise(frame, x, rho)
 
 
 def test_weight_decreases_towards_one():

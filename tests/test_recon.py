@@ -766,6 +766,38 @@ def test_irls_logged_values_match_objective(max_outer):
     assert log["J_misfit"] == pytest.approx(irls_objective(frame, u, u, 0.0, 0.0, y), rel=1e-12)
 
 
+@pytest.mark.parametrize("max_outer", [400, 64, 40])
+def test_irls_every_logged_value_matches_objective(monkeypatch, max_outer):
+    # the log is built after the step loop, one block of steps at a time;
+    # each step's iterate u is the solution the CG check returns, and v is
+    # the previous step's u (the spectral start at the first step)
+    frame, x, y = _noisy_irls_problem()
+    steps = []
+
+    def recording_cg(*args, **kwargs):
+        out = linalg.cg_solve(*args, **kwargs)
+        steps.append(complexify(out[0]))
+        return out
+
+    monkeypatch.setattr(recon, "cg_solve", recording_cg)
+    result = irls(frame, y, IRLSOptions(max_outer=max_outer))
+    log = result.diagnostics["outer_log"]
+    block = recon._IRLS_LOG_BLOCK
+    assert len(log) == len(steps) == result.iterations
+    if max_outer == 400:
+        # crosses a block boundary and stops partway through the next block
+        assert result.stop_reason == "stagnation" and block < result.iterations < 2 * block
+    else:
+        # ends on a block boundary, or partway through the first block
+        assert result.stop_reason == "max_iter" and result.iterations == max_outer <= block
+    starts = [spectral_init(frame, y, mode="irls").x0] + steps[:-1]
+    for entry, u, v in zip(log, steps, starts):
+        lam, mu = entry["lam"], entry["mu"]
+        assert entry["J_sub_before"] == pytest.approx(irls_objective(frame, v, v, lam, mu, y), rel=1e-12)
+        assert entry["J_sub_after"] == pytest.approx(irls_objective(frame, u, v, lam, mu, y), rel=1e-12)
+        assert entry["J_misfit"] == pytest.approx(irls_objective(frame, u, u, 0.0, 0.0, y), rel=1e-12)
+
+
 def test_irls_cg_only_checks_the_direct_solve(monkeypatch):
     frame, x, y = _noisy_irls_problem()
     noiseless = irls(frame, intensity_map(frame, x), x_true=x)
