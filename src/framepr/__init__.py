@@ -13,6 +13,8 @@ Library layout:
 - ``harness``: seeded experiment runner; ``cli``: command-line front end.
 """
 
+__version__ = "0.1.0"  # the one copy; reports record it as artifact_version
+
 from .errors import (
     BudgetExceeded,
     CombinatorialBudgetExceeded,
@@ -61,7 +63,6 @@ from .lifting import (
     lifted_map_adjoint,
     measurement_form,
     measurement_forms,
-    normalized_gradient_gram,
     rank_one_diff_spectrum,
     realify,
     sym_outer,
@@ -122,5 +123,3 @@ from .harness import (
     run_experiment,
     write_csv,
 )
-
-__version__ = "0.1.0"

@@ -63,14 +63,20 @@ _GK_NODES = np.concatenate([-_KRONROD_X[:-1], _KRONROD_X[::-1]])
 _GK_WEIGHTS = np.concatenate([_KRONROD_W[:-1], _KRONROD_W[::-1]])
 _GK_ERROR = _GK_WEIGHTS - np.concatenate([_GAUSS_W[:-1], _GAUSS_W[::-1]])
 
+# the one table of noise kinds: each kind's level parameter (a NoiseModel
+# field) and the name of its Fisher builder in this module, looked up by name
+# so that a caller reaches the module's current binding
+_NOISE_KINDS = {"awgn": ("sigma", "fisher_awgn"), "coefficient": ("rho", "fisher_coefficient_noise")}
+
 
 @dataclass(frozen=True)
 class NoiseModel:
     """Seeded measurement noise description.
 
-    kind "awgn" requires ``sigma`` (std dev of the additive intensity noise);
-    kind "coefficient" requires ``rho`` (total std dev of the complex noise
-    added to each coefficient before squaring).
+    ``kind`` is a key of ``_NOISE_KINDS``, whose level parameter must be a
+    positive number: kind "awgn" requires ``sigma`` (std dev of the additive
+    intensity noise); kind "coefficient" requires ``rho`` (total std dev of
+    the complex noise added to each coefficient before squaring).
     """
 
     kind: str
@@ -79,12 +85,10 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind == "awgn":
-            _check_real("sigma", self.sigma)
-        elif self.kind == "coefficient":
-            _check_real("rho", self.rho)
-        else:
+        if not isinstance(self.kind, str) or self.kind not in _NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
+        level = _NOISE_KINDS[self.kind][0]
+        _check_real(level, getattr(self, level))
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,13 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import recon
+from . import __version__, estimation, recon
 from .errors import ConfigError, DimensionMismatch, FramePRError
-from .estimation import NoiseModel, crlb, fisher_awgn, fisher_coefficient_noise, simulate_measurements
+from .estimation import _NOISE_KINDS, NoiseModel, crlb, simulate_measurements
 from .frames import (
     ENSEMBLES,
     Frame,
@@ -42,11 +42,10 @@ from .injectivity import (
     sampled_stability_bounds,
     stability_bounds_real,
 )
-ARTIFACT_VERSION = "0.1.0"
 SCHEMA_VERSION = 1
 
 _TASKS = ("certify", "bounds", "crlb", "reconstruct", "sweep")
-_NOISE_PARAMETER = {"awgn": "sigma", "coefficient": "rho"}  # noise kind -> parameter of its level
+_SWEPT_KIND = {level: kind for kind, (level, _) in _NOISE_KINDS.items()}  # sweep parameter -> noise kind
 _SUCCESS_THRESHOLD = 1e-5  # default largest d2_rel that counts as a success
 # the largest value of each count only a config sets (the library caps its own
 # arguments), checked before anything is built, with the cost it limits
@@ -63,7 +62,7 @@ _SECTION_KEYS = {
     "frame": {"inline": ("inline",), "file": ("file",), "ensemble": ("ensemble", "n", "m", "seed")},
     "inline": ("n", "m", "field", "vectors"),  # the keys frames.frame_to_dict writes
     "algorithm": ("name", "options"),
-    "noise": {"none": ("kind",), **{kind: ("kind", level) for kind, level in _NOISE_PARAMETER.items()}},
+    "noise": {"none": ("kind",), **{kind: ("kind", level) for kind, (level, _) in _NOISE_KINDS.items()}},
     "signal": ("kind", "norm"),
     "sweep": ("parameter", "values"),
     "options": tuple(_COUNTS),
@@ -100,24 +99,19 @@ def _frame_source(spec) -> str:
 
 
 def _json_key(key) -> str:
-    """A dict key as json.dumps writes it."""
+    """A config key as a plain string.  Every config section holds a closed
+    set of string keys, so any other key is a ConfigError."""
     if isinstance(key, str):
         return str.__str__(key)
-    if isinstance(key, float):
-        text = float.__repr__(key)
-        return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
-    if key is True or key is False or key is None:
-        return json.dumps(key)
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise ConfigError(f"config key {key!r} of type {type(key).__name__} is not JSON data")
+    raise ConfigError(f"config key {key!r} of type {type(key).__name__} is not JSON data: a config key is a string")
 
 
 def _json_copy(value, open_ids: set):
     """json.loads(json.dumps(value)) in one pass: str, int and float
-    subclasses become plain values, tuples lists, and dict keys strings; any
-    other type, or a list or dict inside itself (its id is in ``open_ids``
-    while it is being copied), is a ConfigError."""
+    subclasses become plain values and tuples lists; a dict key that is not
+    a string (see ``_json_key``), any other type, or a list or dict inside
+    itself (its id is in ``open_ids`` while it is being copied), is a
+    ConfigError."""
     kind = type(value)
     if kind is float or kind is str or kind is int or kind is bool or value is None:
         return value
@@ -148,7 +142,8 @@ def _json_copy(value, open_ids: set):
 def load_config(source) -> dict:
     """Normalize and validate a config (dict or path to a JSON file).  A dict
     is deep-copied and JSON-normalized in one pass, with the result of
-    json.loads(json.dumps(source)).  Every malformed config is a ConfigError."""
+    json.loads(json.dumps(source)) for string keys; a key of any other type
+    is a ConfigError.  Every malformed config is a ConfigError."""
     if isinstance(source, (str, bytes)):
         try:
             with open(source) as fh:
@@ -220,13 +215,13 @@ def _check_config(raw: dict, cfg: dict) -> None:
     names = [alg["name"] for alg in cfg["algorithms"]]
     if len(set(names)) < len(names):
         raise ConfigError(f"algorithms repeats a name, so its records would merge into one group: {names}")
-    level = _NOISE_PARAMETER.get(kind)
+    level = _NOISE_KINDS[kind][0] if kind != "none" else None
     if cfg["task"] in ("crlb", "sweep"):
         sweep = cfg["sweep"]
         if not sweep:
             raise ConfigError(f"task {cfg['task']!r} requires a 'sweep' section")
-        if sweep.get("parameter") not in ("sigma", "rho"):
-            raise ConfigError("sweep.parameter must be 'sigma' or 'rho'")
+        if not isinstance(sweep.get("parameter"), str) or sweep["parameter"] not in _SWEPT_KIND:
+            raise ConfigError(f"sweep.parameter must be one of {sorted(_SWEPT_KIND)}")
         if level not in (None, sweep["parameter"]):
             raise ConfigError(f"{kind} noise is swept over {level!r}, not {sweep['parameter']!r}")
         if sweep["parameter"] in noise:
@@ -279,20 +274,11 @@ class Report:
     aggregates: dict = field(default_factory=dict)
     tables: list = field(default_factory=list)
     result: dict = field(default_factory=dict)
-    artifact_version: str = ARTIFACT_VERSION
+    artifact_version: str = __version__
     timestamp: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "artifact_version": self.artifact_version,
-            "config": self.config,
-            "task": self.task,
-            "records": self.records,
-            "aggregates": self.aggregates,
-            "tables": self.tables,
-            "result": self.result,
-            "timestamp": self.timestamp,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self) -> str:
         return dump_json(self.to_dict())
@@ -334,16 +320,7 @@ def report_from_dict(data: dict) -> Report:
     are an object of objects and the tables a list of objects."""
     if not isinstance(data, dict) or not isinstance(data.get("config"), dict) or "task" not in data:
         raise ConfigError("not a report: expected an object with a 'config' object and a 'task'")
-    report = Report(
-        config=data["config"],
-        task=data["task"],
-        records=data.get("records", []),
-        aggregates=data.get("aggregates", {}),
-        tables=data.get("tables", []),
-        result=data.get("result", {}),
-        artifact_version=data.get("artifact_version", ARTIFACT_VERSION),
-        timestamp=data.get("timestamp", ""),
-    )
+    report = Report(**{f.name: data[f.name] for f in fields(Report) if f.name in data})
     try:
         _check_real("config.success_threshold", report.config.get("success_threshold", _SUCCESS_THRESHOLD))
     except ValueError as exc:
@@ -379,25 +356,17 @@ def _draw_signal(frame: Frame, signal: dict, seed) -> np.ndarray:
 
 
 def _measure(frame: Frame, x, noise: dict, seed):
-    kind = noise.get("kind", "none")
-    if kind == "none":
+    """Intensities of x under a noise section ``_check_config`` accepted."""
+    if noise.get("kind", "none") == "none":
         return intensity_map(frame, x)
-    model = NoiseModel(
-        kind=kind,
-        sigma=noise.get("sigma"),
-        rho=noise.get("rho"),
-        seed=seed,
-    )
-    return simulate_measurements(frame, x, model)
+    return simulate_measurements(frame, x, NoiseModel(seed=seed, **noise))
 
 
 def _sweep_noise(cfg: dict, value) -> dict:
-    """The config's noise with a sweep value overlaid; kind none follows the parameter."""
+    """The config's noise with a sweep value overlaid, of the kind the
+    swept parameter sets (``_check_config`` allows no other but none)."""
     param = cfg["sweep"]["parameter"]
-    noise = dict(cfg["noise"], **{param: value})
-    if noise.get("kind", "none") == "none":
-        noise["kind"] = "awgn" if param == "sigma" else "coefficient"
-    return noise
+    return dict(cfg["noise"], kind=_SWEPT_KIND[param], **{param: value})
 
 
 def _solver_options(name: str, options: dict):
@@ -607,8 +576,6 @@ def _sweep_table(aggregates: dict) -> list:
     keeps its row (no error statistics) so its error count shows."""
     rows = []
     for key, entry in sorted(aggregates.items()):
-        if "@" not in key:
-            continue
         alg, value = key.rsplit("@", 1)
         rows.append(
             {
@@ -632,19 +599,19 @@ def crlb_reference_curve(cfg: dict, frame: Frame) -> list:
     averages the remaining trials (None when all failed).  ``cfg`` is a
     config as ``load_config`` returns it.
     """
-    fisher = fisher_awgn if cfg["sweep"]["parameter"] == "sigma" else fisher_coefficient_noise
     solvers = _solvers(cfg)
     master = cfg["seed"]
     x = _draw_signal(frame, cfg["signal"], [master, 917, 0])
     rows = []
     for iv, value in enumerate(cfg["sweep"]["values"]):
+        noise = _sweep_noise(cfg, value)
+        fisher = getattr(estimation, _NOISE_KINDS[noise["kind"]][1])
         bound = crlb(fisher(frame, x, float(value)), x)
         row = {
             "noise_level": float(value),
             "trace_crlb": float(np.trace(bound).real),
             "trials": cfg["trials"],
         }
-        noise = _sweep_noise(cfg, value)
         trials = [_reconstruct_trial(solvers, frame, x, noise, [master, iv, t], t)
                   for t in range(cfg["trials"])]
         for (name, _), recs in zip(solvers, zip(*trials)):

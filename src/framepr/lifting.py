@@ -240,14 +240,6 @@ def _normalized_gram(Z: np.ndarray, s: np.ndarray, zero: np.ndarray) -> np.ndarr
     return Zk @ Zk.T
 
 
-def normalized_gradient_gram(frame: Frame, xi) -> np.ndarray:
-    """Same sum with each term divided by <Phi_k xi, xi>.
-
-    Terms of measurements that are numerically zero at xi are excluded.
-    """
-    return _normalized_gram(*_gradient_terms(frame, np.asarray(xi, dtype=float)))
-
-
 def lift_outer(x) -> np.ndarray:
     """x x*, the isometric embedding of the phase quotient for the 1-norm."""
     x = np.asarray(x, dtype=complex)

@@ -87,6 +87,17 @@ def test_recon_and_report(tmp_path):
     assert csv_path.read_text().startswith("group,")
 
 
+def test_recon_trials_and_seed_flags_override_the_config(tmp_path):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"frame": {"ensemble": "gaussian", "n": 2, "m": 6, "seed": 3},
+                                    "trials": 4, "seed": 1, "algorithms": [{"name": "lifted_linear"}]}))
+    rep_path = tmp_path / "r.json"
+    assert run_cli("recon", "--config", str(cfg_path), "--trials", "2", "--seed", "5", "--out", str(rep_path)) == 0
+    report = load_report(rep_path)
+    assert (report.config["trials"], report.config["seed"]) == (2, 5)
+    assert [rec["trial"] for rec in report.records] == [0, 1]
+
+
 def test_recon_default_phaselift_and_report_digest(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"frame": {"ensemble": "gaussian", "n": 3, "m": 18, "seed": 1},

@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 
 from framepr import (
+    DimensionMismatch,
     GSOptions,
     IRLSOptions,
+    InvalidPartition,
     NoiseModel,
+    NotHermitian,
     PhaseLiftOptions,
+    RankDeficient,
     WirtingerOptions,
+    certify_retrievable_complex,
     cg_solve,
+    check_retrievable_real,
     gerchberg_saxton,
     hermitian_eig,
     intensity_map,
@@ -18,11 +24,15 @@ from framepr import (
     load_frame,
     magnitude_map,
     make_frame,
+    outer_distance,
     pseudo_inverse,
     random_frame,
     run_experiment,
     save_frame,
     simulate_measurements,
+    spectral_init,
+    sym_outer,
+    synthesis,
     wirtinger_flow,
 )
 from conftest import random_complex
@@ -159,3 +169,43 @@ def test_make_frame_rejects_nonfinite():
         make_frame([[np.nan, 0], [0, 1], [1, 1]])
     with pytest.raises(ValueError):
         make_frame(np.array([[1, 1j], [0, 1]]), field="real")
+
+
+_FRAME = random_frame(2, 4, seed=0)
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: check_retrievable_real(_FRAME), InvalidPartition, "real-tagged"),
+        (lambda: make_frame(np.ones((1, 2))), RankDeficient, "m >= n"),
+        (lambda: random_frame(3, 2), RankDeficient, "m >= n"),
+        (lambda: make_frame(np.eye(2), field="quaternion"), ValueError, "unknown field"),
+        (lambda: random_frame(2, 4, "bogus"), ValueError, "unknown ensemble"),
+        (lambda: synthesis(_FRAME, np.ones(3)), DimensionMismatch, "length 4"),
+        (lambda: sym_outer(np.ones(2), np.ones(3)), DimensionMismatch, "shape mismatch"),
+        (lambda: hermitian_eig(np.ones((2, 3))), NotHermitian, "square"),
+        (lambda: outer_distance(np.ones(2), np.ones(2), p=3), ValueError, "p in"),
+        (lambda: spectral_init(_FRAME, np.ones(4), mode="x"), ValueError, "mode"),
+    ],
+    ids=["real_check_of_complex_frame", "make_frame_too_few", "random_frame_too_few", "field",
+         "ensemble", "synthesis_length", "sym_outer_shapes", "eig_not_square", "outer_distance_p",
+         "spectral_init_mode"],
+)
+def test_argument_errors(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+def test_real_frame_with_a_zero_margin_partition_is_undecided():
+    # exactly retrievable (every pair of sides has determinant 1 or 1e-9), but
+    # the float margin is zero; pinned so that an exact decision changes this
+    # answer on purpose
+    cert = check_retrievable_real(make_frame([[1, 0], [1, 1e-9], [0, 1]], field="real"))
+    assert (cert.verdict, cert.notes) == ("undecided", "zero partition margin")
+
+
+def test_tiny_complex_line_frame_is_undecided():
+    # sum |f_k|^4 = 3 * 2^-1200 underflows, so n = 1's closed form cannot be certified
+    cert = certify_retrievable_complex(make_frame(np.full((3, 1), 2.0**-300), field="complex"))
+    assert (cert.verdict, cert.notes) == ("undecided", "sum |f_k|^4 outside the certified float range")

@@ -20,7 +20,6 @@ from framepr import (
     intensity_map,
     local_stability_bounds,
     make_frame,
-    normalized_gradient_gram,
     pseudo_inverse,
     random_frame,
     realify,
@@ -29,6 +28,7 @@ from framepr import (
 )
 from framepr import estimation
 from framepr.estimation import _SMALL_A, _bessel_weights
+from framepr.lifting import _gradient_terms, _normalized_gram
 from conftest import random_complex
 
 SCALAR = make_frame(np.array([[1.0 + 0j]]))
@@ -294,7 +294,7 @@ def test_fisher_coefficient_kernel_and_psd(rng):
 def test_zero_measurement_rule_is_shared(monkeypatch, z, zeros):
     # an orthonormal basis plus generic rows: at z the basis vectors on its
     # zero entries are exactly orthogonal to z.  local_stability_bounds reports
-    # exactly the terms normalized_gradient_gram leaves out, and the Fisher
+    # exactly the terms the normalized gradient Gram leaves out, and the Fisher
     # matrix gives exactly those the continuous-extension weight 4/rho^4
     rows = np.random.Generator(np.random.Philox(5)).normal(size=(4, 6))
     frame = make_frame(np.vstack([np.eye(3), rows[:, :3] + 1j * rows[:, 3:]]))
@@ -304,7 +304,7 @@ def test_zero_measurement_rule_is_shared(monkeypatch, z, zeros):
     kept = [k for k in range(frame.m) if k not in zeros]
     assert local_stability_bounds(frame, np.array(z))["zero_set"] == zeros
     expected = sum((np.outer(Z[:, k], Z[:, k]) / s[k] for k in kept), np.zeros((6, 6)))
-    np.testing.assert_allclose(normalized_gradient_gram(frame, xi), expected, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(_normalized_gram(*_gradient_terms(frame, xi)), expected, rtol=1e-12, atol=0)
 
     rho = 0.7
     seen = []

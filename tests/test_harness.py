@@ -1,4 +1,5 @@
 import hashlib
+import pathlib
 import json
 
 import numpy as np
@@ -714,3 +715,54 @@ def test_real_frame_reconstruction_run():
     assert len(vector) == 6
     assert all(np.isfinite([rec["d2_rel"], rec["residual"]]).all() for rec in vector)
     assert run_experiment(cfg).deterministic_digest() == report.deterministic_digest()
+
+
+_DIGEST_PINS = json.loads((pathlib.Path(__file__).parent / "data" / "report_digests.json").read_text())
+
+
+@pytest.mark.parametrize("pin", _DIGEST_PINS, ids=[pin["task"] for pin in _DIGEST_PINS])
+def test_report_matches_pinned_digest(pin):
+    # one fixed config per task and noise path against the digest it gave
+    # when recorded, so a rewrite of the harness that changes any
+    # deterministic byte of a report shows here
+    assert run_experiment(pin["config"]).deterministic_digest() == pin["digest"]
+
+
+_SECTIONS = {
+    "config": lambda key: {**BASE, key: 1},
+    "frame_ensemble": lambda key: dict(BASE, frame={**BASE["frame"], key: 1}),
+    "frame_inline": lambda key: dict(BASE, frame={"inline": _REAL_TRIPLE, key: 1}),
+    "inline_frame": lambda key: dict(BASE, frame={"inline": {**_REAL_TRIPLE, key: 1}}),
+    "frame_file": lambda key: dict(BASE, frame={"file": "frame.json", key: 1}),
+    "noise": lambda key: dict(BASE, noise={"kind": "awgn", "sigma": 0.1, key: 1}),
+    "signal": lambda key: dict(BASE, signal={"kind": "gaussian", key: 1}),
+    "sweep": lambda key: dict(BASE, task="sweep", sweep={"parameter": "sigma", "values": [0.1], key: 1}),
+    "options": lambda key: dict(BASE, options={key: 1}),
+    "algorithm": lambda key: dict(BASE, algorithms=[{"name": "lifted_linear", key: 1}]),
+    "solver_options": lambda key: dict(BASE, algorithms=[{"name": "irls", "options": {key: 1}}]),
+    "no_options": lambda key: dict(BASE, algorithms=[{"name": "lifted_linear", "options": {key: 1}}]),
+}
+
+
+@pytest.mark.parametrize("key", [7, 2.5, True, None, _Count(3)], ids=["int", "float", "bool", "None", "int_subclass"])
+@pytest.mark.parametrize("section", sorted(_SECTIONS))
+def test_every_non_string_config_key_is_refused(section, key):
+    # no config section reads a key that is not a string
+    with pytest.raises(ConfigError):
+        load_config(_SECTIONS[section](key))
+
+
+def test_load_config_refuses_what_is_not_a_config(tmp_path):
+    with pytest.raises(ConfigError, match="must be a dict or a path"):
+        load_config([1])
+    with pytest.raises(ConfigError, match="cannot read config"):
+        load_config(str(tmp_path / "missing.json"))
+    with pytest.raises(ConfigError, match="unsupported schema_version 2"):
+        load_config(dict(BASE, schema_version=2))
+
+
+def test_report_from_dict_refuses_aggregates_that_are_not_objects():
+    data = run_experiment(BASE).to_dict()
+    for aggregates in ([], {"lifted_linear": 1.0}):
+        with pytest.raises(ConfigError, match="aggregates are not an object of objects"):
+            report_from_dict(dict(data, aggregates=aggregates))

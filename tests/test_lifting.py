@@ -18,7 +18,6 @@ from framepr import (
     make_frame,
     measurement_form,
     measurement_forms,
-    normalized_gradient_gram,
     random_frame,
     rank_one_diff_spectrum,
     realify,
@@ -26,6 +25,7 @@ from framepr import (
     sym_outer_spectrum,
     weighted_frame_operator,
 )
+from framepr.lifting import _gradient_terms, _normalized_gram
 from framepr.linalg import hermitian_part
 from conftest import random_complex, random_hermitian
 
@@ -421,11 +421,11 @@ def test_batched_gradient_gram_equals_stacked_points(n, m, rng):
 @pytest.mark.parametrize("shape", [(), (3,), (5,), (2, 3), (4, 1), (1, 2, 4)])
 def test_gradient_columns_reject_other_shapes(shape):
     frame = random_frame(2, 8, "gaussian", seed=0)  # points have shape (4,) or (k, 4)
-    for build in (gradient_columns, gradient_gram, normalized_gradient_gram):
+    for build in (gradient_columns, gradient_gram, _gradient_terms):
         with pytest.raises(DimensionMismatch):
             build(frame, np.zeros(shape))
-    with pytest.raises(DimensionMismatch):  # it takes one point only
-        normalized_gradient_gram(frame, np.zeros((2, 4)))
+    with pytest.raises(DimensionMismatch):  # the normalized Gram's terms take one point only
+        _gradient_terms(frame, np.zeros((2, 4)))
 
 
 def test_normalized_gradient_gram_quadratic_form(rng):
@@ -433,7 +433,7 @@ def test_normalized_gradient_gram_quadratic_form(rng):
     # form at xi recovers the total kept coefficient energy
     frame = random_frame(3, 7, "gaussian", seed=27)
     xi = rng.normal(size=6)
-    S = normalized_gradient_gram(frame, xi)
+    S = _normalized_gram(*_gradient_terms(frame, xi))
     x = complexify(xi)
     energy = float(np.sum(intensity_map(frame, x)))
     assert float(xi @ S @ xi) == pytest.approx(energy, rel=1e-10)
@@ -443,7 +443,7 @@ def test_normalized_gradient_gram_exclusion_set():
     # a coefficient that vanishes drops its term instead of dividing by zero
     frame = make_frame(np.eye(2))
     xi = realify(np.array([1.0 + 0j, 0.0]))  # orthogonal to the second vector
-    S = normalized_gradient_gram(frame, xi)
+    S = _normalized_gram(*_gradient_terms(frame, xi))
     expected = measurement_forms(frame)[0] @ np.outer(xi, xi) @ measurement_forms(frame)[0]
     np.testing.assert_allclose(S, expected, atol=1e-14)
     assert np.trace(S) == pytest.approx(1.0)

@@ -1,0 +1,63 @@
+"""Every public name is used by something besides its own unit tests.
+
+A name that ``framepr/__init__.py`` imports must be referenced somewhere
+else: in the library outside its own definition and ``__init__.py``, in a
+demo, in the benchmark, or in the acceptance suite.  A reference is a loaded
+name, an attribute, an import alias or a string constant equal to the name
+(the benchmark's tracer names its targets by string).  A public function
+that only its unit tests call is dead weight in the public API.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "framepr"
+
+
+def _exported() -> list:
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return sorted(alias.name for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1
+                  for alias in node.names)
+
+
+def _references(tree: ast.AST, owner: str | None = None):
+    """(name, enclosing top-level definition) of every reference in ``tree``."""
+    for node in ast.iter_child_nodes(tree):
+        if owner is None and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _references(node, node.name)
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, owner
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, owner
+        elif isinstance(node, ast.alias):
+            yield from ((part, owner) for part in node.name.split("."))
+            if node.asname:
+                yield node.asname, owner
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, owner
+        yield from _references(node, owner)
+
+
+def _sources() -> list:
+    library = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    others = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    return library + others + [ROOT / "tests" / "test_acceptance.py"]
+
+
+@pytest.fixture(scope="module")
+def referenced() -> set:
+    names = set()
+    for path in _sources():
+        for name, owner in _references(ast.parse(path.read_text())):
+            if name != owner:  # a definition's use of itself is no use
+                names.add(name)
+    return names
+
+
+@pytest.mark.parametrize("name", _exported())
+def test_public_name_is_used_outside_its_unit_tests(name, referenced):
+    assert name in referenced, f"{name} is exported but nothing outside its unit tests uses it"
