@@ -21,8 +21,6 @@ import numpy as np
 from .errors import CombinatorialBudgetExceeded, DimensionMismatch, RankDeficient
 from .linalg import hermitian_eig, hermitian_part, rank_one_coordinates
 
-#: counter-based 64-bit generator used for every seeded draw in the package
-RNG_NAME = "philox"
 SPARK_TOL = 1e-10  # relative determinant below which is_full_spark sees dependence
 SPARK_MAX_SUBSETS = 10**6  # most n-subsets is_full_spark enumerates
 ENSEMBLES = ("gaussian", "uniform_sphere", "real_gaussian")  # random_frame's ensembles

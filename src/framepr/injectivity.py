@@ -145,30 +145,31 @@ def _bipartition_scan(frame: Frame):
     puts vector k in I.  Vectors are assigned in a fixed search order:
     vector 0, then the others by decreasing norm, so the bounds rise early.
     A node at depth p fixes the sides of the first p vectors of that order
-    and carries LB = lambda_min(S_{I,p}) + lambda_min(S_{I^c,p}) over them.
-    The search starts with every node at depth p0 = min(m, 2n); a child is
-    its parent's two matrices with the next outer product O_p added to one
-    side, so only that side needs a new eigensolve.  The frontier is
-    processed depth-first in blocks of at most ``_PARTITION_BLOCK`` nodes.
-    Pending nodes keep only their mask and two eigenvalues, and a block's
-    matrices are rebuilt from its masks when it is expanded.  The incumbent
-    ``best`` is the smallest exact leaf sum evaluated so far; each block
-    first evaluates the two completions (every unassigned vector in I, or
-    every one in I^c) of its lowest-bound nodes.  A block at depth m - 1 that
-    pruned nothing has its children evaluated as leaves at once, without
-    their bounds, which would rarely prune there.  Leaves that survive are
-    evaluated with the expressions of an exhaustive scan: the full incidence
-    row, then S_total - S_I.
+    and carries LB, the sum of one lower bound per side on lambda_min of that
+    side's matrix S_{I,p} or S_{I^c,p} over them.  The search starts from one
+    root: mask 0 at depth 1, vector 0 alone on the complement side, with
+    both bounds 0.  A child is its parent's two matrices with the next outer
+    product O_p added to one side; that side gets a new eigensolve, and the
+    other keeps its parent's bound.  The frontier is processed depth-first
+    in blocks of at most ``_PARTITION_BLOCK`` nodes.  Pending nodes keep
+    only their mask and two bounds, and a block's matrices are rebuilt from
+    its masks when it is expanded.  The incumbent ``best`` is the smallest
+    exact leaf sum evaluated so far; each block first evaluates the two
+    completions (every unassigned vector in I, or every one in I^c) of its
+    lowest-bound nodes.  Leaves that survive are evaluated with the
+    expressions of an exhaustive scan: the full incidence row, then
+    S_total - S_I.
 
-    Soundness.  Adding the PSD terms of the unassigned vectors never lowers
-    lambda_min (Weyl), so the exact LB of a node is at most the exact sum of
-    every leaf below it.  Each computed quantity is a floating-point sum of
-    at most m rank-one terms (a leaf adds one subtraction) followed by an
-    eigensolve.  The sums err by a small multiple of m eps ||V||_F^2 and
-    the eigensolver by a small multiple of n eps ||V||_2^2 per side.
-    Nothing is pruned unless m > 2n, and there margin = 64 m eps ||V||_F^2
-    exceeds both errors together.  So a computed LB never exceeds a computed
-    leaf sum below it by more than margin.  A node is pruned only when
+    Soundness.  Every side's matrix is PSD, so 0 bounds its lambda_min, and
+    adding the PSD terms of the unassigned vectors never lowers lambda_min
+    (Weyl); so the exact LB of a node is at most the exact sum of every leaf
+    below it.  Each computed quantity is a floating-point sum of at most m
+    rank-one terms (a leaf adds one subtraction) followed by an eigensolve.
+    The sums err by a small multiple of m eps ||V||_F^2 and the eigensolver
+    by a small multiple of n eps ||V||_2^2 per side.  As n <= m and
+    ||V||_2^2 <= ||V||_F^2, margin = 64 m eps ||V||_F^2 exceeds both errors
+    together at every depth.  So a computed LB never exceeds a computed leaf
+    sum below it by more than margin.  A node is pruned only when
     LB > max(best, 2 screen_tol) + margin.  Every leaf below it then has a
     computed sum above best, so it is not the minimiser and A0 equals the
     exhaustive minimum bit for bit.  Its sum is also above 2 screen_tol, so
@@ -235,50 +236,32 @@ def _bipartition_scan(frame: Frame):
         return S_I, S_c
 
     half = _PARTITION_BLOCK // 2  # parents per expansion, so children fit a block
-    p0 = min(m, 2 * n)
-    n_top = 1 << (p0 - 1)
-    positions = np.arange(p0 - 1, dtype=np.uint64)
-    for start in range(0, n_top, half):
-        t = np.arange(start, min(start + half, n_top), dtype=np.uint64)
-        bits = ((t[:, None] >> positions) & 1) << bit_shift[: p0 - 1]
-        masks = bits.sum(axis=1, dtype=np.uint64)
-        if p0 == m:
+    # the root: vector 0 alone on the complement side, both bounds 0
+    stack = [(1, np.zeros(1, dtype=np.uint64), np.zeros(1), np.zeros(1))]
+    while stack:
+        p, masks, lam_I, lam_c = stack.pop()
+        lb = lam_I + lam_c
+        if p < m:
+            low = masks[np.argsort(lb, kind="stable")[:_INCUMBENT_NODES]]
+            rest = np.bitwise_or.reduce(np.uint64(1) << bit_shift[p - 1 :])
+            evaluate(np.concatenate([low, low | rest]))
+        keep = lb <= max(A0, 2.0 * screen_tol) + margin
+        pruned += masks.size - int(keep.sum())
+        masks, lam_I, lam_c = masks[keep], lam_I[keep], lam_c[keep]
+        if masks.size == 0:
+            continue
+        if p == m:
             evaluate(masks)
             continue
-        S_I, S_c = sides(masks, p0)
-        stack = [(p0, masks, _lam_min(S_I), _lam_min(S_c))]
-        while stack:
-            p, masks, lam_I, lam_c = stack.pop()
-            lb = lam_I + lam_c
-            if p < m:
-                low = masks[np.argsort(lb, kind="stable")[:_INCUMBENT_NODES]]
-                rest = np.bitwise_or.reduce(np.uint64(1) << bit_shift[p - 1 :])
-                evaluate(np.concatenate([low, low | rest]))
-            keep = lb <= max(A0, 2.0 * screen_tol) + margin
-            n_pruned = masks.size - int(keep.sum())
-            pruned += n_pruned
-            masks, lam_I, lam_c = masks[keep], lam_I[keep], lam_c[keep]
-            if masks.size == 0:
-                continue
-            if p == m:
-                evaluate(masks)
-                continue
-            child_masks = np.concatenate([masks, masks | (np.uint64(1) << bit_shift[p - 1])])
-            if p == m - 1 and n_pruned == 0:
-                # the children are leaves, and below a block that pruned
-                # nothing their bounds rarely prune either: evaluate them
-                # directly instead of paying one more eigensolve per child
-                for s in range(0, child_masks.size, half):
-                    evaluate(child_masks[s : s + half])
-                continue
-            S_I, S_c = sides(masks, p)
-            S_I += O[order[p]]
-            S_c += O[order[p]]
-            child_I = np.concatenate([lam_I, _lam_min(S_I)])
-            child_c = np.concatenate([_lam_min(S_c), lam_c])
-            for s in range(0, child_masks.size, half):
-                stack.append((p + 1, child_masks[s : s + half],
-                              child_I[s : s + half], child_c[s : s + half]))
+        child_masks = np.concatenate([masks, masks | (np.uint64(1) << bit_shift[p - 1])])
+        S_I, S_c = sides(masks, p)
+        S_I += O[order[p]]
+        S_c += O[order[p]]
+        child_I = np.concatenate([lam_I, _lam_min(S_I)])
+        child_c = np.concatenate([_lam_min(S_c), lam_c])
+        for s in range(0, child_masks.size, half):
+            stack.append((p + 1, child_masks[s : s + half],
+                          child_I[s : s + half], child_c[s : s + half]))
     logger.debug(
         "bipartition scan m=%d n=%d: %d leaves evaluated, %d nodes pruned, %d partitions",
         m, n, leaves, pruned, 1 << (m - 1),

@@ -218,16 +218,18 @@ def _real_harmonic_frame(n, m):
 def equivalence_cases():
     """(frame, exhaustive result) pairs; the references are computed once."""
     frames = []
-    for n in range(2, 6):
-        for m in range(n, 2 * n + 8):
-            V = random_frame(n, m, "real_gaussian", seed=[7, n, m]).vectors.real
-            scaled = V.copy()
-            scaled[-1] = -1.7 * V[0]  # one row a multiple of another
-            zero = V.copy()
-            zero[m // 2] = 0.0
-            for W in (V, scaled, zero):
-                if np.linalg.matrix_rank(W) == n:
-                    frames.append(make_frame(W, field="real"))
+    # at n = 1 every partition ties, and the root's bound 0 lies below
+    # lambda_min of vector 0 alone
+    grid = [(1, m) for m in range(1, 5)] + [(n, m) for n in range(2, 6) for m in range(n, 2 * n + 8)]
+    for n, m in grid:
+        V = random_frame(n, m, "real_gaussian", seed=[7, n, m]).vectors.real
+        scaled = V.copy()
+        scaled[-1] = -1.7 * V[0]  # one row a multiple of another
+        zero = V.copy()
+        zero[m // 2] = 0.0
+        for W in (V, scaled, zero):
+            if np.linalg.matrix_rank(W) == n:
+                frames.append(make_frame(W, field="real"))
     frames.append(_real_harmonic_frame(6, 20))
     # three copies of the basis and two all-ones rows: many tied partition sums
     frames.append(make_frame(np.concatenate([np.eye(6)] * 3 + [np.ones((2, 6))]), field="real"))

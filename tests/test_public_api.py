@@ -5,10 +5,13 @@ else: in the library outside its own definition and ``__init__.py``, in a
 demo, in the benchmark, or in the acceptance suite.  A reference is a loaded
 name, an attribute, an import alias or a string constant equal to the name
 (the benchmark's tracer names its targets by string).  A public function
-that only its unit tests call is dead weight in the public API.
+that only its unit tests call is dead weight in the public API.  Likewise
+every module-level constant of the package (an upper-case name, with or
+without a leading underscore) must be read by one of those sources.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -21,6 +24,17 @@ def _exported() -> list:
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
     return sorted(alias.name for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1
                   for alias in node.names)
+
+
+def _constants() -> list:
+    """``module.NAME`` of every upper-case name a package module assigns at top level."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign):
+                found += [f"{path.stem}.{name.id}" for target in node.targets for name in ast.walk(target)
+                          if isinstance(name, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", name.id)]
+    return found
 
 
 def _references(tree: ast.AST, owner: str | None = None):
@@ -61,3 +75,8 @@ def referenced() -> set:
 @pytest.mark.parametrize("name", _exported())
 def test_public_name_is_used_outside_its_unit_tests(name, referenced):
     assert name in referenced, f"{name} is exported but nothing outside its unit tests uses it"
+
+
+@pytest.mark.parametrize("constant", _constants())
+def test_module_constant_is_read(constant, referenced):
+    assert constant.split(".")[1] in referenced, f"{constant} is set but nothing reads it"
