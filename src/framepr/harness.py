@@ -616,7 +616,7 @@ def crlb_reference_curve(cfg: dict, frame: Frame) -> list:
                   for t in range(cfg["trials"])]
         for (name, _), recs in zip(solvers, zip(*trials)):
             sq_errors = [rec["d2_error"] ** 2 for rec in recs if "error" not in rec]
-            row[f"mse_{name}"] = float(np.mean(sq_errors)) if sq_errors else None
+            row[f"mse_{name}"] = _mean(np.array(sq_errors)) if sq_errors else None
             row[f"failed_{name}"] = len(recs) - len(sq_errors)
         rows.append(row)
     return rows

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, OddDimension
-from .frames import Frame, analysis
+from .frames import Frame, intensity_map
 from .linalg import hermitian_basis
 
 ZERO_TOL = 1e-12  # relative threshold of the zero-measurement rule (_gradient_terms)
@@ -187,9 +187,7 @@ def lifted_map_adjoint(frame: Frame, w) -> np.ndarray:
 
 def weighted_frame_operator(frame: Frame, x) -> np.ndarray:
     """R(x) = sum_k |<x, f_k>|^2 f_k f_k*; PSD and quadratic in x."""
-    c = analysis(frame, x)
-    w = (c * c.conj()).real
-    return lifted_map_adjoint(frame, w)
+    return lifted_map_adjoint(frame, intensity_map(frame, x))
 
 
 def gradient_columns(frame: Frame, xi) -> np.ndarray:

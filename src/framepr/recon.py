@@ -122,6 +122,21 @@ def _attach_errors(result: ReconResult, x_true) -> ReconResult:
     return result
 
 
+def _vector_result(frame: Frame, y: np.ndarray, x: np.ndarray, x_true, **fields) -> ReconResult:
+    """The result of a vector solver with estimate x: its intensity residual
+    ||intensity(x) - y||_2, the other ``fields``, and the errors against x_true."""
+    result = ReconResult(x_hat=x, residual=float(np.linalg.norm(intensity_map(frame, x) - y)), **fields)
+    return _attach_errors(result, x_true)
+
+
+def _rank_one(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lam, e1, x) of a self-adjoint X: its spectrum in descending order,
+    a top eigenvector e1 and the rank-one read-out x = sqrt(max(lam_1, 0)) e1."""
+    dec = hermitian_eig(X)
+    e1 = dec.eigenvectors[:, 0]
+    return dec.eigenvalues, e1, np.sqrt(max(float(dec.eigenvalues[0]), 0.0)) * e1
+
+
 # ---------------------------------------------------------------------------
 # lifted linear inversion
 # ---------------------------------------------------------------------------
@@ -161,13 +176,9 @@ def lifted_linear(frame: Frame, y, x_true=None) -> ReconResult:
             f"rank-one forms span {rank} < n^2 = {frame.n ** 2} dimensions"
         )
     X = (hermitian_basis(frame.n).T @ z).reshape(frame.n, frame.n)
-    dec = hermitian_eig(X)
-    lam = dec.eigenvalues
+    lam, e1, x_ls = _rank_one(X)
     lam1 = float(lam[0])
-    lam2 = float(lam[1]) if lam.shape[0] > 1 else 0.0
-    e1 = dec.eigenvectors[:, 0]
-    x_ls = np.sqrt(max(lam1, 0.0)) * e1
-    gap = lam1 - lam2
+    gap = lam1 - (float(lam[1]) if lam.shape[0] > 1 else 0.0)
     tie = gap <= _TIE_TOL * abs(lam1)
     result = ReconResult(
         x_hat=np.zeros(frame.n, dtype=complex) if tie else np.sqrt(gap) * e1,
@@ -291,13 +302,12 @@ def phaselift(frame: Frame, y, opts: PhaseLiftOptions | None = None, x_true=None
         stages, budget = opts.max_outer, opts.inner_max
     trace_log: list[float] = []
     stage_iterations: list[int] = []
-    _, H, c = _step_operator(frame, np.ones(m), y)
-    heevd = _eig_routine(c.dtype)
+    heevd = _eig_routine(np.dtype(complex))
     # vec(X), as are Y and each step's X_new
     X = _psd_projection(hermitian_basis(n).T @ _lifted_least_squares(frame, y)[1], heevd)
     for stage in range(stages):
-        if stage > 0:
-            _, H, c = _step_operator(frame, 1.0 / np.maximum(np.abs(r), delta), y)
+        w = 1.0 / np.maximum(np.abs(r), delta) if stage > 0 else np.ones(m)
+        _, H, c = _step_operator(frame, w, y)
         stage_tol_sq = (PHASELIFT_TOL if stage == stages - 1 else math.sqrt(PHASELIFT_TOL)) ** 2
         Y = X
         t_m = 1.0
@@ -324,10 +334,7 @@ def phaselift(frame: Frame, y, opts: PhaseLiftOptions | None = None, x_true=None
         n, m, opts.fit, iterations, len(stage_iterations), stage_iterations, converged,
     )
     X = X.reshape(n, n)
-    dec = hermitian_eig(X)
-    lam1 = float(dec.eigenvalues[0])
-    e1 = dec.eigenvectors[:, 0]
-    x_hat = np.sqrt(max(lam1, 0.0)) * e1
+    _, _, x_hat = _rank_one(X)
     rank_one_gap = float(np.linalg.norm(X - np.outer(x_hat, x_hat.conj())))
     result = ReconResult(
         x_hat=x_hat,
@@ -404,15 +411,8 @@ def gerchberg_saxton(frame: Frame, y, opts: GSOptions | None = None, x_true=None
             stop_reason = "stagnation"
             break
         prev_res = res
-    result = ReconResult(
-        x_hat=best_x,
-        iterations=it,
-        residual=float(np.linalg.norm(intensity_map(frame, best_x) - y)),
-        stop_reason=stop_reason,
-        trace=trace_log,
-        diagnostics={"magnitude_residual": best_res},
-    )
-    return _attach_errors(result, x_true)
+    return _vector_result(frame, y, best_x, x_true, iterations=it, stop_reason=stop_reason,
+                          trace=trace_log, diagnostics={"magnitude_residual": best_res})
 
 
 # ---------------------------------------------------------------------------
@@ -470,13 +470,8 @@ def _energy_norm(frame: Frame, y: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class WirtingerOptions:
+class WirtingerOptions(GSOptions):
     max_iter: int = 2500
-    x0: Optional[np.ndarray] = None  # overrides the spectral start
-
-    def __post_init__(self):
-        _check_count("max_iter", self.max_iter, 1, _STEP_CAP)
-        _check_start(self.x0)
 
 
 def _quartic_step(r: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
@@ -536,12 +531,7 @@ def wirtinger_flow(frame: Frame, y, opts: WirtingerOptions | None = None, x_true
     m = frame.m
     x = spectral_init(frame, y, mode="wf").x0 if opts.x0 is None else _start(frame, opts.x0)
     if float(np.vdot(x, x).real) == 0.0:
-        result = ReconResult(
-            x_hat=x, iterations=0,
-            residual=float(np.linalg.norm(intensity_map(frame, x) - y)),
-            stop_reason="degenerate", trace=[],
-        )
-        return _attach_errors(result, x_true)
+        return _vector_result(frame, y, x, x_true, stop_reason="degenerate", trace=[])
     trace_log: list[float] = []
     stop_reason = "max_iter"
     it = 0
@@ -570,14 +560,8 @@ def wirtinger_flow(frame: Frame, y, opts: WirtingerOptions | None = None, x_true
         x = x + t * p
         c = c + t * d
         g_prev, gg_prev = g, gg
-    result = ReconResult(
-        x_hat=x,
-        iterations=it,
-        residual=float(np.linalg.norm(intensity_map(frame, x) - y)),
-        stop_reason=stop_reason,
-        trace=trace_log,
-    )
-    return _attach_errors(result, x_true)
+    return _vector_result(frame, y, x, x_true, iterations=it, stop_reason=stop_reason,
+                          trace=trace_log)
 
 
 # ---------------------------------------------------------------------------
@@ -690,14 +674,8 @@ def irls(frame: Frame, y, opts: IRLSOptions | None = None, x_true=None) -> Recon
     eps = IRLS_EPS * float(y @ y)
     init = spectral_init(frame, y, mode="irls")
     if init.a1 <= 0.0 and opts.x0 is None:
-        result = ReconResult(
-            x_hat=np.zeros(frame.n, dtype=complex),
-            iterations=0,
-            residual=float(np.linalg.norm(y)),
-            stop_reason="degenerate",
-            flags=["nonpositive_top_eigenvalue"],
-        )
-        return _attach_errors(result, x_true)
+        return _vector_result(frame, y, np.zeros(frame.n, dtype=complex), x_true,
+                              stop_reason="degenerate", flags=["nonpositive_top_eigenvalue"])
     lam = max(IRLS_RHO * init.a1, opts.lambda_min)
     mu = max(IRLS_RHO * init.a1, IRLS_MU_MIN)
     m, d = frame.m, 2 * frame.n

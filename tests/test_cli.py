@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from framepr import cli, load_frame, run_experiment
-from framepr.harness import load_report
+from framepr.harness import load_report, report_from_dict
 from framepr.cli import main
 
 
@@ -64,6 +64,19 @@ def test_frame_check_certify_matches_certify_task(tmp_path, ensemble):
     assert run_cli("frame", "check", str(path), "--certify", "--seed", "3", "--out", str(out)) == 0
     report = run_experiment({"task": "certify", "frame": {"file": str(path)}, "seed": 3})
     assert json.loads(out.read_text())["certificate"] == report.result
+
+
+@pytest.mark.parametrize("ensemble", ["real_gaussian", "gaussian"])
+def test_bounds_prints_the_report_of_the_bounds_task(tmp_path, capsys, ensemble):
+    path = tmp_path / "frame.json"
+    assert run_cli("frame", "gen", "--n", "2", "--m", "6", "--ensemble", ensemble, "--seed", "4",
+                   "--out", str(path)) == 0
+    capsys.readouterr()
+    assert run_cli("bounds", str(path), "--samples", "50", "--starts", "2", "--seed", "3") == 0
+    printed = report_from_dict(json.loads(capsys.readouterr().out))
+    report = run_experiment({"task": "bounds", "frame": {"file": str(path)}, "seed": 3,
+                             "options": {"samples": 50, "n_starts": 2}})
+    assert printed.deterministic_digest() == report.deterministic_digest()
 
 
 def test_recon_and_report(tmp_path):

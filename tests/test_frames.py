@@ -146,6 +146,7 @@ def test_parseval_sandwich(rng):
 def test_full_spark():
     assert is_full_spark(TRIPLE)
     assert not is_full_spark(make_frame([[1, 0], [0, 1], [1, 0]]))
+    assert not is_full_spark(make_frame([[1, 0], [0, 1], [0, 0]]))  # a zero row
     frame = random_frame(3, 6, "gaussian", seed=10)
     assert is_full_spark(frame)
 

@@ -216,6 +216,10 @@ class _Count(int):
     pass
 
 
+class _Name(str):
+    pass
+
+
 def _same_json(a, b) -> bool:
     """Equal values of the same types, dict keys in the same order, NaN equal to NaN."""
     if type(a) is not type(b):
@@ -242,8 +246,11 @@ _INLINE_MIXED = {"n": 2, "m": 4, "field": "complex",
              sweep={"parameter": "sigma", "values": (np.float64(0.01), 0.1, 1)}),
         dict(BASE, success_threshold=np.float64(1e-3), signal={"kind": "gaussian", "norm": np.float64(2.0)},
              algorithms=[{"name": "irls", "options": {"max_outer": _Count(5), "x0": (1.0, np.float64(0.5))}}]),
+        dict(BASE, task=_Name("reconstruct"), noise={"kind": _Name("awgn"), "sigma": 0.1},
+             algorithms=[{"name": _Name("lifted_linear")}]),
     ],
-    ids=["base", "int_subclass_and_tuple", "inline_tuples_numpy_floats_nan", "sweep_tuple", "numpy_floats"],
+    ids=["base", "int_subclass_and_tuple", "inline_tuples_numpy_floats_nan", "sweep_tuple", "numpy_floats",
+         "str_subclasses"],
 )
 def test_load_config_copies_like_a_json_round_trip(config):
     cfg = load_config(config)

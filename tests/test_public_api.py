@@ -7,7 +7,8 @@ name, an attribute, an import alias or a string constant equal to the name
 (the benchmark's tracer names its targets by string).  A public function
 that only its unit tests call is dead weight in the public API.  Likewise
 every module-level constant of the package (an upper-case name, with or
-without a leading underscore) must be read by one of those sources.
+without a leading underscore) must be read by one of those sources, and
+every name a package module imports must be used in that module.
 """
 
 import ast
@@ -80,3 +81,20 @@ def test_public_name_is_used_outside_its_unit_tests(name, referenced):
 @pytest.mark.parametrize("constant", _constants())
 def test_module_constant_is_read(constant, referenced):
     assert constant.split(".")[1] in referenced, f"{constant} is set but nothing reads it"
+
+
+class _WithoutImports(ast.NodeTransformer):
+    def visit_Import(self, node):
+        return None
+
+    visit_ImportFrom = visit_Import
+
+
+@pytest.mark.parametrize("module", [path.stem for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"])
+def test_imported_name_is_used(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    imported = {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    unused = imported - {name for name, _ in _references(_WithoutImports().visit(tree))}
+    assert not unused, f"{module} imports {sorted(unused)} but never uses them"
