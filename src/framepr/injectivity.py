@@ -32,13 +32,12 @@ from itertools import chain
 from math import ceil, log2
 
 import numpy as np
-from scipy.spatial import KDTree
 from scipy.special import ndtri
 
 from .errors import BudgetExceeded, InvalidPartition, NotPhaseRetrievable
 from .frames import Frame, _check_count, encode_complex, frame_bounds, magnitude_map, rng_from_seed
 from .lifting import _gradient_terms, _normalized_gram, gradient_gram, measurement_forms, realify
-from .linalg import hermitian_basis, rank_one_coordinates
+from .linalg import hermitian_basis
 from .metrics import quotient_distance
 
 SPAN_TOL = 1e-10  # relative singular-value threshold for span tests
@@ -47,6 +46,8 @@ _PARTITION_BLOCK = 1 << 17  # nodes per block of the bipartition search
 _INCUMBENT_NODES = 16  # lowest-bound nodes per block completed into leaves
 _NET_BLOCK = 1 << 14  # rows per block while a Bloch net is built
 _N_PROBES = 768  # random probes per covering-radius estimate
+_PRODUCT_BLOCK = 1 << 16  # entries per probe-by-row product of the covering-radius search
+_KEY_ROUND = 1e-12  # rounding allowance of the covering-radius key windows
 N_CAP = 2  # largest ambient dimension certify_retrievable_complex scans nets at
 PARTITION_CAP = 24  # largest frame size the bipartition search accepts
 _MULTISTART_ITERS = 400  # projected-gradient steps per multistart start
@@ -158,7 +159,11 @@ def _bipartition_scan(frame: Frame):
     completions (every unassigned vector in I, or every one in I^c) of its
     lowest-bound nodes.  Leaves that survive are evaluated with the
     expressions of an exhaustive scan: the full incidence row, then
-    S_total - S_I.
+    S_total - S_I.  Each leaf is evaluated once.  A leaf is a completion
+    only of the nodes on its own root path, so a node records which of its
+    two completions were evaluated, and a child inherits the record of the
+    completion it shares with its parent: the I^c child the all-in-I^c
+    one, the I child the all-in-I one.
 
     Soundness.  Every side's matrix is PSD, so 0 bounds its lambda_min, and
     adding the PSD terms of the unassigned vectors never lowers lambda_min
@@ -236,22 +241,29 @@ def _bipartition_scan(frame: Frame):
         return S_I, S_c
 
     half = _PARTITION_BLOCK // 2  # parents per expansion, so children fit a block
-    # the root: vector 0 alone on the complement side, both bounds 0
-    stack = [(1, np.zeros(1, dtype=np.uint64), np.zeros(1), np.zeros(1))]
+    # the root: vector 0 alone on the complement side, both bounds 0, no
+    # completion evaluated
+    stack = [(1, np.zeros(1, dtype=np.uint64), np.zeros(1), np.zeros(1), np.zeros((2, 1), bool))]
     while stack:
-        p, masks, lam_I, lam_c = stack.pop()
+        p, masks, lam_I, lam_c, done = stack.pop()
         lb = lam_I + lam_c
         if p < m:
-            low = masks[np.argsort(lb, kind="stable")[:_INCUMBENT_NODES]]
+            low = np.argsort(lb, kind="stable")[:_INCUMBENT_NODES]
             rest = np.bitwise_or.reduce(np.uint64(1) << bit_shift[p - 1 :])
-            evaluate(np.concatenate([low, low | rest]))
+            ends = np.concatenate([masks[low], masks[low] | rest])
+            fresh = ends[~done[:, low].ravel()]
+            done[:, low] = True
+            if fresh.size:
+                evaluate(fresh)
         keep = lb <= max(A0, 2.0 * screen_tol) + margin
         pruned += masks.size - int(keep.sum())
-        masks, lam_I, lam_c = masks[keep], lam_I[keep], lam_c[keep]
+        masks, lam_I, lam_c, done = masks[keep], lam_I[keep], lam_c[keep], done[:, keep]
         if masks.size == 0:
             continue
         if p == m:
-            evaluate(masks)
+            fresh = masks[~(done[0] | done[1])]
+            if fresh.size:
+                evaluate(fresh)
             continue
         child_masks = np.concatenate([masks, masks | (np.uint64(1) << bit_shift[p - 1])])
         S_I, S_c = sides(masks, p)
@@ -259,9 +271,14 @@ def _bipartition_scan(frame: Frame):
         S_c += O[order[p]]
         child_I = np.concatenate([lam_I, _lam_min(S_I)])
         child_c = np.concatenate([_lam_min(S_c), lam_c])
+        # a child shares one completion with its parent: the I^c child the
+        # all-in-I^c one, the I child the all-in-I one
+        child_done = np.zeros((2, child_masks.size), bool)
+        child_done[0, : masks.size] = done[0]
+        child_done[1, masks.size :] = done[1]
         for s in range(0, child_masks.size, half):
-            stack.append((p + 1, child_masks[s : s + half],
-                          child_I[s : s + half], child_c[s : s + half]))
+            stack.append((p + 1, child_masks[s : s + half], child_I[s : s + half],
+                          child_c[s : s + half], child_done[:, s : s + half]))
     logger.debug(
         "bipartition scan m=%d n=%d: %d leaves evaluated, %d nodes pruned, %d partitions",
         m, n, leaves, pruned, 1 << (m - 1),
@@ -374,37 +391,114 @@ def bloch_fibonacci_net(n_points: int, seed: int = 0) -> np.ndarray:
     return out
 
 
-def _lifted_rows(rows: np.ndarray) -> np.ndarray:
-    """``rank_one_coordinates`` of each realified unit row u, so
-    ||L(u) - L(v)||^2 = 2 - 2 |<u, v>|^2 for unit u, v."""
-    n = rows.shape[1] // 2
-    return rank_one_coordinates(rows[:, :n] + 1j * rows[:, n:])
+def _nearest_rows(net: np.ndarray, probes: np.ndarray) -> np.ndarray:
+    """Index of the row v of ``net`` of largest overlap |<u, v>|^2 for each
+    row u of ``probes``; all rows are unit vectors.
+
+    The key of a row is |u_1|^2.  A net whose keys run down (every Bloch
+    net) is searched in place on -key, any other net sorted by key.  A
+    probe's window is the rows whose keys lie within its reach of its own
+    key.  The first reach w0 is that of a class at the lifted distance
+    sqrt(2) N^(-1/(2n-2)), about the spacing of N classes spread evenly
+    over the quotient.  A probe is settled once its window reaches
+    sqrt(1 - 1/n) sqrt(2 - 2 b + _KEY_ROUND) + _KEY_ROUND, b its best
+    overlap so far (see ``quotient_covering_radius``); an unsettled probe is
+    searched again with that reach, at most twice its last one.  Probes go
+    in key order, in blocks of about 3 P w0 of the P probes (at least 8),
+    which also break where the windows of neighbouring probes part.  Each
+    product holds at most ``_PRODUCT_BLOCK`` entries.
+    """
+    N, d = net.shape
+    n = d // 2
+    P = probes.shape[0]
+    ends = net[:, ::n]  # the columns of u_1's real and imaginary parts
+    keys = np.einsum("ij,ij->i", ends, ends)
+    probe_keys = probes[:, 0] ** 2 + probes[:, n] ** 2
+    rows, order = net, None
+    if np.all(keys[1:] <= keys[:-1]):
+        keys, probe_keys = -keys, -probe_keys
+    else:
+        order = np.argsort(keys)
+        keys, rows = keys[order], net[order]
+    slope = np.sqrt(1.0 - 1.0 / n)
+    reach0 = (slope * np.sqrt(2.0) * N ** (-1.0 / (2 * n - 2)) if n > 1 else 0.0) + _KEY_ROUND
+    block = int(min(P, max(8, round(3 * P * reach0))))
+    # the probes u, then their (u_2, -u_1): v . (u_2, -u_1) = (J v) . u
+    pairs = np.stack([probes, np.concatenate([probes[:, n:], -probes[:, :n]], axis=1)])
+    best = np.zeros(P)
+    nearest = np.zeros(P, dtype=np.intp)
+    todo = np.argsort(probe_keys)
+    reach = np.full(P, reach0)
+    while todo.size:
+        key = probe_keys[todo]
+        lo, hi = key - reach[todo], key + reach[todo]
+        parted = 1 + np.flatnonzero(lo[1:] > np.maximum.accumulate(hi)[:-1])
+        bounds = np.append(np.union1d(np.arange(0, todo.size, block), parted), todo.size)
+        klo = np.minimum.reduceat(lo, bounds[:-1])
+        khi = np.maximum.reduceat(hi, bounds[:-1])
+        first = np.searchsorted(keys, klo, "left")
+        last = np.searchsorted(keys, khi, "right")
+        cols, b, near = pairs[:, todo], best[todo], nearest[todo]
+        for s, e, r0, r1 in zip(bounds[:-1].tolist(), bounds[1:].tolist(),
+                                first.tolist(), last.tolist()):
+            k = e - s
+            c = cols[:, s:e].reshape(2 * k, d)
+            step = max(1, _PRODUCT_BLOCK // (2 * k))
+            for r in range(r0, r1, step):
+                G = c @ rows[r : min(r + step, r1)].T
+                np.square(G, out=G)
+                overlap = G[:k]
+                overlap += G[k:]
+                i = overlap.argmax(axis=1)
+                v = overlap[np.arange(k), i]
+                up = v > b[s:e]
+                np.copyto(b[s:e], v, where=up)
+                np.copyto(near[s:e], i + r, where=up)
+        best[todo], nearest[todo] = b, near
+        # the key range each probe's block searched, unbounded at the net's ends
+        width = np.diff(bounds)
+        covered_lo = np.repeat(np.where(first > 0, klo, -np.inf), width)
+        covered_hi = np.repeat(np.where(last < N, khi, np.inf), width)
+        need = slope * np.sqrt(np.maximum(2.0 - 2.0 * b, 0.0) + _KEY_ROUND) + _KEY_ROUND
+        short = (covered_lo > key - need) | (covered_hi < key + need)
+        todo = todo[short]
+        reach[todo] = np.minimum(need[short], 2.0 * reach[todo])
+    return nearest if order is None else order[nearest]
 
 
 def quotient_covering_radius(net: np.ndarray, seed: int = 0) -> float:
-    """Sampled covering radius of a sphere net in the phase-quotient metric.
+    """Sampled covering radius of a net of unit rows in the phase-quotient
+    metric.
 
     _N_PROBES random unit vectors probe the net; for each, the distance to
     the net is min_j sqrt(2 - 2 |<u, v_j>|) over the complexified points
     (distance to the full phase orbit of v_j, antipodes included).  That
-    minimum is found exactly: the squared Euclidean distance between the
-    lifts u u* and v v* is 2 - 2 |<u, v>|^2, so a k-d tree over the lifted
-    net returns each probe's nearest phase class.  The largest probe distance
-    times 1.12 is an estimate, not an upper bound: the exact radius (largest
-    spherical Delaunay circumradius) of the last certificate net of
-    random_frame(2, 8, seed=k), k < 10, exceeds it 8 times, by up to 7.6%.
+    minimum is found exactly, at the row of largest overlap |<u, v_j>|^2,
+    provided the rows are unit vectors, as the rows of both nets here are.
+
+    Search.  For unit rows the n diagonal lifted coordinates |u_a|^2 sum to
+    1, so by Cauchy-Schwarz the key |u_1|^2 of two rows differs by at most
+    sqrt(1 - 1/n) D, D the lifted distance sqrt(2 - 2 |<u, v>|^2).  A probe
+    whose best overlap so far is b therefore has its nearest class among
+    the rows whose keys lie within sqrt(1 - 1/n) sqrt(2 - 2 b) of its own.
+    The search sorts the net and the probes by key, multiplies key-sorted
+    blocks of probes by the rows in their key windows, and widens a window
+    only while the probe's best overlap does not prove it wide enough
+    (``_nearest_rows``).  That test adds _KEY_ROUND = 1e-12 to 2 - 2 b and
+    to the reach, far above the rounding of the overlaps and of the keys (a
+    few eps each).
+
+    The largest probe distance times 1.12 is an estimate, not an upper
+    bound: the exact radius (largest spherical Delaunay circumradius) of the
+    last certificate net of random_frame(2, 8, seed=k), k < 10, exceeds it
+    8 times, by up to 7.6%.
     """
     d = net.shape[1]
     n = d // 2
     rng = rng_from_seed([seed, 0x636F7665])
     probes = rng.normal(size=(_N_PROBES, d))
     probes /= np.linalg.norm(probes, axis=1, keepdims=True)
-    # sliding-midpoint splits build faster than median splits, and leaves of
-    # 128 points in uncompacted nodes build and query faster than the default
-    # 16; the search stays exact
-    tree = KDTree(_lifted_rows(net), leafsize=128, compact_nodes=False, balanced_tree=False)
-    _, nearest = tree.query(_lifted_rows(probes))
-    near = net[nearest]
+    near = net[_nearest_rows(net, probes)]
     jnear = np.concatenate([-near[:, n:], near[:, :n]], axis=1)
     re = np.einsum("pd,pd->p", near, probes)
     im = np.einsum("pd,pd->p", jnear, probes)

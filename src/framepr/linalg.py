@@ -99,10 +99,11 @@ def _eig_routine(dtype: np.dtype):
     """The LAPACK divide-and-conquer routine np.linalg.eigh runs for ``dtype``;
     like eigh, it factors single precision in double.
 
-    scipy.linalg is imported here, not with this module.  ``import framepr``
-    loads it anyway, but loading it this early reorders the package import,
-    which moves its garbage collections and slowed a cold ``import framepr``
-    by 8-18% (2-vCPU Xeon, Python 3.11).
+    scipy.linalg is imported here, not with this module: ``import framepr``
+    does not load it, the first eigensolve does.  Loading it with this
+    module also reordered the package import, which moved its garbage
+    collections and slowed a cold ``import framepr`` by 8-18% (2-vCPU Xeon,
+    Python 3.11).
     """
     from scipy.linalg import lapack
 

@@ -423,9 +423,9 @@ def test_cached_parser_parses_each_call_independently(monkeypatch):
 
 
 def test_import_leaves_slow_scipy_modules_unloaded():
-    # scipy.stats, scipy.optimize and scipy.integrate take most of a cold
-    # import; only sphere_net loads scipy.stats, and no certificate or other
-    # framepr path calls it or loads the other two
+    # scipy.stats, scipy.optimize, scipy.integrate and scipy.spatial take most
+    # of a cold import; only sphere_net loads scipy.stats, and no certificate
+    # or other framepr path calls it or loads the other three
     root = pathlib.Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
@@ -433,8 +433,8 @@ def test_import_leaves_slow_scipy_modules_unloaded():
         "import sys, framepr, framepr.cli; "
         "[framepr.certify_retrievable_complex(framepr.random_frame(n, 4 * n, seed=0), budget=4096) "
         "for n in (1, 2)]; "
-        "print(sorted(m for m in ('scipy.stats', 'scipy.optimize', 'scipy.integrate') "
-        "if m in sys.modules))"
+        "print(sorted(m for m in ('scipy.stats', 'scipy.optimize', 'scipy.integrate', "
+        "'scipy.spatial') if m in sys.modules))"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)

@@ -32,12 +32,12 @@ from framepr import (
 )
 from framepr import injectivity
 from framepr.frames import rng_from_seed
+from framepr.linalg import rank_one_coordinates
 from framepr.injectivity import (
     _COUNTS,
     _N_PROBES,
     SPAN_TOL,
     _bipartition_scan,
-    _lifted_rows,
     _scan_net,
     _screen_n2,
     bloch_fibonacci_net,
@@ -271,6 +271,24 @@ def test_bipartition_search_memory_and_pruning(caplog):
     assert pruned > 0 and leaves < partitions // 100
 
 
+def _scan_counts(frame, caplog):
+    with caplog.at_level(logging.DEBUG, logger="framepr"):
+        _bipartition_scan(frame)
+    message = [r.getMessage() for r in caplog.records if "bipartition scan" in r.getMessage()][-1]
+    return tuple(map(int, re.findall(r"(\d+) (?:leaves|nodes|partitions)", message)))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 6, 8])
+def test_bipartition_search_evaluates_each_leaf_once(m, caplog):
+    # at n = 1 every partition ties, so nothing is pruned and each of the
+    # 2^(m-1) partitions is evaluated exactly once
+    leaves, pruned, partitions = _scan_counts(random_frame(1, m, "real_gaussian", seed=m), caplog)
+    assert pruned == 0 and leaves == partitions == 1 << (m - 1)
+    for n in (2, 3):
+        leaves, _, partitions = _scan_counts(random_frame(n, m + n, "real_gaussian", seed=m), caplog)
+        assert leaves <= partitions
+
+
 def test_global_bound_shares_the_partition_margin():
     frame = random_frame(5, 12, "real_gaussian", seed=4)
     cert = check_retrievable_real(frame)
@@ -500,6 +518,37 @@ def test_certify_fixture_frames_are_pinned(seed, half_minimum, net_points):
     assert cert.a0_lower >= half_minimum
 
 
+# (epsilon_final, a0_lower) of fixture frames 0-9, each certified with its
+# own seed at the acceptance budget: the covering-radius search must find
+# the nearest class of every probe, so these hold bit for bit.  Frame 5's
+# last net has 7,672,521 points, past the 2^18 the search measures, so its
+# epsilon_final is extrapolated from the 1,024-point estimate of round 0; that
+# estimate is pinned instead of certifying the frame (about 15 s)
+_FIXTURE_ESTIMATES = {
+    0: (0.004283554855358694, 0.2559590858164621),
+    1: (0.005435196063460502, 0.21655223807773105),
+    2: (0.003417891394624112, 0.3874574564899139),
+    3: (0.005837805605518502, 0.35936067966480695),
+    4: (0.009765715213957665, 0.6477805748969072),
+    6: (0.006072531275973947, 0.43942503576444064),
+    7: (0.008117451678713581, 0.46669276521003705),
+    8: (0.014263719641754163, 0.9005064271697568),
+    9: (0.008926533760663331, 0.3433773892027908),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_FIXTURE_ESTIMATES))
+def test_certify_fixture_estimates_are_pinned(seed):
+    frame = random_frame(2, 8, "gaussian", seed=seed)
+    cert = certify_retrievable_complex(frame, seed=seed, budget=16_000_000)
+    assert (cert.epsilon_final, cert.a0_lower) == _FIXTURE_ESTIMATES[seed]
+
+
+def test_certify_fixture_frame_5_first_estimate_is_pinned():
+    eps = quotient_covering_radius(bloch_fibonacci_net(1024, seed=[5, 0]), seed=5)
+    assert eps == 0.03979294574068365
+
+
 def test_certify_minimal_redundancy_frame():
     # generic frames at the minimal complex count m = 4n - 4 are retrievable;
     # margins are thin there, so certification may need large nets (budget
@@ -603,6 +652,51 @@ def test_covering_radius_scalar_net_is_zero():
     assert _dense_covering_radius(net, 5) < 1e-7
 
 
+def _capped_bloch_net(n_points, seed):
+    # a Bloch net less the classes with |u_1|^2 > 0.9: probes in that cap
+    # lie far from every class, beyond the search's first key window
+    net = bloch_fibonacci_net(n_points, seed=seed)
+    return net[net[:, 0] ** 2 + net[:, 2] ** 2 <= 0.9]
+
+
+def _phase_copies(net, phases):
+    # each row again times e^{i t}: equal classes whose keys agree up to rounding
+    n = net.shape[1] // 2
+    z = net[:, :n] + 1j * net[:, n:]
+    z = np.concatenate([z * np.exp(1j * t) for t in phases])
+    return np.concatenate([z.real, z.imag], axis=1)
+
+
+def _latitude_net(n_points, height=0.3):
+    # n = 2 classes (cos a, sin a e^{i phi}) on one latitude circle: every
+    # row has the same key |u_1|^2 = cos^2 a, so every window holds every row
+    a = np.arccos(height)
+    phi = 2.0 * np.pi * np.arange(n_points) / n_points
+    return np.stack([np.full(n_points, np.cos(a)), np.sin(a) * np.cos(phi),
+                     np.zeros(n_points), np.sin(a) * np.sin(phi)], axis=1)
+
+
+@pytest.mark.parametrize(
+    "make_net",
+    [
+        lambda: _capped_bloch_net(17_698, [3, 1]),
+        lambda: _phase_copies(sphere_net(4, 4096, seed=[1, 0]), [0.0, 1.0, 2.5]),
+        lambda: _latitude_net(4096),
+    ],
+    ids=["fib_cap", "sphere4_phase_copies", "latitude"],
+)
+def test_covering_radius_search_widens_and_ties(make_net):
+    net = make_net()
+    eps = quotient_covering_radius(net, seed=5)
+    assert eps == pytest.approx(_dense_covering_radius(net, 5), rel=1e-10)
+
+
+def test_covering_radius_search_reaches_into_a_hole():
+    # a probe inside the removed cap lies about 0.3 from the net, far beyond
+    # the first key reach (about 0.008 here), so the widening path runs
+    assert quotient_covering_radius(_capped_bloch_net(17_698, [3, 1]), seed=5) > 0.2
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_lift_distance_identity(rng, n):
     u = rng.normal(size=(200, 2 * n))
@@ -611,8 +705,12 @@ def test_lift_distance_identity(rng, n):
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     cu, cv = u[:, :n] + 1j * u[:, n:], v[:, :n] + 1j * v[:, n:]
     overlap = np.abs(np.sum(cu.conj() * cv, axis=1)) ** 2
-    lifted = np.sum((_lifted_rows(u) - _lifted_rows(v)) ** 2, axis=1)
+    lifted = np.sum((rank_one_coordinates(cu) - rank_one_coordinates(cv)) ** 2, axis=1)
     np.testing.assert_allclose(lifted, 2.0 - 2.0 * overlap, rtol=0, atol=1e-13)
+    # the first lifted coordinate is the search key |u_1|^2, and it moves by
+    # at most sqrt(1 - 1/n) times the lifted distance
+    gap = np.abs(rank_one_coordinates(cu)[:, 0] - rank_one_coordinates(cv)[:, 0])
+    assert np.all(gap <= np.sqrt((1.0 - 1.0 / n) * lifted) + 1e-13)
 
 
 def test_covering_radius_memory():
@@ -625,6 +723,19 @@ def test_covering_radius_memory():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+def test_covering_radius_memory_equal_keys():
+    # every window holds all 2^16 rows; probes against rows at once would
+    # take two 2^16 x 768 float64 blocks (403 MB each)
+    net = _latitude_net(1 << 16)
+    tracemalloc.start()
+    try:
+        quotient_covering_radius(net, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def _one_shot_bloch_net(n_points, seed=0):
