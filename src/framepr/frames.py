@@ -27,7 +27,9 @@ ENSEMBLES = ("gaussian", "uniform_sphere", "real_gaussian")  # random_frame's en
 
 
 def rng_from_seed(seed) -> np.random.Generator:
-    """Philox counter-based generator; the package-wide reproducibility contract."""
+    """Philox counter-based generator; the package-wide reproducibility
+    contract: every random frame, signal, noise draw, start, probe and net
+    point is drawn from one."""
     return np.random.Generator(np.random.Philox(seed))
 
 
@@ -250,9 +252,7 @@ def random_frame(n: int, m: int, ensemble: str = "gaussian", seed=0) -> Frame:
 def encode_complex(a) -> list:
     """JSON-ready nested lists of [re, im] pairs for a complex array of any rank."""
     a = np.asarray(a, dtype=complex)
-    if a.ndim > 1:
-        return [encode_complex(row) for row in a]
-    return [[float(z.real), float(z.imag)] for z in a]
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 def decode_complex(data) -> np.ndarray:

@@ -29,10 +29,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field, fields
 from itertools import chain
-from math import ceil, log2
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import BudgetExceeded, InvalidPartition, NotPhaseRetrievable
 from .frames import Frame, _check_count, encode_complex, frame_bounds, magnitude_map, rng_from_seed
@@ -344,20 +342,10 @@ def check_retrievable_real(frame: Frame) -> PRCertificate:
 # ---------------------------------------------------------------------------
 
 def sphere_net(dim: int, n_points: int, seed: int = 0) -> np.ndarray:
-    """Deterministic low-discrepancy point set on the unit sphere of R^dim.
-
-    Scrambled Sobol points mapped through the normal quantile and normalized;
-    the point count is rounded up to a power of two for balance.
-    """
+    """``n_points`` random directions on the unit sphere of R^dim: Gaussian
+    rows from ``rng_from_seed(seed)``, normalized, so a seed fixes the set."""
     _check_count("n_points", n_points, 2)
-    # imported here: no certificate calls this, and scipy.stats is slow to
-    # import
-    from scipy.stats import qmc
-
-    k = ceil(log2(n_points))
-    sob = qmc.Sobol(d=dim, scramble=True, seed=rng_from_seed(seed))
-    u = sob.random_base2(k)
-    g = ndtri(np.clip(u, 1e-15, 1.0 - 1e-15))
+    g = rng_from_seed(seed).normal(size=(n_points, dim))
     norms = np.linalg.norm(g, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     return g / norms
@@ -602,7 +590,7 @@ def certify_retrievable_complex(
     seed: int = 0,
 ) -> PRCertificate:
     """Decide complex phase retrievability: a kernel witness at every n, then
-    a closed form at n = 1, two nets at n = 2, and "undecided" above.
+    a closed form at n = 1, at most two nets at n = 2, and "undecided" above.
 
     A frame fails iff its lifted kernel holds a rank-2 matrix ("Saving
     phase", Bandeira-Cahill-Mixon-Nelson): when the pair of
@@ -610,17 +598,19 @@ def certify_retrievable_complex(
     "not_retrievable" with no net tested.  At n = 1, R(xi) = S xi xi^T on
     the unit circle, so a0 = b0 = S = sum_k |f_k|^4; the computed S errs by
     less than (m + 5) eps S when it lies in [2^-970, inf), and ``a0_lower``
-    and ``b0_bound`` are S less and plus that allowance.  At n = 2 each of
-    two rounds takes lam3_min, the least second-smallest eigenvalue of the
+    and ``b0_bound`` are S less and plus that allowance.  At n = 2 each
+    round takes lam3_min, the least second-smallest eigenvalue of the
     gradient Gram over a net of covering radius eps, and reports the Weyl
-    margin lam3_min - 2 b0 eps.  Round 0's 1024-point net certifies only a
-    margin of at least half lam3_min; otherwise it calibrates the covering
-    law eps ~ coef / sqrt(N), which sizes round 1's net for that margin (at
-    most half round 0's radius, at most ``budget`` points).  Round 1
-    certifies any positive margin, else the verdict is "undecided".  b0
+    margin lam3_min - 2 b0 eps.  No net has more than ``budget`` points (1
+    to 32,000,000).  Round 0's net of min(1024, budget) points certifies
+    only a margin of at least half lam3_min; otherwise it calibrates the
+    covering law eps ~ coef / sqrt(N), which sizes round 1's net for that
+    margin (at most half round 0's radius).  The last net, round 1's or
+    round 0's when budget <= 1024, certifies any positive margin, else the
+    verdict is "undecided"; so is a budget of 1, which builds no net.  b0
     starts at B max_k ||f_k||^2 and is tightened each round by the update
     b <- min(b, max_net lambda_1 + 2 b eps).  eps is a sampled estimate that
-    can fall below the true radius; ``budget`` is from 1 to 32,000,000.
+    can fall below the true radius.
     """
     _check_count("budget", budget, *_COUNTS["budget"])
     n = frame.n
@@ -645,18 +635,20 @@ def certify_retrievable_complex(
         return stop("retrievable", a0_lower=s - slack, notes="closed form at n = 1")
     if n > N_CAP:
         return stop("undecided", notes=f"ambient dimension {n} above cap {N_CAP}")
-    n_points = 1024
-    for rnd in range(2):
+    if budget < 2:
+        return stop("undecided", notes="net budget exhausted")
+    n_points = min(1024, budget)
+    last = 0 if budget <= 1024 else 1  # the round of the last net
+    for rnd in range(last + 1):
         net = bloch_fibonacci_net(n_points, seed=[seed, rnd])
-        n_built = net.shape[0]
         lam3_min, lam1_max = _scan_net(frame, net)
         nets += 1
-        if n_built <= (1 << 18):
+        if n_points <= (1 << 18):
             eps_hat = quotient_covering_radius(net, seed=seed + rnd)
         else:
             # the lattice covering radius follows coef / sqrt(N) closely;
             # beyond the measurement size, extrapolate with a safety margin
-            eps_hat = 1.1 * coef / n_built ** 0.5
+            eps_hat = 1.1 * coef / n_points ** 0.5
         if 2.0 * eps_hat < 1.0:
             for _ in range(4):
                 b0 = min(b0, lam1_max + 2.0 * b0 * eps_hat)
@@ -664,17 +656,17 @@ def certify_retrievable_complex(
         margin = lam3_min - weyl
         logger.debug(
             "complex net round %d: %d points, eps %.4g, lam3_min %.6g, b0 %.6g, margin %.6g",
-            rnd, n_built, eps_hat, lam3_min, b0, margin,
+            rnd, n_points, eps_hat, lam3_min, b0, margin,
         )
-        if margin > 0.0 and (rnd == 1 or weyl <= 0.5 * lam3_min):
-            return stop("retrievable", a0_lower=margin, epsilon_final=eps_hat, net_points=n_built)
-        if rnd == 0:
+        if margin > 0.0 and (rnd == last or weyl <= 0.5 * lam3_min):
+            return stop("retrievable", a0_lower=margin, epsilon_final=eps_hat, net_points=n_points)
+        if rnd < last:
             # calibrate the covering law eps ~ coef / sqrt(N) and size the
             # last net for the radius a margin of half lam3_min needs
-            coef = eps_hat * n_built ** 0.5
+            coef = eps_hat * n_points ** 0.5
             goal = max(min(0.5 * eps_hat, lam3_min / (4.0 * b0) if lam3_min > 0 else np.inf), 1e-12)
-            n_points = min(int(max(1.3 * (coef / goal) ** 2, 2 * n_built)), budget)
-    return stop("undecided", net_points=n_built, notes="net budget exhausted")
+            n_points = min(int(max(1.3 * (coef / goal) ** 2, 2 * n_points)), budget)
+    return stop("undecided", net_points=n_points, notes="net budget exhausted")
 
 
 # ---------------------------------------------------------------------------

@@ -309,6 +309,18 @@ def test_exit_code_out_of_range_options(tmp_path, argv):
     assert run_cli(*(arg.format(path=path) for arg in argv)) == 2
 
 
+def test_frame_check_certify_at_the_least_budget(tmp_path):
+    # budget 1 builds no net: an "undecided" certificate and exit 0
+    from framepr import random_frame, save_frame
+
+    path = tmp_path / "frame.json"
+    save_frame(random_frame(2, 8, seed=1), path)
+    out = tmp_path / "cert.json"
+    assert run_cli("frame", "check", str(path), "--certify", "--budget", "1", "--out", str(out)) == 0
+    cert = json.loads(out.read_text())["certificate"]
+    assert cert["verdict"] == "undecided" and cert["nets_tested"] == 0
+
+
 def test_exit_code_budget(tmp_path):
     # real frame above the partition cap: budget exceeded -> 4
     from framepr import random_frame, save_frame
@@ -424,15 +436,14 @@ def test_cached_parser_parses_each_call_independently(monkeypatch):
 
 def test_import_leaves_slow_scipy_modules_unloaded():
     # scipy.stats, scipy.optimize, scipy.integrate and scipy.spatial take most
-    # of a cold import; only sphere_net loads scipy.stats, and no certificate
-    # or other framepr path calls it or loads the other three
+    # of a cold import; no certificate, net or other framepr path loads them
     root = pathlib.Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     code = (
         "import sys, framepr, framepr.cli; "
         "[framepr.certify_retrievable_complex(framepr.random_frame(n, 4 * n, seed=0), budget=4096) "
-        "for n in (1, 2)]; "
+        "for n in (1, 2)]; framepr.sphere_net(4, 64); "
         "print(sorted(m for m in ('scipy.stats', 'scipy.optimize', 'scipy.integrate', "
         "'scipy.spatial') if m in sys.modules))"
     )

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -293,3 +295,27 @@ def test_complex_codec_roundtrip(rng):
     assert encode_complex(z[0]) == data[0]
     with pytest.raises(ValueError):
         decode_complex([[1.0, 2.0, 3.0]])
+
+
+def _encode_per_entry(a):
+    # reference rule: one [float(re), float(im)] per entry, recursing row by
+    # row above rank 1
+    a = np.asarray(a, dtype=complex)
+    if a.ndim > 1:
+        return [_encode_per_entry(row) for row in a]
+    return [[float(z.real), float(z.imag)] for z in a]
+
+
+def _leaves(data):
+    return [y for x in data for y in _leaves(x)] if isinstance(data, list) else [data]
+
+
+@pytest.mark.parametrize("shape", [(9,), (3, 4), (2, 3, 4), (0,), (0, 3), (3, 0), (2, 0, 2)])
+def test_encode_complex_matches_the_per_entry_rule(shape):
+    values = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.5, -2e-300, 1e300, 5e-324])
+    a = np.empty(shape, dtype=complex)
+    a.real = np.resize(values, shape)
+    a.imag = np.resize(np.roll(values, 4), shape)
+    data = encode_complex(a)
+    assert json.dumps(data) == json.dumps(_encode_per_entry(a))
+    assert all(type(x) is float for x in _leaves(data))

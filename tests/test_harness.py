@@ -205,6 +205,30 @@ def test_load_config_accepts_option_lower_bounds():
     assert load_config(cfg)["options"] == cfg["options"]
 
 
+@pytest.mark.parametrize(
+    "task,frame,options",
+    [
+        ("certify", {"ensemble": "gaussian", "n": 2, "m": 8, "seed": 1}, {"budget": 1}),
+        ("bounds", {"ensemble": "real_gaussian", "n": 3, "m": 7, "seed": 1}, {"n_starts": 0, "samples": 2}),
+        ("bounds", {"ensemble": "gaussian", "n": 2, "m": 8, "seed": 1}, {"n_starts": 0, "samples": 2}),
+    ],
+    ids=["certify_budget", "bounds_real", "bounds_complex"],
+)
+def test_run_experiment_runs_option_lower_bounds(task, frame, options):
+    # each documented lower bound runs a whole experiment, not only load_config
+    result = run_experiment({"task": task, "frame": frame, "seed": 0, "options": options}).result
+    if task == "certify":
+        assert result["verdict"] == "undecided" and result["nets_tested"] == 0
+        assert result["notes"] == "net budget exhausted"
+        return
+    assert result["empirical"]["details"]["samples"] == 2
+    assert all(np.isfinite(result["empirical"][k]) for k in ("A0", "B0", "a0", "b0"))
+    if frame["ensemble"] == "real_gaussian":
+        assert result["certified"]["details"]["n_starts"] == 0
+    else:
+        assert np.isfinite(result["b0_multistart"])
+
+
 def test_load_config_rejects_non_object_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps([BASE]))

@@ -377,6 +377,56 @@ def test_certify_reports_an_exhausted_net_budget():
     assert cert.notes == "net budget exhausted"
 
 
+def test_certify_budget_of_one_builds_no_net(monkeypatch):
+    # the least budget _COUNTS accepts builds no net (bloch_fibonacci_net
+    # refuses fewer than 2 points)
+    monkeypatch.setattr(injectivity, "bloch_fibonacci_net", None)
+    cert = certify_retrievable_complex(random_frame(2, 8, seed=1), budget=1)
+    assert cert.verdict == "undecided" and cert.notes == "net budget exhausted"
+    assert cert.nets_tested == 0 and cert.net_points is None and cert.a0_lower is None
+
+
+def _net_sizes(monkeypatch):
+    sizes = []
+    build = injectivity.bloch_fibonacci_net
+
+    def recording(n_points, seed=0):
+        sizes.append(n_points)
+        return build(n_points, seed=seed)
+
+    monkeypatch.setattr(injectivity, "bloch_fibonacci_net", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("budget", [2, 1000, 1024])
+def test_certify_budget_up_to_1024_scans_one_net_of_budget_points(budget, monkeypatch):
+    # a budget of at most 1024 buys one net, round 0, of budget points
+    sizes = _net_sizes(monkeypatch)
+    cert = certify_retrievable_complex(random_frame(2, 8, seed=1), budget=budget)
+    assert sizes == [budget]
+    assert cert.nets_tested == 1 and cert.net_points == budget
+
+
+def test_certify_last_net_at_1024_certifies_any_positive_margin(monkeypatch):
+    # this frame's 1024-point round 0 leaves a positive margin below half its
+    # minimum, so the default budget goes on to round 1; at budget 1024 that
+    # net is the last one and certifies its margin
+    frame = random_frame(2, 16, seed=7)
+    sizes = _net_sizes(monkeypatch)
+    full = certify_retrievable_complex(frame)
+    assert sizes[0] == 1024 and full.nets_tested == 2
+    one = certify_retrievable_complex(frame, budget=1024)
+    assert sizes[2:] == [1024]
+    assert one.verdict == "retrievable" and one.nets_tested == 1 and one.net_points == 1024
+    assert 0.0 < one.a0_lower < full.a0_lower
+
+
+def test_certify_budget_above_1024_keeps_two_rounds(monkeypatch):
+    sizes = _net_sizes(monkeypatch)
+    cert = certify_retrievable_complex(random_frame(2, 8, seed=1), budget=1025)
+    assert sizes == [1024, 1025] and cert.nets_tested == 2 and cert.net_points == 1025
+
+
 def test_certify_scalar_frame():
     # at n = 1, a0 = b0 = sum_k |f_k|^4 exactly, less and plus (m + 5) eps
     # of it for roundoff
@@ -643,6 +693,18 @@ def test_covering_radius_matches_dense_search(make_net):
     net = make_net()
     eps = quotient_covering_radius(net, seed=5)
     assert eps == pytest.approx(_dense_covering_radius(net, 5), rel=1e-10)
+
+
+@pytest.mark.parametrize("dim,n_points", [(4, 2), (4, 1000), (6, 4097), (3, 5)])
+def test_sphere_net_draws_gaussian_directions(dim, n_points):
+    # exactly n_points rows, no power-of-two rounding, from rng_from_seed
+    net = sphere_net(dim, n_points, seed=[7, 1])
+    assert net.shape == (n_points, dim)
+    np.testing.assert_allclose(np.linalg.norm(net, axis=1), 1.0, rtol=0, atol=1e-15)
+    g = rng_from_seed([7, 1]).normal(size=(n_points, dim))
+    np.testing.assert_array_equal(net, g / np.linalg.norm(g, axis=1, keepdims=True))
+    np.testing.assert_array_equal(net, sphere_net(dim, n_points, seed=[7, 1]))
+    assert not np.array_equal(net, sphere_net(dim, n_points, seed=[7, 2]))
 
 
 def test_covering_radius_scalar_net_is_zero():
