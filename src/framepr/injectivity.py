@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, InvalidPartition, NotPhaseRetrievable
 from .frames import Frame, _check_count, encode_complex, frame_bounds, magnitude_map, rng_from_seed
-from .lifting import _gradient_terms, _normalized_gram, gradient_gram, measurement_forms, realify
+from .lifting import _gradient_terms, _normalized_gram, gradient_gram, realify
 from .linalg import hermitian_basis
 from .metrics import quotient_distance
 
@@ -132,13 +132,13 @@ def min_measurement_count(n: int) -> int:
 def _bipartition_scan(frame: Frame):
     """Branch and bound over the 2^(m-1) unordered bipartitions of the frame.
 
-    Returns (A0, fail_subset, null_dirs) where A0 is the minimum over
-    partitions of the sum of the two lower frame bounds, fail_subset is an
-    index list for the first partition (in mask order) where neither side
-    spans, and null_dirs is the pair (u, v) that proved it: the unit null
+    Returns (A0, fail_subset, null_dirs).  When the search confirms a
+    partition where neither side spans, fail_subset is the index list of its
+    side I, null_dirs is the pair (u, v) that proved it: the unit null
     directions ``_null_direction`` gives for that side and its complement at
-    the span cutoff SPAN_TOL ||V||_2.  Both are None when every partition
-    has a spanning side.
+    the span cutoff SPAN_TOL ||V||_2, and A0 is None.  Otherwise both are
+    None and A0 is the minimum over partitions of the sum of the two lower
+    frame bounds.
 
     Search.  Vector 0 always sits on the complement side; bit k-1 of a mask
     puts vector k in I.  Vectors are assigned in a fixed search order:
@@ -178,8 +178,10 @@ def _bipartition_scan(frame: Frame):
     exhaustive minimum bit for bit.  Its sum is also above 2 screen_tol, so
     its sides do not both pass the screen and it is no failure candidate.
     Every candidate is therefore evaluated.  Candidates are confirmed by
-    ``_null_direction`` in increasing mask order, and the smallest confirmed
-    mask is kept: the partition an exhaustive scan reports first.
+    ``_null_direction`` as their leaves are evaluated, and the first one
+    confirmed ends the search: by the complement property one failing
+    partition already proves the frame not retrievable.  A frame with no
+    confirmed candidate runs the whole search, so its A0 is exact.
     """
     m, n = frame.m, frame.n
     if m > PARTITION_CAP:
@@ -201,12 +203,13 @@ def _bipartition_scan(frame: Frame):
         return np.linalg.eigvalsh(S)[:, 0]
 
     A0 = np.inf  # also the incumbent: the smallest leaf sum evaluated so far
-    fail_mask = fail_subset = null_dirs = None  # smallest confirmed failing mask so far
+    fail_subset = null_dirs = None  # the confirmed failing partition
     leaves = 0
     pruned = 0
 
     def evaluate(masks):
-        nonlocal A0, fail_mask, fail_subset, null_dirs, leaves
+        """Evaluates the leaves; True when one is a confirmed failing partition."""
+        nonlocal A0, fail_subset, null_dirs, leaves
         leaves += masks.size
         bits = ((masks[:, None] >> shifts) & 1).astype(float)  # indices 1..m-1
         inc = np.concatenate([np.zeros((bits.shape[0], 1)), bits], axis=1)
@@ -214,17 +217,15 @@ def _bipartition_scan(frame: Frame):
         lam_I = _lam_min(S_I)
         lam_Ic = _lam_min(S_total[None] - S_I)
         A0 = min(A0, float((lam_I + lam_Ic).min()))
-        cands = masks[(lam_I <= screen_tol) & (lam_Ic <= screen_tol)]
-        if fail_mask is not None:
-            cands = cands[cands < fail_mask]
-        for mask in np.sort(cands).tolist():
+        for mask in masks[(lam_I <= screen_tol) & (lam_Ic <= screen_tol)].tolist():
             subset = [k + 1 for k in range(m - 1) if (mask >> k) & 1]
             comp = [k for k in range(m) if k not in subset]
             u = _null_direction(V[subset], n, cutoff)
             v = None if u is None else _null_direction(V[comp], n, cutoff)
             if v is not None:
-                fail_mask, fail_subset, null_dirs = mask, subset, (u, v)
-                break
+                fail_subset, null_dirs = subset, (u, v)
+                return True
+        return False
 
     # search order; masks keep the original bit of every vector
     order = np.concatenate([[0], 1 + np.argsort(-np.sum(V[1:] ** 2, axis=1), kind="stable")])
@@ -251,8 +252,8 @@ def _bipartition_scan(frame: Frame):
             ends = np.concatenate([masks[low], masks[low] | rest])
             fresh = ends[~done[:, low].ravel()]
             done[:, low] = True
-            if fresh.size:
-                evaluate(fresh)
+            if fresh.size and evaluate(fresh):
+                break
         keep = lb <= max(A0, 2.0 * screen_tol) + margin
         pruned += masks.size - int(keep.sum())
         masks, lam_I, lam_c, done = masks[keep], lam_I[keep], lam_c[keep], done[:, keep]
@@ -260,8 +261,8 @@ def _bipartition_scan(frame: Frame):
             continue
         if p == m:
             fresh = masks[~(done[0] | done[1])]
-            if fresh.size:
-                evaluate(fresh)
+            if fresh.size and evaluate(fresh):
+                break
             continue
         child_masks = np.concatenate([masks, masks | (np.uint64(1) << bit_shift[p - 1])])
         S_I, S_c = sides(masks, p)
@@ -278,10 +279,11 @@ def _bipartition_scan(frame: Frame):
             stack.append((p + 1, child_masks[s : s + half], child_I[s : s + half],
                           child_c[s : s + half], child_done[:, s : s + half]))
     logger.debug(
-        "bipartition scan m=%d n=%d: %d leaves evaluated, %d nodes pruned, %d partitions",
+        "bipartition scan m=%d n=%d: %d leaves evaluated, %d nodes pruned, %d partitions; stopped %s",
         m, n, leaves, pruned, 1 << (m - 1),
+        "with no failing partition" if null_dirs is None else "at a failing partition",
     )
-    return A0, fail_subset, null_dirs
+    return (A0 if null_dirs is None else None), fail_subset, null_dirs
 
 
 def _null_direction(rows: np.ndarray, n: int, cutoff: float):
@@ -313,8 +315,10 @@ def check_retrievable_real(frame: Frame) -> PRCertificate:
     margin is the minimum over partitions of the sum of the two lower frame
     bounds.  The search prunes a set of partitions only when a lower bound
     proves that none of them is the minimiser or a failing partition (see
-    ``_bipartition_scan``), so the margin and the witness equal those of an
-    exhaustive scan.  A failing partition with null directions u and v of
+    ``_bipartition_scan``), so the margin equals that of an exhaustive scan
+    and no failure candidate is skipped.  The search stops at the first
+    failing partition it confirms, which need not be the one an exhaustive
+    scan meets first.  A failing partition with null directions u and v of
     its two sides gives the pair (x, y) = (u + v, u - v), whose magnitude
     measurements agree while the phase classes differ; the verdict is
     "not_retrievable" only if the pair passes ``_verify_witness``, else
@@ -798,7 +802,8 @@ def local_stability_bounds(frame: Frame, z) -> dict:
     nz2 = float(xi @ xi)
     Z, s, zero = _gradient_terms(frame, xi)
     zero_set = np.flatnonzero(zero)
-    correction = measurement_forms(frame)[zero_set].sum(axis=0)
+    phi, jphi = frame.phi[zero_set], frame.jphi[zero_set]
+    correction = phi.T @ phi + jphi.T @ jphi  # the zero-set measurement forms, summed
     S_plain = _normalized_gram(Z, s, zero)
     ev_corr = np.linalg.eigvalsh(S_plain + correction)
     record = {

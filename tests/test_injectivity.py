@@ -163,21 +163,25 @@ def test_real_witness_check_is_scale_free():
     assert np.max(np.abs(ax - ay)) <= 1e-12 * np.max(ax)
 
 
+def _deficient(V, rows) -> bool:
+    """Reference span rule: the rows of the frame V fail to span R^n when
+    they are fewer than n or their least singular value is at most
+    SPAN_TOL ||V||_2."""
+    if rows.shape[0] < V.shape[1]:
+        return True
+    s = np.linalg.svd(rows, compute_uv=False)
+    return s[-1] <= SPAN_TOL * max(np.linalg.norm(V, 2), np.finfo(float).tiny)
+
+
 def _exhaustive_bipartition_scan(frame):
     """Reference: every one of the 2^(m-1) bipartitions in increasing mask
     order, the scan the branch and bound replaced."""
-    m, n = frame.m, frame.n
+    m = frame.m
     V = frame.vectors.real
     O = np.einsum("ki,kj->kij", V, V)
     S_total = O.sum(axis=0)
     smax = np.linalg.norm(V, 2)
     screen_tol = max((SPAN_TOL * smax) ** 2, 64 * m * np.finfo(float).eps * smax**2)
-
-    def _deficient(rows) -> bool:
-        if rows.shape[0] < n:
-            return True
-        s = np.linalg.svd(rows, compute_uv=False)
-        return s[-1] <= SPAN_TOL * max(smax, np.finfo(float).tiny)
 
     A0 = np.inf
     fail_subset = None
@@ -200,7 +204,7 @@ def _exhaustive_bipartition_scan(frame):
                 mask = int(masks[cand])
                 subset = [k + 1 for k in range(m - 1) if (mask >> k) & 1]
                 comp = [k for k in range(m) if k not in subset]
-                if _deficient(V[subset]) and _deficient(V[comp]):
+                if _deficient(V, V[subset]) and _deficient(V, V[comp]):
                     fail_subset = subset
                     break
     return A0, fail_subset
@@ -243,11 +247,21 @@ def test_bipartition_search_matches_exhaustive_scan(equivalence_cases, block, mo
     if block is not None:
         monkeypatch.setattr(injectivity, "_PARTITION_BLOCK", block)
     for frame, (ref_A0, ref_subset) in equivalence_cases:
-        A0, fail_subset, _ = _bipartition_scan(frame)
-        tol = 1e-12 * max(abs(ref_A0), np.finfo(float).tiny)
-        assert abs(A0 - ref_A0) <= tol, (frame.n, frame.m)
-        assert fail_subset == ref_subset, (frame.n, frame.m)
-    # the grid exercises both verdicts and the witness order
+        A0, fail_subset, null_dirs = _bipartition_scan(frame)
+        assert (fail_subset is None) == (ref_subset is None), (frame.n, frame.m)
+        if fail_subset is None:
+            tol = 1e-12 * max(abs(ref_A0), np.finfo(float).tiny)
+            assert abs(A0 - ref_A0) <= tol, (frame.n, frame.m)
+            continue
+        # the search stops at the first failing partition it confirms, which
+        # need not be the reference's first in mask order
+        V = frame.vectors.real
+        comp = [k for k in range(frame.m) if k not in fail_subset]
+        assert _deficient(V, V[fail_subset]) and _deficient(V, V[comp]), (frame.n, frame.m)
+        u, v = null_dirs
+        assert injectivity._verify_witness(frame, (u + v).astype(complex), (u - v).astype(complex))
+        assert A0 is None
+    # the grid exercises both verdicts
     failing = sum(ref_subset is not None for _, (_, ref_subset) in equivalence_cases)
     assert 0 < failing < len(equivalence_cases)
 
@@ -265,6 +279,7 @@ def test_bipartition_search_memory_and_pruning(caplog):
     assert peak < 64 * 2**20  # an exhaustive scan peaks at 135 MB here
     records = [r for r in caplog.records if "bipartition scan" in r.getMessage()]
     assert len(records) == 1 and records[0].levelno == logging.DEBUG
+    assert records[0].getMessage().endswith("stopped with no failing partition")
     counts = re.findall(r"(\d+) (?:leaves|nodes|partitions)", records[0].getMessage())
     leaves, pruned, partitions = map(int, counts)
     assert partitions == 1 << 21
@@ -287,6 +302,18 @@ def test_bipartition_search_evaluates_each_leaf_once(m, caplog):
     for n in (2, 3):
         leaves, _, partitions = _scan_counts(random_frame(n, m + n, "real_gaussian", seed=m), caplog)
         assert leaves <= partitions
+
+
+def test_bipartition_search_stops_at_the_first_failing_partition(caplog):
+    # a search for the smallest failing mask evaluates 24,587 and 1,926 leaves here
+    V = random_frame(8, 15, "real_gaussian", seed=[11, 8, 15, 0]).vectors.real.copy()
+    V[14] = -1.7 * V[0]
+    for frame in (random_frame(10, 18, "real_gaussian", seed=[11, 10, 18, 0]),
+                  make_frame(V, field="real")):
+        leaves, _, _ = _scan_counts(frame, caplog)
+        assert leaves <= 1000, (frame.n, frame.m)
+        assert caplog.records[-1].getMessage().endswith("stopped at a failing partition")
+        assert check_retrievable_real(frame).verdict == "not_retrievable"
 
 
 def test_global_bound_shares_the_partition_margin():
@@ -940,6 +967,19 @@ def test_local_bounds_no_zero_coefficients(rng):
     assert rec["zero_set"] == []
     assert rec["A_tilde"] == pytest.approx(rec["A"], rel=1e-12)
     assert rec["a"] > 0 and rec["b"] >= rec["a"]
+
+
+def test_local_bounds_memory(rng):
+    # a stack of all m measurement forms, (m, 2n, 2n), would peak at 65 MiB here
+    frame = random_frame(32, 1024, "gaussian", seed=8)
+    z = rng.normal(size=32) + 1j * rng.normal(size=32)
+    tracemalloc.start()
+    try:
+        local_stability_bounds(frame, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_local_bounds_at_zero_reduce_to_frame_bounds():
