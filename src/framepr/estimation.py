@@ -21,7 +21,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import OrthogonalAnchor, QuadratureError, ZeroVector
 from .frames import Frame, _check_real, analysis, intensity_map, rng_from_seed
@@ -138,7 +137,10 @@ def _hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _window_integrand(t: np.ndarray) -> np.ndarray:
     """I1(t)^2/I0(t) * t^3 * e^{-t}, from the exponentially scaled Bessel
-    functions; the window's Gaussian factor multiplies it."""
+    functions; the window's Gaussian factor multiplies it.  scipy.special is
+    imported here, its only use, so that no other path loads it."""
+    from scipy import special
+
     return special.i1e(t) ** 2 / special.i0e(t) * t**3
 
 

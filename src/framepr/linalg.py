@@ -95,29 +95,24 @@ def _hermitian_defect(M: np.ndarray, tol: float) -> np.ndarray:
 
 
 @functools.cache
-def _eig_routine(dtype: np.dtype):
-    """The LAPACK divide-and-conquer routine np.linalg.eigh runs for ``dtype``;
-    like eigh, it factors single precision in double.
+def _heevd_routine():
+    """LAPACK's zheevd, imported from scipy.linalg on first use.
 
-    scipy.linalg is imported here, not with this module: ``import framepr``
-    does not load it, the first eigensolve does.  Loading it with this
-    module also reordered the package import, which moved its garbage
-    collections and slowed a cold ``import framepr`` by 8-18% (2-vCPU Xeon,
-    Python 3.11).
+    PhaseLift's loop calls it directly: a 4 x 4 complex eigensolve takes
+    about 4.4 us this way against 9.0 us through ``np.linalg.eigh``, whose
+    per-call wrapper cost dominates at that size (2-vCPU Xeon, one BLAS
+    thread).  Every other eigensolve goes through
+    ``hermitian_eig``, which needs no scipy.
     """
     from scipy.linalg import lapack
 
-    if dtype in (np.float32, np.float64):
-        return lapack.dsyevd
-    if dtype in (np.complex64, np.complex128):
-        return lapack.zheevd
-    raise TypeError(f"array type {dtype} is unsupported in linalg")
+    return lapack.zheevd
 
 
 @functools.cache
 def _cholesky_routine():
-    """LAPACK's dposv (Cholesky factor and solve), imported on first use for
-    the reason ``_eig_routine`` gives."""
+    """LAPACK's dposv (Cholesky factor and solve), imported from scipy.linalg
+    on first use, so that only IRLS's u-step loads it."""
     from scipy.linalg import lapack
 
     return lapack.dposv
@@ -142,22 +137,19 @@ def hermitian_eig(M: np.ndarray) -> EigDecomposition:
     NotHermitian is raised when ||M - M*||_F > DEFAULT_TOL * max(||M||_F, 1)
     or when M has a NaN or infinite entry; the input is then symmetrized to
     M - (M - M*)/2, so that roundoff-level asymmetry never leaks into the
-    spectrum.  The factorization calls LAPACK's ?heevd/?syevd on the lower
-    triangle (``lower=1``) directly: the routine, triangle and precision
-    ``np.linalg.eigh`` uses, so the result is bit for bit that of ``eigh``
-    without its per-call wrapper cost.  Integer input is factored as
-    float64; float32 and complex64 results keep their dtype.
+    spectrum.  The factorization is ``np.linalg.eigh`` on the lower triangle
+    (LAPACK's ?heevd/?syevd), whose dtype rules hold: integer input is
+    factored as float64, float32 and complex64 are factored in double and
+    keep their dtype, and float16 raises TypeError.  A LAPACK failure raises
+    NoConvergence.
     """
     M = np.asarray(M)
     D = _hermitian_defect(M, DEFAULT_TOL)
-    S = M - 0.5 * D
-    routine = _eig_routine(S.dtype)
-    w, v, info = routine(S, lower=1)
-    if info != 0:
-        raise NoConvergence(f"LAPACK {routine.__name__} failed with info={info}")
-    if v.dtype != S.dtype:
-        w, v = w.astype(np.finfo(S.dtype).dtype), v.astype(S.dtype)
-    # LAPACK returns the spectrum ascending
+    try:
+        w, v = np.linalg.eigh(M - 0.5 * D, UPLO="L")
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"np.linalg.eigh failed: {exc}") from exc
+    # eigh returns the spectrum ascending
     return EigDecomposition(w[::-1], v[:, ::-1])
 
 

@@ -29,7 +29,7 @@ from .frames import Frame, _check_count, _check_real, analysis, intensity_map
 from .lifting import complexify, lifted_map, lifted_map_adjoint, realify
 from .linalg import (
     DEFAULT_RANK_TOL,
-    _eig_routine,
+    _heevd_routine,
     cg_solve,
     hermitian_basis,
     hermitian_eig,
@@ -233,10 +233,11 @@ def _psd_projection(z: np.ndarray, heevd) -> np.ndarray:
     """vec of the projection onto the PSD cone of the Hermitian matrix with
     vec z: its eigenvalues clipped at 0.
 
-    ``heevd`` is LAPACK's ?heevd, called on the lower triangle of z viewed
-    as n x n, as ``hermitian_eig`` calls it, but without that function's
-    Hermitian check (``_step_operator`` builds z Hermitian), symmetrization
-    and spectrum reversal; raises NoConvergence when LAPACK reports failure.
+    ``heevd`` is LAPACK's zheevd, called on the lower triangle of z viewed
+    as n x n: the routine and triangle of ``hermitian_eig``, without
+    np.linalg.eigh's per-call cost or that function's Hermitian check
+    (``_step_operator`` builds z Hermitian), symmetrization and spectrum
+    reversal; raises NoConvergence when LAPACK reports failure.
     """
     n = math.isqrt(z.shape[0])
     lam, V, info = heevd(z.reshape(n, n), lower=1)
@@ -302,7 +303,7 @@ def phaselift(frame: Frame, y, opts: PhaseLiftOptions | None = None, x_true=None
         stages, budget = opts.max_outer, opts.inner_max
     trace_log: list[float] = []
     stage_iterations: list[int] = []
-    heevd = _eig_routine(np.dtype(complex))
+    heevd = _heevd_routine()
     # vec(X), as are Y and each step's X_new
     X = _psd_projection(hermitian_basis(n).T @ _lifted_least_squares(frame, y)[1], heevd)
     for stage in range(stages):

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -86,7 +88,7 @@ def test_eig_matches_argsort_reference(rng, n):
 @pytest.mark.parametrize("n", [0, 1, 4, 9])
 def test_eig_dtypes_match_numpy_eigh(rng, dtype, n):
     # B + B* is exactly self-adjoint, so the symmetrization is the identity
-    # and the LAPACK call sees what np.linalg.eigh sees
+    # and hermitian_eig's factorization sees what a plain np.linalg.eigh sees
     B = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     if not np.issubdtype(dtype, np.complexfloating):
         B = B.real * (10 if dtype is np.int64 else 1)
@@ -106,12 +108,49 @@ def test_eig_rejects_half_precision_as_numpy_eigh_does():
 
 
 def test_eig_lapack_failure_raises_no_convergence(monkeypatch):
-    def failing_routine(a, lower):
-        return np.zeros(a.shape[0]), np.zeros_like(a), 3
+    # np.linalg.eigh's gufunc reports a LAPACK failure as a NaN result with
+    # the invalid flag raised, which eigh's errstate callback turns into a
+    # LinAlgError; hermitian_eig raises NoConvergence from it
+    def failing_eigh_lo(a, signature):
+        return np.sqrt(np.full(a.shape[-1], -1.0)), np.full(a.shape, np.nan)
 
-    monkeypatch.setattr(linalg_mod, "_eig_routine", lambda dtype: failing_routine)
-    with pytest.raises(NoConvergence, match="info=3"):
+    numpy_linalg = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+    monkeypatch.setattr(numpy_linalg, "_umath_linalg", SimpleNamespace(eigh_lo=failing_eigh_lo))
+    with pytest.raises(NoConvergence, match="did not converge"):
         hermitian_eig(np.eye(2))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_eig_equals_the_direct_lapack_call_bit_for_bit(n):
+    # hermitian_eig once called scipy's dsyevd/zheevd on the lower triangle
+    # of the symmetrized input and reversed the result; np.linalg.eigh runs
+    # the same routines, so nothing moves.  Where numpy's and scipy's LAPACK
+    # builds round differently, this test fails and names the cause.
+    from scipy.linalg import lapack
+
+    for seed in range(6):
+        rng = np.random.default_rng([n, seed])
+        B = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        noise = 1e-14 * rng.normal(size=(n, n))  # the symmetrization removes it
+        for dtype, routine in (
+            (np.float64, lapack.dsyevd), (np.float32, lapack.dsyevd),
+            (np.int64, lapack.dsyevd), (np.complex128, lapack.zheevd),
+            (np.complex64, lapack.zheevd),
+        ):
+            if np.issubdtype(dtype, np.complexfloating):
+                M = (B + B.conj().T + noise).astype(dtype)
+            elif dtype is np.int64:
+                M = np.round(10 * (B.real + B.real.T)).astype(dtype)
+            else:
+                M = (B.real + B.real.T + noise).astype(dtype)
+            S = M - 0.5 * (M - M.conj().T)
+            w, v, info = routine(S, lower=1)
+            assert info == 0
+            w, v = w.astype(np.finfo(S.dtype).dtype)[::-1], v.astype(S.dtype)[:, ::-1]
+            dec = hermitian_eig(M)
+            assert dec.eigenvalues.dtype == w.dtype and dec.eigenvectors.dtype == v.dtype
+            np.testing.assert_array_equal(dec.eigenvalues, w)
+            np.testing.assert_array_equal(dec.eigenvectors, v)
 
 
 def test_eig_residual_and_orthonormality(rng):

@@ -331,8 +331,8 @@ def test_phaselift_eigensolver_failure_inside_the_loop_raises(monkeypatch):
     # is a step (m = 15 < n^2, so the solve takes more than four)
     calls = []
 
-    def failing_routine(dtype):
-        heevd = linalg._eig_routine(dtype)
+    def failing_routine():
+        heevd = linalg._heevd_routine()
 
         def routine(a, lower):
             calls.append(1)
@@ -341,7 +341,7 @@ def test_phaselift_eigensolver_failure_inside_the_loop_raises(monkeypatch):
 
         return routine
 
-    monkeypatch.setattr(recon, "_eig_routine", failing_routine)
+    monkeypatch.setattr(recon, "_heevd_routine", failing_routine)
     frame = random_frame(4, 15, "gaussian", seed=5)
     with pytest.raises(NoConvergence, match="info=2"):
         phaselift(frame, intensity_map(frame, unit_signal(4, 5)))
