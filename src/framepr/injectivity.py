@@ -17,11 +17,13 @@ measured in the quotient metric sqrt(2 - 2 |<u, v>|).
 
 J xi always lies in the kernel of R(xi) = gradient_gram(xi): the k-th
 gradient w_k = p_k phi_k + q_k J phi_k has w_k . J xi = -p_k q_k + q_k p_k = 0.
-So lambda_{2n-1}(R) is the smallest eigenvalue of R on (J xi)^perp.  For
-n = 2 that restriction is a 3x3 Gram whose eigenvalues have a closed form;
-the net scan screens every point with it and re-evaluates exactly only the
-points near a chunk extremum (see ``_scan_net``), so its results equal
-those of an exact eigensolve at every point.
+So lambda_{2n-1}(R) is the second-smallest eigenvalue of R, and at n = 2 the
+three others are the roots of a cubic.  R(xi) is a fixed quadratic form in
+xi, so one per-frame table of its coefficients gives that cubic at a net
+point in a cost that does not grow with m.  The net scan screens every
+point with it and re-evaluates exactly only the points near a chunk
+extremum (see ``_scan_net``), so its results equal those of an exact
+eigensolve at every point.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, InvalidPartition, NotPhaseRetrievable
 from .frames import Frame, _check_count, encode_complex, frame_bounds, magnitude_map, rng_from_seed
-from .lifting import _gradient_terms, _normalized_gram, gradient_gram, realify
+from .lifting import _gradient_terms, _normalized_gram, gradient_gram, measurement_forms, realify
 from .linalg import hermitian_basis
 from .metrics import quotient_distance
 
@@ -54,9 +56,6 @@ _MULTISTART_TOL = 1e-10  # relative tangent-gradient norm that ends a start
 # point costs 32 bytes, a multistart start up to _MULTISTART_ITERS steps, and
 # sampled bounds hold several (samples, m) complex arrays
 _COUNTS = {"budget": (1, 32_000_000), "n_starts": (0, 10_000), "samples": (2, 1_000_000)}
-# realified (-conj z_2, conj z_1) = xi @ _PERP for xi = realify(z_1, z_2)
-_PERP = np.array([[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0],
-                  [0.0, 0.0, 0.0, -1.0], [0.0, 0.0, 1.0, 0.0]])
 
 logger = logging.getLogger("framepr")
 
@@ -501,34 +500,55 @@ def quotient_covering_radius(net: np.ndarray, seed: int = 0) -> float:
     return 1.12 * eps
 
 
-def _screen_n2(phi: np.ndarray, jphi: np.ndarray, Xi: np.ndarray):
-    """Closed-form (lambda_3, lambda_1) of the gradient Gram at unit rows of
-    Xi for n = 2, accurate to about sqrt(eps) lambda_1 near a double root.
+def _gram_table(frame: Frame):
+    """Coefficients (T, e) of the n = 2 gradient Gram as a quadratic form.
 
-    On (J xi)^perp, R(xi) is the 3x3 Gram of s = p^2 + q^2, u = pP + qQ and
-    v = pQ - qP in the orthonormal basis {xi, eta, J eta}, where
-    eta = xi @ _PERP, (p, q) = (phi xi, J phi xi) and
-    (P, Q) = (phi eta, J phi eta).  Its eigenvalues come from the
-    trigonometric formula (Smith 1961; Kopp, arXiv physics/0610206).
+    R(xi) = sum_k Phi_k xi xi^T Phi_k for the forms Phi_k of
+    ``measurement_forms``, so R_ij(xi) = sum_ab K[i, a, b, j] xi_a xi_b with
+    K = sum_k Phi_k (x) Phi_k, one (16 x m)(m x 16) product.  Folded onto
+    the 10 monomials xi_a xi_b (a <= b), it gives the 10 entries R_ij
+    (i <= j) as 2^e T @ monomials, both in ``np.triu_indices(4)`` order.
+    2^e is the power of two that puts the largest |T| in [1/2, 1), so the
+    screen's cubic coefficients neither overflow nor underflow.
     """
-    m = phi.shape[0]
-    rows = np.concatenate([phi, jphi, phi @ _PERP.T, jphi @ _PERP.T])
-    C = rows @ Xi.T  # one contiguous (m, chunk) block per coordinate
-    p, q, P, Q = C[:m], C[m : 2 * m], C[2 * m : 3 * m], C[3 * m :]
-    s = p * p + q * q
-    u = p * P + q * Q
-    v = p * Q - q * P
-    a, d, f = (np.einsum("kc,kc->c", x, x) for x in (s, u, v))
-    b, c, e = (np.einsum("kc,kc->c", x, y) for x, y in ((s, u), (s, v), (u, v)))
-    # G = [[a, b, c], [b, d, e], [c, e, f]]; B = (G - mean I) / r has
-    # eigenvalues 2 cos(t + 2 pi j / 3) with cos(3 t) = det(B) / 2
-    mean = (a + d + f) / 3.0
-    a, d, f = a - mean, d - mean, f - mean
-    r = np.sqrt((a * a + d * d + f * f + 2.0 * (b * b + c * c + e * e)) / 6.0)
-    a, b, c, d, e, f = (x / np.where(r > 0.0, r, 1.0) for x in (a, b, c, d, e, f))
-    half_det = 0.5 * (a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d))
+    F = measurement_forms(frame).reshape(frame.m, 16)
+    K = (F.T @ F).reshape(4, 4, 4, 4)
+    i, j = np.triu_indices(4)
+    T = K[i[:, None], i, j, j[:, None]] + K[i[:, None], j, i, j[:, None]]
+    T[:, i == j] *= 0.5
+    e = int(np.frexp(np.abs(T).max())[1])
+    return np.ldexp(T, -e), e
+
+
+def _screen_n2(table: np.ndarray, e: int, Xi: np.ndarray):
+    """Closed-form (lambda_3, lambda_1) of the gradient Gram at unit rows of
+    Xi for n = 2, from the coefficients of ``_gram_table``, accurate to about
+    sqrt(eps) lambda_1 near a double root.
+
+    One (10 x 10)(10 x chunk) product gives the entries of R(xi) / 2^e.  J xi
+    lies in its kernel, so its other eigenvalues are the roots of
+    lambda^3 - c1 lambda^2 + c2 lambda - c3, c_k the sum of the k x k
+    principal minors of R, which the trigonometric formula gives (Smith
+    1961; Kopp, arXiv physics/0610206).
+    """
+    i, j = np.triu_indices(4)
+    X = np.ascontiguousarray(Xi.T)
+    r00, r01, r02, r03, r11, r12, r13, r22, r23, r33 = table @ (X[i] * X[j])
+    # c2 and c3 sum the six 2x2 and four 3x3 principal minors, grouped by the
+    # complementary index pairs {0, 1} and {2, 3}
+    s02, s03, s12, s13 = r02 * r02, r03 * r03, r12 * r12, r13 * r13
+    d01, d23 = r00 + r11, r22 + r33
+    m01, m23 = r00 * r11 - r01 * r01, r22 * r33 - r23 * r23
+    c1 = d01 + d23
+    c2 = m01 + m23 + d01 * d23 - (s02 + s03 + s12 + s13)
+    c3 = (d01 * m23 + d23 * m01 - s02 * (r11 + r33) - s13 * (r00 + r22) - s03 * (r11 + r22)
+          - s12 * (r00 + r33) + 2.0 * (r01 * (r02 * r12 + r03 * r13) + r23 * (r02 * r03 + r12 * r13)))
+    # the roots are mean + 2 r cos(t + 2 pi j / 3) with cos(3 t) = half_det
+    mean = c1 / 3.0
+    r = np.sqrt(np.maximum(c1 * c1 - 3.0 * c2, 0.0)) / 3.0
+    half_det = (mean * (2.0 * mean * mean - c2) + c3) / (2.0 * np.where(r > 0.0, r, 1.0) ** 3)
     t = np.arccos(np.clip(half_det, -1.0, 1.0)) / 3.0
-    return mean + 2.0 * r * np.cos(t + 2.0 * np.pi / 3.0), mean + 2.0 * r * np.cos(t)
+    return np.ldexp(mean + 2.0 * r * np.cos(t + 2.0 * np.pi / 3.0), e), np.ldexp(mean + 2.0 * r * np.cos(t), e)
 
 
 def _scan_net(frame: Frame, net: np.ndarray):
@@ -538,22 +558,24 @@ def _scan_net(frame: Frame, net: np.ndarray):
     ``eigvalsh`` of ``gradient_gram`` over the whole net would give them.
 
     Each chunk is first screened in closed form: J xi lies in the kernel of
-    R(xi), so lambda_3 and lambda_1 are the extreme eigenvalues of the 3x3
-    Gram built by ``_screen_n2``.  The screen errs by at most about
-    4e-14 lambda_1 on generic frames and 6e-9 lambda_1 near a double root
-    (the tetrahedral SIC frame).  Only the rows whose screened lambda_3 lies
-    within tau = 1e-6 (chunk max screened lambda_1) of the chunk minimum, or
-    whose screened lambda_1 lies within tau of the chunk maximum, are
-    evaluated by that eigensolve.  As tau exceeds twice the screen error,
-    every row whose exact value attains the chunk extremum is among them, so
-    the result equals the unscreened scan bit for bit.
+    R(xi), so lambda_3 and lambda_1 are the extreme roots of the cubic that
+    ``_screen_n2`` forms from the per-frame coefficients of ``_gram_table``.
+    The screen errs by at most about 2e-13 lambda_1 on gaussian frames at
+    m = 3 to 40 and 1.2e-8 lambda_1 near a double root (the tetrahedral SIC
+    frame).  Only the rows whose screened lambda_3 lies within
+    tau = 1e-6 (chunk max screened lambda_1) of the chunk minimum, or whose
+    screened lambda_1 lies within tau of the chunk maximum, are evaluated
+    by that eigensolve.  As tau exceeds twice the screen error, every row
+    whose exact value attains the chunk extremum is among them, so the
+    result equals the unscreened scan bit for bit.
     """
-    chunk = max(4096, min(_SCAN_CHUNK, int(2e6 / frame.m)))
+    chunk = max(4096, min(_SCAN_CHUNK, int(2e6 / frame.m)))  # bounds the recheck's (k, 4, m) blocks
+    table, e = _gram_table(frame)
     lam3_min = np.inf
     lam1_max = 0.0
     for start in range(0, net.shape[0], chunk):
         Xi = net[start : start + chunk]
-        lo, hi = _screen_n2(frame.phi, frame.jphi, Xi)
+        lo, hi = _screen_n2(table, e, Xi)
         tau = 1e-6 * hi.max()
         near = (lo <= lo.min() + tau) | (hi >= hi.max() - tau)
         ev = np.linalg.eigvalsh(gradient_gram(frame, Xi[near]))
@@ -602,11 +624,17 @@ def certify_retrievable_complex(
     "not_retrievable" with no net tested.  At n = 1, R(xi) = S xi xi^T on
     the unit circle, so a0 = b0 = S = sum_k |f_k|^4; the computed S errs by
     less than (m + 5) eps S when it lies in [2^-970, inf), and ``a0_lower``
-    and ``b0_bound`` are S less and plus that allowance.  At n = 2 each
-    round takes lam3_min, the least second-smallest eigenvalue of the
-    gradient Gram over a net of covering radius eps, and reports the Weyl
-    margin lam3_min - 2 b0 eps.  No net has more than ``budget`` points (1
-    to 32,000,000).  Round 0's net of min(1024, budget) points certifies
+    and ``b0_bound`` are S less and plus that allowance.  At n = 2 the
+    verdict is "undecided" unless s = sum_k ||f_k||^4 lies in
+    [2^-970, 2^1000].  No entry of a form Phi_k exceeds ||f_k||^2, so no
+    coefficient or Gram entry the scan forms exceeds 2 s, and
+    b0 <= sqrt(m) s: nothing overflows.  The largest lambda_1 is at least
+    s / 6 (the trace of R averages s / 2 over the sphere), so products that
+    underflow, each off by less than 2^-1074, stay far below the scan's
+    roundoff of a few eps lambda_1.  Each n = 2 round takes lam3_min, the
+    least second-smallest eigenvalue of the gradient Gram over a net of
+    covering radius eps, and reports the Weyl margin lam3_min - 2 b0 eps.
+    No net has more than ``budget`` points (1 to 32,000,000).  Round 0's net of min(1024, budget) points certifies
     only a margin of at least half lam3_min; otherwise it calibrates the
     covering law eps ~ coef / sqrt(N), which sizes round 1's net for that
     margin (at most half round 0's radius).  The last net, round 1's or
@@ -639,6 +667,10 @@ def certify_retrievable_complex(
         return stop("retrievable", a0_lower=s - slack, notes="closed form at n = 1")
     if n > N_CAP:
         return stop("undecided", notes=f"ambient dimension {n} above cap {N_CAP}")
+    with np.errstate(over="ignore"):  # an overflow reads inf, outside the range
+        s = float(np.sum(np.linalg.norm(frame.vectors, axis=1) ** 4))
+    if not 2.0**-970 <= s <= 2.0**1000:
+        return stop("undecided", notes="sum ||f_k||^4 outside the certified float range")
     if budget < 2:
         return stop("undecided", notes="net budget exhausted")
     n_points = min(1024, budget)

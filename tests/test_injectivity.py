@@ -38,6 +38,7 @@ from framepr.injectivity import (
     _N_PROBES,
     SPAN_TOL,
     _bipartition_scan,
+    _gram_table,
     _scan_net,
     _screen_n2,
     bloch_fibonacci_net,
@@ -356,8 +357,9 @@ def _unscreened_scan(frame, net):
 # the SIC frame has a double root 1/3 at every point, so every row is rechecked
 @pytest.mark.parametrize(
     "frame",
-    [random_frame(2, 8, "gaussian", seed=4), random_frame(2, 3, seed=0), _tetrahedral_sic()],
-    ids=["gaussian_m8", "m3", "sic"],
+    [random_frame(2, 8, "gaussian", seed=4), random_frame(2, 3, seed=0), _tetrahedral_sic(),
+     random_frame(2, 40, "gaussian", seed=4)],
+    ids=["gaussian_m8", "m3", "sic", "gaussian_m40"],
 )
 @pytest.mark.parametrize("chunk", [None, 4096])
 def test_scan_net_matches_unscreened_scan(frame, chunk, monkeypatch):
@@ -378,8 +380,10 @@ def test_n2_screen_accuracy(seed):
     net = bloch_fibonacci_net(2000, seed=seed)
     for frame, tol in ((random_frame(2, 8, "gaussian", seed=seed), 1e-12),
                        (random_frame(2, 4, "gaussian", seed=seed), 1e-12),
+                       (random_frame(2, 3), 1e-12),
+                       (random_frame(2, 40), 1e-12),
                        (_tetrahedral_sic(), 5e-8)):
-        lo, hi = _screen_n2(frame.phi, frame.jphi, net)
+        lo, hi = _screen_n2(*_gram_table(frame), net)
         ev = np.array([np.linalg.eigvalsh(gradient_gram(frame, xi)) for xi in net])
         scale = ev[:, -1].max()
         assert np.max(np.abs(lo - ev[:, 1])) <= tol * scale
@@ -641,8 +645,11 @@ _SCALED_CASES = [(random_frame(2, 8, "gaussian", seed=3), 3),
 
 
 # mismatch and distance are judged relative to the measurements, so a frame
-# scaled by 2^-44 is no easier to refute than the unscaled one
-@pytest.mark.parametrize("scale, rel", [(2.0**-44, 1e-12), (2.0**20, 0.0)])
+# scaled by 2^-44 is no easier to refute than the unscaled one.  At 2^-200
+# and 2^150, 8th powers of the entries leave the float range, and the n = 2
+# scan must still find the same minimum
+@pytest.mark.parametrize("scale, rel", [(2.0**-200, 1e-12), (2.0**-44, 1e-12), (2.0**20, 0.0),
+                                        (2.0**150, 1e-12)])
 @pytest.mark.parametrize("frame, seed", _SCALED_CASES)
 def test_certify_scaled_frame_keeps_verdict(frame, seed, scale, rel):
     ref = certify_retrievable_complex(frame, seed=seed, budget=16_000_000)
@@ -650,6 +657,15 @@ def test_certify_scaled_frame_keeps_verdict(frame, seed, scale, rel):
                                        budget=16_000_000)
     assert ref.verdict == cert.verdict == "retrievable"
     assert cert.a0_lower / scale**4 == pytest.approx(ref.a0_lower, rel=rel, abs=0.0)
+
+
+# sum ||f_k||^4 falls below 2^-970 or above 2^1000, where the scan's
+# underflow or overflow is no longer bounded
+@pytest.mark.parametrize("scale", [2.0**-260, 2.0**255])
+@pytest.mark.parametrize("frame, seed", _SCALED_CASES)
+def test_certify_frame_outside_the_float_range_is_undecided(frame, seed, scale):
+    cert = certify_retrievable_complex(make_frame(frame.vectors * scale), seed=seed)
+    assert cert.verdict == "undecided" and cert.a0_lower is None and "float range" in cert.notes
 
 
 def test_certify_dimension_cap():
