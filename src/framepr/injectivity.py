@@ -6,9 +6,9 @@ the frame fails.  A complex frame fails iff the kernel of its lifted map
 holds a rank-2 matrix x x* - y y*, sought first by linear algebra at every
 n.  Otherwise the margin, the least second-smallest eigenvalue of the
 gradient Gram operator, is certified in closed form at n = 1, and at
-n = N_CAP = 2 bounded by a net minimum less a Weyl perturbation term, whose
-covering radius is a sampled estimate; larger n is "undecided", because the
-covering law asks for nets of 10^9 points there.
+n = N_CAP = 2 bounded by a net minimum less the Weyl term b0 eps, whose
+covering radius eps is a sampled estimate; larger n is "undecided", because
+the covering law asks for nets of 10^9 points there.
 
 The eigenvalue map xi -> lambda_{2n-1}(gradient_gram(xi)) is exactly invariant
 under the phase orbit xi -> cos(t) xi + sin(t) J xi, so the net only needs to
@@ -48,6 +48,7 @@ _NET_BLOCK = 1 << 14  # rows per block while a Bloch net is built
 _N_PROBES = 768  # random probes per covering-radius estimate
 _PRODUCT_BLOCK = 1 << 16  # entries per probe-by-row product of the covering-radius search
 _KEY_ROUND = 1e-12  # rounding allowance of the covering-radius key windows
+_WEYL_SHARE = 0.4  # Weyl term / lam3_min that round 0 certifies at and round 1 is sized for
 N_CAP = 2  # largest ambient dimension certify_retrievable_complex scans nets at
 PARTITION_CAP = 24  # largest frame size the bipartition search accepts
 _MULTISTART_ITERS = 400  # projected-gradient steps per multistart start
@@ -482,7 +483,7 @@ def quotient_covering_radius(net: np.ndarray, seed: int = 0) -> float:
     The largest probe distance times 1.12 is an estimate, not an upper
     bound: the exact radius (largest spherical Delaunay circumradius) of the
     last certificate net of random_frame(2, 8, seed=k), k < 10, exceeds it
-    8 times, by up to 7.6%.
+    8 times, by up to 9.9%.
     """
     d = net.shape[1]
     n = d // 2
@@ -633,15 +634,26 @@ def certify_retrievable_complex(
     underflow, each off by less than 2^-1074, stay far below the scan's
     roundoff of a few eps lambda_1.  Each n = 2 round takes lam3_min, the
     least second-smallest eigenvalue of the gradient Gram over a net of
-    covering radius eps, and reports the Weyl margin lam3_min - 2 b0 eps.
-    No net has more than ``budget`` points (1 to 32,000,000).  Round 0's net of min(1024, budget) points certifies
-    only a margin of at least half lam3_min; otherwise it calibrates the
-    covering law eps ~ coef / sqrt(N), which sizes round 1's net for that
-    margin (at most half round 0's radius).  The last net, round 1's or
-    round 0's when budget <= 1024, certifies any positive margin, else the
-    verdict is "undecided"; so is a budget of 1, which builds no net.  b0
-    starts at B max_k ||f_k||^2 and is tightened each round by the update
-    b <- min(b, max_net lambda_1 + 2 b eps).  eps is a sampled estimate that
+    covering radius eps, and reports the Weyl margin lam3_min - b0 eps.
+
+    Every eigenvalue of R is b0-Lipschitz in the quotient metric, b0 the
+    largest lambda_1(R) over the sphere.  R(xi) = sum_k Phi_k xi xi^T Phi_k
+    is a positive map of xi xi^T, and for unit xi, eta aligned in phase
+    (c = xi . eta = |<u, v>|), xi xi^T - eta eta^T = a a^T - b b^T with
+    |a|^2 = |b|^2 = sqrt(1 - c^2), so -R(b) <= R(xi) - R(eta) <= R(a).  By
+    Weyl, |lambda_j(R(xi)) - lambda_j(R(eta))| <= b0 sqrt(1 - c^2) <=
+    b0 sqrt(2 - 2 c).
+
+    No net has more than ``budget`` points (1 to 32,000,000).  Round 0's
+    net of min(1024, budget) points certifies only when its Weyl term is at
+    most _WEYL_SHARE = 0.4 of lam3_min; otherwise it calibrates the covering
+    law eps ~ coef / sqrt(N), which sizes round 1's net for that Weyl term
+    (at most half round 0's radius).  The last net, round 1's or round 0's
+    when budget <= 1024, certifies any positive margin, else the verdict is
+    "undecided"; so is a budget of 1, which builds no net.  b0 starts at
+    B max_k ||f_k||^2.  The same Lipschitz bound gives b0 <= max_net
+    lambda_1 + b0 eps, so for eps < 1 each round tightens it to
+    min(b0, max_net lambda_1 / (1 - eps)).  eps is a sampled estimate that
     can fall below the true radius.
     """
     _check_count("budget", budget, *_COUNTS["budget"])
@@ -685,22 +697,21 @@ def certify_retrievable_complex(
             # the lattice covering radius follows coef / sqrt(N) closely;
             # beyond the measurement size, extrapolate with a safety margin
             eps_hat = 1.1 * coef / n_points ** 0.5
-        if 2.0 * eps_hat < 1.0:
-            for _ in range(4):
-                b0 = min(b0, lam1_max + 2.0 * b0 * eps_hat)
-        weyl = 2.0 * b0 * eps_hat
+        if eps_hat < 1.0:
+            b0 = min(b0, lam1_max / (1.0 - eps_hat))
+        weyl = b0 * eps_hat
         margin = lam3_min - weyl
         logger.debug(
             "complex net round %d: %d points, eps %.4g, lam3_min %.6g, b0 %.6g, margin %.6g",
             rnd, n_points, eps_hat, lam3_min, b0, margin,
         )
-        if margin > 0.0 and (rnd == last or weyl <= 0.5 * lam3_min):
+        if margin > 0.0 and (rnd == last or weyl <= _WEYL_SHARE * lam3_min):
             return stop("retrievable", a0_lower=margin, epsilon_final=eps_hat, net_points=n_points)
         if rnd < last:
             # calibrate the covering law eps ~ coef / sqrt(N) and size the
-            # last net for the radius a margin of half lam3_min needs
+            # last net for a Weyl term of _WEYL_SHARE lam3_min
             coef = eps_hat * n_points ** 0.5
-            goal = max(min(0.5 * eps_hat, lam3_min / (4.0 * b0) if lam3_min > 0 else np.inf), 1e-12)
+            goal = max(min(0.5 * eps_hat, _WEYL_SHARE * lam3_min / b0 if lam3_min > 0 else np.inf), 1e-12)
             n_points = min(int(max(1.3 * (coef / goal) ** 2, 2 * n_points)), budget)
     return stop("undecided", net_points=n_points, notes="net budget exhausted")
 
