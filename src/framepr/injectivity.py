@@ -322,12 +322,23 @@ def check_retrievable_real(frame: Frame) -> PRCertificate:
     its two sides gives the pair (x, y) = (u + v, u - v), whose magnitude
     measurements agree while the phase classes differ; the verdict is
     "not_retrievable" only if the pair passes ``_verify_witness``, else
-    "undecided".  Frames of more than PARTITION_CAP vectors raise
-    BudgetExceeded.
+    "undecided".  At n = 1 every partition sums to sum_k f_k^2 and has a side
+    that spans, so A0 is that sum, rounded once, at any m; at n >= 2 frames
+    of more than PARTITION_CAP vectors raise BudgetExceeded.
     """
     if not frame.is_real:
         raise InvalidPartition("check_retrievable_real requires a real-tagged frame")
-    A0, fail_subset, null_dirs = _bipartition_scan(frame)
+    if frame.n == 1:
+        # exact over a common power-of-two denominator; int / int rounds once
+        ratios = [f.as_integer_ratio() for f in frame.vectors.real.ravel().tolist()]
+        den = max(d for _, d in ratios)
+        fail_subset = None
+        try:
+            A0 = sum((a * (den // d)) ** 2 for a, d in ratios) / den**2
+        except OverflowError:
+            A0 = np.inf
+    else:
+        A0, fail_subset, null_dirs = _bipartition_scan(frame)
     if fail_subset is None and A0 > 0.0:
         return PRCertificate(verdict="retrievable", a0_lower=A0)
     if fail_subset is None:

@@ -95,21 +95,6 @@ def _hermitian_defect(M: np.ndarray, tol: float) -> np.ndarray:
 
 
 @functools.cache
-def _heevd_routine():
-    """LAPACK's zheevd, imported from scipy.linalg on first use.
-
-    PhaseLift's loop calls it directly: a 4 x 4 complex eigensolve takes
-    about 4.4 us this way against 9.0 us through ``np.linalg.eigh``, whose
-    per-call wrapper cost dominates at that size (2-vCPU Xeon, one BLAS
-    thread).  Every other eigensolve goes through
-    ``hermitian_eig``, which needs no scipy.
-    """
-    from scipy.linalg import lapack
-
-    return lapack.zheevd
-
-
-@functools.cache
 def _cholesky_routine():
     """LAPACK's dposv (Cholesky factor and solve), imported from scipy.linalg
     on first use, so that only IRLS's u-step loads it."""

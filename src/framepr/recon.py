@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     DimensionMismatch,
@@ -29,7 +30,6 @@ from .frames import Frame, _check_count, _check_real, analysis, intensity_map
 from .lifting import complexify, lifted_map, lifted_map_adjoint, realify
 from .linalg import (
     DEFAULT_RANK_TOL,
-    _heevd_routine,
     cg_solve,
     hermitian_basis,
     hermitian_eig,
@@ -229,20 +229,21 @@ def _step_operator(frame: Frame, w: np.ndarray, y: np.ndarray):
     return L, H, c
 
 
-def _psd_projection(z: np.ndarray, heevd) -> np.ndarray:
+def _psd_projection(z: np.ndarray) -> np.ndarray:
     """vec of the projection onto the PSD cone of the Hermitian matrix with
     vec z: its eigenvalues clipped at 0.
 
-    ``heevd`` is LAPACK's zheevd, called on the lower triangle of z viewed
-    as n x n: the routine and triangle of ``hermitian_eig``, without
-    np.linalg.eigh's per-call cost or that function's Hermitian check
-    (``_step_operator`` builds z Hermitian), symmetrization and spectrum
-    reversal; raises NoConvergence when LAPACK reports failure.
+    z viewed as n x n goes to ``eigh_lo``, the gufunc that ``hermitian_eig``'s
+    ``np.linalg.eigh(., UPLO="L")`` calls, without eigh's wrapper (6-9 us of a
+    12-36 us product and projection at n = 3-8; 2-vCPU Xeon, one BLAS thread)
+    or hermitian_eig's Hermitian check (``_step_operator`` builds z Hermitian),
+    symmetrization and spectrum reversal.  A failed factorization reads NaN,
+    which raises NoConvergence; ``phaselift`` silences its invalid flag.
     """
     n = math.isqrt(z.shape[0])
-    lam, V, info = heevd(z.reshape(n, n), lower=1)
-    if info != 0:
-        raise NoConvergence(f"LAPACK {heevd.__name__} failed with info={info}")
+    lam, V = _umath_linalg.eigh_lo(z.reshape(n, n))
+    if math.isnan(lam[0]):
+        raise NoConvergence("the eigensolve of a PhaseLift step did not converge")
     np.maximum(lam, 0.0, out=lam)
     # np.dot rather than @ here and for H vec(Y): the same BLAS call without
     # matmul's dispatch, which at n = 4 cost 6% of a step (2-vCPU Xeon)
@@ -263,8 +264,8 @@ def phaselift(frame: Frame, y, opts: PhaseLiftOptions | None = None, x_true=None
     The gradient step Y - grad/L is one affine map on vec(Y), precomputed
     once per weight vector (``_step_operator``).  The loop keeps Y and the
     iterates as flat vec vectors, so a step is one n^2 x n^2 product and one
-    direct LAPACK eigensolve (``_psd_projection``); H and c are built so that
-    every such step input is Hermitian.
+    eigensolve (``_psd_projection``); H and c are built so that every such
+    step input is Hermitian.
     The momentum uses the gradient restart of O'Donoghue and Candes: when
     <Y - X_new, X_new - X_prev> > 0 the momentum points uphill, so t falls
     back to 1 and the next step starts from X_new.
@@ -303,31 +304,33 @@ def phaselift(frame: Frame, y, opts: PhaseLiftOptions | None = None, x_true=None
         stages, budget = opts.max_outer, opts.inner_max
     trace_log: list[float] = []
     stage_iterations: list[int] = []
-    heevd = _heevd_routine()
-    # vec(X), as are Y and each step's X_new
-    X = _psd_projection(hermitian_basis(n).T @ _lifted_least_squares(frame, y)[1], heevd)
-    for stage in range(stages):
-        w = 1.0 / np.maximum(np.abs(r), delta) if stage > 0 else np.ones(m)
-        _, H, c = _step_operator(frame, w, y)
-        stage_tol_sq = (PHASELIFT_TOL if stage == stages - 1 else math.sqrt(PHASELIFT_TOL)) ** 2
-        Y = X
-        t_m = 1.0
-        for steps in range(1, budget + 1):
-            X_new = _psd_projection(np.dot(H, Y) + c, heevd)
-            D = X_new - X
-            if np.vdot(Y - X_new, D).real > 0.0:
-                t_new, Y = 1.0, X_new
-            else:
-                t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_m * t_m))
-                Y = X_new + ((t_m - 1.0) / t_new) * D
-            step_sq = np.vdot(D, D).real
-            X, t_m = X_new, t_new
-            met_tol = step_sq <= stage_tol_sq * np.vdot(X, X).real
-            if met_tol:
-                break
-        stage_iterations.append(steps)
-        r = lifted_map(frame, X.reshape(n, n)) - y
-        trace_log.append(float(np.linalg.norm(r)))
+    # _psd_projection raises on a failed eigensolve's NaNs, so its invalid
+    # flag is silenced once per solve: once per step would cost 8% at n = 4
+    with np.errstate(invalid="ignore"):
+        # vec(X), as are Y and each step's X_new
+        X = _psd_projection(hermitian_basis(n).T @ _lifted_least_squares(frame, y)[1])
+        for stage in range(stages):
+            w = 1.0 / np.maximum(np.abs(r), delta) if stage > 0 else np.ones(m)
+            _, H, c = _step_operator(frame, w, y)
+            stage_tol_sq = (PHASELIFT_TOL if stage == stages - 1 else math.sqrt(PHASELIFT_TOL)) ** 2
+            Y = X
+            t_m = 1.0
+            for steps in range(1, budget + 1):
+                X_new = _psd_projection(np.dot(H, Y) + c)
+                D = X_new - X
+                if np.vdot(Y - X_new, D).real > 0.0:
+                    t_new, Y = 1.0, X_new
+                else:
+                    t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_m * t_m))
+                    Y = X_new + ((t_m - 1.0) / t_new) * D
+                step_sq = np.vdot(D, D).real
+                X, t_m = X_new, t_new
+                met_tol = step_sq <= stage_tol_sq * np.vdot(X, X).real
+                if met_tol:
+                    break
+            stage_iterations.append(steps)
+            r = lifted_map(frame, X.reshape(n, n)) - y
+            trace_log.append(float(np.linalg.norm(r)))
     converged = bool(met_tol)
     iterations = sum(stage_iterations)
     logger.debug(

@@ -435,9 +435,9 @@ def test_cached_parser_parses_each_call_independently(monkeypatch):
 
 
 def test_import_leaves_slow_scipy_modules_unloaded():
-    # loading scipy takes most of a cold import; only PhaseLift's loop, IRLS's
-    # u-step and the coefficient-noise Fisher weights load it, so the
-    # certificates, bounds, nets and the other solvers run on numpy alone
+    # loading scipy takes most of a cold import; only IRLS's u-step and the
+    # coefficient-noise Fisher weights load it, so the certificates, bounds,
+    # nets and the other solvers, PhaseLift among them, run on numpy alone
     root = pathlib.Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
@@ -452,6 +452,9 @@ def test_import_leaves_slow_scipy_modules_unloaded():
         "framepr.frame_bounds(frame); framepr.lifted_linear(frame, y); "
         "framepr.gerchberg_saxton(frame, y); framepr.wirtinger_flow(frame, y); "
         "framepr.sampled_stability_bounds(frame); "
+        "assert framepr.phaselift(frame, y).iterations == 1; "
+        "sparse = framepr.random_frame(4, 15, seed=5); "
+        "assert framepr.phaselift(sparse, framepr.intensity_map(sparse, np.ones(4))).iterations > 1; "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

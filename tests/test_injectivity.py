@@ -1,4 +1,5 @@
 import logging
+import math
 import re
 import time
 import tracemalloc
@@ -104,6 +105,34 @@ def test_real_partition_cap():
         check_retrievable_real(frame)
     with pytest.raises(BudgetExceeded):
         stability_bounds_real(frame)
+
+
+@pytest.mark.parametrize("m", [3, 20, 24, 40])
+def test_real_line_frames_are_decided_in_closed_form(m):
+    # at n = 1 every partition sums to sum_k f_k^2 and one side spans R^1, so
+    # no scan runs and PARTITION_CAP does not apply (the scan took 6.1 s at
+    # m = 24 and refused m = 40)
+    frame = random_frame(1, m, "real_gaussian", seed=0)
+    start = time.perf_counter()
+    cert = check_retrievable_real(frame)
+    assert time.perf_counter() - start < 0.01
+    with mpmath.workdps(60):
+        exact = mpmath.fsum(mpmath.mpf(v) ** 2 for v in frame.vectors.real.ravel())
+    assert cert.verdict == "retrievable" and cert.a0_lower == float(exact)
+    assert stability_bounds_real(frame, n_starts=2).A0 == cert.a0_lower
+    if m <= 20:  # the scan agrees where it runs; at m = 24 it takes seconds
+        assert abs(_bipartition_scan(frame)[0] - cert.a0_lower) <= 2 * math.ulp(cert.a0_lower)
+
+
+def test_real_line_frame_margin_at_the_ends_of_the_float_range():
+    # as the scan did: a sum past the float range reads inf, one below the
+    # smallest subnormal reads 0 and leaves the verdict undecided
+    def cert(scale):
+        return check_retrievable_real(make_frame(scale * np.array([[1.0], [2.0], [-1.0]]), field="real"))
+
+    assert cert(1e200).verdict == "retrievable" and cert(1e200).a0_lower == np.inf
+    assert cert(1e-160).a0_lower == 6e-320
+    assert cert(1e-200).verdict == "undecided" and cert(1e-200).notes == "zero partition margin"
 
 
 def test_ambiguous_pair_standard_basis():
@@ -241,13 +270,8 @@ def equivalence_cases():
     return [(frame, _exhaustive_bipartition_scan(frame)) for frame in frames]
 
 
-# 64-node blocks split the frontier, so whole blocks, leaf blocks included,
-# are pruned away
-@pytest.mark.parametrize("block", [None, 64])
-def test_bipartition_search_matches_exhaustive_scan(equivalence_cases, block, monkeypatch):
-    if block is not None:
-        monkeypatch.setattr(injectivity, "_PARTITION_BLOCK", block)
-    for frame, (ref_A0, ref_subset) in equivalence_cases:
+def _assert_matches_exhaustive_scan(cases):
+    for frame, (ref_A0, ref_subset) in cases:
         A0, fail_subset, null_dirs = _bipartition_scan(frame)
         assert (fail_subset is None) == (ref_subset is None), (frame.n, frame.m)
         if fail_subset is None:
@@ -262,9 +286,26 @@ def test_bipartition_search_matches_exhaustive_scan(equivalence_cases, block, mo
         u, v = null_dirs
         assert injectivity._verify_witness(frame, (u + v).astype(complex), (u - v).astype(complex))
         assert A0 is None
-    # the grid exercises both verdicts
-    failing = sum(ref_subset is not None for _, (_, ref_subset) in equivalence_cases)
-    assert 0 < failing < len(equivalence_cases)
+    # the cases exercise both verdicts
+    failing = sum(ref_subset is not None for _, (_, ref_subset) in cases)
+    assert 0 < failing < len(cases)
+
+
+# 64-node blocks split the frontier, so whole blocks, leaf blocks included,
+# are pruned away
+@pytest.mark.parametrize("block", [None, 64])
+def test_bipartition_search_matches_exhaustive_scan(equivalence_cases, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(injectivity, "_PARTITION_BLOCK", block)
+    _assert_matches_exhaustive_scan(equivalence_cases)
+
+
+def test_bipartition_search_confirms_failures_at_leaves(equivalence_cases, monkeypatch):
+    # with no incumbent completions a failure can only be confirmed as a
+    # block of leaves is evaluated, and nothing is pruned before the first
+    # leaves, so the frames are kept small
+    monkeypatch.setattr(injectivity, "_INCUMBENT_NODES", 0)
+    _assert_matches_exhaustive_scan([(f, ref) for f, ref in equivalence_cases if f.m <= 2 * f.n + 2])
 
 
 def test_bipartition_search_memory_and_pruning(caplog):

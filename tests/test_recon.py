@@ -2,10 +2,12 @@ import hashlib
 import json
 import math
 import pathlib
+import types
 
 import numpy as np
 import pytest
 
+from conftest import random_hermitian
 from framepr import linalg, recon
 from framepr import (
     DimensionMismatch,
@@ -328,24 +330,34 @@ def test_phaselift_steps_bypass_hermitian_eig(monkeypatch):
 
 def test_phaselift_eigensolver_failure_inside_the_loop_raises(monkeypatch):
     # the first eigensolve projects the least-squares start, each later one
-    # is a step (m = 15 < n^2, so the solve takes more than four)
+    # is a step (m = 15 < n^2, so the solve takes more than four); numpy
+    # reports a failed factorization by NaN eigenvalues and eigenvectors
     calls = []
 
-    def failing_routine():
-        heevd = linalg._heevd_routine()
+    def eigh_lo(a):
+        calls.append(1)
+        w, v = np.linalg.eigh(a, UPLO="L")
+        return (np.full_like(w, np.nan), np.full_like(v, np.nan)) if len(calls) == 5 else (w, v)
 
-        def routine(a, lower):
-            calls.append(1)
-            w, v, info = heevd(a, lower=lower)
-            return w, v, 2 if len(calls) == 5 else info
-
-        return routine
-
-    monkeypatch.setattr(recon, "_heevd_routine", failing_routine)
+    monkeypatch.setattr(recon, "_umath_linalg", types.SimpleNamespace(eigh_lo=eigh_lo))
     frame = random_frame(4, 15, "gaussian", seed=5)
-    with pytest.raises(NoConvergence, match="info=2"):
+    with pytest.raises(NoConvergence, match="did not converge"):
         phaselift(frame, intensity_map(frame, unit_signal(4, 5)))
     assert len(calls) == 5
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_psd_projection_factors_exactly_as_numpy_eigh(rng, n):
+    # the projection calls eigh's gufunc directly; a numpy that changes or
+    # drops it must fail here rather than let PhaseLift drift.  The upper
+    # triangle is scrambled, so only the lower one may be read.
+    M = random_hermitian(rng, n)
+    M[np.triu_indices(n, 1)] = rng.normal(size=n * (n - 1) // 2)
+    w, v = recon._umath_linalg.eigh_lo(M)
+    w_ref, v_ref = np.linalg.eigh(M, UPLO="L")
+    assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+    expected = np.dot(v_ref * np.maximum(w_ref, 0.0), v_ref.conj().T).ravel()
+    assert np.array_equal(recon._psd_projection(M.ravel()), expected)
 
 
 def test_step_operator_maps_hermitian_matrices_to_hermitian_matrices():
